@@ -52,15 +52,20 @@ def test_cdr_decode_double_sequence(benchmark):
     assert result.shape == (1000,)
 
 
-def test_any_roundtrip_nested_state(benchmark):
-    state = {
-        "points": np.arange(120.0).reshape(12, 10),
-        "fun": 3.5,
-        "meta": {"iterations": 10_000, "tag": "worker-3"},
-    }
+#: the checkpoint shape of benchmarks/e2e (`ft_state_stream`): a scalar
+#: beside 512 doubles as a plain list — the bulk lane of sequence<any>
+CHECKPOINT_STATE = {"total": 1.5, "weights": [0.5 * i for i in range(512)]}
 
-    result = benchmark(lambda: decode_any(encode_any(state)))
-    assert result["meta"]["iterations"] == 10_000
+
+def test_any_encode_checkpoint_state(benchmark):
+    data = benchmark(lambda: encode_any(CHECKPOINT_STATE))
+    assert len(data) == 8328
+
+
+def test_any_decode_checkpoint_state(benchmark):
+    data = encode_any(CHECKPOINT_STATE)
+    result = benchmark(lambda: decode_any(data))
+    assert result == CHECKPOINT_STATE
 
 
 def test_idl_compile(benchmark):

@@ -18,18 +18,37 @@ is written as one buffer, not element-by-element — the optimization guides'
 "vectorize the hot loop" rule applied to marshalling, which *is* the hot
 loop of an ORB.
 
+The same rule covers bulk state inside an ``any``: a Python list that is
+all ``float`` or all ``int`` is a ``sequence<any>`` whose elements, after
+the first, are identical 16-byte records, and the plan for
+``sequence<any>`` writes and reads such a homogeneous run as one NumPy
+structured array (:func:`_write_any_seq` / :func:`_read_any_seq`) — the
+same bytes as the per-element loop, which every other list still takes.
+
 Two caches take re-walking out of the hot loop:
 
-* **encoder/decoder plans** — :class:`TypeCode` is a frozen (hashable)
-  dataclass, so the kind-dispatch over a typecode tree can be compiled
-  once into nested closures and memoized per typecode
-  (:func:`encoder_plan` / :func:`decoder_plan`).  ``write_value`` /
-  ``read_value`` consult the plan cache unless it is disabled via
-  :func:`set_plan_cache_enabled` (the parity tests flip it);
+* **encoder/decoder plans** — :class:`TypeCode` is a frozen dataclass
+  whose hash is computed once at construction, so the kind-dispatch over
+  a typecode tree can be compiled once into nested closures and memoized
+  per typecode (:func:`encoder_plan` / :func:`decoder_plan`).
+  ``write_value`` / ``read_value`` consult the plan cache unless it is
+  disabled via :func:`set_plan_cache_enabled` (the parity tests flip it,
+  which makes ``_write_value_slow`` / ``_read_value_slow`` the
+  per-element reference).  Typecodes read off the wire come back as the
+  module's own objects where they can — a singleton per parameterless
+  kind, and the reserved structs/sequences ``infer_typecode`` produces —
+  so decoding an ``any`` builds no typecode and its plan look-up hits on
+  identity;
 * **:class:`AnyEncodeMemo`** — callers that repeatedly encode the same
   logical value (the checkpoint path encodes the server state after
   every call, and most calls barely change it) get the previous bytes
   back after a structural equality check instead of a full re-encode.
+
+Bytes off the wire are not trusted: element counts are checked against
+what is left of the buffer (zero-width elements against a small cap),
+the nesting of ``any`` values and of typecodes is capped, and whatever is
+malformed raises :class:`~repro.errors.CdrError` (``MARSHAL`` at the ORB
+boundary) — never ``IndexError``, ``ValueError`` or ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -42,6 +61,7 @@ import numpy as np
 from repro.errors import CdrError
 from repro.orb.ior import IOR
 from repro.orb.typecodes import (
+    PARAMETERLESS_TYPECODES,
     TCKind,
     TypeCode,
     TC_ANY,
@@ -145,6 +165,8 @@ class CdrOutputStream:
 
     def __init__(self) -> None:
         self._buffer = bytearray()
+        #: how deep the ``any`` being written is nested
+        self._any_depth = 0
 
     def getvalue(self) -> bytes:
         return bytes(self._buffer)
@@ -381,8 +403,10 @@ class CdrOutputStream:
     # -- any -------------------------------------------------------------------
 
     def write_typecode(self, tc: TypeCode) -> None:
-        self.write_octet(int(tc.kind))
         kind = tc.kind
+        self._buffer.append(kind)  # an octet: no alignment
+        if kind in PARAMETERLESS_TYPECODES:
+            return
         if kind is TCKind.SEQUENCE:
             assert tc.content is not None
             self.write_typecode(tc.content)
@@ -415,9 +439,18 @@ class CdrOutputStream:
                 self.write_typecode(field_tc)
 
     def write_any(self, value: Any) -> None:
-        tc, coerced = infer_typecode(value)
-        self.write_typecode(tc)
-        self.write_value(tc, coerced)
+        depth = self._any_depth
+        if depth >= _MAX_ANY_DEPTH:
+            # what the decoder would refuse is refused here, before a
+            # checkpoint that cannot be restored is stored
+            raise _any_depth_error()
+        self._any_depth = depth + 1
+        try:
+            tc, coerced = infer_typecode(value)
+            self.write_typecode(tc)
+            self.write_value(tc, coerced)
+        finally:
+            self._any_depth = depth
 
 
 class CdrInputStream:
@@ -426,6 +459,9 @@ class CdrInputStream:
     def __init__(self, data: bytes) -> None:
         self._data = data
         self._pos = 0
+        #: how deep the ``any`` being read is nested (capped: hostile bytes
+        #: must not be able to exhaust the Python stack)
+        self._any_depth = 0
 
     def remaining(self) -> int:
         return len(self._data) - self._pos
@@ -488,7 +524,10 @@ class CdrInputStream:
         data = self.read_raw(length)
         if data[-1] != 0:
             raise CdrError("string is not NUL-terminated")
-        return data[:-1].decode("utf-8")
+        try:
+            return data[:-1].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CdrError(f"string is not valid UTF-8: {exc}") from exc
 
     def read_octets(self) -> bytes:
         length = self.read_ulong()
@@ -561,6 +600,7 @@ class CdrInputStream:
             raw = self.read_raw(length * size)
             # Native byte order for downstream numerics.
             return np.frombuffer(raw, dtype=dtype).astype(dtype[1:], copy=True)
+        _count_checker(tc.content)(self, length)
         return [self.read_value(tc.content) for _ in range(length)]
 
     def _read_struct(self, tc: TypeCode) -> Any:
@@ -596,22 +636,55 @@ class CdrInputStream:
 
     # -- any ----------------------------------------------------------------------
 
-    def read_typecode(self) -> TypeCode:
+    def read_typecode(self, depth: int = 0) -> TypeCode:
+        data = self._data
+        pos = self._pos
+        if pos >= len(data):
+            self.read_raw(1)  # raises the canonical underrun error
+        byte = data[pos]
+        self._pos = pos + 1
+        simple = PARAMETERLESS_TYPECODES.get(byte)
+        if simple is not None:
+            return simple
         try:
-            kind = TCKind(self.read_octet())
+            kind = TCKind(byte)
         except ValueError as exc:
             raise CdrError(f"unknown TypeCode kind byte: {exc}") from exc
+        if depth >= _MAX_TYPECODE_DEPTH:
+            raise CdrError(
+                f"TypeCode nested deeper than {_MAX_TYPECODE_DEPTH} levels"
+            )
+        return self._read_parameterized_typecode(kind, depth + 1)
+
+    def _read_parameterized_typecode(self, kind: TCKind, depth: int) -> TypeCode:
         if kind is TCKind.SEQUENCE:
-            return TypeCode(kind, content=self.read_typecode())
+            content = self.read_typecode(depth)
+            return _INFERRED_SEQUENCES.get(content) or TypeCode(
+                kind, content=content
+            )
         if kind is TCKind.ARRAY:
-            content = self.read_typecode()
-            return TypeCode(kind, content=content, length=self.read_ulong())
+            content = self.read_typecode(depth)
+            length = self.read_ulong()
+            if not _min_encoded_size(content):
+                # Elements with bytes run into the end of the buffer;
+                # elements without are bounded here, where the length
+                # comes off the wire.
+                _count_checker(content)(self, length)
+            return TypeCode(kind, content=content, length=length)
         if kind in (TCKind.STRUCT, TCKind.EXCEPTION):
             name = self.read_string()
             count = self.read_ulong()
             fields = tuple(
-                (self.read_string(), self.read_typecode()) for _ in range(count)
+                (self.read_string(), self.read_typecode(depth))
+                for _ in range(count)
             )
+            reserved = _RESERVED_STRUCTS.get(name)
+            if (
+                reserved is not None
+                and reserved.kind is kind
+                and reserved.fields == fields
+            ):
+                return reserved
             return TypeCode(kind, name=name, fields=fields)
         if kind is TCKind.ENUM:
             name = self.read_string()
@@ -620,31 +693,36 @@ class CdrInputStream:
             return TypeCode(kind, name=name, members=members)
         if kind is TCKind.OBJREF:
             return TypeCode(kind, name=self.read_string())
-        if kind is TCKind.UNION:
-            name = self.read_string()
-            discriminator = self.read_typecode()
-            default_index = self.read_long()
-            count = self.read_ulong()
-            labels = []
-            fields = []
-            for _ in range(count):
-                labels.append(self.read_any())
-                field_name = self.read_string()
-                fields.append((field_name, self.read_typecode()))
-            return TypeCode(
-                kind,
-                name=name,
-                content=discriminator,
-                fields=tuple(fields),
-                labels=tuple(labels),
-                default_index=default_index,
-            )
-        return TypeCode(kind)
+        # UNION is the only kind left.
+        name = self.read_string()
+        discriminator = self.read_typecode(depth)
+        default_index = self.read_long()
+        count = self.read_ulong()
+        labels = []
+        fields = []
+        for _ in range(count):
+            labels.append(self.read_any())
+            field_name = self.read_string()
+            fields.append((field_name, self.read_typecode(depth)))
+        return TypeCode(
+            kind,
+            name=name,
+            content=discriminator,
+            fields=tuple(fields),
+            labels=tuple(labels),
+            default_index=default_index,
+        )
 
     def read_any(self) -> Any:
-        tc = self.read_typecode()
-        value = self.read_value(tc)
-        return _postprocess_any(tc, value)
+        depth = self._any_depth
+        if depth >= _MAX_ANY_DEPTH:
+            raise _any_depth_error()
+        self._any_depth = depth + 1
+        try:
+            tc = self.read_typecode()
+            return _postprocess_any(tc, self.read_value(tc))
+        finally:
+            self._any_depth = depth
 
 
 def _union_case_index(tc: TypeCode, discriminator: Any) -> Optional[int]:
@@ -683,6 +761,99 @@ _DICT_TC = TypeCode(
     fields=(("items", sequence(_DICT_ITEM_TC)),),
 )
 
+_ANY_SEQ_TC = sequence(TC_ANY)
+
+# Everything infer_typecode can put on the wire is one of the objects
+# above; read_typecode hands the same objects back (content -> sequence,
+# name -> struct) instead of building equal ones, so the plan look-up that
+# follows hits on identity.
+_INFERRED_SEQUENCES: dict[TypeCode, TypeCode] = {
+    seq.content: seq
+    for seq in (
+        _ANY_SEQ_TC,
+        _NDARRAY_TC.fields[0][1],
+        _NDARRAY_TC.fields[1][1],
+        _DICT_TC.fields[0][1],
+    )
+}
+_RESERVED_STRUCTS: dict[str, TypeCode] = {
+    tc.name: tc for tc in (_NDARRAY_TC, _DICT_ITEM_TC, _DICT_TC)
+}
+
+#: Deepest nesting of ``any`` values (written or read) and of a TypeCode
+#: read off the wire.  A level of dict costs 9 Python frames to decode and
+#: a level of typecode 3, so together they stay inside the default
+#: recursion limit.
+_MAX_ANY_DEPTH = 64
+_MAX_TYPECODE_DEPTH = 32
+#: Most decode steps accepted for a sequence/array whose elements occupy
+#: no bytes (NULL/VOID content): nothing in the buffer bounds such a count.
+_MAX_ZERO_WIDTH_STEPS = 1024
+
+
+def _any_depth_error() -> CdrError:
+    return CdrError(f"any nested deeper than {_MAX_ANY_DEPTH} levels")
+
+
+def _min_encoded_size(tc: TypeCode) -> int:
+    """Fewest bytes one encoded value of ``tc`` occupies (padding aside)."""
+    kind = tc.kind
+    primitive = _PRIMITIVE_FORMATS.get(kind)
+    if primitive is not None:
+        return primitive[1]
+    if kind is TCKind.ANY:
+        return 1  # the kind byte of a NULL
+    if kind in (TCKind.OCTETS, TCKind.SEQUENCE, TCKind.ENUM):
+        return 4
+    if kind is TCKind.STRING:
+        return 5  # length + NUL
+    if kind is TCKind.OBJREF:
+        return 22  # two strings, port, key length, incarnation
+    if kind is TCKind.ARRAY:
+        assert tc.content is not None
+        return tc.length * _min_encoded_size(tc.content)
+    if kind in (TCKind.STRUCT, TCKind.EXCEPTION):
+        return sum(_min_encoded_size(field_tc) for _, field_tc in tc.fields)
+    if kind is TCKind.UNION:
+        assert tc.content is not None
+        return _min_encoded_size(tc.content)
+    return 0  # NULL, VOID
+
+
+def _zero_width_steps(tc: TypeCode) -> int:
+    """Decode steps one value of a zero-width ``tc`` costs: arrays
+    multiply, so nesting must not get round the cap."""
+    if tc.kind is TCKind.ARRAY:
+        assert tc.content is not None
+        return tc.length * _zero_width_steps(tc.content)
+    return 1 + sum(_zero_width_steps(field_tc) for _, field_tc in tc.fields)
+
+
+def _count_checker(content: TypeCode) -> Callable[["CdrInputStream", int], None]:
+    """A check for an element count read off the wire: the elements must
+    fit in what is left of the buffer, or — when they occupy no bytes —
+    stay under :data:`_MAX_ZERO_WIDTH_STEPS`."""
+    width = _min_encoded_size(content)
+    if width:
+
+        def check_fits(stream, count):
+            if count * width > len(stream._data) - stream._pos:
+                raise CdrError(
+                    f"buffer underrun: {count} elements of at least {width} "
+                    f"bytes at {stream._pos}, have {len(stream._data)}"
+                )
+
+        return check_fits
+    limit = _MAX_ZERO_WIDTH_STEPS // _zero_width_steps(content)
+
+    def check_zero_width(stream, count):
+        if count > limit:
+            raise CdrError(
+                f"{count} zero-width elements of {content!r} (limit {limit})"
+            )
+
+    return check_zero_width
+
 
 def infer_typecode(value: Any) -> tuple[TypeCode, Any]:
     """Choose a TypeCode for an arbitrary Python value.
@@ -711,7 +882,7 @@ def infer_typecode(value: Any) -> tuple[TypeCode, Any]:
         items = [{"key": k, "value": v} for k, v in value.items()]
         return _DICT_TC, {"items": items}
     if isinstance(value, (list, tuple)):
-        return sequence(TC_ANY), list(value)
+        return _ANY_SEQ_TC, list(value)
     raise CdrError(
         f"cannot infer a TypeCode for {type(value).__name__}; "
         "supported: None, bool, int, float, str, bytes, IOR, ndarray, "
@@ -721,11 +892,19 @@ def infer_typecode(value: Any) -> tuple[TypeCode, Any]:
 
 def _postprocess_any(tc: TypeCode, value: Any) -> Any:
     """Rebuild native Python objects for the reserved struct encodings."""
-    if tc.name == "__ndarray__":
-        shape = tuple(int(s) for s in np.asarray(value.shape).reshape(-1))
-        return np.asarray(value.data, dtype=np.float64).reshape(shape)
-    if tc.name == "__dict__":
-        return {item.key: item.value for item in value.items}
+    name = tc.name
+    if not name:
+        return value
+    try:
+        if name == "__ndarray__":
+            shape = tuple(int(s) for s in np.asarray(value.shape).reshape(-1))
+            return np.asarray(value.data, dtype=np.float64).reshape(shape)
+        if name == "__dict__":
+            return {item.key: item.value for item in value.items}
+    except (AttributeError, TypeError, ValueError) as exc:
+        # a wire typecode that borrows a reserved name with other fields,
+        # a shape that disagrees with the data, an unhashable key
+        raise CdrError(f"malformed {name} value: {exc}") from exc
     return value
 
 
@@ -812,6 +991,88 @@ def decoder_plan(tc: TypeCode) -> Callable[[CdrInputStream], Any]:
     return plan
 
 
+# -- homogeneous runs in sequence<any> -----------------------------------------------
+#
+# An ``any`` holding a double is a kind octet, padding to 8 and the eight
+# value bytes.  The first element of a ``sequence<any>`` leaves the stream
+# 8-aligned, so from the second element on every double (or longlong) is
+# the same fixed 16-byte record: kind, 7 zero bytes, big-endian value.  A
+# list that is all ``float`` or all ``int`` is therefore written, and read
+# back, as one NumPy structured array — the bytes are those the
+# per-element loop produces, in time proportional to their number.
+
+
+def _any_run_record(value_dtype: str) -> np.dtype:
+    return np.dtype([("kind", "u1"), ("pad", "V7"), ("value", value_dtype)])
+
+
+#: exact Python type -> (kind octet, record layout, native dtype).  Exact
+#: types only: ``bool`` is an ``int`` and ``np.float64`` a ``float`` to
+#: ``isinstance``, and both take another road through ``infer_typecode``.
+_ANY_RUN_BY_TYPE: dict[type, tuple[int, np.dtype, type]] = {
+    float: (int(TCKind.DOUBLE), _any_run_record(">f8"), np.float64),
+    int: (int(TCKind.LONGLONG), _any_run_record(">i8"), np.int64),
+}
+_ANY_RUN_BY_KIND: dict[int, np.dtype] = {
+    kind: record for kind, record, _ in _ANY_RUN_BY_TYPE.values()
+}
+#: Shortest list the lanes take; below it the per-element loop is as fast
+#: (measured crossover, see EXPERIMENTS.md "Bulk any marshal").
+_ANY_RUN_MIN = 5
+
+
+_check_any_count = _count_checker(TC_ANY)
+
+
+def _write_any_seq(stream: CdrOutputStream, value: Any) -> None:
+    items = list(value)
+    count = len(items)
+    stream.write_ulong(count)
+    if count >= _ANY_RUN_MIN:
+        lane = _ANY_RUN_BY_TYPE.get(type(items[0]))
+        if lane is not None and len(set(map(type, items))) == 1:
+            kind, record, native = lane
+            try:
+                values = np.array(items, dtype=native)
+            except OverflowError:
+                # an int beyond longlong: the loop below raises the
+                # canonical error at the element that has it
+                pass
+            else:
+                stream.write_any(items[0])  # leaves the stream 8-aligned
+                run = np.zeros(count - 1, dtype=record)
+                run["kind"] = kind
+                run["value"] = values[1:]
+                stream._buffer += run.tobytes()
+                return
+    for item in items:
+        stream.write_any(item)
+
+
+def _read_any_seq(stream: CdrInputStream) -> list:
+    count = stream.read_ulong()
+    _check_any_count(stream, count)  # so there is a kind octet to look at
+    if count >= _ANY_RUN_MIN:
+        data = stream._data
+        kind = data[stream._pos]
+        record = _ANY_RUN_BY_KIND.get(kind)
+        if record is not None:
+            first = stream.read_any()  # leaves the stream 8-aligned
+            start = stream._pos
+            end = start + (count - 1) * record.itemsize
+            if end <= len(data):
+                run = np.frombuffer(data, dtype=record, count=count - 1, offset=start)
+                if (run["kind"] == kind).all():
+                    stream._pos = end
+                    values = run["value"].tolist()
+                    values.insert(0, first)
+                    return values
+            rest = [stream.read_any() for _ in range(count - 1)]
+            rest.insert(0, first)
+            return rest
+    return [stream.read_any() for _ in range(count)]
+
+
 def _compile_encoder(tc: TypeCode) -> Callable[[CdrOutputStream, Any], None]:
     kind = tc.kind
     if kind in (TCKind.NULL, TCKind.VOID):
@@ -862,6 +1123,8 @@ def _compile_encoder(tc: TypeCode) -> Callable[[CdrOutputStream, Any], None]:
                     raise CdrError(f"bad element in sequence: {exc}") from exc
 
             return write_numeric_seq
+        if content.kind is TCKind.ANY:
+            return _write_any_seq
         item_plan = encoder_plan(content)
 
         def write_seq(stream, value, _item_plan=item_plan):
@@ -955,10 +1218,15 @@ def _compile_decoder(tc: TypeCode) -> Callable[[CdrInputStream], Any]:
                 )
 
             return read_numeric_seq
+        if content.kind is TCKind.ANY:
+            return _read_any_seq
         item_plan = decoder_plan(content)
+        check_count = _count_checker(content)
 
-        def read_seq(stream, _item_plan=item_plan):
-            return [_item_plan(stream) for _ in range(stream.read_ulong())]
+        def read_seq(stream, _item_plan=item_plan, _check_count=check_count):
+            count = stream.read_ulong()
+            _check_count(stream, count)
+            return [_item_plan(stream) for _ in range(count)]
 
         return read_seq
     if kind is TCKind.ARRAY:

@@ -65,6 +65,10 @@ class TypeCode:
       ``(field_name, TypeCode)`` pairs;
     * ENUM: ``name`` and ``members`` (value names in declaration order);
     * OBJREF: ``name`` holds the expected repository id ("" = any object).
+
+    TypeCodes key the marshal plan caches, so the hash is computed once at
+    construction (children contribute their stored hash, so a tree hashes
+    in O(nodes) when built and O(1) per look-up afterwards).
     """
 
     kind: TCKind
@@ -94,6 +98,25 @@ class TypeCode:
                 raise CdrError("UNION needs one label per case")
             if not -1 <= self.default_index < len(self.fields):
                 raise CdrError("UNION default_index out of range")
+        try:
+            digest = hash(
+                (
+                    self.kind,
+                    self.name,
+                    self.content,
+                    self.length,
+                    self.fields,
+                    self.members,
+                    self.labels,
+                    self.default_index,
+                )
+            )
+        except TypeError as exc:
+            raise CdrError(f"{self.kind.name} TypeCode is not hashable: {exc}") from exc
+        object.__setattr__(self, "_hash", digest)
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     # convenient predicates -------------------------------------------------
 
@@ -134,6 +157,29 @@ TC_STRING = TypeCode(TCKind.STRING)
 TC_ANY = TypeCode(TCKind.ANY)
 TC_OBJREF = TypeCode(TCKind.OBJREF)
 TC_OCTETS = TypeCode(TCKind.OCTETS)
+
+#: kind byte -> the singleton of every kind that carries no parameters on
+#: the wire; decoding one of these constructs nothing.
+PARAMETERLESS_TYPECODES: dict[int, TypeCode] = {
+    int(_tc.kind): _tc
+    for _tc in (
+        TC_NULL,
+        TC_VOID,
+        TC_BOOLEAN,
+        TC_OCTET,
+        TC_SHORT,
+        TC_USHORT,
+        TC_LONG,
+        TC_ULONG,
+        TC_LONGLONG,
+        TC_ULONGLONG,
+        TC_FLOAT,
+        TC_DOUBLE,
+        TC_STRING,
+        TC_ANY,
+        TC_OCTETS,
+    )
+}
 
 
 # -- constructors ---------------------------------------------------------------

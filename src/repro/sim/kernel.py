@@ -38,6 +38,9 @@ from repro.sim.tracing import Trace
 #: are cancelled *and* they make up at least half of the heap.
 _COMPACT_MIN_CANCELLED = 64
 
+#: the process list is not scanned for finished processes below this length.
+_PROCESS_COMPACT_MIN = 512
+
 #: slack for the monotonic-time assertion (float addition noise).
 _TIME_EPSILON = 1e-12
 
@@ -98,6 +101,8 @@ class Simulator:
         #: live processes; finished ones are compacted out periodically so
         #: long request streams do not accumulate dead Process objects.
         self.processes: list[Any] = []
+        #: list length at which ``_register_process`` next compacts
+        self._compact_processes_at = _PROCESS_COMPACT_MIN
         #: the process whose generator is being stepped right now (None
         #: between steps); trace-context inheritance at spawn and the
         #: observability tracer's "current span" both key off it.
@@ -328,10 +333,11 @@ class Simulator:
         request streams (millions of short-lived processes) stay O(live)."""
         processes = self.processes
         processes.append(process)
-        if len(processes) > 512:
-            live = [p for p in processes if p.is_pending]
-            if len(live) < len(processes):
-                self.processes = live
+        if len(processes) > self._compact_processes_at:
+            # Rescan only once the list has doubled since the last scan:
+            # amortised O(1) per spawn however many stay alive.
+            self.processes = live = [p for p in processes if p.is_pending]
+            self._compact_processes_at = max(_PROCESS_COMPACT_MIN, 2 * len(live))
 
     # -- observability ---------------------------------------------------------
 

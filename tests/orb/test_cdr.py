@@ -1,5 +1,8 @@
 """Tests for CDR marshalling, including property-based round trips."""
 
+import struct
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,8 @@ from repro.orb.cdr import (
     decode_any,
     encode_any,
     infer_typecode,
+    plan_cache_enabled,
+    set_plan_cache_enabled,
 )
 from repro.orb.ior import IOR
 
@@ -261,6 +266,114 @@ def test_infer_typecode_numpy_scalars():
     assert infer_typecode(np.int64(4))[0] is tc.TC_LONGLONG
     assert infer_typecode(np.float64(4.0))[0] is tc.TC_DOUBLE
     assert infer_typecode(np.bool_(True))[0] is tc.TC_BOOLEAN
+
+
+# -- hostile bytes ------------------------------------------------------------------
+#
+# Whatever arrives off the wire, ``decode_any`` answers with CdrError
+# (MARSHAL at the ORB boundary) in bounded time — on the plan path and on
+# the per-element reference path alike.
+
+K = tc.TCKind
+
+
+@pytest.fixture(params=[True, False], ids=["plans", "reference"])
+def either_decoder(request):
+    was_enabled = plan_cache_enabled()
+    set_plan_cache_enabled(request.param)
+    yield
+    set_plan_cache_enabled(was_enabled)
+
+
+def _ndarray_with_wrong_shape() -> bytes:
+    good = encode_any(np.arange(6.0).reshape(2, 3))
+    at = good.index(struct.pack(">Q", 3))
+    return good[:at] + struct.pack(">Q", 4) + good[at + 8 :]
+
+
+def _dict_with_unhashable_key() -> bytes:
+    good = encode_any({"k": 1})
+    # the key's any: STRING "k" -> sequence<any> of no elements (same size)
+    at = good.index(bytes([K.STRING]) + b"\0\0\0" + struct.pack(">I", 2) + b"k\0")
+    forged = bytes([K.SEQUENCE, K.ANY]) + b"\0\0" + struct.pack(">I", 0) + b"\0\0"
+    return good[:at] + forged + good[at + len(forged) :]
+
+
+HOSTILE = {
+    "fifty million nulls in six bytes": (
+        bytes([K.SEQUENCE, K.NULL]) + b"\0\0" + struct.pack(">I", 50_000_000)
+    ),
+    "fifty million null array elements": (
+        bytes([K.ARRAY, K.NULL]) + b"\0\0" + struct.pack(">I", 50_000_000)
+    ),
+    "zero-width arrays multiplied by nesting": (
+        bytes([K.ARRAY, K.ARRAY, K.ARRAY, K.NULL])
+        + struct.pack(">III", 1000, 1000, 1000)
+    ),
+    "more any elements than bytes": (
+        bytes([K.SEQUENCE, K.ANY]) + b"\0\0" + struct.pack(">I", 50_000_000)
+    ),
+    "ndarray whose shape disagrees with its data": _ndarray_with_wrong_shape(),
+    "five thousand nested sequence typecodes": bytes([K.SEQUENCE]) * 5000,
+    "five thousand nested any lists": (
+        (bytes([K.SEQUENCE, K.ANY]) + b"\0\0" + struct.pack(">I", 1)) * 5000
+    ),
+    "string that is not UTF-8": (
+        bytes([K.STRING]) + b"\0\0\0" + struct.pack(">I", 3) + b"\xff\xfe\0"
+    ),
+    "dict with an unhashable key": _dict_with_unhashable_key(),
+    "unknown kind byte": b"\xee",
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE)
+def test_hostile_any_raises_cdr_error_quickly(either_decoder, name):
+    started = time.perf_counter()
+    with pytest.raises(CdrError):
+        decode_any(HOSTILE[name])
+    assert time.perf_counter() - started < 0.05
+
+
+VALID_ANYS = [
+    {"total": 1.5, "weights": [0.5 * i for i in range(24)]},   # float lane
+    list(range(-12, 12)),                                       # int lane
+    [1.5, 2, None, "x", True, b"b", [1.0] * 9],
+    {"a": np.arange(6.0).reshape(2, 3), "ior": IOR("IDL:X:1.0", "h", 1, b"k", 0)},
+]
+
+
+@pytest.mark.parametrize("value", VALID_ANYS, ids=["floats", "ints", "mixed", "structs"])
+def test_every_truncation_of_an_any_raises_cdr_error(either_decoder, value):
+    data = encode_any(value)
+    decode_any(data)
+    for cut in range(len(data)):
+        with pytest.raises(CdrError):
+            decode_any(data[:cut])
+
+
+def test_any_nesting_is_capped_on_both_sides():
+    """What the decoder would refuse, the encoder refuses first — a
+    checkpoint that cannot be restored is never stored."""
+    shallow = 0.5
+    for _ in range(60):
+        shallow = [shallow]
+    assert decode_any(encode_any(shallow)) == shallow
+    deep = shallow
+    for _ in range(20):
+        deep = [deep]
+    with pytest.raises(CdrError, match="nested deeper"):
+        encode_any(deep)
+    # a refused value leaves no depth behind on the stream
+    out = CdrOutputStream()
+    with pytest.raises(CdrError, match="nested deeper"):
+        out.write_any(deep)
+    out.write_any(shallow)
+
+
+def test_legitimate_zero_width_values_still_decode():
+    assert decode_any(encode_any([None] * 5000)) == [None] * 5000
+    empty = tc.struct("Empty", [])
+    assert len(roundtrip(tc.sequence(empty), [{}] * 100)) == 100
 
 
 # -- property-based round trips -------------------------------------------------------------

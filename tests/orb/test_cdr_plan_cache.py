@@ -7,10 +7,15 @@ performance optimization, never a semantic one.
 """
 
 import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.errors import CdrError
+from repro.orb import cdr
 from repro.orb import typecodes as tc
 from repro.orb.cdr import (
     AnyEncodeMemo,
@@ -189,6 +194,162 @@ def test_any_roundtrip_cache_parity(seed):
     assert values_equal(cached_value, plain_value)
     # Re-encoding what either side decoded reproduces the same wire bytes.
     assert encode_any(cached_value) == encode_any(plain_value)
+
+
+# -- homogeneous-run lanes of sequence<any> --------------------------------------
+#
+# The plan for sequence<any> writes/reads an all-float or all-int list as
+# one structured array.  The per-element reference is the same call with
+# the plan cache off (``_write_value_slow`` / ``_read_value_slow``).
+
+_RUN_MIN = cdr._ANY_RUN_MIN
+
+
+def any_at_offset(enabled: bool, value, offset: int) -> bytes:
+    """``value`` as an ``any`` written ``offset`` octets into a stream."""
+    set_plan_cache_enabled(enabled)
+    out = CdrOutputStream()
+    for _ in range(offset):
+        out.write_octet(0xEE)
+    out.write_any(value)
+    return out.getvalue()
+
+
+def any_from_offset(enabled: bool, data: bytes, offset: int):
+    set_plan_cache_enabled(enabled)
+    stream = CdrInputStream(data)
+    stream.read_raw(offset)
+    value = stream.read_any()
+    assert stream.remaining() == 0
+    return value
+
+
+def same_values_same_types(a, b) -> bool:
+    """Equality that tells ``1`` from ``1.0`` from ``True``, ``0.0`` from
+    ``-0.0`` and one NaN payload from another."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack(">d", a) == struct.pack(">d", b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_values_same_types, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(
+            same_values_same_types(a[k], b[k]) for k in a
+        )
+    return a == b
+
+
+def assert_lane_parity(value) -> None:
+    """At every stream offset: plan bytes == reference bytes, and both
+    decoders give back equal values of equal Python types."""
+    for offset in range(8):
+        planned = any_at_offset(True, value, offset)
+        reference = any_at_offset(False, value, offset)
+        assert planned == reference, f"bytes differ at offset {offset}"
+        got = any_from_offset(True, planned, offset)
+        expected = any_from_offset(False, planned, offset)
+        assert same_values_same_types(got, expected), f"offset {offset}"
+
+
+_bit_pattern_floats = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack(">d", struct.pack(">Q", bits))[0]
+)
+_int64s = st.integers(-(2**63), 2**63 - 1)
+_run_lengths = st.one_of(
+    st.integers(0, 2 * _RUN_MIN + 2), st.integers(0, 2_000)
+)
+
+
+@st.composite
+def homogeneous_lists(draw):
+    elements = draw(st.sampled_from((_bit_pattern_floats, _int64s)))
+    length = draw(_run_lengths)
+    return draw(st.lists(elements, min_size=length, max_size=length))
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_lists())
+@example([0.5 * i for i in range(_RUN_MIN - 1)])
+@example([0.5 * i for i in range(_RUN_MIN)])
+@example([-(2**63)] * _RUN_MIN + [2**63 - 1])
+def test_homogeneous_run_parity(values):
+    assert_lane_parity(values)
+    # a tuple is the same sequence<any> on the wire
+    assert any_at_offset(True, tuple(values), 0) == any_at_offset(True, values, 0)
+
+
+_TRAP_VALUES = (
+    True,                 # a bool among ints is a BOOLEAN, not a LONGLONG
+    np.float64(2.5),      # not exactly float: goes through infer_typecode
+    np.int64(7),
+    None,
+    "s",
+    1.5,
+    3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((0.25, 9)),
+    st.integers(_RUN_MIN, 40),
+    st.data(),
+)
+def test_run_broken_at_element_k_parity(filler, length, data):
+    """One foreign element anywhere in the run sends the whole list down
+    the per-element loop — and the decoder, which sees a run of matching
+    kind bytes up to it, must not take the lane either."""
+    k = data.draw(st.integers(0, length - 1))
+    trap = data.draw(st.sampled_from(_TRAP_VALUES))
+    values = [filler] * length
+    values[k] = trap
+    assert_lane_parity(values)
+
+
+def test_float_run_keeps_every_bit_pattern():
+    quiet_nan = struct.unpack(">d", bytes.fromhex("7ff8000000000001"))[0]
+    payload_nan = struct.unpack(">d", bytes.fromhex("7ff00000deadbeef"))[0]
+    values = [0.0, -0.0, float("inf"), float("-inf"), quiet_nan, payload_nan] * 3
+    assert_lane_parity(values)
+    decoded = decode_any(encode_any(values))
+    assert [struct.pack(">d", v) for v in decoded] == [
+        struct.pack(">d", v) for v in values
+    ]
+
+
+def test_int_beyond_longlong_raises_the_reference_error():
+    values = list(range(_RUN_MIN * 2)) + [2**63]
+    with pytest.raises(CdrError) as planned:
+        any_at_offset(True, values, 0)
+    with pytest.raises(CdrError) as reference:
+        any_at_offset(False, values, 0)
+    assert str(planned.value) == str(reference.value)
+    assert "out of range" in str(planned.value)
+
+
+def test_checkpoint_shape_takes_the_lane_with_identical_bytes():
+    """A list nested as a dict value — the shape FT proxies checkpoint."""
+    state = {"total": 3.5, "weights": [0.5 * i for i in range(512)], "ids": list(range(40))}
+    assert_lane_parity(state)
+    hits_before = plan_cache_stats()["encoder_plan_hits"]
+    set_plan_cache_enabled(True)
+    encode_any(state)
+    # no per-element plan look-ups: a handful for the dict, none per float
+    assert plan_cache_stats()["encoder_plan_hits"] - hits_before < 40
+
+
+def test_decode_lane_rejects_a_forged_kind_byte_like_the_reference():
+    """Records whose kind byte is not the run's are decoded one by one."""
+    values = [1.5] * (_RUN_MIN + 3)
+    data = bytearray(encode_any(values))
+    # the third element's kind byte: LONGLONG instead of DOUBLE
+    records = len(data) - 16 * (len(values) - 1)
+    data[records + 16] = int(tc.TCKind.LONGLONG)
+    decoded = any_from_offset(True, bytes(data), 0)
+    reference = any_from_offset(False, bytes(data), 0)
+    assert same_values_same_types(decoded, reference)
+    assert type(decoded[2]) is int and type(decoded[1]) is float
 
 
 # -- cache mechanics ----------------------------------------------------------

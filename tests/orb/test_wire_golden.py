@@ -119,3 +119,33 @@ def test_request_service_context_golden():
 def test_any_encoding_golden_for_int():
     # kind byte LONGLONG (8), pad to 8, value.
     assert hexdump(encode_any(5)) == "08" "00000000000000" "0000000000000005"
+
+
+def test_any_checkpoint_state_golden():
+    """The checkpoint shape — a scalar beside a list of doubles — byte for
+    byte.  Six weights: long enough that the bulk lane of sequence<any>
+    writes the list, which pins the lane to the per-element format."""
+    state = {"total": 1.5, "weights": [0.5, 1.0, -2.0, 0.0, 4.0, 8.0]}
+    any_double = "0b" "00000000000000"  # kind DOUBLE, pad to 8
+    assert hexdump(encode_any(state)) == (
+        # typecode: struct __dict__ { sequence<struct __dict_item__> items; }
+        "0f" "000000" "00000009" + hexdump(b"__dict__") + "00" "000000"
+        "00000001" "00000006" + hexdump(b"items") + "00"
+        "0d"                                      # sequence<
+        "0f" "0000000e" + hexdump(b"__dict_item__") + "00" "0000"
+        "00000002"                                # { any key; any value; }
+        "00000004" + hexdump(b"key") + "00" "12" "000000"
+        "00000006" + hexdump(b"value") + "00" "12" "00"
+        # value: two items
+        "00000002"
+        "0c" "000000" "00000006" + hexdump(b"total") + "00"
+        "0b" "00" "3ff8000000000000"
+        "0c" "000000" "00000008" + hexdump(b"weights") + "00"
+        "0d" "12" "0000" "00000006"               # any: sequence<any>, 6 elements
+        + any_double + "3fe0000000000000"
+        + any_double + "3ff0000000000000"
+        + any_double + "c000000000000000"
+        + any_double + "0000000000000000"
+        + any_double + "4010000000000000"
+        + any_double + "4020000000000000"
+    )

@@ -1,5 +1,7 @@
 """Tests for generator-based processes."""
 
+import sys
+
 import pytest
 
 from repro.errors import ProcessKilled, SimulationError
@@ -280,3 +282,40 @@ def test_any_of_fails_only_when_all_fail():
     sim.run()
     assert combined.failed
     assert str(combined.exception) == "b"
+
+
+def test_process_list_is_compacted_in_amortised_constant_time():
+    """With many long-lived processes, a spawn must not rescan them all:
+    the list is compacted only once it has doubled since the last scan."""
+    sim = Simulator()
+
+    def sleeper():
+        yield sim.future()  # never resolves: stays live
+
+    def blip():
+        yield sim.timeout(0.0)
+
+    live = [sim.spawn(sleeper(), name=f"live{i}") for i in range(1000)]
+    sim.run()
+    scans = 0
+
+    def on_event(frame, event, arg):
+        nonlocal scans
+        if event == "call" and frame.f_code.co_name == "is_pending":
+            scans += 1
+
+    spawns = 3000
+    sys.setprofile(on_event)
+    try:
+        for _ in range(spawns):
+            sim.spawn(blip())
+            sim.run()
+    finally:
+        sys.setprofile(None)
+    # each compaction looks at every entry once, and at most one in two
+    # spawns can have been paid for by a doubling (the old rule: 1 000+
+    # looks per spawn, three million here)
+    assert scans <= 4 * spawns
+    # finished processes do not pile up, and survivors keep their order
+    assert len(sim.processes) <= 2 * len(live) + 512
+    assert [p for p in sim.processes if p.is_pending] == live
