@@ -1,12 +1,7 @@
-"""Scale harness: sim-core ablation + 100× cluster/population curves.
+"""Scale harness: 100× cluster/population curves.
 
-Three experiments share one artifact:
+Two experiments share one artifact:
 
-* the **dispatch microbench** (``dispatch_microbench``) — the old
-  event-loop (Python ``__lt__`` heap entries, peek-then-re-pop dispatch,
-  O(heap) introspection) against the fast-path kernel on an identical
-  pre-scheduled timer drain; the acceptance criterion is a >= 3x
-  events/sec improvement (full mode);
 * the **hosts-vs-throughput curve** — clusters from 1k to 10k hosts under
   an open-loop population whose offered load scales with cluster
   capacity, placed through the hierarchical Winner and the sharded
@@ -20,17 +15,15 @@ A fixed **smoke cell** (200 hosts / 10⁴ clients) runs in both quick and
 full mode with identical parameters, and is re-run three more ways —
 same seed again, scalar (non-vectorized) ranking, and with the kernel
 profiler installed — all four must produce bit-identical completion
-fingerprints.  That is the determinism property the fast path must not
-break.
+fingerprints.
 
 The file doubles as the CI scale-smoke gate::
 
     PYTHONPATH=src python benchmarks/bench_scale.py --quick
 
-which exits non-zero when the dispatch speedup falls below the quick
-floor, any cell drops or fails a request, the delivered rate drifts from
-the configured Poisson rate, the naming shards lose their spread, or any
-of the determinism re-runs diverges.
+which exits non-zero when any cell drops or fails a request, the
+delivered rate drifts from the configured Poisson rate, the naming shards
+lose their spread, or any of the determinism re-runs diverges.
 """
 
 from __future__ import annotations
@@ -45,7 +38,6 @@ from repro.bench.scalebench import (
     ScaleRunResult,
     clients_latency_curve,
     cluster_capacity,
-    dispatch_microbench,
     hosts_throughput_curve,
     scale_run,
 )
@@ -76,11 +68,6 @@ QUICK_CLIENTS_HOSTS = 200
 QUICK_PER_CLIENT_RATE = 0.8 * cluster_capacity(200) / 10_000
 QUICK_DURATION = 2.0
 
-#: acceptance: dispatch fast path must beat the old kernel by this much.
-MIN_SPEEDUP_FULL = 3.0
-#: CI boxes are noisy and heterogeneous; the quick gate only proves the
-#: fast path is still a clear win, the pinned full run records the >= 3x.
-MIN_SPEEDUP_QUICK = 1.8
 #: delivered arrival rate must sit within this of the configured Poisson
 #: rate (12% ≈ 3-4 sigma at the smallest cell's sample count).
 RATE_RTOL = 0.12
@@ -89,11 +76,6 @@ MAX_PEAK_SHARE = 0.5
 
 
 def run_bench(quick: bool = False) -> dict:
-    micro = dispatch_microbench(
-        total_events=30_000 if quick else 60_000,
-        repeats=3,
-    )
-
     smoke_kwargs = dict(
         num_hosts=SMOKE_HOSTS,
         num_clients=SMOKE_CLIENTS,
@@ -132,7 +114,6 @@ def run_bench(quick: bool = False) -> dict:
 
     return {
         "quick": quick,
-        "micro": micro,
         "smoke": smoke,
         "determinism": {
             "fingerprint": smoke.fingerprint,
@@ -178,13 +159,6 @@ def _check_cell(label: str, cell: ScaleRunResult, failures: list) -> None:
 def check_results(results: dict) -> list:
     """Every violated acceptance condition (empty = pass)."""
     failures: list = []
-    min_speedup = MIN_SPEEDUP_QUICK if results["quick"] else MIN_SPEEDUP_FULL
-    speedup = results["micro"]["speedup"]
-    if speedup < min_speedup:
-        failures.append(
-            f"micro: dispatch fast path is only {speedup:.2f}x the old "
-            f"kernel (need >= {min_speedup}x)"
-        )
     for key in ("rerun_match", "scalar_match", "profiled_match"):
         if not results["determinism"][key]:
             failures.append(
@@ -227,19 +201,6 @@ def _curve_rows(cells: list) -> list:
 
 
 def render(results: dict) -> str:
-    micro = results["micro"]
-    micro_table = format_table(
-        ["kernel", "events/sec"],
-        [
-            ["pre-fast-path", f"{micro['baseline_events_per_sec']:,.0f}"],
-            ["fast path", f"{micro['fastpath_events_per_sec']:,.0f}"],
-            ["speedup", f"{micro['speedup']:.2f}x"],
-        ],
-        title=(
-            f"Event-dispatch microbench ({micro['total_events']} events, "
-            f"best of {micro['repeats']})"
-        ),
-    )
     headers = [
         "hosts",
         "clients",
@@ -269,13 +230,12 @@ def render(results: dict) -> str:
         f"scalar {'ok' if det['scalar_match'] else 'DIVERGED'}, "
         f"profiled {'ok' if det['profiled_match'] else 'DIVERGED'}"
     )
-    return "\n\n".join([micro_table, hosts_table, clients_table, det_line])
+    return "\n\n".join([hosts_table, clients_table, det_line])
 
 
 def payload(results: dict) -> dict:
     return {
         "quick": results["quick"],
-        "dispatch_microbench": results["micro"],
         "smoke": asdict(results["smoke"]),
         "determinism": results["determinism"],
         "hosts_curve": [asdict(cell) for cell in results["hosts_curve"]],
@@ -284,7 +244,6 @@ def payload(results: dict) -> dict:
 
 
 def metric_series(results: dict) -> dict:
-    micro = results["micro"]
     cells = (
         [("smoke", results["smoke"])]
         + [("hosts", cell) for cell in results["hosts_curve"]]
@@ -299,12 +258,7 @@ def metric_series(results: dict) -> dict:
         }
 
     return {
-        # wall-clock lane (sim_events/bench_wall prefixes -> ±50% gate).
-        "sim_events_per_sec": [
-            ({"kernel": "baseline"}, micro["baseline_events_per_sec"]),
-            ({"kernel": "fastpath"}, micro["fastpath_events_per_sec"]),
-        ],
-        "sim_events_dispatch_speedup": [({}, micro["speedup"])],
+        # wall-clock lane (bench_wall prefix -> ±50% gate).
         "bench_wall_time": [
             (labels(curve, cell), cell.wall_seconds) for curve, cell in cells
         ],
@@ -361,12 +315,12 @@ def test_scale_harness(benchmark, save_result, export_bench_metrics):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Scale harness + dispatch ablation (CI scale-smoke gate)."
+        description="Scale harness (CI scale-smoke gate)."
     )
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI shape: 100-200 hosts, 10⁴ clients, looser speedup floor",
+        help="CI shape: 100-200 hosts, 10⁴ clients",
     )
     args = parser.parse_args(argv)
     results = run_bench(quick=args.quick)

@@ -13,11 +13,7 @@ IDL002  servant method arity disagrees with the IDL signature;
 IDL003  FT proxy does not intercept an IDL operation;
 IDL004  embedded IDL fails to parse;
 IDL005  compiled stub operation table disagrees with the IDL AST
-        (semantic toolchain cross-check);
-IDL006  generated fast-path marshal/dispatch tables disagree with the
-        IDL — a compiled type has no registered AOT coders, an operation
-        has no generated request builder / dispatch entry, or the emitted
-        module trips the determinism lint (wall clock, unseeded entropy).
+        (semantic toolchain cross-check).
 
 Discovery is convention-based: any module-level ``NAME_IDL = \"\"\"...\"\"\"``
 constant is parsed with the project's own :mod:`repro.orb.idl.parser`; any
@@ -143,7 +139,6 @@ class IdlConformanceChecker(Checker):
         "IDL003": "FT proxy does not intercept an IDL operation",
         "IDL004": "embedded IDL fails to parse",
         "IDL005": "compiled stub operation table disagrees with the IDL",
-        "IDL006": "generated fast-path tables disagree with the IDL",
     }
     # IDL constants, servants and proxies all live in the package tree;
     # benchmarks/examples subclass stubs without owning any IDL contract.
@@ -385,99 +380,6 @@ class IdlConformanceChecker(Checker):
                         line=doc.line,
                         checker=self,
                         interface=iface.name,
-                    )
-                )
-            findings.extend(self._check_fast_path(doc, namespace))
-        return findings
-
-    # -- AOT fast-path cross-checks (IDL006) ---------------------------------------
-
-    def _check_fast_path(self, doc: IdlDocument, namespace: Any) -> list[Finding]:
-        """Cross-check the generated AOT marshal/dispatch tables.
-
-        ``compile_idl`` (fast_path default) registers flat coders keyed by
-        the TypeCode trees built from the parsed AST; every compiled value
-        type must have a coder pair, every operation a request builder,
-        argument decoder and skeleton dispatch entry, and the emitted
-        module itself must pass the determinism lint (no wall clock or
-        unseeded entropy baked into generated code)."""
-        from pathlib import Path
-
-        from repro.analysis.checkers.determinism import DeterminismChecker
-        from repro.orb import cdr
-        from repro.orb.stubs import (
-            generated_args_decoder,
-            generated_request_encoder,
-        )
-
-        findings: list[Finding] = []
-        coders = cdr.generated_coders()
-        for attr, value in sorted(vars(namespace).items()):
-            if attr.startswith("__") or not isinstance(value, type):
-                continue
-            typecode = getattr(value, "__tc__", None)
-            if typecode is None:
-                continue
-            if typecode not in coders:
-                findings.append(
-                    self.finding(
-                        "IDL006",
-                        f"{doc.constant_name}: compiled type {attr} has no "
-                        "registered generated fast-path coders",
-                        doc.source,
-                        doc.line,
-                        context=attr,
-                    )
-                )
-        for iface in sorted(doc.interfaces):
-            stub_cls = getattr(namespace, f"{iface}Stub", None)
-            skel_cls = getattr(namespace, f"{iface}Skeleton", None)
-            if stub_cls is None or skel_cls is None:
-                continue  # IDL005 already covers the missing class
-            dispatch = getattr(skel_cls, "__fastdispatch__", None) or {}
-            for op_name, info in sorted(stub_cls.__operations__.items()):
-                if (
-                    generated_request_encoder(info) is None
-                    or generated_args_decoder(info) is None
-                ):
-                    findings.append(
-                        self.finding(
-                            "IDL006",
-                            f"{doc.constant_name}: no generated request "
-                            f"builder/arg decoder for {iface}.{op_name}",
-                            doc.source,
-                            doc.line,
-                            context=iface,
-                        )
-                    )
-                if op_name not in dispatch:
-                    findings.append(
-                        self.finding(
-                            "IDL006",
-                            f"{doc.constant_name}: skeleton dispatch table "
-                            f"is missing {iface}.{op_name}",
-                            doc.source,
-                            doc.line,
-                            context=iface,
-                        )
-                    )
-        generated = SourceFile.from_text(
-            namespace.__source__,
-            Path(f"{doc.source.relpath}::{doc.constant_name}"),
-            Path("."),
-        )
-        if generated.tree is not None:
-            stub_project = Project(root=Path("."), files=[generated], semantic=False)
-            for det in DeterminismChecker().check_file(generated, stub_project):
-                findings.append(
-                    self.finding(
-                        "IDL006",
-                        f"generated module for {doc.constant_name} fails "
-                        f"the determinism lint: {det.code} at generated "
-                        f"line {det.line}: {det.message}",
-                        doc.source,
-                        doc.line,
-                        context=doc.constant_name,
                     )
                 )
         return findings

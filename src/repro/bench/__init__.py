@@ -19,7 +19,6 @@ from repro.bench.scalebench import (
     ScaleRunResult,
     clients_latency_curve,
     cluster_capacity,
-    dispatch_microbench,
     hosts_throughput_curve,
     scale_run,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "Table1Row",
     "clients_latency_curve",
     "cluster_capacity",
-    "dispatch_microbench",
     "fig3_curves",
     "fig3_sweep",
     "format_table",

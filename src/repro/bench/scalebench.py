@@ -1,27 +1,15 @@
 """The scale harness: thousand-host clusters under open-loop client traffic.
 
-Two instruments live here:
-
-* :func:`dispatch_microbench` — the before/after ablation for the sim-core
-  fast path.  ``_BaselineSimulator`` is a faithful in-module replica of the
-  pre-fast-path dispatch loop (``ScheduledEvent`` objects *in* the heap
-  compared via Python ``__lt__``, ``run()`` head-peeking its own cancelled
-  entries, O(heap) ``pending_event_count``) so the speedup is measured
-  against the real predecessor, not a strawman.  Both kernels drain the
-  identical pre-scheduled timer workload (scattered timestamps, a stride
-  of lazily cancelled entries).
-
-* :func:`scale_run` / :func:`scale_sweep` — the 100× harness.  A run
-  builds hosts directly (no per-host ORB: the measured subject is the
-  kernel, the hierarchy and the generator), a
-  :class:`~repro.winner.hierarchy.HierarchicalWinner` site→region tree, a
-  :class:`~repro.services.naming.sharded.ShardedServiceDirectory` routing
-  service names to sites, and an
-  :class:`~repro.cluster.loadgen.OpenLoopPopulation` driving Poisson
-  arrivals through resolve → place → execute.  The sweep produces the two
-  deliverable curves: hosts vs throughput (arrival rate scaled with
-  cluster capacity) and clients vs latency (arrival rate scaled with the
-  population, holding the cluster fixed).
+:func:`scale_run` builds hosts directly (no per-host ORB: the measured
+subject is the kernel, the hierarchy and the generator), a
+:class:`~repro.winner.hierarchy.HierarchicalWinner` site→region tree, a
+:class:`~repro.services.naming.sharded.ShardedServiceDirectory` routing
+service names to sites, and an
+:class:`~repro.cluster.loadgen.OpenLoopPopulation` driving Poisson
+arrivals through resolve → place → execute.  The two curve functions
+produce the deliverables: hosts vs throughput (arrival rate scaled with
+cluster capacity) and clients vs latency (arrival rate scaled with the
+population, holding the cluster fixed).
 
 Wall-clock timing is confined to this module (``repro/bench`` is outside
 the determinism checkers' scope); everything inside the simulation stays
@@ -31,195 +19,16 @@ completion-stream fingerprint so tests can prove it.
 
 from __future__ import annotations
 
-import heapq
-import itertools
+import gc
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.cluster.host import Host
 from repro.cluster.loadgen import OpenLoopPopulation
-from repro.errors import SimulationError
 from repro.services.naming.sharded import ShardedServiceDirectory
 from repro.sim import Simulator
 from repro.winner.hierarchy import HierarchicalWinner, SiteLoadManager
-
-
-# -- the pre-fast-path kernel, preserved for the ablation ---------------------
-
-
-class _BaselineEvent:
-    """Heap entry of the old kernel: the event object *is* the entry."""
-
-    __slots__ = ("time", "seq", "callback", "cancelled")
-
-    def __init__(self, time: float, seq: int, callback) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-    def __lt__(self, other: "_BaselineEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-
-class _BaselineSimulator:
-    """``step()``/``run()`` transcribed verbatim from the pre-fast-path
-    kernel: event objects in the heap compared via Python ``__lt__``,
-    ``run()`` head-peeking then calling ``step()`` (which pops again),
-    a ``max()`` call and a profiler check per event, O(heap)
-    ``pending_event_count``."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self._heap: list[_BaselineEvent] = []
-        self._seq = 0
-        self._running = False
-        self.profiler = None
-
-    def schedule(self, delay: float, callback) -> _BaselineEvent:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        event = _BaselineEvent(self.now + delay, self._seq, callback)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
-        return event
-
-    def step(self) -> bool:
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            if event.time < self.now - 1e-12:
-                raise SimulationError("event heap time went backwards")
-            self.now = max(self.now, event.time)
-            profiler = self.profiler
-            if profiler is None:
-                event.callback()
-            else:  # pragma: no cover - the ablation never profiles
-                profiler.event_begin(event.callback, len(self._heap))
-                try:
-                    event.callback()
-                finally:
-                    profiler.event_end()
-            return True
-        return False
-
-    def run(self, until: Optional[float] = None) -> float:
-        if self._running:
-            raise SimulationError("simulator is already running (reentrant run())")
-        self._running = True
-        try:
-            while self._heap:
-                head = self._heap[0]
-                if head.cancelled:
-                    heapq.heappop(self._heap)
-                    continue
-                if until is not None and head.time > until:
-                    break
-                self.step()
-            if until is not None and self.now < until:
-                self.now = until
-        finally:
-            self._running = False
-        return self.now
-
-    @property
-    def pending_event_count(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)
-
-
-# -- the event-dispatch microbench --------------------------------------------
-
-
-def _drain_workload(sim, total_events: int, cancel_stride: int):
-    """Pre-schedule ``total_events`` timers at scattered timestamps and
-    lazily cancel every ``cancel_stride``-th one.
-
-    Scheduling happens *before* the timed window — the microbench measures
-    the dispatch loop (pop, cancelled-skip, clock advance, callback
-    invocation), which is where the two kernels differ.  The cancelled
-    stride exercises each kernel's lazy-deletion path.  The callback is a
-    C-level counter increment, so the measured window is kernel overhead
-    and not callback body, while the final counter value still proves
-    exactly the live events were dispatched.
-    """
-    counter = itertools.count()
-    noop = counter.__next__
-
-    events = [
-        # 977 is prime, so timestamps scatter instead of forming ties.
-        sim.schedule(1.0 + (i % 977) * 1e-3 + i * 1e-9, noop)
-        for i in range(total_events)
-    ]
-    cancelled = 0
-    if cancel_stride:
-        for event in events[::cancel_stride]:
-            event.cancel()
-            cancelled += 1
-    return counter, total_events - cancelled
-
-
-def dispatch_microbench(
-    total_events: int = 60_000,
-    cancel_stride: int = 10,
-    repeats: int = 3,
-    rounds: int = 10,
-) -> dict:
-    """Events/sec of the old vs the new dispatch loop, same workload.
-
-    One persistent simulator per measurement drains ``rounds`` batches of
-    ``total_events / rounds`` timers; only the drains are timed
-    (re-scheduling between rounds is not), and their durations sum into
-    one window.  Batching keeps the standing heap at a realistic workload
-    depth instead of an ever-deeper pile that benchmarks the memory
-    hierarchy more than the kernels.  Best-of-``repeats`` per kernel,
-    interleaved, so a scheduler hiccup on a noisy CI box hits both sides
-    with equal probability.
-    """
-    per_round = max(1, total_events // rounds)
-
-    def measure(factory) -> float:
-        sim = factory()
-        elapsed = 0.0
-        dispatched_total = 0
-        expected_total = 0
-        for _ in range(rounds):
-            counter, expected = _drain_workload(sim, per_round, cancel_stride)
-            expected_total += expected
-            started = time.perf_counter()
-            sim.run()
-            elapsed += time.perf_counter() - started
-            dispatched_total += next(counter)
-            if sim.pending_event_count != 0:
-                raise SimulationError("microbench left events in the heap")
-        if dispatched_total != expected_total:
-            raise SimulationError(
-                f"microbench dispatched {dispatched_total} events, "
-                f"expected {expected_total}"
-            )
-        return expected_total / elapsed
-
-    baseline_eps = 0.0
-    fastpath_eps = 0.0
-    for _ in range(repeats):
-        baseline_eps = max(baseline_eps, measure(_BaselineSimulator))
-        fastpath_eps = max(fastpath_eps, measure(lambda: Simulator(seed=0)))
-    return {
-        "total_events": per_round * rounds,
-        "cancel_stride": cancel_stride,
-        "repeats": repeats,
-        "rounds": rounds,
-        "baseline_events_per_sec": baseline_eps,
-        "fastpath_events_per_sec": fastpath_eps,
-        "speedup": fastpath_eps / baseline_eps,
-    }
-
-
-# -- the scale harness ---------------------------------------------------------
 
 
 @dataclass
@@ -321,6 +130,10 @@ def scale_run(
         name="scale",
     )
 
+    # A previous cell leaves its simulator behind as cyclic garbage; collect
+    # it now, or a 10k-host predecessor is collected inside this cell's
+    # timed window (seen as 0.06 s -> 0.4 s on a 1k-host cell).
+    gc.collect()
     started_wall = time.perf_counter()
     population.start()
     sim.run(until=duration)

@@ -82,14 +82,6 @@ class RuntimeConfig:
     #: attach the tracing/metrics request interceptor to every ORB.
     observability: bool = True
 
-    # marshalling ---------------------------------------------------------------
-    #: route CDR marshalling and skeleton dispatch through the ahead-of-time
-    #: generated fast path (IDL compiler emits flat encode/decode functions
-    #: and per-op dispatchers).  Off = the interpreted plan-cache path; the
-    #: generated path is bit-identical on the wire, so results match either
-    #: way — this only changes host-side marshal cost.
-    marshal_codegen: bool = False
-
     # orb ---------------------------------------------------------------------
     orb: OrbConfig = field(default_factory=OrbConfig)
 

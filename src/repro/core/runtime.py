@@ -103,9 +103,6 @@ class Runtime:
             return self
         self._started = True
         config = self.config
-        from repro.orb import cdr
-
-        cdr.set_marshal_codegen_enabled(config.marshal_codegen)
         service_host = self.cluster.host(config.service_host)
 
         for host in self.cluster:

@@ -31,14 +31,16 @@ Two caches take re-walking out of the hot loop:
   whose hash is computed once at construction, so the kind-dispatch over
   a typecode tree can be compiled once into nested closures and memoized
   per typecode (:func:`encoder_plan` / :func:`decoder_plan`).
-  ``write_value`` / ``read_value`` consult the plan cache unless it is
-  disabled via :func:`set_plan_cache_enabled` (the parity tests flip it,
-  which makes ``_write_value_slow`` / ``_read_value_slow`` the
-  per-element reference).  Typecodes read off the wire come back as the
-  module's own objects where they can — a singleton per parameterless
-  kind, and the reserved structs/sequences ``infer_typecode`` produces —
-  so decoding an ``any`` builds no typecode and its plan look-up hits on
-  identity;
+  ``write_value`` / ``read_value`` always run the plan; the per-element
+  kind-dispatch it was compiled from (``_write_value_slow`` /
+  ``_read_value_slow``) stays as the oracle the parity tests reach
+  through :class:`ReferenceOutputStream` / :class:`ReferenceInputStream`.
+  Both plan tables are bounded (:data:`_MAX_CACHED_PLANS`): a peer can
+  put any number of distinct typecodes on the wire.  Typecodes read off
+  the wire come back as the module's own objects where they can — a
+  singleton per parameterless kind, and the reserved structs/sequences
+  ``infer_typecode`` produces — so decoding an ``any`` builds no
+  typecode and its plan look-up hits on identity;
 * **:class:`AnyEncodeMemo`** — callers that repeatedly encode the same
   logical value (the checkpoint path encodes the server state after
   every call, and most calls barely change it) get the previous bytes
@@ -106,17 +108,14 @@ _UNION_REGISTRY: dict[str, type] = {}
 
 
 def register_struct_class(name: str, cls: type) -> None:
-    _invalidate_generated(name, _STRUCT_REGISTRY.get(name), cls)
     _STRUCT_REGISTRY[name] = cls
 
 
 def register_enum_class(name: str, cls: type) -> None:
-    _invalidate_generated(name, _ENUM_REGISTRY.get(name), cls)
     _ENUM_REGISTRY[name] = cls
 
 
 def register_union_class(name: str, cls: type) -> None:
-    _invalidate_generated(name, _UNION_REGISTRY.get(name), cls)
     _UNION_REGISTRY[name] = cls
 
 
@@ -250,23 +249,7 @@ class CdrOutputStream:
     # -- typed values -----------------------------------------------------------
 
     def write_value(self, tc: TypeCode, value: Any) -> None:
-        if _MARSHAL_CODEGEN_ENABLED:
-            encoder = _GENERATED_ENCODERS.get(tc)
-            if encoder is not None:
-                mark = len(self._buffer)
-                try:
-                    encoder(self, value)
-                # analysis: ignore[EXC002]: any generated-path failure rolls the buffer back and retries interpreted, which raises the canonical CdrError
-                except Exception:  # noqa: BLE001
-                    del self._buffer[mark:]
-                    _CODEGEN_STATS["encoder_fallbacks"] += 1
-                else:
-                    _CODEGEN_STATS["encoder_hits"] += 1
-                    return
-        if _PLAN_CACHE_ENABLED:
-            encoder_plan(tc)(self, value)
-        else:
-            self._write_value_slow(tc, value)
+        encoder_plan(tc)(self, value)
 
     def _write_value_slow(self, tc: TypeCode, value: Any) -> None:
         kind = tc.kind
@@ -544,22 +527,7 @@ class CdrInputStream:
     # -- typed values ------------------------------------------------------------
 
     def read_value(self, tc: TypeCode) -> Any:
-        if _MARSHAL_CODEGEN_ENABLED:
-            decoder = _GENERATED_DECODERS.get(tc)
-            if decoder is not None:
-                mark = self._pos
-                try:
-                    value = decoder(self)
-                # analysis: ignore[EXC002]: any generated-path failure rewinds the cursor and retries interpreted, which raises the canonical CdrError
-                except Exception:  # noqa: BLE001
-                    self._pos = mark
-                    _CODEGEN_STATS["decoder_fallbacks"] += 1
-                else:
-                    _CODEGEN_STATS["decoder_hits"] += 1
-                    return value
-        if _PLAN_CACHE_ENABLED:
-            return decoder_plan(tc)(self)
-        return self._read_value_slow(tc)
+        return decoder_plan(tc)(self)
 
     def _read_value_slow(self, tc: TypeCode) -> Any:
         kind = tc.kind
@@ -723,6 +691,21 @@ class CdrInputStream:
             return _postprocess_any(tc, self.read_value(tc))
         finally:
             self._any_depth = depth
+
+
+class ReferenceOutputStream(CdrOutputStream):
+    """The per-element reference encoder: ``write_value`` *is* the
+    uncompiled kind-dispatch, so nested values, sequence elements and
+    ``any`` payloads recurse through it too and no plan or lane ever runs.
+    Parity tests compare its bytes with :class:`CdrOutputStream`'s."""
+
+    write_value = CdrOutputStream._write_value_slow
+
+
+class ReferenceInputStream(CdrInputStream):
+    """The per-element reference decoder (see :class:`ReferenceOutputStream`)."""
+
+    read_value = CdrInputStream._read_value_slow
 
 
 def _union_case_index(tc: TypeCode, discriminator: Any) -> Optional[int]:
@@ -931,7 +914,12 @@ def decode_any(data: bytes) -> Any:
 # a struct of sequences touches no dispatch table per element.  TypeCode is
 # a frozen dataclass, hence hashable, hence a cache key.
 
-_PLAN_CACHE_ENABLED = True
+#: Most plans either table holds.  ``read_any`` compiles a plan for every
+#: typecode a peer sends, so without a bound hostile input grows the table
+#: for the life of the process; a full table is emptied and refilled on
+#: demand (a plan is a pure function of its typecode, so only host time
+#: changes).  The four ``benchmarks/e2e`` workloads together hold 17.
+_MAX_CACHED_PLANS = 1024
 _ENCODER_PLANS: dict[TypeCode, Callable] = {}
 _DECODER_PLANS: dict[TypeCode, Callable] = {}
 _PLAN_STATS = {
@@ -942,18 +930,6 @@ _PLAN_STATS = {
     "any_memo_hits": 0,
     "any_memo_misses": 0,
 }
-
-
-def plan_cache_enabled() -> bool:
-    return _PLAN_CACHE_ENABLED
-
-
-def set_plan_cache_enabled(enabled: bool) -> None:
-    """Globally toggle the plan cache (``write_value``/``read_value`` fall
-    back to the uncached kind-dispatch when off).  Exists for the cache
-    on/off parity tests and for apples-to-apples marshalling benches."""
-    global _PLAN_CACHE_ENABLED
-    _PLAN_CACHE_ENABLED = bool(enabled)
 
 
 def clear_plan_cache() -> None:
@@ -973,6 +949,8 @@ def encoder_plan(tc: TypeCode) -> Callable[[CdrOutputStream, Any], None]:
     plan = _ENCODER_PLANS.get(tc)
     if plan is None:
         plan = _compile_encoder(tc)
+        if len(_ENCODER_PLANS) >= _MAX_CACHED_PLANS:
+            _ENCODER_PLANS.clear()
         _ENCODER_PLANS[tc] = plan
         _PLAN_STATS["encoder_plans_compiled"] += 1
     else:
@@ -984,6 +962,8 @@ def decoder_plan(tc: TypeCode) -> Callable[[CdrInputStream], Any]:
     plan = _DECODER_PLANS.get(tc)
     if plan is None:
         plan = _compile_decoder(tc)
+        if len(_DECODER_PLANS) >= _MAX_CACHED_PLANS:
+            _DECODER_PLANS.clear()
         _DECODER_PLANS[tc] = plan
         _PLAN_STATS["decoder_plans_compiled"] += 1
     else:
@@ -1265,129 +1245,6 @@ def _compile_decoder(tc: TypeCode) -> Callable[[CdrInputStream], Any]:
         raise CdrError(f"cannot decode TypeCode kind {_kind.name}")
 
     return read_unsupported
-
-
-# -- AOT marshal codegen registry ---------------------------------------------------
-#
-# One level above the plan cache: the IDL compiler emits flat per-type
-# ``encode_<Type>``/``decode_<Type>`` functions (no typecode walk, no
-# per-field closure hop) and registers them here, keyed by TypeCode.
-# ``write_value``/``read_value`` consult this registry first when the
-# ``marshal_codegen`` runtime flag is on; any exception from a generated
-# coder rolls the stream back and falls through to the interpreted path,
-# so error semantics at the API boundary are unchanged.
-
-_MARSHAL_CODEGEN_ENABLED = False
-_GENERATED_ENCODERS: dict[TypeCode, Callable[[CdrOutputStream, Any], None]] = {}
-_GENERATED_DECODERS: dict[TypeCode, Callable[[CdrInputStream], Any]] = {}
-_CODEGEN_STATS: dict[str, Any] = {
-    "modules_generated": 0,
-    "generation_seconds": 0.0,
-    "encoder_hits": 0,
-    "encoder_fallbacks": 0,
-    "decoder_hits": 0,
-    "decoder_fallbacks": 0,
-    "request_encoder_hits": 0,
-    "request_encoder_fallbacks": 0,
-    "arg_decoder_hits": 0,
-    "arg_decoder_fallbacks": 0,
-    "dispatch_hits": 0,
-    "dispatch_fallbacks": 0,
-    "reply_encode_fallbacks": 0,
-}
-
-
-class FastPathUnavailable(Exception):
-    """Raised by a generated skeleton dispatch function when it cannot
-    serve a request (e.g. undecodable arguments).  The ORB falls back to
-    the interpreted dispatch, which produces the canonical error — the
-    fast path never calls the servant method before this is settled, so
-    no side effect runs twice."""
-
-
-def marshal_codegen_enabled() -> bool:
-    return _MARSHAL_CODEGEN_ENABLED
-
-
-def set_marshal_codegen_enabled(enabled: bool) -> None:
-    """Globally toggle the generated-coder fast path.  Registration is
-    unconditional (generated modules register at import); this flag only
-    gates whether the registries are consulted."""
-    global _MARSHAL_CODEGEN_ENABLED
-    _MARSHAL_CODEGEN_ENABLED = bool(enabled)
-
-
-def reset_marshal_codegen_stats() -> None:
-    for key in _CODEGEN_STATS:
-        _CODEGEN_STATS[key] = 0.0 if key == "generation_seconds" else 0
-
-
-def codegen_count(stat: str) -> None:
-    _CODEGEN_STATS[stat] += 1
-
-
-def note_generated_module(seconds: float) -> None:
-    """Record one fast-path module generation (called by compile_idl)."""
-    _CODEGEN_STATS["modules_generated"] += 1
-    _CODEGEN_STATS["generation_seconds"] += seconds
-
-
-def marshal_codegen_stats() -> dict:
-    """A snapshot of generated-path counters plus registry sizes."""
-    stats: dict[str, Any] = {"enabled": _MARSHAL_CODEGEN_ENABLED}
-    stats.update(_CODEGEN_STATS)
-    stats["typecode_coders"] = len(_GENERATED_ENCODERS)
-    from repro.orb.stubs import GENERATED_REQUEST_ENCODERS
-
-    stats["op_coders"] = len(GENERATED_REQUEST_ENCODERS)
-    return stats
-
-
-def register_generated_coders(
-    tc: TypeCode,
-    encoder: Callable[[CdrOutputStream, Any], None],
-    decoder: Callable[[CdrInputStream], Any],
-) -> None:
-    """Register flat generated coders for one TypeCode (latest wins, the
-    same policy as the name-keyed class registries)."""
-    _GENERATED_ENCODERS[tc] = encoder
-    _GENERATED_DECODERS[tc] = decoder
-
-
-def generated_coders() -> dict[TypeCode, tuple[Callable, Callable]]:
-    """Registered generated coders by TypeCode (for tests and checkers)."""
-    return {
-        tc: (enc, _GENERATED_DECODERS[tc])
-        for tc, enc in _GENERATED_ENCODERS.items()
-    }
-
-
-def _tc_mentions(tc: TypeCode, name: str) -> bool:
-    if tc.name == name:
-        return True
-    if tc.content is not None and _tc_mentions(tc.content, name):
-        return True
-    return any(_tc_mentions(ftc, name) for _, ftc in tc.fields)
-
-
-def _invalidate_generated(name: str, old: Optional[type], new: type) -> None:
-    """Drop generated coders that bake in a displaced class.
-
-    Generated decoders construct their module's own classes directly; the
-    interpreted path looks classes up by type name at decode time (latest
-    registration wins).  When a registration *replaces* a different class
-    under the same name, every generated coder whose TypeCode mentions
-    that name is stale — drop it so the two paths cannot diverge.  The
-    replacing module re-registers its own coders right after this."""
-    if old is None or old is new or not _GENERATED_ENCODERS:
-        return
-    stale = [tc for tc in _GENERATED_ENCODERS if _tc_mentions(tc, name)]
-    for tc in stale:
-        del _GENERATED_ENCODERS[tc]
-        _GENERATED_DECODERS.pop(tc, None)
-    from repro.orb import stubs
-
-    stubs._drop_generated_ops(name, _tc_mentions)
 
 
 # -- unchanged-payload fast path ---------------------------------------------------

@@ -46,17 +46,11 @@ from repro.errors import (
     UNKNOWN,
     UserException,
 )
-from repro.orb import cdr, giop
-from repro.orb.cdr import CdrInputStream, CdrOutputStream, FastPathUnavailable
+from repro.orb import giop
+from repro.orb.cdr import CdrInputStream, CdrOutputStream
 from repro.orb.forwarding import LocationForward as _LocationForward
 from repro.orb.ior import IOR
-from repro.orb.stubs import (
-    ObjectStub,
-    OpInfo,
-    USER_EXCEPTION_REGISTRY,
-    generated_args_decoder,
-    generated_request_encoder,
-)
+from repro.orb.stubs import ObjectStub, OpInfo, USER_EXCEPTION_REGISTRY
 from repro.orb.transport import ConnectionCache, install_reset_synthesis
 from repro.sim.events import SimFuture
 
@@ -404,17 +398,6 @@ class Orb:
         return cfg.marshal_fixed_work + cfg.marshal_per_byte_work * nbytes
 
     def _encode_args(self, info: OpInfo, args: tuple) -> bytes:
-        if cdr.marshal_codegen_enabled():
-            encoder = generated_request_encoder(info)
-            if encoder is not None:
-                try:
-                    body = encoder(args)
-                # analysis: ignore[EXC002]: generated-path failure falls through to the interpreted encoder, which raises the canonical MARSHAL
-                except Exception:  # noqa: BLE001
-                    cdr.codegen_count("request_encoder_fallbacks")
-                else:
-                    cdr.codegen_count("request_encoder_hits")
-                    return body
         stream = CdrOutputStream()
         for (param_name, tc), value in zip(info.params, args):
             try:
@@ -426,17 +409,6 @@ class Orb:
         return stream.getvalue()
 
     def _decode_args(self, info: OpInfo, body: bytes) -> list:
-        if cdr.marshal_codegen_enabled():
-            decoder = generated_args_decoder(info)
-            if decoder is not None:
-                try:
-                    args = decoder(body)
-                # analysis: ignore[EXC002]: generated-path failure falls through to the interpreted decoder, which raises the canonical CdrError
-                except Exception:  # noqa: BLE001
-                    cdr.codegen_count("arg_decoder_fallbacks")
-                else:
-                    cdr.codegen_count("arg_decoder_hits")
-                    return args
         stream = CdrInputStream(body)
         return [stream.read_value(tc) for _, tc in info.params]
 
@@ -938,116 +910,50 @@ class Orb:
                     f"{message.operation!r}",
                     completed=CompletionStatus.COMPLETED_NO,
                 )
-            handled = False
-            fast = None
-            if cdr.marshal_codegen_enabled():
-                table = getattr(type(servant), "__fastdispatch__", None)
-                if table is not None:
-                    fast = table.get(message.operation)
-            if fast is not None:
-                hook = None
-                if self.interceptors:
+            try:
+                args = self._decode_args(info, message.body)
+            except CdrError as exc:
+                raise MARSHAL(
+                    f"cannot unmarshal request for {info.name}: {exc}",
+                    completed=CompletionStatus.COMPLETED_NO,
+                ) from exc
+            if self.interceptors:
+                from repro.orb.interceptors import RequestInfo
 
-                    def hook() -> None:
-                        from repro.orb.interceptors import RequestInfo
-
-                        self._intercept(
-                            "receive_request",
-                            RequestInfo(
-                                operation=message.operation,
-                                request_id=message.request_id,
-                                object_key=message.object_key,
-                                body_size=len(message.body),
-                                response_expected=message.response_expected,
-                                service_contexts=list(message.service_contexts),
-                            ),
-                        )
-
-                # Same synchronous-prefix invariant as the interpreted
-                # branch below: the generated dispatch never yields before
-                # the servant method runs.
-                self.current_service_contexts = message.service_contexts
-                try:
-                    gen, fast_body, pending = fast(servant, message.body, hook)
-                except FastPathUnavailable:
-                    # Raised strictly before the servant method ran; the
-                    # interpreted dispatch below redoes decode + interceptor
-                    # (the hook did not fire) and raises the canonical error.
-                    cdr.codegen_count("dispatch_fallbacks")
-                else:
-                    cdr.codegen_count("dispatch_hits")
-                    handled = True
-                    if gen is not None:
-                        result = yield from gen
-                        stream = CdrOutputStream()
-                        try:
-                            stream.write_value(info.result, result)
-                        except CdrError as exc:
-                            raise MARSHAL(
-                                f"{info.name}: cannot marshal result "
-                                f"{result!r}: {exc}"
-                            ) from exc
-                        reply_body = stream.getvalue()
-                    elif fast_body is not None:
-                        reply_body = fast_body
-                    else:
-                        # Servant already ran but the generated reply encode
-                        # declined; marshal the pending result interpreted.
-                        cdr.codegen_count("reply_encode_fallbacks")
-                        stream = CdrOutputStream()
-                        try:
-                            stream.write_value(info.result, pending)
-                        except CdrError as exc:
-                            raise MARSHAL(
-                                f"{info.name}: cannot marshal result "
-                                f"{pending!r}: {exc}"
-                            ) from exc
-                        reply_body = stream.getvalue()
-            if not handled:
-                try:
-                    args = self._decode_args(info, message.body)
-                except CdrError as exc:
-                    raise MARSHAL(
-                        f"cannot unmarshal request for {info.name}: {exc}",
-                        completed=CompletionStatus.COMPLETED_NO,
-                    ) from exc
-                if self.interceptors:
-                    from repro.orb.interceptors import RequestInfo
-
-                    self._intercept(
-                        "receive_request",
-                        RequestInfo(
-                            operation=message.operation,
-                            request_id=message.request_id,
-                            object_key=message.object_key,
-                            body_size=len(message.body),
-                            response_expected=message.response_expected,
-                            service_contexts=list(message.service_contexts),
-                        ),
-                    )
-                method = getattr(servant, message.operation, None)
-                if method is None or not callable(method):
-                    raise NO_IMPLEMENT(
-                        f"{type(servant).__name__}.{message.operation} "
-                        "not implemented",
-                        completed=CompletionStatus.COMPLETED_NO,
-                    )
-                # Valid only for the synchronous prefix of the call: there
-                # is no yield between here and the method's first statement,
-                # so a replicated servant can capture its request-id context
-                # before any other dispatch runs.
-                self.current_service_contexts = message.service_contexts
-                result = method(*args)
-                if inspect.isgenerator(result):
-                    result = yield from result
-                stream = CdrOutputStream()
-                try:
-                    stream.write_value(info.result, result)
-                except CdrError as exc:
-                    raise MARSHAL(
-                        f"{info.name}: cannot marshal result {result!r}: {exc}"
-                    ) from exc
-                reply_body = stream.getvalue()
+                self._intercept(
+                    "receive_request",
+                    RequestInfo(
+                        operation=message.operation,
+                        request_id=message.request_id,
+                        object_key=message.object_key,
+                        body_size=len(message.body),
+                        response_expected=message.response_expected,
+                        service_contexts=list(message.service_contexts),
+                    ),
+                )
+            method = getattr(servant, message.operation, None)
+            if method is None or not callable(method):
+                raise NO_IMPLEMENT(
+                    f"{type(servant).__name__}.{message.operation} "
+                    "not implemented",
+                    completed=CompletionStatus.COMPLETED_NO,
+                )
+            # Valid only for the synchronous prefix of the call: there
+            # is no yield between here and the method's first statement,
+            # so a replicated servant can capture its request-id context
+            # before any other dispatch runs.
+            self.current_service_contexts = message.service_contexts
+            result = method(*args)
+            if inspect.isgenerator(result):
+                result = yield from result
+            stream = CdrOutputStream()
+            try:
+                stream.write_value(info.result, result)
+            except CdrError as exc:
+                raise MARSHAL(
+                    f"{info.name}: cannot marshal result {result!r}: {exc}"
+                ) from exc
+            reply_body = stream.getvalue()
         except _LocationForward as forward:
             status = giop.ReplyStatus.LOCATION_FORWARD
             stream = CdrOutputStream()

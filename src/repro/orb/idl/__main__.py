@@ -2,13 +2,11 @@
 
 Usage::
 
-    python -m repro.orb.idl <file.idl> [--fast-path] [-o OUT]
+    python -m repro.orb.idl <file.idl> [-o OUT]
 
 Prints the Python source :func:`repro.orb.idl.generate_source` would
 produce for the given IDL file — the omniidl-style way to inspect what
-the compiler emits.  ``--fast-path`` appends the AOT marshal/dispatch
-layer (flat encoders, request builders, skeleton dispatch tables) to the
-output; ``-o`` writes to a file instead of stdout.
+the compiler emits.  ``-o`` writes to a file instead of stdout.
 """
 
 from __future__ import annotations
@@ -27,11 +25,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("idl_file", help="IDL source file to compile")
     parser.add_argument(
-        "--fast-path",
-        action="store_true",
-        help="also emit the AOT marshal/dispatch fast-path layer",
-    )
-    parser.add_argument(
         "-o",
         "--output",
         default=None,
@@ -46,7 +39,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return 2
     try:
-        generated = generate_source(source, fast_path=args.fast_path)
+        generated = generate_source(source)
     # analysis: ignore[EXC002]: CLI boundary — any compile failure becomes a diagnostic plus exit code 1
     except Exception as exc:  # noqa: BLE001
         print(f"error: {path}: {exc}", file=sys.stderr)

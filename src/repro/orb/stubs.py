@@ -15,7 +15,7 @@ classes defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import BAD_OPERATION
 from repro.orb.ior import IOR
@@ -29,46 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: user-exception classes by repository id, registered by generated IDL
 #: code so replies can rebuild the right exception class at the client.
 USER_EXCEPTION_REGISTRY: dict[str, type] = {}
-
-#: generated AOT request builders / argument decoders keyed by the
-#: operation's wire signature (OpInfo is a frozen dataclass, so two equal
-#: signatures — even from different interfaces — share one coder, which
-#: is sound because request bytes depend only on the signature).  The ORB
-#: consults these when the marshal_codegen flag is on; see repro.orb.cdr.
-GENERATED_REQUEST_ENCODERS: dict["OpInfo", Callable[[tuple], bytes]] = {}
-GENERATED_ARG_DECODERS: dict["OpInfo", Callable[[bytes], list]] = {}
-
-
-def register_generated_ops(
-    info: "OpInfo",
-    request_encoder: Callable[[tuple], bytes],
-    args_decoder: Callable[[bytes], list],
-) -> None:
-    GENERATED_REQUEST_ENCODERS[info] = request_encoder
-    GENERATED_ARG_DECODERS[info] = args_decoder
-
-
-def generated_request_encoder(info: "OpInfo"):
-    return GENERATED_REQUEST_ENCODERS.get(info)
-
-
-def generated_args_decoder(info: "OpInfo"):
-    return GENERATED_ARG_DECODERS.get(info)
-
-
-def _drop_generated_ops(type_name: str, tc_mentions) -> None:
-    """Invalidate op coders whose signature mentions a displaced type
-    (called by cdr when a name registration replaces a class)."""
-    stale = [
-        info
-        for info in GENERATED_REQUEST_ENCODERS
-        if tc_mentions(info.result, type_name)
-        or any(tc_mentions(tc, type_name) for _, tc in info.params)
-    ]
-    for info in stale:
-        del GENERATED_REQUEST_ENCODERS[info]
-        GENERATED_ARG_DECODERS.pop(info, None)
-
 
 #: interface repo id -> set of repo ids it can be narrowed to (itself plus
 #: all transitive base interfaces), registered by generated IDL code.

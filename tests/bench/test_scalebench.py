@@ -1,38 +1,14 @@
-"""Tests for the scale harness drivers: the dispatch ablation's
-correctness and the determinism of ``scale_run`` across every fast-path
-flag (the property the optimizations must not break)."""
+"""Tests for the scale harness drivers: accounting, and the determinism
+of ``scale_run`` across every fast-path flag (the property the
+optimizations must not break)."""
 
 import pytest
 
 from repro.bench.scalebench import (
-    _BaselineSimulator,
-    _drain_workload,
     cluster_capacity,
-    dispatch_microbench,
     hosts_throughput_curve,
     scale_run,
 )
-from repro.sim import Simulator
-
-
-def test_both_kernels_drain_the_same_workload():
-    """The ablation is only meaningful if both kernels do identical work."""
-    for factory in (_BaselineSimulator, lambda: Simulator(seed=0)):
-        sim = factory()
-        counter, expected = _drain_workload(sim, 2_000, cancel_stride=10)
-        sim.run()
-        assert next(counter) == expected == 2_000 - 200
-        assert sim.pending_event_count == 0
-
-
-def test_dispatch_microbench_reports_consistent_rates():
-    result = dispatch_microbench(total_events=4_000, repeats=1, rounds=4)
-    assert result["total_events"] == 4_000
-    assert result["baseline_events_per_sec"] > 0
-    assert result["fastpath_events_per_sec"] > 0
-    assert result["speedup"] == pytest.approx(
-        result["fastpath_events_per_sec"] / result["baseline_events_per_sec"]
-    )
 
 
 def test_scale_run_accounting_closes():

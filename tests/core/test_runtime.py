@@ -1,10 +1,14 @@
 """Tests for the Runtime facade."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro.orb
 from repro.core import Runtime, RuntimeConfig
 from repro.errors import ConfigurationError
-from repro.orb import compile_idl
+from repro.orb import OrbConfig, compile_idl
 from repro.services.naming.names import to_name
 
 ping_ns = compile_idl("interface Ping { string where(); };", name="runtime-ping")
@@ -24,6 +28,39 @@ def test_config_validation():
         RuntimeConfig(service_host=99).validate()
     with pytest.raises(ConfigurationError):
         RuntimeConfig(winner_interval=0).validate()
+
+
+def test_two_runtimes_share_no_orb_switch():
+    """Configuration lives on the runtime: building and starting two with
+    different configs rebinds no module attribute of the marshal/dispatch
+    modules, so neither can change how the other behaves."""
+    from repro.orb import cdr, core, stubs
+
+    modules = (cdr, stubs, core)
+    before = [dict(vars(module)) for module in modules]
+    Runtime(RuntimeConfig(num_hosts=3, seed=1)).start().settle()
+    Runtime(
+        RuntimeConfig(
+            num_hosts=4, seed=2, observability=False, resolve_cache=True,
+            orb=OrbConfig(connection_reuse=True),
+        )
+    ).start().settle()
+    for module, snapshot in zip(modules, before):
+        after = vars(module)
+        assert after.keys() == snapshot.keys(), module.__name__
+        rebound = [name for name in snapshot if after[name] is not snapshot[name]]
+        assert not rebound, f"{module.__name__} rebound {rebound}"
+
+
+def test_no_global_statement_under_orb():
+    """A ``global`` statement is how a process-wide switch gets flipped."""
+    for path in sorted(Path(repro.orb.__file__).parent.rglob("*.py")):
+        offenders = [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Global)
+        ]
+        assert not offenders, f"{path}: global statement at line(s) {offenders}"
 
 
 def test_start_brings_up_all_components():

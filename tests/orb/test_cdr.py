@@ -9,16 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CdrError
+from repro.orb import cdr
 from repro.orb import typecodes as tc
 from repro.orb.cdr import (
     CdrInputStream,
     CdrOutputStream,
     GenericStruct,
+    ReferenceInputStream,
     decode_any,
     encode_any,
     infer_typecode,
-    plan_cache_enabled,
-    set_plan_cache_enabled,
 )
 from repro.orb.ior import IOR
 
@@ -277,12 +277,13 @@ def test_infer_typecode_numpy_scalars():
 K = tc.TCKind
 
 
-@pytest.fixture(params=[True, False], ids=["plans", "reference"])
+def reference_decode_any(data: bytes):
+    return ReferenceInputStream(data).read_any()
+
+
+@pytest.fixture(params=[decode_any, reference_decode_any], ids=["plans", "reference"])
 def either_decoder(request):
-    was_enabled = plan_cache_enabled()
-    set_plan_cache_enabled(request.param)
-    yield
-    set_plan_cache_enabled(was_enabled)
+    return request.param
 
 
 def _ndarray_with_wrong_shape() -> bytes:
@@ -330,8 +331,26 @@ HOSTILE = {
 def test_hostile_any_raises_cdr_error_quickly(either_decoder, name):
     started = time.perf_counter()
     with pytest.raises(CdrError):
-        decode_any(HOSTILE[name])
+        either_decoder(HOSTILE[name])
     assert time.perf_counter() - started < 0.05
+
+
+def test_distinct_wire_typecodes_leave_bounded_plan_tables():
+    """A peer can name a new struct in every ``any`` it sends; each one
+    compiles a plan, and the tables must not keep them all."""
+    for i in range(20_000):
+        name = f"Evil{i}".encode() + b"\0"
+        empty_struct = bytes([K.STRUCT]) + b"\0\0\0" + struct.pack(">I", len(name)) + name
+        empty_struct += b"\0" * (-len(empty_struct) % 4) + struct.pack(">I", 0)
+        assert decode_any(empty_struct) == GenericStruct(f"Evil{i}")
+        CdrOutputStream().write_value(tc.struct(f"Evil{i}", []), {})
+    assert len(cdr._DECODER_PLANS) <= cdr._MAX_CACHED_PLANS
+    assert len(cdr._ENCODER_PLANS) <= cdr._MAX_CACHED_PLANS
+    # the tables were emptied along the way; everyday values are unaffected
+    assert decode_any(encode_any({"total": 1.5, "ids": [1, 2, 3]})) == {
+        "total": 1.5,
+        "ids": [1, 2, 3],
+    }
 
 
 VALID_ANYS = [
@@ -345,10 +364,10 @@ VALID_ANYS = [
 @pytest.mark.parametrize("value", VALID_ANYS, ids=["floats", "ints", "mixed", "structs"])
 def test_every_truncation_of_an_any_raises_cdr_error(either_decoder, value):
     data = encode_any(value)
-    decode_any(data)
+    either_decoder(data)
     for cut in range(len(data)):
         with pytest.raises(CdrError):
-            decode_any(data[:cut])
+            either_decoder(data[:cut])
 
 
 def test_any_nesting_is_capped_on_both_sides():

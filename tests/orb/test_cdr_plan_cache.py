@@ -1,9 +1,13 @@
 """Property-style tests for the CDR plan cache (seeded random typecodes).
 
 The cache compiles a TypeCode tree into nested encoder/decoder closures.
-The contract under test: with the cache **on** and **off**, the wire
-bytes and the decoded values are identical — the plans are a pure
-performance optimization, never a semantic one.
+The contract under test: the plans (``CdrOutputStream`` /
+``CdrInputStream``) and the per-element reference they were compiled from
+(``ReferenceOutputStream`` / ``ReferenceInputStream``) produce identical
+wire bytes and decoded values — the plans are a pure performance
+optimization, never a semantic one.  The same holds for randomized values
+of every type a live IDL document declares, and end to end: a DII request
+and a generated stub get the same reply at the same simulated time.
 """
 
 import random
@@ -21,24 +25,27 @@ from repro.orb.cdr import (
     AnyEncodeMemo,
     CdrInputStream,
     CdrOutputStream,
+    ReferenceInputStream,
+    ReferenceOutputStream,
     clear_plan_cache,
     decode_any,
     encode_any,
-    plan_cache_enabled,
     plan_cache_stats,
-    set_plan_cache_enabled,
     values_equal,
 )
+from repro.orb.idl import compile_idl
+from repro.orb.ior import IOR
+
+#: (output stream, input stream) of the two sides of every parity check
+PLAN = (CdrOutputStream, CdrInputStream)
+REFERENCE = (ReferenceOutputStream, ReferenceInputStream)
 
 
 @pytest.fixture(autouse=True)
 def fresh_plan_cache():
-    """Each test starts with an empty cache and restores the global toggle."""
-    was_enabled = plan_cache_enabled()
+    """Each test starts with an empty cache and zeroed counters."""
     clear_plan_cache()
-    set_plan_cache_enabled(True)
     yield
-    set_plan_cache_enabled(was_enabled)
     clear_plan_cache()
 
 
@@ -85,8 +92,34 @@ def random_typecode(rng: random.Random, depth: int = 0) -> tc.TypeCode:
     return tc.struct(f"S{rng.randrange(10_000)}", fields)
 
 
+def random_any_value(rng: random.Random, depth: int = 0):
+    """Natural Python values for the self-describing ``any`` path, where
+    ``infer_typecode`` picks the wire type (ints must fit longlong)."""
+    if depth >= 3 or rng.random() < 0.45:
+        return rng.choice(
+            (
+                rng.random() < 0.5,
+                rng.randint(-(2**62), 2**62),
+                rng.uniform(-1e9, 1e9),
+                "s" * rng.randint(0, 8),
+                bytes(rng.randrange(256) for _ in range(rng.randint(0, 8))),
+            )
+        )
+    if rng.random() < 0.5:
+        return [random_any_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return {
+        f"k{i}": random_any_value(rng, depth + 1)
+        for i in range(rng.randint(0, 4))
+    }
+
+
 def random_value(rng: random.Random, typecode: tc.TypeCode):
+    """A random value for ``typecode``; structs, enums and unions come as
+    their registered class when there is one (what IDL-typed code passes)
+    and as a dict / index / ``GenericUnion`` otherwise."""
     kind = typecode.kind
+    if kind in (tc.TCKind.VOID, tc.TCKind.NULL):
+        return None
     if kind is tc.TCKind.BOOLEAN:
         return rng.random() < 0.5
     if kind in _INT_RANGES:
@@ -111,69 +144,92 @@ def random_value(rng: random.Random, typecode: tc.TypeCode):
             random_value(rng, typecode.content)
             for _ in range(typecode.length)
         ]
-    if kind is tc.TCKind.STRUCT:
-        return {name: random_value(rng, ftc) for name, ftc in typecode.fields}
+    if kind in (tc.TCKind.STRUCT, tc.TCKind.EXCEPTION):
+        cls = cdr._STRUCT_REGISTRY.get(typecode.name)
+        fields = {name: random_value(rng, ftc) for name, ftc in typecode.fields}
+        return cls(**fields) if cls is not None else fields
+    if kind is tc.TCKind.ENUM:
+        cls = cdr._ENUM_REGISTRY.get(typecode.name)
+        index = rng.randrange(len(typecode.members))
+        return cls(index) if cls is not None else index
+    if kind is tc.TCKind.UNION:
+        return random_union(rng, typecode)
+    if kind is tc.TCKind.ANY:
+        return random_any_value(rng)
+    if kind is tc.TCKind.OBJREF:
+        return IOR(
+            type_id="IDL:CgParity/Ref:1.0",
+            host=f"ws{rng.randrange(10):02d}",
+            port=rng.randrange(1, 2**16),
+            object_key=bytes(rng.randrange(256) for _ in range(8)),
+            incarnation=rng.randrange(4),
+        )
     raise AssertionError(f"generator does not cover {kind}")
 
 
-def encode_with(enabled: bool, typecode: tc.TypeCode, value) -> bytes:
-    set_plan_cache_enabled(enabled)
-    out = CdrOutputStream()
+def random_union(rng: random.Random, typecode: tc.TypeCode):
+    index = rng.randrange(len(typecode.fields))
+    label = typecode.labels[index]
+    if label is None:
+        # the default arm travels under a discriminator matching no
+        # explicit label; when an enum discriminator has every member
+        # claimed there is none, so take a labelled arm instead
+        claimed = [lab for lab in typecode.labels if lab is not None]
+        is_enum = typecode.content.kind is tc.TCKind.ENUM
+        candidates = range(len(typecode.content.members)) if is_enum else range(1000)
+        label = next((v for v in candidates if v not in claimed), None)
+        if label is None:
+            label = claimed[0]
+            index = typecode.labels.index(label)
+    discriminator = label
+    if typecode.content.kind is tc.TCKind.ENUM:
+        enum_cls = cdr._ENUM_REGISTRY.get(typecode.content.name)
+        if enum_cls is not None:
+            discriminator = enum_cls(label)
+    value = random_value(rng, typecode.fields[index][1])
+    cls = cdr._UNION_REGISTRY.get(typecode.name)
+    if cls is not None:
+        return cls(discriminator, value)
+    return cdr.GenericUnion(typecode.name, discriminator, value)
+
+
+def encode_with(streams, typecode: tc.TypeCode, value) -> bytes:
+    out = streams[0]()
     out.write_value(typecode, value)
     return out.getvalue()
 
 
-def decode_with(enabled: bool, typecode: tc.TypeCode, data: bytes):
-    set_plan_cache_enabled(enabled)
-    stream = CdrInputStream(data)
+def decode_with(streams, typecode: tc.TypeCode, data: bytes):
+    stream = streams[1](data)
     value = stream.read_value(typecode)
     assert stream.remaining() == 0
     return value
 
 
-# -- cache on/off parity ------------------------------------------------------
+def assert_plan_matches_reference(typecode: tc.TypeCode, value) -> None:
+    cached_bytes = encode_with(PLAN, typecode, value)
+    plain_bytes = encode_with(REFERENCE, typecode, value)
+    assert cached_bytes == plain_bytes, typecode.name
+
+    cached_value = decode_with(PLAN, typecode, cached_bytes)
+    plain_value = decode_with(REFERENCE, typecode, plain_bytes)
+    # Decoded values may hold ndarrays (numeric sequences) and
+    # GenericStructs, so compare through their canonical re-encoding.
+    assert (
+        encode_with(REFERENCE, typecode, cached_value)
+        == encode_with(REFERENCE, typecode, plain_value)
+        == plain_bytes
+    ), typecode.name
+
+
+# -- plan vs reference parity -------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_random_roundtrip_cache_parity(seed):
     rng = random.Random(1000 + seed)
     typecode = random_typecode(rng)
-    value = random_value(rng, typecode)
-
-    cached_bytes = encode_with(True, typecode, value)
-    plain_bytes = encode_with(False, typecode, value)
-    assert cached_bytes == plain_bytes
-
-    cached_value = decode_with(True, typecode, cached_bytes)
-    plain_value = decode_with(False, typecode, plain_bytes)
-    # Decoded values may hold ndarrays (numeric sequences) and
-    # GenericStructs, so compare through their canonical re-encoding.
-    assert (
-        encode_with(False, typecode, cached_value)
-        == encode_with(False, typecode, plain_value)
-        == plain_bytes
-    )
-
-
-def random_any_value(rng: random.Random, depth: int = 0):
-    """Natural Python values for the self-describing ``any`` path, where
-    ``infer_typecode`` picks the wire type (ints must fit longlong)."""
-    if depth >= 3 or rng.random() < 0.45:
-        return rng.choice(
-            (
-                rng.random() < 0.5,
-                rng.randint(-(2**62), 2**62),
-                rng.uniform(-1e9, 1e9),
-                "s" * rng.randint(0, 8),
-                bytes(rng.randrange(256) for _ in range(rng.randint(0, 8))),
-            )
-        )
-    if rng.random() < 0.5:
-        return [random_any_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
-    return {
-        f"k{i}": random_any_value(rng, depth + 1)
-        for i in range(rng.randint(0, 4))
-    }
+    assert_plan_matches_reference(typecode, random_value(rng, typecode))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -181,16 +237,12 @@ def test_any_roundtrip_cache_parity(seed):
     rng = random.Random(2000 + seed)
     value = {"state": random_any_value(rng), "round": seed}
 
-    set_plan_cache_enabled(True)
     cached_bytes = encode_any(value)
-    set_plan_cache_enabled(False)
-    plain_bytes = encode_any(value)
+    plain_bytes = any_at_offset(REFERENCE, value, 0)
     assert cached_bytes == plain_bytes
 
-    set_plan_cache_enabled(True)
     cached_value = decode_any(cached_bytes)
-    set_plan_cache_enabled(False)
-    plain_value = decode_any(plain_bytes)
+    plain_value = any_from_offset(REFERENCE, plain_bytes, 0)
     assert values_equal(cached_value, plain_value)
     # Re-encoding what either side decoded reproduces the same wire bytes.
     assert encode_any(cached_value) == encode_any(plain_value)
@@ -199,25 +251,23 @@ def test_any_roundtrip_cache_parity(seed):
 # -- homogeneous-run lanes of sequence<any> --------------------------------------
 #
 # The plan for sequence<any> writes/reads an all-float or all-int list as
-# one structured array.  The per-element reference is the same call with
-# the plan cache off (``_write_value_slow`` / ``_read_value_slow``).
+# one structured array.  The per-element reference is the same call on
+# the reference streams (``_write_value_slow`` / ``_read_value_slow``).
 
 _RUN_MIN = cdr._ANY_RUN_MIN
 
 
-def any_at_offset(enabled: bool, value, offset: int) -> bytes:
+def any_at_offset(streams, value, offset: int) -> bytes:
     """``value`` as an ``any`` written ``offset`` octets into a stream."""
-    set_plan_cache_enabled(enabled)
-    out = CdrOutputStream()
+    out = streams[0]()
     for _ in range(offset):
         out.write_octet(0xEE)
     out.write_any(value)
     return out.getvalue()
 
 
-def any_from_offset(enabled: bool, data: bytes, offset: int):
-    set_plan_cache_enabled(enabled)
-    stream = CdrInputStream(data)
+def any_from_offset(streams, data: bytes, offset: int):
+    stream = streams[1](data)
     stream.read_raw(offset)
     value = stream.read_any()
     assert stream.remaining() == 0
@@ -244,11 +294,11 @@ def assert_lane_parity(value) -> None:
     """At every stream offset: plan bytes == reference bytes, and both
     decoders give back equal values of equal Python types."""
     for offset in range(8):
-        planned = any_at_offset(True, value, offset)
-        reference = any_at_offset(False, value, offset)
+        planned = any_at_offset(PLAN, value, offset)
+        reference = any_at_offset(REFERENCE, value, offset)
         assert planned == reference, f"bytes differ at offset {offset}"
-        got = any_from_offset(True, planned, offset)
-        expected = any_from_offset(False, planned, offset)
+        got = any_from_offset(PLAN, planned, offset)
+        expected = any_from_offset(REFERENCE, planned, offset)
         assert same_values_same_types(got, expected), f"offset {offset}"
 
 
@@ -276,7 +326,7 @@ def homogeneous_lists(draw):
 def test_homogeneous_run_parity(values):
     assert_lane_parity(values)
     # a tuple is the same sequence<any> on the wire
-    assert any_at_offset(True, tuple(values), 0) == any_at_offset(True, values, 0)
+    assert any_at_offset(PLAN, tuple(values), 0) == any_at_offset(PLAN, values, 0)
 
 
 _TRAP_VALUES = (
@@ -321,9 +371,9 @@ def test_float_run_keeps_every_bit_pattern():
 def test_int_beyond_longlong_raises_the_reference_error():
     values = list(range(_RUN_MIN * 2)) + [2**63]
     with pytest.raises(CdrError) as planned:
-        any_at_offset(True, values, 0)
+        any_at_offset(PLAN, values, 0)
     with pytest.raises(CdrError) as reference:
-        any_at_offset(False, values, 0)
+        any_at_offset(REFERENCE, values, 0)
     assert str(planned.value) == str(reference.value)
     assert "out of range" in str(planned.value)
 
@@ -333,7 +383,6 @@ def test_checkpoint_shape_takes_the_lane_with_identical_bytes():
     state = {"total": 3.5, "weights": [0.5 * i for i in range(512)], "ids": list(range(40))}
     assert_lane_parity(state)
     hits_before = plan_cache_stats()["encoder_plan_hits"]
-    set_plan_cache_enabled(True)
     encode_any(state)
     # no per-element plan look-ups: a handful for the dict, none per float
     assert plan_cache_stats()["encoder_plan_hits"] - hits_before < 40
@@ -346,10 +395,147 @@ def test_decode_lane_rejects_a_forged_kind_byte_like_the_reference():
     # the third element's kind byte: LONGLONG instead of DOUBLE
     records = len(data) - 16 * (len(values) - 1)
     data[records + 16] = int(tc.TCKind.LONGLONG)
-    decoded = any_from_offset(True, bytes(data), 0)
-    reference = any_from_offset(False, bytes(data), 0)
+    decoded = any_from_offset(PLAN, bytes(data), 0)
+    reference = any_from_offset(REFERENCE, bytes(data), 0)
     assert same_values_same_types(decoded, reference)
     assert type(decoded[2]) is int and type(decoded[1]) is float
+
+
+# -- every type a live IDL document declares ------------------------------------
+
+# Enum, union, exception, any and array members in one document; unique
+# Cg* names so it displaces no live document's classes in the name-keyed
+# registries.
+NS = compile_idl(
+    """
+    enum CgColor { CG_RED, CG_GREEN, CG_BLUE };
+    struct CgInner { string label; double weight; octet flag; };
+    typedef sequence<double> CgDoubles;
+    typedef sequence<string> CgStrings;
+    struct CgOuter {
+        CgInner inner;
+        sequence<CgInner> items;
+        CgDoubles weights;
+        CgStrings names;
+        CgColor color;
+        boolean on;
+        long long big;
+        any payload;
+        double matrix[3];
+        sequence<octet> blob;
+    };
+    union CgChoice switch (CgColor) {
+        case CG_RED: long count;
+        case CG_GREEN: CgInner inner;
+        default: string label;
+    };
+    exception CgBroken { string why; long code; };
+    interface CgService {
+        CgOuter roundtrip(in CgOuter value);
+        CgChoice pick(in CgChoice value);
+        long boom(in long x) raises (CgBroken);
+        readonly attribute long version;
+    };
+    """,
+    name="cg-parity",
+)
+
+
+def declared_typecodes(*namespaces) -> list:
+    """The typecode of every class and of every operation parameter and
+    result in the compiled IDL ``namespaces``, once each."""
+    found: dict = {}
+    for namespace in namespaces:
+        for value in vars(namespace).values():
+            if not isinstance(value, type):
+                continue
+            if getattr(value, "__tc__", None) is not None:
+                found[value.__tc__] = None
+            for info in getattr(value, "__operations__", {}).values():
+                found[info.result] = None
+                found.update((param_tc, None) for _, param_tc in info.params)
+    return list(found)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_every_live_idl_type_plan_matches_reference(seed):
+    from repro.ft import checkpointable, factory
+    from repro.opt import worker
+    from repro.services import checkpoint, events, trader
+    from repro.services.naming import idl as naming_idl
+    from repro.winner import service
+
+    typecodes = declared_typecodes(
+        naming_idl.ns, checkpoint.ns, trader.ns, events.ns,
+        checkpointable.ns, factory.ns, service.idl, worker.worker_idl, NS,
+    )
+    names = {typecode.name for typecode in typecodes}
+    assert "Checkpointing::BadDeltaBase" in names, names
+    assert {tc.TCKind.ENUM, tc.TCKind.UNION, tc.TCKind.EXCEPTION} <= {
+        typecode.kind for typecode in typecodes
+    }
+    assert len(typecodes) >= 30, names
+
+    rng = random.Random(8000 + seed)
+    for typecode in typecodes:
+        assert_plan_matches_reference(typecode, random_value(rng, typecode))
+
+
+def _run_cg_service(use_dii: bool) -> dict:
+    from repro.cluster import Cluster, ClusterConfig
+    from repro.orb import Orb
+    from repro.sim import Simulator
+
+    sim = Simulator(seed=11)
+    cluster = Cluster(sim, ClusterConfig(num_hosts=2))
+    orbs = [Orb(host, cluster.network) for host in cluster]
+
+    class CgServant(NS.CgServiceSkeleton):
+        version = 5
+
+        def roundtrip(self, value):
+            value.big += 1
+            return value
+
+        def pick(self, value):
+            return value
+
+        def boom(self, x):
+            raise NS.CgBroken(why=f"boom {x}", code=x)
+
+    stub = orbs[0].stub(orbs[1].poa.activate(CgServant()), NS.CgServiceStub)
+    rng = random.Random(123)
+    outer = random_value(rng, NS.CgOuter.__tc__)
+    outer.big = min(outer.big, 2**62)
+    choice = NS.CgChoice(NS.CgColor.CG_GREEN, random_value(rng, NS.CgInner.__tc__))
+    out = {}
+
+    def client():
+        if use_dii:
+            echoed = yield stub._create_request("roundtrip", (outer,)).invoke()
+        else:
+            echoed = yield stub.roundtrip(outer)
+        picked = yield stub.pick(choice)
+        try:
+            yield stub.boom(7)
+        except NS.CgBroken as exc:
+            out["exc"] = (exc.why, exc.code)
+        out["version"] = yield stub.get_version()
+        out["echoed"] = encode_with(REFERENCE, NS.CgOuter.__tc__, echoed)
+        out["picked"] = encode_with(REFERENCE, NS.CgChoice.__tc__, picked)
+
+    sim.run_until_done(sim.spawn(client()))
+    out["time"] = sim.now
+    return out
+
+
+def test_dii_request_matches_the_generated_stub():
+    """Same reply and same simulated time whichever way the request was
+    built: both marshal through the one plan path."""
+    stub_reply = _run_cg_service(use_dii=False)
+    dii_reply = _run_cg_service(use_dii=True)
+    assert stub_reply["exc"] == ("boom 7", 7) and stub_reply["version"] == 5
+    assert dii_reply == stub_reply
 
 
 # -- cache mechanics ----------------------------------------------------------
@@ -358,8 +544,8 @@ def test_decode_lane_rejects_a_forged_kind_byte_like_the_reference():
 def test_plans_compile_once_then_hit():
     typecode = tc.struct("Pt", [("x", tc.TC_DOUBLE), ("y", tc.TC_DOUBLE)])
     for _ in range(5):
-        data = encode_with(True, typecode, {"x": 1.0, "y": 2.0})
-        decode_with(True, typecode, data)
+        data = encode_with(PLAN, typecode, {"x": 1.0, "y": 2.0})
+        decode_with(PLAN, typecode, data)
     stats = plan_cache_stats()
     # one compile per distinct typecode tree (Pt and its double leaf),
     # every later use a hit
@@ -368,18 +554,21 @@ def test_plans_compile_once_then_hit():
     assert stats["decoder_plan_hits"] >= 4
 
 
-def test_disabled_cache_compiles_nothing():
-    set_plan_cache_enabled(False)
-    typecode = tc.sequence(tc.TC_LONG)
-    data = encode_with(False, typecode, [1, 2, 3])
-    assert list(decode_with(False, typecode, data)) == [1, 2, 3]
-    stats = plan_cache_stats()
-    assert stats["encoder_plans_compiled"] == 0
-    assert stats["decoder_plans_compiled"] == 0
+def test_reference_streams_never_enter_the_plan_cache():
+    """Nested values, sequence elements and ``any`` payloads all recurse
+    through the reference's own ``write_value`` / ``read_value``."""
+    typecode = tc.struct(
+        "Ref", [("ids", tc.sequence(tc.TC_STRING)), ("payload", tc.TC_ANY)]
+    )
+    value = {"ids": ["a", "b"], "payload": {"weights": [0.5] * 20, "n": [1, "x"]}}
+    data = encode_with(REFERENCE, typecode, value)
+    decoded = decode_with(REFERENCE, typecode, data)
+    assert decoded.ids == ["a", "b"] and decoded.payload == value["payload"]
+    assert all(count == 0 for count in plan_cache_stats().values())
 
 
 def test_clear_plan_cache_resets_stats():
-    encode_with(True, tc.TC_DOUBLE_SEQ, [1.0])
+    encode_with(PLAN, tc.TC_DOUBLE_SEQ, [1.0])
     assert plan_cache_stats()["encoder_plans_compiled"] > 0
     clear_plan_cache()
     assert all(v == 0 for v in plan_cache_stats().values())

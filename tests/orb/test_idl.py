@@ -1,5 +1,9 @@
 """Tests for the IDL compiler: lexer, parser, codegen."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import IdlSemanticError, IdlSyntaxError
@@ -283,3 +287,38 @@ def test_nested_types_inside_interface():
         };
     """)
     assert ns.Inner(5).v == 5
+
+
+# -- command line -------------------------------------------------------------
+
+
+def test_idl_cli_smoke(tmp_path):
+    idl_file = tmp_path / "cli.idl"
+    idl_file.write_text(
+        "struct CliPoint { double x; double y; };\n"
+        "interface CliEcho { CliPoint echo(in CliPoint p); };\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "repro.orb.idl", *args],
+            capture_output=True, text=True, env=env,
+        )
+
+    printed = run(str(idl_file))
+    assert printed.returncode == 0
+    assert "class CliPoint:" in printed.stdout
+    assert "class CliEchoStub" in printed.stdout
+    assert printed.stdout == generate_source(idl_file.read_text())
+
+    out_file = tmp_path / "cli_idl.py"
+    written = run(str(idl_file), "-o", str(out_file))
+    assert written.returncode == 0 and written.stdout == ""
+    assert out_file.read_text() == printed.stdout
+
+    missing = run(str(tmp_path / "nope.idl"))
+    assert missing.returncode == 2
+    assert "cannot read" in missing.stderr
