@@ -1,5 +1,8 @@
 """Tests for the benchmark harness drivers (tiny grids, fast)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench import (
@@ -43,6 +46,25 @@ def test_fig3_sweep_deterministic():
     first = fig3_sweep(**kwargs)
     second = fig3_sweep(**kwargs)
     assert first == second
+
+
+def test_fig3_pin_is_current():
+    """Four cells of the tracked Fig. 3 artifact, recomputed and compared
+    exactly: the pin went stale once (every runtime ~9e-5 s behind the
+    code for eleven PRs) because only the 2-decimal table was ever read."""
+    results = Path(__file__).parents[2] / "benchmarks" / "results"
+    pin_file = results / "fig3_load_distribution.json"
+    pinned = {
+        (p["config"], p["strategy"], p["background_hosts"]): p
+        for p in json.loads(pin_file.read_text())["points"]
+    }
+    points = fig3_sweep(configs=("30/3",), background_hosts=(0, 2))
+    assert len(points) == 4
+    for point in points:
+        pin = pinned[(point.config, point.strategy, point.background_hosts)]
+        assert point.runtime == pin["runtime"]
+        assert point.fun == pin["fun"]
+        assert list(point.placements) == pin["placements"]
 
 
 def test_table1_sweep_rows_and_overhead():
