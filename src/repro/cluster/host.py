@@ -23,6 +23,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
 
+#: a host's process list is not scanned for finished ones below this length.
+_PROCESS_COMPACT_MIN = 64
+
+
 class Host:
     """One workstation in the NOW.
 
@@ -48,6 +52,8 @@ class Host:
         self.cpu = ProcessorSharingCPU(sim, speed=speed, cores=cores)
         self._up = True
         self._processes: list[Process] = []
+        #: list length at which ``spawn`` next drops finished processes
+        self._compact_processes_at = _PROCESS_COMPACT_MIN
         self._crash_listeners: list[Callable[["Host"], None]] = []
         self._restart_listeners: list[Callable[["Host"], None]] = []
         #: number of times this host has crashed (incarnation counter); lets
@@ -77,10 +83,14 @@ class Host:
         if not self._up:
             raise HostDownError(f"cannot spawn on crashed host {self.name}")
         process = self.sim.spawn(generator, name=f"{self.name}/{name or 'proc'}")
-        self._processes.append(process)
-        # Opportunistic cleanup of finished processes to bound memory.
-        if len(self._processes) > 64:
-            self._processes = [p for p in self._processes if p.is_pending]
+        processes = self._processes
+        processes.append(process)
+        if len(processes) > self._compact_processes_at:
+            # Drop finished processes to bound memory, rescanning only once
+            # the list has doubled since the last scan: a host with more
+            # than the minimum alive must not pay a scan per spawn.
+            self._processes = live = [p for p in processes if p.is_pending]
+            self._compact_processes_at = max(_PROCESS_COMPACT_MIN, 2 * len(live))
         return process
 
     def execute(self, work: float) -> SimFuture:

@@ -172,12 +172,26 @@ class MetricsRegistry:
         self._instruments: dict[tuple[str, LabelKey], Instrument] = {}
         #: instrument kind by name, to reject name/kind conflicts.
         self._kinds: dict[str, str] = {}
+        #: (accessor class, name, *label items as passed) -> instrument, for
+        #: calls whose label values are all ``str``: equal items are then an
+        #: equal label key, and a repeated call skips ``_label_key``.
+        self._by_call: dict[tuple, Instrument] = {}
 
     # -- instrument accessors -------------------------------------------------
 
     def _get(
         self, cls: type, name: str, labels: dict[str, Any], **kwargs
     ) -> Instrument:
+        call_key = (cls, name, *labels.items())
+        memoisable = True
+        for value in labels.values():
+            if type(value) is not str:
+                memoisable = False
+                break
+        if memoisable:
+            instrument = self._by_call.get(call_key)
+            if instrument is not None:
+                return instrument
         key = (name, _label_key(labels))
         instrument = self._instruments.get(key)
         if instrument is None:
@@ -189,6 +203,8 @@ class MetricsRegistry:
             instrument = cls(name, key[1], **kwargs)
             self._instruments[key] = instrument
             self._kinds[name] = cls.kind
+        if memoisable:
+            self._by_call[call_key] = instrument
         return instrument
 
     def counter(self, name: str, **labels: Any) -> Counter:

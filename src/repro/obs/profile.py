@@ -5,7 +5,7 @@ heap batching, ...") needs an answer to *where the host CPU goes* when the
 simulator runs: which event-callback sites dominate, which processes burn
 the wall clock, how deep the event heap gets, how many yield points a
 workload executes.  :class:`SimProfiler` hooks the two hot points of the
-kernel — event dispatch in :meth:`repro.sim.kernel.Simulator.step` and
+kernel — event dispatch in :meth:`repro.sim.kernel.Simulator._drain` and
 generator stepping in :meth:`repro.sim.process.Process._resume` — and
 aggregates:
 
@@ -239,7 +239,7 @@ class SimProfiler:
     # -- kernel hooks ----------------------------------------------------------
 
     def event_begin(self, callback: Callable, heap_depth: int) -> None:
-        """Called by ``Simulator.step`` before each event callback."""
+        """Called by ``Simulator._drain`` before each event callback."""
         self._event_site = callback_site(callback)
         self._event_heap_depth = heap_depth
         self._steps_wall_in_event = 0.0
@@ -249,7 +249,7 @@ class SimProfiler:
         self._event_wall0 = self._clock()
 
     def event_end(self) -> None:
-        """Called by ``Simulator.step`` after the callback returns."""
+        """Called by ``Simulator._drain`` after the callback returns."""
         wall = self._clock() - self._event_wall0
         site = self._event_site or "?"
         self._event_site = None

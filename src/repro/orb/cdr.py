@@ -100,6 +100,62 @@ _NUMPY_SEQ_DTYPES: dict[TCKind, str] = {
     TCKind.DOUBLE: ">f8",
 }
 
+_ZEROS = tuple(b"\x00" * n for n in range(8))
+
+
+def _underrun(count: int, pos: int, have: int) -> CdrError:
+    return CdrError(f"buffer underrun: need {count} bytes at {pos}, have {have}")
+
+
+def _primitive_writer(kind: TCKind) -> Callable[["CdrOutputStream", Any], None]:
+    """``write_<kind>``: align, pack, append — one frame per primitive."""
+    fmt, size = _PRIMITIVE_FORMATS[kind]
+    pack = _struct.Struct(fmt).pack
+    mask = size - 1
+    name = kind.name
+
+    def write(self: "CdrOutputStream", value: Any) -> None:
+        buffer = self._buffer
+        pad = -len(buffer) & mask
+        if pad:
+            buffer += _ZEROS[pad]
+        try:
+            buffer += pack(value)
+        except (_struct.error, TypeError) as exc:
+            raise CdrError(f"cannot encode {value!r} as {name}: {exc}") from exc
+
+    write.__name__ = f"write_{name.lower()}"
+    write.__qualname__ = f"CdrOutputStream.{write.__name__}"
+    return write
+
+
+def _primitive_reader(kind: TCKind) -> Callable[["CdrInputStream"], Any]:
+    """``read_<kind>``: align, bounds check, unpack — one frame per primitive."""
+    fmt, size = _PRIMITIVE_FORMATS[kind]
+    unpack_from = _struct.Struct(fmt).unpack_from
+    mask = size - 1
+
+    def read(self: "CdrInputStream") -> Any:
+        data = self._data
+        pos = self._pos
+        pos += -pos & mask
+        end = pos + size
+        if end > len(data):
+            self._pos = pos
+            raise _underrun(size, pos, len(data))
+        self._pos = end
+        return unpack_from(data, pos)[0]
+
+    read.__name__ = f"read_{kind.name.lower()}"
+    read.__qualname__ = f"CdrInputStream.{read.__name__}"
+    return read
+
+
+#: the one coder per primitive kind: the streams' ``write_*``/``read_*``
+#: methods, ``write_primitive``/``read_primitive`` and the plans all use it.
+_WRITERS = {kind: _primitive_writer(kind) for kind in _PRIMITIVE_FORMATS}
+_READERS = {kind: _primitive_reader(kind) for kind in _PRIMITIVE_FORMATS}
+
 #: struct/enum/union classes registered by generated IDL code, keyed by
 #: type name, so decoding can rebuild the user-visible Python objects.
 _STRUCT_REGISTRY: dict[str, type] = {}
@@ -160,10 +216,11 @@ class GenericStruct:
 
 
 class CdrOutputStream:
-    """An aligned big-endian output buffer."""
+    """An aligned big-endian output buffer, optionally starting out with
+    ``initial`` bytes already written."""
 
-    def __init__(self) -> None:
-        self._buffer = bytearray()
+    def __init__(self, initial: bytes = b"") -> None:
+        self._buffer = bytearray(initial)
         #: how deep the ``any`` being written is nested
         self._any_depth = 0
 
@@ -184,42 +241,20 @@ class CdrOutputStream:
         self._buffer.extend(data)
 
     def write_primitive(self, kind: TCKind, value: Any) -> None:
-        fmt, size = _PRIMITIVE_FORMATS[kind]
-        self.align(size)
-        try:
-            self._buffer.extend(_struct.pack(fmt, value))
-        except (_struct.error, TypeError) as exc:
-            raise CdrError(f"cannot encode {value!r} as {kind.name}: {exc}") from exc
+        _WRITERS[kind](self, value)
 
     def write_boolean(self, value: bool) -> None:
-        self.write_primitive(TCKind.BOOLEAN, 1 if value else 0)
+        self._buffer.append(1 if value else 0)  # an octet: no alignment
 
-    def write_octet(self, value: int) -> None:
-        self.write_primitive(TCKind.OCTET, value)
-
-    def write_short(self, value: int) -> None:
-        self.write_primitive(TCKind.SHORT, value)
-
-    def write_ushort(self, value: int) -> None:
-        self.write_primitive(TCKind.USHORT, value)
-
-    def write_long(self, value: int) -> None:
-        self.write_primitive(TCKind.LONG, value)
-
-    def write_ulong(self, value: int) -> None:
-        self.write_primitive(TCKind.ULONG, value)
-
-    def write_longlong(self, value: int) -> None:
-        self.write_primitive(TCKind.LONGLONG, value)
-
-    def write_ulonglong(self, value: int) -> None:
-        self.write_primitive(TCKind.ULONGLONG, value)
-
-    def write_float(self, value: float) -> None:
-        self.write_primitive(TCKind.FLOAT, value)
-
-    def write_double(self, value: float) -> None:
-        self.write_primitive(TCKind.DOUBLE, value)
+    write_octet = _WRITERS[TCKind.OCTET]
+    write_short = _WRITERS[TCKind.SHORT]
+    write_ushort = _WRITERS[TCKind.USHORT]
+    write_long = _WRITERS[TCKind.LONG]
+    write_ulong = _WRITERS[TCKind.ULONG]
+    write_longlong = _WRITERS[TCKind.LONGLONG]
+    write_ulonglong = _WRITERS[TCKind.ULONGLONG]
+    write_float = _WRITERS[TCKind.FLOAT]
+    write_double = _WRITERS[TCKind.DOUBLE]
 
     def write_string(self, value: str) -> None:
         """CDR string: ulong byte length including NUL, bytes, NUL."""
@@ -227,15 +262,17 @@ class CdrOutputStream:
             raise CdrError(f"expected str, got {type(value).__name__}")
         data = value.encode("utf-8")
         self.write_ulong(len(data) + 1)
-        self._buffer.extend(data)
-        self._buffer.append(0)
+        buffer = self._buffer
+        buffer += data
+        buffer.append(0)
 
     def write_octets(self, value: bytes) -> None:
-        if not isinstance(value, (bytes, bytearray, memoryview)):
-            raise CdrError(f"expected bytes, got {type(value).__name__}")
-        data = bytes(value)
-        self.write_ulong(len(data))
-        self._buffer.extend(data)
+        if type(value) is not bytes:
+            if not isinstance(value, (bytes, bytearray, memoryview)):
+                raise CdrError(f"expected bytes, got {type(value).__name__}")
+            value = bytes(value)
+        self.write_ulong(len(value))
+        self._buffer += value
 
     def write_ior(self, ior: IOR) -> None:
         if not isinstance(ior, IOR):
@@ -437,11 +474,12 @@ class CdrOutputStream:
 
 
 class CdrInputStream:
-    """Aligned big-endian reader over a bytes buffer."""
+    """Aligned big-endian reader over a bytes buffer, from offset ``pos``
+    (alignment counts from the start of the buffer)."""
 
-    def __init__(self, data: bytes) -> None:
+    def __init__(self, data: bytes, pos: int = 0) -> None:
         self._data = data
-        self._pos = 0
+        self._pos = pos
         #: how deep the ``any`` being read is nested (capped: hostile bytes
         #: must not be able to exhaust the Python stack)
         self._any_depth = 0
@@ -455,66 +493,59 @@ class CdrInputStream:
         self._pos += (-self._pos) % boundary
 
     def read_raw(self, count: int) -> bytes:
-        if self._pos + count > len(self._data):
-            raise CdrError(
-                f"buffer underrun: need {count} bytes at {self._pos}, "
-                f"have {len(self._data)}"
-            )
-        chunk = self._data[self._pos : self._pos + count]
-        self._pos += count
-        return chunk
+        pos = self._pos
+        end = pos + count
+        if end > len(self._data):
+            raise _underrun(count, pos, len(self._data))
+        self._pos = end
+        return self._data[pos:end]
 
     def read_primitive(self, kind: TCKind) -> Any:
-        fmt, size = _PRIMITIVE_FORMATS[kind]
-        self.align(size)
-        (value,) = _struct.unpack(fmt, self.read_raw(size))
-        return value
+        return _READERS[kind](self)
 
     def read_boolean(self) -> bool:
-        return bool(self.read_primitive(TCKind.BOOLEAN))
+        data = self._data
+        pos = self._pos
+        if pos >= len(data):
+            raise _underrun(1, pos, len(data))
+        self._pos = pos + 1
+        return data[pos] != 0
 
-    def read_octet(self) -> int:
-        return self.read_primitive(TCKind.OCTET)
-
-    def read_short(self) -> int:
-        return self.read_primitive(TCKind.SHORT)
-
-    def read_ushort(self) -> int:
-        return self.read_primitive(TCKind.USHORT)
-
-    def read_long(self) -> int:
-        return self.read_primitive(TCKind.LONG)
-
-    def read_ulong(self) -> int:
-        return self.read_primitive(TCKind.ULONG)
-
-    def read_longlong(self) -> int:
-        return self.read_primitive(TCKind.LONGLONG)
-
-    def read_ulonglong(self) -> int:
-        return self.read_primitive(TCKind.ULONGLONG)
-
-    def read_float(self) -> float:
-        return self.read_primitive(TCKind.FLOAT)
-
-    def read_double(self) -> float:
-        return self.read_primitive(TCKind.DOUBLE)
+    read_octet = _READERS[TCKind.OCTET]
+    read_short = _READERS[TCKind.SHORT]
+    read_ushort = _READERS[TCKind.USHORT]
+    read_long = _READERS[TCKind.LONG]
+    read_ulong = _READERS[TCKind.ULONG]
+    read_longlong = _READERS[TCKind.LONGLONG]
+    read_ulonglong = _READERS[TCKind.ULONGLONG]
+    read_float = _READERS[TCKind.FLOAT]
+    read_double = _READERS[TCKind.DOUBLE]
 
     def read_string(self) -> str:
         length = self.read_ulong()
         if length == 0:
             raise CdrError("string length 0 is invalid (must include NUL)")
-        data = self.read_raw(length)
-        if data[-1] != 0:
+        data = self._data
+        pos = self._pos
+        end = pos + length
+        if end > len(data):
+            raise _underrun(length, pos, len(data))
+        self._pos = end
+        if data[end - 1] != 0:
             raise CdrError("string is not NUL-terminated")
         try:
-            return data[:-1].decode("utf-8")
+            return str(data[pos : end - 1], "utf-8")
         except UnicodeDecodeError as exc:
             raise CdrError(f"string is not valid UTF-8: {exc}") from exc
 
     def read_octets(self) -> bytes:
         length = self.read_ulong()
-        return self.read_raw(length)
+        pos = self._pos
+        end = pos + length
+        if end > len(self._data):
+            raise _underrun(length, pos, len(self._data))
+        self._pos = end
+        return self._data[pos:end]
 
     def read_ior(self) -> IOR:
         type_id = self.read_string()
@@ -1063,22 +1094,24 @@ def _compile_encoder(tc: TypeCode) -> Callable[[CdrOutputStream, Any], None]:
 
         return write_null
     if kind is TCKind.BOOLEAN:
-        return lambda stream, value: stream.write_boolean(bool(value))
+        return CdrOutputStream.write_boolean
     if kind in _PRIMITIVE_FORMATS:
-        if tc.is_integer:
+        write = _WRITERS[kind]
+        if not tc.is_integer:
+            return write
+        lo, hi = tc.integer_bounds()
 
-            def write_int(stream, value, _tc=tc, _kind=kind):
+        def write_int(stream, value, _tc=tc, _write=write, _lo=lo, _hi=hi):
+            if type(value) is not int or not _lo <= value <= _hi:
+                # raises the canonical error, or lets a numpy integer by
                 stream._check_int(_tc, value)
-                stream.write_primitive(_kind, value)
+            _write(stream, value)
 
-            return write_int
-        return lambda stream, value, _kind=kind: stream.write_primitive(
-            _kind, value
-        )
+        return write_int
     if kind is TCKind.STRING:
-        return lambda stream, value: stream.write_string(value)
+        return CdrOutputStream.write_string
     if kind is TCKind.OCTETS:
-        return lambda stream, value: stream.write_octets(value)
+        return CdrOutputStream.write_octets
     if kind is TCKind.SEQUENCE:
         assert tc.content is not None
         content = tc.content
@@ -1160,9 +1193,9 @@ def _compile_encoder(tc: TypeCode) -> Callable[[CdrOutputStream, Any], None]:
         # write below re-enters write_value and hits the member's plan.
         return lambda stream, value, _tc=tc: stream._write_union(_tc, value)
     if kind is TCKind.OBJREF:
-        return lambda stream, value: stream.write_ior(value)
+        return CdrOutputStream.write_ior
     if kind is TCKind.ANY:
-        return lambda stream, value: stream.write_any(value)
+        return CdrOutputStream.write_any
 
     def write_unsupported(stream, value, _kind=kind):
         raise CdrError(f"cannot encode TypeCode kind {_kind.name}")
@@ -1175,13 +1208,13 @@ def _compile_decoder(tc: TypeCode) -> Callable[[CdrInputStream], Any]:
     if kind in (TCKind.NULL, TCKind.VOID):
         return lambda stream: None
     if kind is TCKind.BOOLEAN:
-        return lambda stream: stream.read_boolean()
+        return CdrInputStream.read_boolean
     if kind in _PRIMITIVE_FORMATS:
-        return lambda stream, _kind=kind: stream.read_primitive(_kind)
+        return _READERS[kind]
     if kind is TCKind.STRING:
-        return lambda stream: stream.read_string()
+        return CdrInputStream.read_string
     if kind is TCKind.OCTETS:
-        return lambda stream: stream.read_octets()
+        return CdrInputStream.read_octets
     if kind is TCKind.SEQUENCE:
         assert tc.content is not None
         content = tc.content
@@ -1237,9 +1270,9 @@ def _compile_decoder(tc: TypeCode) -> Callable[[CdrInputStream], Any]:
     if kind is TCKind.UNION:
         return lambda stream, _tc=tc: stream._read_union(_tc)
     if kind is TCKind.OBJREF:
-        return lambda stream: stream.read_ior()
+        return CdrInputStream.read_ior
     if kind is TCKind.ANY:
-        return lambda stream: stream.read_any()
+        return CdrInputStream.read_any
 
     def read_unsupported(stream, _kind=kind):
         raise CdrError(f"cannot decode TypeCode kind {_kind.name}")

@@ -48,7 +48,8 @@ from repro.errors import (
 )
 from repro.orb import giop
 from repro.orb.cdr import CdrInputStream, CdrOutputStream
-from repro.orb.forwarding import LocationForward as _LocationForward
+from repro.orb.forwarding import LocationForward as _LocationForward, MAX_FORWARDS
+from repro.orb.interceptors import RequestInfo
 from repro.orb.ior import IOR
 from repro.orb.stubs import ObjectStub, OpInfo, USER_EXCEPTION_REGISTRY
 from repro.orb.transport import ConnectionCache, install_reset_synthesis
@@ -344,7 +345,7 @@ class Orb:
             raise MARSHAL(
                 f"{info.name} expects {len(info.params)} arguments, got {len(args)}"
             )
-        outer = self.sim.future(label=f"call:{info.name}@{ior.host}")
+        outer = SimFuture(self.sim, label=f"call:{info.name}@{ior.host}")
         process = self.host.spawn(
             self._invoke_proc(ior, info, args, outer, reference, service_contexts),
             name=f"call:{info.name}",
@@ -421,10 +422,9 @@ class Orb:
         reference=None,
         extra_contexts: tuple = (),
     ):
-        from repro.orb.forwarding import MAX_FORWARDS
-
         body = self._encode_args(info, args)
-        yield self.host.execute(self._marshal_work(len(body)))
+        request_work = self._marshal_work(len(body))
+        yield self.host.execute(request_work)
 
         cached_forward = getattr(reference, "_forward_target", None)
         target = cached_forward if cached_forward is not None else ior
@@ -433,8 +433,6 @@ class Orb:
             request_id = next(self._request_ids)
             service_contexts: tuple = tuple(extra_contexts)
             if self.interceptors:
-                from repro.orb.interceptors import RequestInfo
-
                 # send_request runs before the message is built so that
                 # interceptors can attach service contexts to the wire
                 # (e.g. the observability layer's trace context).
@@ -444,7 +442,7 @@ class Orb:
                     target=target,
                     body_size=len(body),
                     response_expected=not info.oneway,
-                    attrs={"request_marshal_work": self._marshal_work(len(body))},
+                    attrs={"request_marshal_work": request_work},
                 )
                 self._intercept("send_request", send_info)
                 service_contexts = service_contexts + tuple(
@@ -495,7 +493,7 @@ class Orb:
                 outer.try_succeed(None)
                 return
 
-            inner = self.sim.future(label=f"reply:{request_id}")
+            inner = SimFuture(self.sim, label=f"reply:{request_id}")
             self._pending[request_id] = _Pending(inner, target.host, "call")
             self._watch_host(target.host)
             self.network.send(
@@ -546,7 +544,8 @@ class Orb:
                     outer.try_fail(exc)
                     return
 
-            yield self.host.execute(self._marshal_work(len(reply.body)))
+            reply_work = self._marshal_work(len(reply.body))
+            yield self.host.execute(reply_work)
             if using_cached and reply.status is giop.ReplyStatus.SYSTEM_EXCEPTION:
                 decoded = giop.decode_system_exception(reply.body)
                 if isinstance(decoded, (OBJECT_NOT_EXIST, TRANSIENT)):
@@ -573,7 +572,7 @@ class Orb:
                 if reference is not None:
                     reference._forward_target = target
                 continue
-            self._deliver_reply(info, reply, outer, request_id)
+            self._deliver_reply(info, reply, outer, request_id, reply_work)
             return
         outer.try_fail(
             TRANSIENT(
@@ -591,8 +590,6 @@ class Orb:
     ) -> None:
         if not self.interceptors:
             return
-        from repro.orb.interceptors import RequestInfo
-
         info = RequestInfo(
             operation=operation,
             request_id=request_id,
@@ -609,15 +606,12 @@ class Orb:
         reply: giop.ReplyMessage,
         outer: SimFuture,
         request_id: int,
+        unmarshal_work: float,
     ) -> None:
         def fail(exc: BaseException) -> None:
             self._intercept_outcome(info.name, request_id, exc)
             outer.try_fail(exc)
 
-        # The reply-unmarshal CPU charge (paid just before this call, in
-        # _invoke_proc) lands *inside* the client span; tag it so the
-        # critical-path analyzer can split marshalling out of transport.
-        unmarshal = {"unmarshal_work": self._marshal_work(len(reply.body))}
         if reply.status is giop.ReplyStatus.NO_EXCEPTION:
             stream = CdrInputStream(reply.body)
             try:
@@ -625,7 +619,17 @@ class Orb:
             except CdrError as exc:
                 fail(MARSHAL(f"bad reply body for {info.name}: {exc}"))
                 return
-            self._intercept_outcome(info.name, request_id, None, attrs=unmarshal)
+            if self.interceptors:
+                # The reply-unmarshal CPU charge (paid just before this
+                # call, in _invoke_proc) lands *inside* the client span;
+                # tag it so the critical-path analyzer can split
+                # marshalling out of transport.
+                self._intercept_outcome(
+                    info.name,
+                    request_id,
+                    None,
+                    attrs={"unmarshal_work": unmarshal_work},
+                )
             outer.try_succeed(result)
         elif reply.status is giop.ReplyStatus.USER_EXCEPTION:
             stream = CdrInputStream(reply.body)
@@ -918,8 +922,6 @@ class Orb:
                     completed=CompletionStatus.COMPLETED_NO,
                 ) from exc
             if self.interceptors:
-                from repro.orb.interceptors import RequestInfo
-
                 self._intercept(
                     "receive_request",
                     RequestInfo(
@@ -990,10 +992,9 @@ class Orb:
         ).observe(self.sim.now - dispatch_started)
         if not message.response_expected:
             return
-        yield self.host.execute(self._marshal_work(len(reply_body)))
+        reply_work = self._marshal_work(len(reply_body))
+        yield self.host.execute(reply_work)
         if self.interceptors:
-            from repro.orb.interceptors import RequestInfo
-
             self._intercept(
                 "send_reply",
                 RequestInfo(
@@ -1001,9 +1002,7 @@ class Orb:
                     request_id=message.request_id,
                     object_key=message.object_key,
                     body_size=len(reply_body),
-                    attrs={
-                        "reply_marshal_work": self._marshal_work(len(reply_body))
-                    },
+                    attrs={"reply_marshal_work": reply_work},
                 ),
             )
         reply = giop.ReplyMessage(message.request_id, status, reply_body)

@@ -23,6 +23,13 @@ class FutureState(enum.Enum):
     FAILED = "failed"
 
 
+#: the states as module globals: the kernel, the process stepper and the
+#: methods below test ``_state`` several times per event.
+_PENDING = FutureState.PENDING
+_SUCCEEDED = FutureState.SUCCEEDED
+_FAILED = FutureState.FAILED
+
+
 class SimFuture:
     """A one-shot result container resolved at a simulated instant.
 
@@ -46,7 +53,7 @@ class SimFuture:
 
     def __init__(self, sim: "Simulator", label: str = "") -> None:
         self.sim = sim
-        self._state = FutureState.PENDING
+        self._state = _PENDING
         self._value: Any = None
         self._exception: BaseException | None = None
         # Callback lists start as None: most futures (CPU tasks, channel
@@ -73,7 +80,7 @@ class SimFuture:
     def mark_abandoned(self) -> None:
         """Flag this future as abandoned and notify producers. Idempotent;
         a no-op once the future has resolved."""
-        if self.abandoned or self.is_done:
+        if self.abandoned or self._state is not _PENDING:
             return
         self.abandoned = True
         callbacks, self._abandon_callbacks = self._abandon_callbacks, None
@@ -89,26 +96,26 @@ class SimFuture:
 
     @property
     def is_pending(self) -> bool:
-        return self._state is FutureState.PENDING
+        return self._state is _PENDING
 
     @property
     def is_done(self) -> bool:
-        return self._state is not FutureState.PENDING
+        return self._state is not _PENDING
 
     @property
     def succeeded(self) -> bool:
-        return self._state is FutureState.SUCCEEDED
+        return self._state is _SUCCEEDED
 
     @property
     def failed(self) -> bool:
-        return self._state is FutureState.FAILED
+        return self._state is _FAILED
 
     @property
     def value(self) -> Any:
         """The result value. Raises if pending or failed."""
-        if self._state is FutureState.PENDING:
+        if self._state is _PENDING:
             raise SimulationError(f"future {self.label or self!r} is still pending")
-        if self._state is FutureState.FAILED:
+        if self._state is _FAILED:
             assert self._exception is not None
             raise self._exception
         return self._value
@@ -119,37 +126,50 @@ class SimFuture:
 
     # -- resolution -------------------------------------------------------
 
+    # succeed/try_succeed run once per wake-up of every process, so each
+    # carries the callback loop itself instead of sharing ``_dispatch``.
+
     def succeed(self, value: Any = None) -> "SimFuture":
-        if self._state is not FutureState.PENDING:
+        if self._state is not _PENDING:
             raise SimulationError(
                 f"future {self.label or self!r} already {self._state.value}"
             )
-        self._state = FutureState.SUCCEEDED
+        self._state = _SUCCEEDED
         self._value = value
-        self._dispatch()
+        callbacks = self._callbacks
+        if callbacks is not None:
+            self._callbacks = None
+            for callback in callbacks:
+                callback(self)
         return self
 
     def fail(self, exc: BaseException) -> "SimFuture":
         if not isinstance(exc, BaseException):
             raise TypeError(f"fail() expects an exception, got {exc!r}")
-        if self._state is not FutureState.PENDING:
+        if self._state is not _PENDING:
             raise SimulationError(
                 f"future {self.label or self!r} already {self._state.value}"
             )
-        self._state = FutureState.FAILED
+        self._state = _FAILED
         self._exception = exc
         self._dispatch()
         return self
 
     def try_succeed(self, value: Any = None) -> bool:
         """Resolve if still pending; return whether this call resolved it."""
-        if self._state is not FutureState.PENDING:
+        if self._state is not _PENDING:
             return False
-        self.succeed(value)
+        self._state = _SUCCEEDED
+        self._value = value
+        callbacks = self._callbacks
+        if callbacks is not None:
+            self._callbacks = None
+            for callback in callbacks:
+                callback(self)
         return True
 
     def try_fail(self, exc: BaseException) -> bool:
-        if self._state is not FutureState.PENDING:
+        if self._state is not _PENDING:
             return False
         self.fail(exc)
         return True
@@ -164,7 +184,7 @@ class SimFuture:
 
     def add_done_callback(self, callback: Callable[["SimFuture"], None]) -> None:
         """Register ``callback(self)``; runs immediately if already done."""
-        if self._state is not FutureState.PENDING:
+        if self._state is not _PENDING:
             callback(self)
         elif self._callbacks is None:
             self._callbacks = [callback]
@@ -191,7 +211,7 @@ def all_of(sim: "Simulator", futures: Iterable[SimFuture]) -> SimFuture:
         if not result.is_pending:
             return
         remaining -= 1
-        failed = next((f for f in futures if f.failed), None)
+        failed = next((f for f in futures if f._state is _FAILED), None)
         if failed is not None:
             result.fail(failed.exception)  # type: ignore[arg-type]
         elif remaining == 0:

@@ -16,9 +16,10 @@ its data layout is chosen for speed:
   cancelled-entry counter, so ``pending_event_count`` is derived O(1) as
   ``len(heap) - cancelled`` — the hot pop path touches no counter at all —
   and the heap compacts in place once cancelled entries dominate it;
-* :meth:`Simulator.run` inlines the drain loop (pop-first when unbounded,
-  peek-first when ``until``-bounded) so dispatching an event costs no
-  method calls beyond the callback itself, and the profiler hook costs a
+* one drain loop (:meth:`Simulator._drain`) serves :meth:`Simulator.run`,
+  :meth:`Simulator.run_until_done` and :meth:`Simulator.step`, so
+  dispatching an event costs no Python frame beyond the callback itself
+  whichever way the simulation is driven, and the profiler hook costs a
   single ``None`` check per event when disabled.
 """
 
@@ -30,7 +31,8 @@ from typing import Any, Callable, Generator, Iterable, Optional
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.events import SimFuture, all_of, any_of
+from repro.sim.events import _PENDING, SimFuture, all_of, any_of
+from repro.sim.process import Process
 from repro.sim.randomness import rng_stream
 from repro.sim.tracing import Trace
 
@@ -43,6 +45,8 @@ _PROCESS_COMPACT_MIN = 512
 
 #: slack for the monotonic-time assertion (float addition noise).
 _TIME_EPSILON = 1e-12
+
+_FOREVER = float("inf")
 
 
 class ScheduledEvent:
@@ -92,6 +96,10 @@ class Simulator:
         self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._seq = 0
         self._running = False
+        #: what ``_drain`` watches when nothing should stop it (``run``) and
+        #: when the first event should (``step``).
+        self._never_resolved = SimFuture(self, label="never")
+        self._resolved = SimFuture(self, label="resolved").succeed()
         #: cancelled entries still sitting in the heap (lazy deletion).
         #: ``pending_event_count`` is ``len(_heap)`` minus this, so the
         #: hot dispatch loop never maintains a live-event counter.
@@ -143,7 +151,12 @@ class Simulator:
     def call_soon(self, callback: Callable[[], None]) -> ScheduledEvent:
         """Run ``callback()`` at the current instant, after pending events
         already scheduled for this instant."""
-        return self.schedule(0.0, callback)
+        time = self.now
+        seq = self._seq
+        self._seq = seq + 1
+        event = ScheduledEvent(time, seq, callback, self)
+        heapq.heappush(self._heap, (time, seq, event))
+        return event
 
     # -- heap bookkeeping ----------------------------------------------------
 
@@ -168,140 +181,84 @@ class Simulator:
         heapq.heapify(heap)
         self._cancelled_in_heap = 0
 
-    def _pop_event(self, max_time: Optional[float]) -> Optional[ScheduledEvent]:
-        """Pop the next live event, discarding cancelled entries.
-
-        The cancelled-skip path used by :meth:`step` and
-        :meth:`run_until_done`.  :meth:`run` inlines the same logic (the
-        bulk drain cannot afford a method call per event) — the two inline
-        loops there must mirror any change made here.  Returns ``None``
-        when the heap drains or the next live event lies beyond
-        ``max_time`` (which is then left in the heap).
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            head = heap[0]
-            event = head[2]
-            if event.cancelled:
-                pop(heap)
-                self._cancelled_in_heap -= 1
-                continue
-            if max_time is not None and head[0] > max_time:
-                return None
-            pop(heap)
-            event.sim = None
-            return event
-        return None
-
     # -- execution ----------------------------------------------------------
 
-    def _dispatch(self, event: ScheduledEvent) -> None:
-        """Invoke one event's callback (profiler hooks when installed)."""
-        profiler = self.profiler
-        if profiler is None:
-            event.callback()
-        else:
-            profiler.event_begin(event.callback, len(self._heap))
-            try:
-                event.callback()
-            finally:
-                profiler.event_end()
+    def _drain(self, horizon: float, stop: SimFuture) -> bool:
+        """The one dispatch loop: run events in ``(time, seq)`` order until
+        the heap drains, the next live event lies beyond ``horizon`` (it
+        stays in the heap), or ``stop`` has resolved — looked at after each
+        callback, so an already-resolved ``stop`` means "one event".
+        Returns whether ``stop`` ended the loop.
+
+        ``heap`` can be cached because ``_compact`` rebuilds it in place.
+        """
+        if self._running:
+            raise SimulationError("simulator is already running (reentrant run())")
+        self._running = True
+        heap = self._heap
+        pop = heapq.heappop
+        try:
+            while heap:
+                time, _, event = heap[0]
+                if event.cancelled:
+                    pop(heap)
+                    self._cancelled_in_heap -= 1
+                    continue
+                if time > horizon:
+                    break
+                pop(heap)
+                event.sim = None
+                now = self.now
+                if time > now:
+                    self.now = time
+                elif time < now - _TIME_EPSILON:
+                    raise SimulationError("event heap time went backwards")
+                profiler = self.profiler
+                if profiler is None:
+                    event.callback()
+                else:
+                    profiler.event_begin(event.callback, len(heap))
+                    try:
+                        event.callback()
+                    finally:
+                        profiler.event_end()
+                if stop._state is not _PENDING:
+                    return True
+        finally:
+            self._running = False
+        return False
 
     def step(self) -> bool:
         """Process the next event. Returns False when the heap is empty."""
-        event = self._pop_event(None)
-        if event is None:
-            return False
-        time = event.time
-        if time < self.now - _TIME_EPSILON:
-            raise SimulationError("event heap time went backwards")
-        if time > self.now:
-            self.now = time
-        self._dispatch(event)
-        return True
+        return self._drain(_FOREVER, self._resolved)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the heap drains or simulated time reaches ``until``.
 
         Returns the simulated time at which execution stopped.
         """
-        if self._running:
-            raise SimulationError("simulator is already running (reentrant run())")
-        self._running = True
-        # Both loops below inline ``_pop_event``'s cancelled-skip and
-        # detach accounting — the hot path pays no method call per event
-        # beyond the callback itself.  ``heap`` can be cached because
-        # ``_compact`` rebuilds it in place (slice assignment).
-        heap = self._heap
-        pop = heapq.heappop
-        epsilon = _TIME_EPSILON
-        try:
-            if until is None:
-                # Unbounded drain: pop first, no head peek needed — a
-                # cancelled entry is discarded after the pop instead of
-                # being peeked at twice.
-                while heap:
-                    time, _, event = pop(heap)
-                    if event.cancelled:
-                        self._cancelled_in_heap -= 1
-                        continue
-                    event.sim = None
-                    now = self.now
-                    if time > now:
-                        self.now = time
-                    elif time < now - epsilon:
-                        raise SimulationError("event heap time went backwards")
-                    if self.profiler is None:
-                        event.callback()
-                    else:
-                        self._dispatch(event)
-            else:
-                # Bounded run: peek before popping so the first event past
-                # ``until`` stays in the heap.
-                while heap:
-                    head = heap[0]
-                    event = head[2]
-                    if event.cancelled:
-                        pop(heap)
-                        self._cancelled_in_heap -= 1
-                        continue
-                    time = head[0]
-                    if time > until:
-                        break
-                    pop(heap)
-                    event.sim = None
-                    now = self.now
-                    if time > now:
-                        self.now = time
-                    elif time < now - epsilon:
-                        raise SimulationError("event heap time went backwards")
-                    if self.profiler is None:
-                        event.callback()
-                    else:
-                        self._dispatch(event)
-                if self.now < until:
-                    self.now = until
-        finally:
-            self._running = False
+        if until is None:
+            self._drain(_FOREVER, self._never_resolved)
+        else:
+            self._drain(until, self._never_resolved)
+            if self.now < until:
+                self.now = until
         return self.now
 
-    def run_until_done(self, future: SimFuture, limit: float = float("inf")) -> Any:
+    def run_until_done(self, future: SimFuture, limit: float = _FOREVER) -> Any:
         """Drive the simulation until ``future`` resolves; return its value.
 
         Raises :class:`SimulationError` if the heap drains (deadlock) or the
         time ``limit`` is exceeded while the future is still pending.
         """
-        while future.is_pending:
-            if not self._heap:
-                raise SimulationError(
-                    f"deadlock: event heap empty but {future!r} is pending"
-                )
-            if self._heap[0][0] > limit:
+        if future._state is _PENDING and not self._drain(limit, future):
+            if self._heap:
                 raise SimulationError(
                     f"time limit {limit} exceeded while waiting for {future!r}"
                 )
-            self.step()
+            raise SimulationError(
+                f"deadlock: event heap empty but {future!r} is pending"
+            )
         return future.value
 
     # -- awaitable constructors ----------------------------------------------
@@ -321,11 +278,9 @@ class Simulator:
     def any_of(self, futures: Iterable[SimFuture]) -> SimFuture:
         return any_of(self, futures)
 
-    def spawn(self, generator: Generator, name: str = "") -> "Process":
+    def spawn(self, generator: Generator, name: str = "") -> Process:
         """Start a generator as a simulation process (see
         :class:`repro.sim.process.Process`)."""
-        from repro.sim.process import Process
-
         return Process(self, generator, name=name)
 
     def _register_process(self, process: Any) -> None:

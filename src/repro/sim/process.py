@@ -14,10 +14,11 @@ use exactly this mechanism.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Generator, Optional, TYPE_CHECKING
 
 from repro.errors import ProcessKilled, SimulationError
-from repro.sim.events import SimFuture
+from repro.sim.events import _FAILED, _PENDING, SimFuture
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -61,14 +62,14 @@ class Process(SimFuture):
             else sim.ambient_trace_context
         )
         sim._register_process(self)
-        sim.call_soon(lambda: self._resume(None, None))
+        sim.call_soon(partial(self._resume, None, None))
 
     # -- lifecycle ----------------------------------------------------------
 
     def kill(self, exc: Optional[BaseException] = None) -> None:
         """Terminate the process by throwing ``exc`` (default
         :class:`ProcessKilled`) into its generator. Idempotent once done."""
-        if self.is_done:
+        if self._state is not _PENDING:
             return
         exc = exc if exc is not None else ProcessKilled(f"process {self.name} killed")
         self._pending_kill = exc
@@ -84,12 +85,12 @@ class Process(SimFuture):
             self._waiting_on.mark_abandoned()
         self._wait_generation += 1
         self._waiting_on = None
-        self.sim.call_soon(lambda: self._resume(None, exc))
+        self.sim.call_soon(partial(self._resume, None, exc))
 
     # -- stepping -------------------------------------------------------------
 
     def _resume(self, send_value: Any, throw_exc: Optional[BaseException]) -> None:
-        if self.is_done:
+        if self._state is not _PENDING:
             return
         if throw_exc is None and self._pending_kill is not None:
             # A kill was requested between scheduling this resume and now
@@ -100,9 +101,10 @@ class Process(SimFuture):
         # Generator code runs with this process installed as current, so
         # spawned children and the tracer see the right context; restored
         # before completion callbacks fire.
-        previous_process = self.sim.current_process
-        self.sim.current_process = self
-        profiler = self.sim.profiler
+        sim = self.sim
+        previous_process = sim.current_process
+        sim.current_process = self
+        profiler = sim.profiler
         if profiler is not None:
             profiler.process_step_begin(self)
         try:
@@ -113,34 +115,34 @@ class Process(SimFuture):
         except StopIteration as stop:
             if profiler is not None:
                 profiler.process_step_end(self, finished=True)
-            self.sim.current_process = previous_process
+            sim.current_process = previous_process
             self._in_resume = False
             self._finish_success(stop.value)
             return
         except ProcessKilled as killed:
             if profiler is not None:
                 profiler.process_step_end(self, finished=True)
-            self.sim.current_process = previous_process
+            sim.current_process = previous_process
             self._in_resume = False
             self._finish_failure(killed, unhandled=False)
             return
         except BaseException as exc:  # noqa: BLE001 - process body failed
             if profiler is not None:
                 profiler.process_step_end(self, finished=True)
-            self.sim.current_process = previous_process
+            sim.current_process = previous_process
             self._in_resume = False
             self._finish_failure(exc, unhandled=True)
             return
         if profiler is not None:
             profiler.process_step_end(self, finished=False)
-        self.sim.current_process = previous_process
+        sim.current_process = previous_process
         self._in_resume = False
 
         if self._pending_kill is not None:
             exc, self._pending_kill = self._pending_kill, None
             self._wait_generation += 1
             self._waiting_on = None
-            self.sim.call_soon(lambda: self._resume(None, exc))
+            sim.call_soon(partial(self._resume, None, exc))
             return
 
         if not isinstance(yielded, SimFuture):
@@ -148,35 +150,32 @@ class Process(SimFuture):
                 f"process {self.name} yielded {yielded!r}; processes may only "
                 "yield SimFuture objects"
             )
-            self.sim.call_soon(lambda: self._resume(None, error))
+            sim.call_soon(partial(self._resume, None, error))
             return
 
-        self._wait(yielded)
+        # Wait for the yielded future: when it resolves, one event wakes
+        # this process (``_wake``) unless a kill or redirect came first.
+        self._waiting_on = yielded
+        self._wait_generation = generation = self._wait_generation + 1
+        yielded.add_done_callback(partial(self._on_waited_done, generation))
 
-    def _wait(self, future: SimFuture) -> None:
-        self._waiting_on = future
-        self._wait_generation += 1
-        generation = self._wait_generation
+    def _on_waited_done(self, generation: int, resolved: SimFuture) -> None:
+        if self._state is not _PENDING or generation != self._wait_generation:
+            return  # stale wakeup (we were killed or redirected)
+        self.sim.call_soon(partial(self._wake, generation, resolved))
 
-        def resume_from(resolved: SimFuture) -> None:
-            # Re-check staleness at execution time: a kill() issued between
-            # the future resolving and this wakeup running must win.
-            if self.is_done or generation != self._wait_generation:
-                return
-            self._waiting_on = None
-            if resolved.failed:
-                exc = resolved.exception
-                assert exc is not None
-                self._resume(None, exc)
-            else:
-                self._resume(resolved._value, None)
-
-        def on_done(resolved: SimFuture) -> None:
-            if self.is_done or generation != self._wait_generation:
-                return  # stale wakeup (we were killed or redirected)
-            self.sim.call_soon(lambda: resume_from(resolved))
-
-        future.add_done_callback(on_done)
+    def _wake(self, generation: int, resolved: SimFuture) -> None:
+        # Re-check staleness at execution time: a kill() issued between
+        # the future resolving and this wakeup running must win.
+        if self._state is not _PENDING or generation != self._wait_generation:
+            return
+        self._waiting_on = None
+        if resolved._state is _FAILED:
+            exc = resolved._exception
+            assert exc is not None
+            self._resume(None, exc)
+        else:
+            self._resume(resolved._value, None)
 
     # -- completion -------------------------------------------------------------
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import ComputeAborted, SimulationError
@@ -24,6 +25,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import ScheduledEvent, Simulator
 
 _WORK_EPSILON = 1e-9
+#: the least work left on a CPU with no tasks
+_IDLE = float("inf")
 
 
 @dataclass(slots=True)
@@ -85,27 +88,27 @@ class ProcessorSharingCPU:
             self.work_completed += work
             self.sim.call_soon(lambda: future.try_succeed(0.0))
             return future
-        self._advance()
-        task = _Task(next(self._ids), work, future, work)
-        self._tasks[task.task_id] = task
+        shortest = self._advance()
+        task_id = next(self._ids)
+        self._tasks[task_id] = _Task(task_id, work, future, work)
         # If the waiting process is killed, stop burning CPU for it (a
         # killed Unix process leaves the run queue immediately).
-        future.on_abandoned(lambda: self._abort_task(task.task_id))
-        self._reschedule()
+        future.on_abandoned(partial(self._abort_task, task_id))
+        self._arm_completion(work if work < shortest else shortest)
         return future
 
     def _abort_task(self, task_id: int) -> None:
         if task_id in self._tasks:
             self._advance()
             del self._tasks[task_id]
-            self._reschedule()
+            self._arm_completion(self._shortest())
 
     def abort_all(self, exc: Optional[BaseException] = None) -> int:
         """Fail every in-flight task (host crash). Returns the count."""
         self._advance()
         tasks = list(self._tasks.values())
         self._tasks.clear()
-        self._cancel_completion()
+        self._arm_completion(_IDLE)
         for task in tasks:
             task.future.try_fail(
                 exc if exc is not None else ComputeAborted("host crashed")
@@ -138,59 +141,90 @@ class ProcessorSharingCPU:
         """
         if speed <= 0:
             raise SimulationError(f"CPU speed must be positive, got {speed}")
-        self._advance()
+        shortest = self._advance()
         self.speed = speed
-        self._reschedule()
+        self._arm_completion(shortest)
 
     # -- internals ----------------------------------------------------------
 
-    def _advance(self) -> None:
+    def _advance(self, finished: Optional[list[_Task]] = None) -> float:
+        """Account the progress made since the last update: the one scan
+        of the task table a CPU change costs.
+
+        Returns the least work any task still has to do (``inf`` when there
+        is none).  Tasks that are done are appended to ``finished``, when
+        given, and do not count towards it.  The arithmetic keeps the order
+        the pinned simulated times were produced with: ``(speed * share) *
+        elapsed`` once, then ``work_completed +=`` per task in table order.
+        """
         now = self.sim.now
         elapsed = now - self._last_update
-        if elapsed <= 0:
-            self._last_update = now
-            return
+        self._last_update = now
+        tasks = self._tasks
+        shortest = _IDLE
+        if not tasks:
+            return shortest
+        n = len(tasks)
+        cores = self.cores
+        if elapsed > 0:
+            step = self.speed * (1.0 if n <= cores else cores / n) * elapsed
+            self.busy_integral += elapsed * (n if n < cores else cores) / cores
+        else:
+            step = 0.0
+        completed = self.work_completed
+        for task in tasks.values():
+            remaining = task.remaining
+            if step < remaining:
+                remaining -= step
+                completed += step
+            else:
+                completed += remaining
+                remaining = 0.0
+            task.remaining = remaining
+            if finished is not None and remaining <= _WORK_EPSILON:
+                finished.append(task)
+            elif remaining < shortest:
+                shortest = remaining
+        self.work_completed = completed
+        return shortest
+
+    def _shortest(self) -> float:
+        return min((task.remaining for task in self._tasks.values()), default=_IDLE)
+
+    def _arm_completion(self, shortest: float) -> None:
+        """Replace the completion event by one for the task that has
+        ``shortest`` work left (none on an idle CPU)."""
+        completion = self._completion
+        if completion is not None:
+            completion.cancel()
+            self._completion = None
         n = len(self._tasks)
         if n:
-            rate = self.per_task_rate
-            for task in self._tasks.values():
-                done = min(task.remaining, rate * elapsed)
-                task.remaining -= done
-                self.work_completed += done
-            self.busy_integral += elapsed * min(n, self.cores) / self.cores
-        self._last_update = now
-
-    def _cancel_completion(self) -> None:
-        if self._completion is not None:
-            self._completion.cancel()
-            self._completion = None
-
-    def _reschedule(self) -> None:
-        self._cancel_completion()
-        if not self._tasks:
-            return
-        rate = self.per_task_rate
-        shortest = min(task.remaining for task in self._tasks.values())
-        delay = max(0.0, shortest / rate)
-        self._completion = self.sim.schedule(delay, self._on_completion)
+            cores = self.cores
+            delay = shortest / (self.speed * (1.0 if n <= cores else cores / n))
+            self._completion = self.sim.schedule(
+                delay if delay > 0.0 else 0.0, self._on_completion
+            )
 
     def _on_completion(self) -> None:
         self._completion = None
-        self._advance()
-        finished = [
-            t for t in self._tasks.values() if t.remaining <= _WORK_EPSILON
-        ]
+        tasks = self._tasks
+        finished: list[_Task] = []
+        shortest = self._advance(finished)
+        for task in finished:
+            del tasks[task.task_id]
         if not finished:
             # Numerical slack: the shortest task is within epsilon of done
             # but rounding left a sliver; force-complete the minimum.
-            shortest = min(self._tasks.values(), key=lambda t: t.remaining)
-            if shortest.remaining <= _WORK_EPSILON * max(1.0, shortest.total):
-                finished = [shortest]
+            sliver = min(tasks.values(), key=lambda t: t.remaining)
+            if sliver.remaining <= _WORK_EPSILON * max(1.0, sliver.total):
+                finished.append(sliver)
+                del tasks[sliver.task_id]
+                shortest = self._shortest()
+        self._arm_completion(shortest)
+        now = self.sim.now
         for task in finished:
-            del self._tasks[task.task_id]
-        self._reschedule()
-        for task in finished:
-            task.future.try_succeed(self.sim.now)
+            task.future.try_succeed(now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
@@ -48,3 +50,27 @@ def make_world():
 @pytest.fixture
 def world():
     return OrbWorld()
+
+
+@pytest.fixture
+def count_calls():
+    """``count_calls(run)``: the Python-level and C-level calls ``run()``
+    makes, by ``sys.setprofile``.  A count, not a time: a budget on it
+    reads the same on a noisy box, where a wall-clock bound flakes."""
+
+    def _count(run) -> int:
+        count = 0
+
+        def on_event(frame, event, arg):
+            nonlocal count
+            if event in ("call", "c_call"):
+                count += 1
+
+        sys.setprofile(on_event)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        return count
+
+    return _count

@@ -201,3 +201,34 @@ def test_oneway_to_dead_host_does_not_raise(world):
         return "sent"
 
     assert world.run(client()) == "sent"
+
+
+def test_reply_with_out_of_range_status_leaves_the_dispatcher_alive(world):
+    """A datagram no decoder accepts is dropped; it must not kill the
+    dispatch loop (``ReplyStatus(9)`` used to raise ``ValueError`` past
+    ``except MARSHAL`` and every later call to the host hung)."""
+    from repro.orb import giop
+
+    server_orb, _, stub = setup(world)
+    forged = bytearray(
+        giop.encode_message(
+            giop.ReplyMessage(1, giop.ReplyStatus.NO_EXCEPTION, b"")
+        )
+    )
+    forged[12] = 9
+    assert len(forged) == 20
+
+    def client():
+        world.network.send(
+            world.host(0),
+            12345,
+            server_orb.host.name,
+            server_orb.port,
+            bytes(forged),
+            len(forged),
+        )
+        yield world.sim.timeout(0.01)
+        return (yield stub.quick(2.5))
+
+    assert world.run(client(), limit=5.0) == 2.5
+    assert world.sim.unhandled_failures == []

@@ -80,3 +80,69 @@ def test_wire_size_scales_with_body():
         giop.RequestMessage(1, True, b"k", "op", 0, "h", 1, b"\x00" * 1000)
     )
     assert len(big) >= len(small) + 1000
+
+
+# -- every byte of every message kind is untrusted -----------------------------------
+
+ONE_OF_EACH = [
+    giop.RequestMessage(
+        request_id=42,
+        response_expected=True,
+        object_key=b"Calc:000001",
+        operation="solve",
+        target_incarnation=3,
+        reply_host="ws00",
+        reply_port=20001,
+        body=b"\x01\x02\x03",
+        service_contexts=((7, b"ctx"),),
+    ),
+    giop.ReplyMessage(42, giop.ReplyStatus.NO_EXCEPTION, b"\x00" * 8),
+    giop.CancelRequestMessage(42),
+    giop.LocateRequestMessage(42, b"Calc:000001", 3, "ws00", 20001),
+    giop.LocateReplyMessage(42, giop.LocateStatus.OBJECT_HERE),
+    giop.ConnectMessage(42, "ws00", 20001),
+    giop.ConnectAckMessage(42),
+    giop.ResetMessage(42, "peer gone"),
+]
+
+
+def decodes_or_raises_marshal(data: bytes) -> None:
+    try:
+        message = giop.decode_message(data)
+    except MARSHAL:
+        return
+    assert type(message) in {type(m) for m in ONE_OF_EACH}
+
+
+@pytest.mark.parametrize("message", ONE_OF_EACH, ids=lambda m: type(m).__name__)
+def test_every_single_byte_mutation_decodes_or_raises_marshal(message):
+    raw = giop.encode_message(message)
+    assert giop.decode_message(raw) == message
+    for at in range(len(raw)):
+        for value in range(256):
+            if value != raw[at]:
+                decodes_or_raises_marshal(
+                    raw[:at] + bytes([value]) + raw[at + 1 :]
+                )
+
+
+@pytest.mark.parametrize("message", ONE_OF_EACH, ids=lambda m: type(m).__name__)
+def test_every_truncation_decodes_or_raises_marshal(message):
+    raw = giop.encode_message(message)
+    for length in range(len(raw)):
+        decodes_or_raises_marshal(raw[:length])
+
+
+def test_out_of_range_status_octets_raise_marshal():
+    reply = bytearray(giop.encode_message(ONE_OF_EACH[1]))
+    reply[12] = 9
+    with pytest.raises(MARSHAL, match="9 is not a valid ReplyStatus"):
+        giop.decode_message(bytes(reply))
+    locate_reply = bytearray(giop.encode_message(ONE_OF_EACH[4]))
+    locate_reply[12] = 9
+    with pytest.raises(MARSHAL, match="9 is not a valid LocateStatus"):
+        giop.decode_message(bytes(locate_reply))
+    body = bytearray(giop.encode_system_exception(COMM_FAILURE("x")))
+    body[-1] = 9
+    with pytest.raises(MARSHAL, match="9 is not a valid CompletionStatus"):
+        giop.decode_system_exception(bytes(body))

@@ -148,3 +148,40 @@ def test_pending_event_count_ignores_cancelled():
     handle = sim.schedule(2.0, lambda: None)
     handle.cancel()
     assert sim.pending_event_count == 1
+
+
+@pytest.mark.parametrize("drive", ["run", "run_until_done", "step"])
+@pytest.mark.parametrize("reenter", ["run", "run_until_done", "step"])
+def test_every_entry_point_refuses_to_reenter_the_dispatch_loop(drive, reenter):
+    """A callback that drives the simulator it is running in would drain
+    the heap underneath its caller; all three entry points share the one
+    loop, so all three are guarded."""
+    sim = Simulator()
+    done = sim.timeout(2.0)
+    caught = []
+
+    def callback():
+        try:
+            if reenter == "run":
+                sim.run()
+            elif reenter == "step":
+                sim.step()
+            else:
+                sim.run_until_done(done)
+        except SimulationError as exc:
+            caught.append(str(exc))
+
+    sim.schedule(1.0, callback)
+    later = []
+    sim.schedule(3.0, lambda: later.append(sim.now))
+    if drive == "run":
+        sim.run()
+    elif drive == "step":
+        while sim.step():
+            pass
+    else:
+        sim.run_until_done(done)
+        assert sim.now == 2.0 and later == []  # the heap was not drained
+        sim.run()
+    assert len(caught) == 1 and "already running" in caught[0]
+    assert later == [3.0]
