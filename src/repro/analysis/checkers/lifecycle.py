@@ -3,9 +3,9 @@
 The runtime has several objects whose API is a *protocol*: an opening
 call puts them in an intermediate state that some closing call must
 resolve, or the object silently degrades — a circuit breaker that is
-probed but never told the outcome stops adapting, a pipelined checkpoint
-that is begun but never drained loses the tail of the update stream on
-failover, a connection-cache entry that is begun but never resolved
+probed but never told the outcome stops adapting, a pipelined state
+shipment that is enqueued but never drained loses the tail of the update
+stream on failover, a connection-cache entry that is begun but never resolved
 wedges every later caller on a future that cannot complete.
 
 Each protocol is a declarative :class:`ProtocolSpec`: the *begin* method
@@ -19,11 +19,16 @@ method names that resolve the intermediate state, and how to check:
 ``project``  the class defining the begin must also define a sink, and at
              least one confident call to that sink must exist somewhere
              in the project — the machinery has an exercised exit path.
+             Confident means a ``self`` call resolving to the class, or,
+             for a protocol object its owners hold in an attribute, an
+             attribute call whose receiver text carries one of the
+             receiver markers (``ft.shipper.drain()``).
 
 Codes:
 
 LIF001  ``CircuitBreaker.allow()`` outcome never recorded;
-LIF002  pipelined-checkpoint begin with no reachable drain/shutdown;
+LIF002  pipelined state-shipment window (``StateShipper.enqueue``, serving
+        checkpoints and standby ships alike) with no exercised ``drain``;
 LIF003  ``ConnectionCache.begin`` never resolved to commit-or-invalidate.
 
 Functions on the protocol class itself (a class defining the sinks) are
@@ -70,10 +75,10 @@ PROTOCOLS: tuple[ProtocolSpec, ...] = (
     ),
     ProtocolSpec(
         code="LIF002",
-        label="pipelined checkpoint",
-        begin=frozenset({"_checkpoint_pipelined"}),
-        receiver_markers=frozenset(),
-        sinks=frozenset({"drain_checkpoints", "_drain_pipeline"}),
+        label="pipelined state shipment",
+        begin=frozenset({"enqueue"}),
+        receiver_markers=frozenset({"shipper"}),
+        sinks=frozenset({"drain"}),
         mode="project",
     ),
     ProtocolSpec(
@@ -91,7 +96,7 @@ class LifecycleChecker(Checker):
     name = "lifecycle"
     codes = {
         "LIF001": "circuit-breaker allow() outcome never recorded",
-        "LIF002": "pipelined-checkpoint begin with no reachable drain path",
+        "LIF002": "pipelined-shipment enqueue with no exercised drain path",
         "LIF003": "connection-cache begin never resolved",
     }
     default_scope = (
@@ -187,7 +192,7 @@ class LifecycleChecker(Checker):
                 continue
             sink_defined = self._defines_sink(graph, fn.class_name, spec)
             sink_called = sink_defined and self._sink_called_anywhere(
-                graph, fn.class_name, spec.sinks
+                graph, fn.class_name, spec
             )
             if sink_defined and sink_called:
                 continue
@@ -213,13 +218,18 @@ class LifecycleChecker(Checker):
 
     @staticmethod
     def _sink_called_anywhere(
-        graph: CallGraph, class_name: str, sinks: frozenset[str]
+        graph: CallGraph, class_name: str, spec: ProtocolSpec
     ) -> bool:
         for caller in graph.functions:
             for site in caller.calls:
-                if site.name not in sinks:
+                if site.name not in spec.sinks:
                     continue
                 for target in graph.resolve(caller, site):
                     if target.class_name == class_name:
                         return True
+                receiver = site.receiver.lower()
+                if site.kind == "attr" and any(
+                    marker in receiver for marker in spec.receiver_markers
+                ):
+                    return True
         return False

@@ -205,6 +205,7 @@ def checkpoint_fastpath_sweep(
 
         runtime.run(settle())
         ft = proxy._ft
+        shipper = ft.shipper
         backend = runtime.store_servant.backend
         rows.append(
             AblationRow(
@@ -213,13 +214,13 @@ def checkpoint_fastpath_sweep(
                 extra={
                     "overhead_percent": 100.0 * (elapsed / baseline - 1.0),
                     "checkpoints_taken": ft.checkpoints_taken,
-                    "checkpoints_skipped": ft.checkpoints_skipped,
-                    "deltas_sent": ft.deltas_sent,
-                    "fulls_sent": ft.fulls_sent,
-                    "delta_fallbacks": ft.delta_fallbacks,
-                    "pipeline_stalls": ft.pipeline_stalls,
-                    "pipeline_peak_depth": ft.pipeline_peak_depth,
-                    "bytes_shipped": ft.checkpoint_bytes_shipped,
+                    "checkpoints_skipped": shipper.skipped,
+                    "deltas_sent": shipper.deltas,
+                    "fulls_sent": shipper.fulls,
+                    "delta_fallbacks": shipper.fallbacks,
+                    "pipeline_stalls": shipper.stalls,
+                    "pipeline_peak_depth": shipper.peak_depth,
+                    "bytes_shipped": shipper.bytes,
                     "store_bytes_written": backend.bytes_written,
                     "store_delta_bytes": backend.delta_bytes_written,
                 },

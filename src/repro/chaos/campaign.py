@@ -391,7 +391,7 @@ def run_scenario(
         # persists still in flight (a failed one lands in the degraded
         # buffer) ...
         for proxy in [acc_proxy, *opt_references]:
-            if proxy._ft.inflight_checkpoints or proxy._ft.group is not None:
+            if proxy._ft.shipper.inflight or proxy._ft.group is not None:
                 yield proxy.drain_checkpoints()
         # ... then: a workload that finished *during* the storage
         # outage still holds buffered checkpoints; one more checkpoint
@@ -444,13 +444,14 @@ def run_scenario(
     report.checkpoint_buffer_depth_end = sum(
         len(c.buffered_checkpoints) for c in contexts
     )
-    report.checkpoints_skipped = sum(c.checkpoints_skipped for c in contexts)
-    report.deltas_sent = sum(c.deltas_sent for c in contexts)
-    report.fulls_sent = sum(c.fulls_sent for c in contexts)
-    report.delta_fallbacks = sum(c.delta_fallbacks for c in contexts)
-    report.pipeline_stalls = sum(c.pipeline_stalls for c in contexts)
+    shippers = [c.shipper for c in contexts]
+    report.checkpoints_skipped = sum(s.skipped for s in shippers)
+    report.deltas_sent = sum(s.deltas for s in shippers)
+    report.fulls_sent = sum(s.fulls for s in shippers)
+    report.delta_fallbacks = sum(s.fallbacks for s in shippers)
+    report.pipeline_stalls = sum(s.stalls for s in shippers)
     report.checkpoint_pipeline_depth_end = sum(
-        c.pipeline_depth for c in contexts
+        len(s.inflight) for s in shippers
     )
     naming = runtime.naming_root
     if naming is not None and naming.resolve_cache is not None:

@@ -75,6 +75,7 @@ def runtime_report(runtime: "Runtime") -> dict:
     # Per-proxy checkpoint fast-path behaviour, aggregated across every
     # FtContext the runtime handed out.
     contexts = runtime._ft_contexts
+    shippers = [c.shipper for c in contexts]
     proxies = {
         "proxies": len(contexts),
         "calls": sum(c.calls for c in contexts),
@@ -82,16 +83,14 @@ def runtime_report(runtime: "Runtime") -> dict:
         "retries": sum(c.retries for c in contexts),
         "checkpoints_buffered": sum(c.checkpoints_buffered for c in contexts),
         "checkpoints_flushed": sum(c.checkpoints_flushed for c in contexts),
-        "checkpoints_skipped": sum(c.checkpoints_skipped for c in contexts),
-        "deltas_sent": sum(c.deltas_sent for c in contexts),
-        "fulls_sent": sum(c.fulls_sent for c in contexts),
-        "delta_fallbacks": sum(c.delta_fallbacks for c in contexts),
-        "bytes_shipped": sum(c.checkpoint_bytes_shipped for c in contexts),
-        "pipeline_stalls": sum(c.pipeline_stalls for c in contexts),
-        "pipeline_peak_depth": max(
-            (c.pipeline_peak_depth for c in contexts), default=0
-        ),
-        "pipeline_inflight": sum(c.pipeline_depth for c in contexts),
+        "checkpoints_skipped": sum(s.skipped for s in shippers),
+        "deltas_sent": sum(s.deltas for s in shippers),
+        "fulls_sent": sum(s.fulls for s in shippers),
+        "delta_fallbacks": sum(s.fallbacks for s in shippers),
+        "bytes_shipped": sum(s.bytes for s in shippers),
+        "pipeline_stalls": sum(s.stalls for s in shippers),
+        "pipeline_peak_depth": max((s.peak_depth for s in shippers), default=0),
+        "pipeline_inflight": sum(len(s.inflight) for s in shippers),
         "buffer_depth": sum(len(c.buffered_checkpoints) for c in contexts),
     }
 
@@ -107,10 +106,11 @@ def runtime_report(runtime: "Runtime") -> dict:
         "calls": sum(g.calls for g in groups),
         "promotions": sum(g.promotions for g in groups),
         "lead_changes": sum(g.lead_changes for g in groups),
-        "state_ships_full": sum(g.state_ships_full for g in groups),
-        "state_ships_delta": sum(g.state_ships_delta for g in groups),
-        "ship_bytes": sum(g.ship_bytes for g in groups),
-        "delta_fallbacks": sum(g.delta_fallbacks for g in groups),
+        "state_ships_full": sum(g.shipper.fulls for g in groups),
+        "state_ships_delta": sum(g.shipper.deltas for g in groups),
+        "ship_bytes": sum(g.shipper.bytes for g in groups),
+        "ship_stalls": sum(g.shipper.stalls for g in groups),
+        "delta_fallbacks": sum(g.shipper.fallbacks for g in groups),
         "replacements": sum(g.replacements for g in groups),
         "replacement_failures": sum(
             g.replacement_failures for g in groups
@@ -292,7 +292,8 @@ def format_runtime_report(report: dict) -> str:
             f"{repl['state_ships_full']} full / "
             f"{repl['state_ships_delta']} delta "
             f"({repl['ship_bytes']} bytes, "
-            f"{repl['delta_fallbacks']} fallbacks)"
+            f"{repl['delta_fallbacks']} fallbacks, "
+            f"{repl['ship_stalls']} stalls)"
         )
         if repl["vote_rounds"]:
             line += (

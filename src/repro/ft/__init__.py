@@ -15,10 +15,14 @@ a failed service."
   recovery work against dead/flapping hosts;
 * :mod:`repro.ft.recovery` — the recovery coordinator: re-resolve through
   the (load-distributing) naming service, re-create, restore, rebind;
+* :mod:`repro.ft.shipping` — the one :class:`StateShipper` (encode once,
+  skip, delta vs. full, bounded FIFO window) that moves state to the
+  checkpoint store *and* to warm standbys;
 * :mod:`repro.ft.proxies` — :func:`make_ft_proxy`, the automated generation
   of "proxy classes derived from the stub classes" (the paper's alternative
   (c), with the manual step automated as the paper suggests);
-* :mod:`repro.ft.request_proxy` — request proxies for DII invocations;
+* :mod:`repro.ft.request_proxy` — request proxies for DII invocations
+  (the object proxy's call loop with a fresh Request per attempt);
 * :mod:`repro.ft.detector` — a locate-ping failure detector;
 * :mod:`repro.ft.migration` — load-triggered service migration, the
   capability §3 notes checkpointing enables;
@@ -37,6 +41,7 @@ from repro.ft.factory import (
 )
 from repro.ft.policy import FtPolicy
 from repro.ft.recovery import RecoveryCoordinator
+from repro.ft.shipping import Shipment, StateShipper
 from repro.ft.proxies import FtContext, make_ft_proxy
 from repro.ft.request_proxy import FtRequest
 from repro.ft.detector import FailureDetector
@@ -67,6 +72,8 @@ __all__ = [
     "ReplicaGroup",
     "ReplicatedCheckpointStore",
     "ReplicatedServant",
+    "Shipment",
+    "StateShipper",
     "UnknownType",
     "WarmPassiveGroup",
     "build_group",

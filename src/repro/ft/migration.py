@@ -17,10 +17,7 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.errors import ProcessKilled, RecoveryError, SystemException
 from repro.ft.factory import ObjectFactoryStub
-from repro.ft.checkpointable import CheckpointableStub
-from repro.orb.stubs import ObjectStub
-from repro.services.naming import idl as naming_idl
-from repro.services.naming.names import to_name
+from repro.ft.recovery import RESTORE_FROM
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.orb.core import Orb
@@ -37,7 +34,6 @@ def migrate_service(proxy, naming, target_host: str):
     object.  Returns the new IOR.
     """
     ft = proxy._ft
-    orb = proxy._orb
     if proxy.ior.host == target_host:
         return proxy.ior
     recovery = ft.recovery
@@ -57,7 +53,6 @@ def migrate_service(proxy, naming, target_host: str):
 def _migrate_locked(proxy, naming, target_host: str):
     ft = proxy._ft
     orb = proxy._orb
-    recovery = ft.recovery
     old_ior = proxy.ior
     if old_ior.host == target_host:
         return old_ior  # someone moved it while we waited for the lock
@@ -106,21 +101,11 @@ def _migrate_steps(proxy, naming, target_host: str, old_ior):
     # 3. create and restore.
     new_ior = yield factory.create(ft.type_name)
     state = yield ft.store.load(ft.key)
-    restore_info = CheckpointableStub.__operations__["restore_from"]
-    yield orb.invoke(new_ior, restore_info, (state,))
+    yield orb.invoke(new_ior, RESTORE_FROM, (state,))
 
-    # 4. swap naming-group binding and rebind the proxy.
-    if ft.group_name is not None:
-        group = to_name(ft.group_name)
-        try:
-            yield naming.unbind_service(group, old_ior)
-        # analysis: ignore[EXC003]: best-effort unbind of the stale binding — the bind below re-converges the group
-        except (naming_idl.NotFound, SystemException):
-            pass
-        try:
-            yield naming.bind_service(group, new_ior)
-        except naming_idl.AlreadyBound:
-            pass
+    # 4. swap naming-group binding (the recovery path's own swap) and
+    # rebind the proxy.
+    yield from recovery._swap_group_binding(ft, old_ior, new_ior)
     proxy._rebind(new_ior)
 
     # 5. retire the old instance (best effort: its host may be the reason

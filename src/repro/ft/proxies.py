@@ -39,42 +39,29 @@ step 3 is what Table 1 measures) splits step 3 in two:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, TYPE_CHECKING
 
-from repro.errors import RecoveryError
+from repro.errors import RecoveryError, SystemException
 from repro.ft.checkpointable import CHECKPOINT_OPERATIONS
 from repro.ft.policy import FtPolicy
 from repro.ft.recovery import RECOVERABLE, RecoveryCoordinator
-from repro.orb.cdr import AnyEncodeMemo, encode_any
+from repro.ft.shipping import Shipment, StateShipper
 from repro.orb.stubs import ObjectStub
-from repro.services.checkpoint import (
-    BadDeltaBase,
-    compute_delta,
-    state_digest,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import SimFuture
 
-
-@dataclass
-class _PendingCheckpoint:
-    """A captured-but-not-yet-persisted checkpoint."""
-
-    version: int
-    state: object
-    #: encoded full state (delta mode only; None on the paper path, which
-    #: leaves all marshalling to the stub layer).
-    data: Optional[bytes] = None
-    #: delta payload against ``base_version`` (None = ship the full state).
-    delta: Optional[dict] = None
-    delta_bytes: int = 0
-    base_version: int = -1
-    #: resolved (always with None) when the background persist finishes —
-    #: the pipeline window, drains and recovery wait on this.
-    future: Optional["SimFuture"] = None
+#: shipper counter → the obs series the checkpoint path exports it as.
+_SHIP_SERIES = {
+    "skipped": "ft_checkpoints_skipped_total",
+    "deltas": "ft_checkpoint_deltas_total",
+    "fulls": "ft_checkpoint_fulls_total",
+    "fallbacks": "ft_checkpoint_delta_fallbacks_total",
+    "bytes": "ft_checkpoint_bytes_total",
+    "stalls": "ft_pipeline_stalls_total",
+}
 
 
 @dataclass
@@ -99,12 +86,14 @@ class FtContext:
     #: replica group (built by the proxy when ``policy.ft_mode`` selects
     #: a replication mode; None on the paper's checkpoint path).
     group: Optional[object] = None
+    #: encode / skip / delta / pipeline machinery and its counters (built by
+    #: the proxy, which knows the host the background persists run on).
+    shipper: Optional[StateShipper] = None
     # runtime counters
     calls: int = 0
     checkpoints_taken: int = 0
     retries: int = 0
     _calls_since_checkpoint: int = 0
-    _versions: itertools.count = field(default_factory=lambda: itertools.count(1))
     #: degraded mode: ``(version, state)`` checkpoints captured while the
     #: storage service was unreachable, oldest first.  Flushed (in order)
     #: the next time the store answers; recovery restores from the newest
@@ -112,43 +101,15 @@ class FtContext:
     buffered_checkpoints: list = field(default_factory=list)
     checkpoints_buffered: int = 0
     checkpoints_flushed: int = 0
-    #: pipelined mode: captures whose store round-trip is still running,
-    #: oldest first (persists are FIFO-chained, so they also *finish* in
-    #: this order).
-    inflight_checkpoints: list = field(default_factory=list)
-    pipeline_stalls: int = 0
-    pipeline_peak_depth: int = 0
-    #: delta-mode counters: stores skipped outright (state unchanged),
-    #: deltas vs. full snapshots shipped, and deltas the store rejected
-    #: (``BadDeltaBase`` → resent as fulls).
-    checkpoints_skipped: int = 0
-    deltas_sent: int = 0
-    fulls_sent: int = 0
-    delta_fallbacks: int = 0
-    #: encoded payload bytes shipped to the store (delta mode).
-    checkpoint_bytes_shipped: int = 0
     #: pipelined + ``on_checkpoint_failure="raise"``: a background persist
     #: failure parks here and fails the *next* wrapped call (the one it
     #: belonged to was already acknowledged).
     _pipeline_error: Optional[BaseException] = None
-    # delta/skip base: the last state whose persist was handed to the
-    # store, its content digest and version.  Reset on persist failure so
-    # a skip or delta never references content the store lost.
-    _last_state: Optional[object] = None
-    _last_digest: Optional[str] = None
-    _last_version: int = 0
-    _deltas_since_full: int = 0
-    _encode_memo: AnyEncodeMemo = field(default_factory=AnyEncodeMemo)
 
     @property
     def degraded(self) -> bool:
         """True while checkpoints are parked client-side."""
         return bool(self.buffered_checkpoints)
-
-    @property
-    def pipeline_depth(self) -> int:
-        """Stores currently in flight (pipelined mode)."""
-        return len(self.inflight_checkpoints)
 
     def latest_buffered(self):
         """Newest buffered ``(version, state)`` or None."""
@@ -171,32 +132,70 @@ class _FtProxyBase:
         ObjectStub.__init__(self, orb, ior)
         self._ft = ft
         self._ft_lock = Lock(orb.sim, name=f"ft:{ft.key}")
-        if ft.policy.ft_mode != "checkpoint" and ft.group is None:
+        policy = ft.policy
+        metrics, key = orb.sim.obs.metrics, ft.key
+
+        def export(counter: str, amount: int, **labels) -> None:
+            # Closes over the registry and the key only: a reference back to
+            # the proxy or its context would tie the whole runtime into a
+            # cycle that only the cyclic collector frees.
+            metrics.counter(_SHIP_SERIES[counter], service=key, **labels).inc(amount)
+
+        # The paper path (no deltas) leaves all marshalling to the stub
+        # layer: no digest, no skip, every checkpoint a full store.
+        ft.shipper = StateShipper(
+            orb.host,
+            f"ft-persist:{ft.key}",
+            depth=policy.checkpoint_pipeline_depth,
+            digests=policy.checkpoint_deltas,
+            deltas=policy.checkpoint_deltas,
+            full_interval=policy.checkpoint_full_interval,
+            on_count=export,
+        )
+        if policy.ft_mode != "checkpoint" and ft.group is None:
             from repro.ft.replication import build_group
 
             ft.group = build_group(self)
 
     # -- the wrapped invocation path ------------------------------------------------
 
-    def _ft_call(self, operation: str, args: tuple) -> "SimFuture":
+    def _locked_task(self, name: str, label: str, body) -> "SimFuture":
+        """Run ``body(outer)`` (a generator) in its own process under the
+        proxy lock and return ``outer``: failed with whatever escapes the
+        body, resolved with None once it returns unless the body settled it
+        first.  Every entry point of the proxy — wrapped calls, DII
+        requests, manual controls — goes through here."""
         orb = self._orb
-        outer = orb.sim.future(label=f"ft:{operation}")
-        process = orb.host.spawn(
-            self._ft_call_proc(operation, args, outer), name=f"ft:{operation}"
-        )
+        outer = orb.sim.future(label=label)
+
+        def run():
+            yield self._ft_lock.acquire()
+            try:
+                yield from body(outer)
+            finally:
+                self._ft_lock.release()
+            outer.try_succeed(None)
+
+        process = orb.host.spawn(run(), name=name)
         process.add_done_callback(
             lambda p: outer.try_fail(p.exception) if p.failed else None
         )
         return outer
 
-    def _ft_call_proc(self, operation: str, args: tuple, outer):
-        yield self._ft_lock.acquire()
-        try:
-            yield from self._ft_call_locked(operation, args, outer)
-        finally:
-            self._ft_lock.release()
+    def _ft_call(self, operation: str, args: tuple) -> "SimFuture":
+        return self._locked_task(
+            f"ft:{operation}",
+            f"ft:{operation}",
+            lambda outer: self._ft_call_locked(operation, args, outer),
+        )
 
-    def _ft_call_locked(self, operation: str, args: tuple, outer):
+    def _ft_call_locked(
+        self, operation: str, args: tuple, outer, issue=None, dii=False
+    ):
+        """Generator: one logical call under the proxy lock — Fig. 2's
+        object-proxy *and* request-proxy path.  ``issue()`` starts one
+        attempt and returns its reply future (default: the static stub
+        invocation; a request proxy passes a fresh DII Request)."""
         ft = self._ft
         policy = ft.policy
         obs = self._orb.sim.obs
@@ -207,6 +206,8 @@ class _FtProxyBase:
         with obs.tracer.span(
             f"ft:{operation}", host=self._orb.host.name, service=ft.key
         ) as span:
+            if dii:
+                span.set_attr("dii", True)
             if ft.group is not None:
                 # Replication modes: the group owns retry, failover and
                 # state transfer; no checkpoint store is involved.
@@ -224,7 +225,11 @@ class _FtProxyBase:
                 return
             while True:
                 try:
-                    result = yield ObjectStub._invoke(self, operation, args)
+                    result = yield (
+                        issue()
+                        if issue is not None
+                        else ObjectStub._invoke(self, operation, args)
+                    )
                     break
                 except RECOVERABLE as exc:
                     attempts += 1
@@ -255,9 +260,6 @@ class _FtProxyBase:
 
     def _after_success(self, span, outer, result):
         """Generator: post-success bookkeeping plus the checkpoint step.
-
-        Shared by the wrapped-stub path and the DII request-proxy path so
-        the ``on_checkpoint_failure`` policy cannot diverge between them.
         Settles ``outer`` — in pipelined mode *before* the checkpoint work,
         otherwise after it (or fails it, per ``on_checkpoint_failure``).
         """
@@ -307,19 +309,19 @@ class _FtProxyBase:
         ft = self._ft
         obs = self._orb.sim.obs
         started = self._orb.sim.now
-        yield from self._drain_pipeline()
+        yield from ft.shipper.drain()
         with obs.tracer.span(
             "ft:checkpoint", host=self._orb.host.name, service=ft.key
         ):
             state = yield ObjectStub._invoke(self, "get_checkpoint", ())
-            pending = self._prepare_checkpoint(state)
-            if pending is None:
+            shipment = ft.shipper.prepare(state, incremental=not ft.degraded)
+            if shipment is None:
                 ft._calls_since_checkpoint = 0
                 return
             if ft.policy.on_checkpoint_failure == "degraded":
-                yield from self._store_or_buffer(pending)
+                yield from self._store_or_buffer(shipment)
             else:
-                yield from self._store_pending(pending)
+                yield from self._store(shipment)
         ft.checkpoints_taken += 1
         ft._calls_since_checkpoint = 0
         obs.metrics.counter("ft_checkpoints_total", service=ft.key).inc()
@@ -329,24 +331,16 @@ class _FtProxyBase:
 
     def _checkpoint_pipelined(self):
         """Pipelined step 3: capture the state under the proxy lock, then
-        hand the store round-trip to a background process.
-
-        The in-flight window is bounded: once ``checkpoint_pipeline_depth``
-        stores are outstanding, the *capture* stalls (which in turn stalls
-        the next call on this proxy — backpressure, not unbounded queueing).
-        Persists are FIFO-chained on the previous persist's future so
-        versions arrive at the store in order.
+        hand the store round-trip to the shipper's background window
+        (bounded by ``checkpoint_pipeline_depth``: once it is full the
+        *capture* stalls, which in turn stalls the next call on this proxy;
+        FIFO-chained, so versions arrive at the store in order).
         """
         ft = self._ft
-        policy = ft.policy
         orb = self._orb
         obs = orb.sim.obs
-        while len(ft.inflight_checkpoints) >= policy.checkpoint_pipeline_depth:
-            ft.pipeline_stalls += 1
-            obs.metrics.counter(
-                "ft_pipeline_stalls_total", service=ft.key
-            ).inc()
-            yield ft.inflight_checkpoints[0].future
+        shipper = ft.shipper
+        yield from shipper.wait_for_slot()
         started = orb.sim.now
         with obs.tracer.span(
             "ft:checkpoint", host=orb.host.name, service=ft.key
@@ -358,62 +352,38 @@ class _FtProxyBase:
                 return
             # analysis: atomic-begin(pipelined-capture)
             # Capture-to-enqueue must not yield: a second call's capture
-            # interleaving between reading the FIFO tail and appending would
+            # interleaving between version assignment and the enqueue would
             # break the version ordering the store relies on.
-            pending = self._prepare_checkpoint(state)
+            shipment = shipper.prepare(state, incremental=not ft.degraded)
         ft._calls_since_checkpoint = 0
-        if pending is None:
+        if shipment is None:
             return
-        pending.future = orb.sim.future(
-            label=f"ft-persist:{ft.key}:{pending.version}"
-        )
-        prev = (
-            ft.inflight_checkpoints[-1].future
-            if ft.inflight_checkpoints
-            else None
-        )
-        ft.inflight_checkpoints.append(pending)
-        depth = len(ft.inflight_checkpoints)
-        ft.pipeline_peak_depth = max(ft.pipeline_peak_depth, depth)
-        obs.metrics.gauge(
-            "ft_checkpoint_pipeline_depth", service=ft.key
-        ).set(depth)
+        gauge = obs.metrics.gauge("ft_checkpoint_pipeline_depth", service=ft.key)
+
+        def settled():
+            gauge.set(len(shipper.inflight))
+            obs.metrics.histogram(
+                "ft_checkpoint_seconds", service=ft.key
+            ).observe(orb.sim.now - started)
+
+        shipper.enqueue(shipment, self._persist_pipelined, settled)
+        # analysis: atomic-end(pipelined-capture)
+        gauge.set(len(shipper.inflight))
         ft.checkpoints_taken += 1
         obs.metrics.counter("ft_checkpoints_total", service=ft.key).inc()
-        orb.host.spawn(
-            self._persist_pipelined(pending, prev, started),
-            name=f"ft-persist:{ft.key}",
-        )  # analysis: atomic-end(pipelined-capture)
 
-    def _persist_pipelined(self, pending, prev_future, started):
+    def _persist_pipelined(self, shipment: Shipment):
         """Background half of a pipelined checkpoint.  Never lets an
         exception escape (the call it belongs to was already acknowledged):
         degraded mode buffers, raise mode parks the error for the next
-        call, ignore mode traces.  Always resolves ``pending.future``."""
-        ft = self._ft
-        obs = self._orb.sim.obs
+        call, ignore mode traces."""
+        if self._ft.policy.on_checkpoint_failure == "degraded":
+            yield from self._store_or_buffer(shipment)
+            return
         try:
-            if prev_future is not None:
-                yield prev_future
-            if ft.policy.on_checkpoint_failure == "degraded":
-                yield from self._store_or_buffer(pending)
-            else:
-                try:
-                    yield from self._store_pending(pending)
-                except Exception as exc:  # noqa: BLE001 - policy decides
-                    self._note_persist_failure(exc)
-        finally:
-            try:
-                ft.inflight_checkpoints.remove(pending)
-            except ValueError:
-                pass
-            obs.metrics.gauge(
-                "ft_checkpoint_pipeline_depth", service=ft.key
-            ).set(len(ft.inflight_checkpoints))
-            obs.metrics.histogram(
-                "ft_checkpoint_seconds", service=ft.key
-            ).observe(self._orb.sim.now - started)
-            pending.future.try_succeed(None)
+            yield from self._store(shipment)
+        except Exception as exc:  # noqa: BLE001 - policy decides
+            self._note_persist_failure(exc)
 
     def _note_persist_failure(self, exc) -> None:
         ft = self._ft
@@ -426,103 +396,32 @@ class _FtProxyBase:
             error=type(exc).__name__,
         )
 
-    # analysis: atomic: version assignment + delta-base bookkeeping must be one indivisible step
-    def _prepare_checkpoint(self, state) -> Optional[_PendingCheckpoint]:
-        """Assign a version and (in delta mode) decide *what* to ship.
-
-        Returns None when the state's content hash matches the last one the
-        store received — nothing to do.  The skip and the delta path are
-        both disabled while checkpoints are buffered client-side: with the
-        store's latest version unknown, only full states are safe.
-        """
+    def _store(self, shipment: Shipment):
+        """Ship one prepared checkpoint to the store (sink: delta base =
+        version).  On failure, forget the delta/skip base — its content
+        never reached the store — and re-raise."""
         ft = self._ft
-        policy = ft.policy
-        obs = self._orb.sim.obs
-        if not policy.checkpoint_deltas:
-            return _PendingCheckpoint(version=next(ft._versions), state=state)
-        data = ft._encode_memo.encode(state)
-        digest = state_digest(data)
-        if digest == ft._last_digest and not ft.buffered_checkpoints:
-            ft.checkpoints_skipped += 1
-            obs.metrics.counter(
-                "ft_checkpoints_skipped_total", service=ft.key
-            ).inc()
-            return None
-        version = next(ft._versions)
-        pending = _PendingCheckpoint(version=version, state=state, data=data)
-        if (
-            ft._last_state is not None
-            and not ft.buffered_checkpoints
-            and ft._deltas_since_full < policy.checkpoint_full_interval - 1
-        ):
-            delta = compute_delta(ft._last_state, state)
-            if delta is not None:
-                delta_data = encode_any(delta)
-                if len(delta_data) < len(data):
-                    pending.delta = delta
-                    pending.delta_bytes = len(delta_data)
-                    pending.base_version = ft._last_version
-        ft._deltas_since_full = (
-            ft._deltas_since_full + 1 if pending.delta is not None else 0
-        )
-        ft._last_state = state
-        ft._last_digest = digest
-        ft._last_version = version
-        return pending
-
-    def _store_pending(self, pending: _PendingCheckpoint):
-        """Ship one prepared checkpoint: the delta if we have one (falling
-        back to a full store when the server rejects its base), otherwise
-        the full state.  On failure, forget the delta/skip base — its
-        content never reached the store — and re-raise."""
-        ft = self._ft
-        obs = self._orb.sim.obs
         try:
-            if pending.delta is not None:
-                try:
-                    yield ft.store.store_delta(
-                        ft.key,
-                        pending.base_version,
-                        pending.version,
-                        pending.delta,
-                    )
-                except BadDeltaBase:
-                    ft.delta_fallbacks += 1
-                    obs.metrics.counter(
-                        "ft_checkpoint_delta_fallbacks_total", service=ft.key
-                    ).inc()
-                else:
-                    ft.deltas_sent += 1
-                    ft.checkpoint_bytes_shipped += pending.delta_bytes
-                    obs.metrics.counter(
-                        "ft_checkpoint_deltas_total", service=ft.key
-                    ).inc()
-                    obs.metrics.counter(
-                        "ft_checkpoint_bytes_total", service=ft.key, kind="delta"
-                    ).inc(pending.delta_bytes)
-                    return
-            yield ft.store.store(ft.key, pending.version, pending.state)
-            ft.fulls_sent += 1
-            obs.metrics.counter(
-                "ft_checkpoint_fulls_total", service=ft.key
-            ).inc()
-            if pending.data is not None:
-                ft.checkpoint_bytes_shipped += len(pending.data)
-                obs.metrics.counter(
-                    "ft_checkpoint_bytes_total", service=ft.key, kind="full"
-                ).inc(len(pending.data))
+            yield from ft.shipper.deliver(
+                shipment,
+                partial(ft.store.store, ft.key, shipment.version, shipment.state),
+                partial(
+                    ft.store.store_delta,
+                    ft.key,
+                    shipment.base_version,
+                    shipment.version,
+                    shipment.delta,
+                ),
+            )
         except Exception:
-            ft._last_state = None
-            ft._last_digest = None
+            ft.shipper.forget_base()
             raise
 
-    def _store_or_buffer(self, pending: _PendingCheckpoint):
+    def _store_or_buffer(self, shipment: Shipment):
         """Degraded-mode store: flush any buffered checkpoints, then store
         the new one; on a storage failure, park it client-side (the call it
         belongs to has already succeeded — losing the *call* to a storage
         outage would invert the fault-tolerance guarantee)."""
-        from repro.errors import SystemException
-
         ft = self._ft
         obs = self._orb.sim.obs
         was_degraded = ft.degraded
@@ -535,10 +434,10 @@ class _FtProxyBase:
                 obs.metrics.counter(
                     "ft_checkpoints_flushed_total", service=ft.key
                 ).inc()
-            yield from self._store_pending(pending)
+            yield from self._store(shipment)
         # analysis: ignore[EXC003]: buffering IS the degraded-mode handling — the flush loop retries on the next checkpoint
         except SystemException as exc:
-            ft.buffered_checkpoints.append((pending.version, pending.state))
+            ft.buffered_checkpoints.append((shipment.version, shipment.state))
             del ft.buffered_checkpoints[: -ft.policy.checkpoint_buffer_limit]
             ft.checkpoints_buffered += 1
             obs.metrics.counter(
@@ -548,7 +447,7 @@ class _FtProxyBase:
                 "ft",
                 "checkpoint buffered (store unreachable)",
                 service=ft.key,
-                version=pending.version,
+                version=shipment.version,
                 error=type(exc).__name__,
             )
         else:
@@ -560,77 +459,38 @@ class _FtProxyBase:
             "ft_checkpoint_buffer_depth", service=ft.key
         ).set(len(ft.buffered_checkpoints))
 
-    def _drain_pipeline(self):
-        """Generator: wait until no pipelined persists are in flight.
-        Callers hold the proxy lock, so no new captures can slip in."""
-        ft = self._ft
-        while ft.inflight_checkpoints:
-            yield ft.inflight_checkpoints[-1].future
-
     # -- manual controls (used by migration and tests) ----------------------------------
 
     def provision_now(self) -> "SimFuture":
         """Provision the replica group eagerly (replication modes) instead
         of on the first wrapped call.  A no-op in checkpoint mode."""
-        orb = self._orb
-        outer = orb.sim.future(label=f"ft-provision:{self._ft.key}")
-
-        def run():
-            yield self._ft_lock.acquire()
-            try:
-                if self._ft.group is not None:
-                    yield from self._ft.group.ensure_provisioned()
-            finally:
-                self._ft_lock.release()
-            outer.try_succeed(None)
-
-        process = orb.host.spawn(run(), name="ft-provision")
-        process.add_done_callback(
-            lambda p: outer.try_fail(p.exception) if p.failed else None
+        group = self._ft.group
+        return self._locked_task(
+            "ft-provision",
+            f"ft-provision:{self._ft.key}",
+            lambda outer: group.ensure_provisioned() if group is not None else (),
         )
-        return outer
 
     def checkpoint_now(self) -> "SimFuture":
         """Force an immediate synchronous checkpoint of the current server
         state (in pipelined mode, after draining in-flight stores)."""
-        orb = self._orb
-        outer = orb.sim.future(label=f"ft-checkpoint:{self._ft.key}")
-
-        def run():
-            yield self._ft_lock.acquire()
-            try:
-                yield from self._take_checkpoint()
-            finally:
-                self._ft_lock.release()
-            outer.try_succeed(None)
-
-        process = orb.host.spawn(run(), name="ft-checkpoint")
-        process.add_done_callback(
-            lambda p: outer.try_fail(p.exception) if p.failed else None
+        return self._locked_task(
+            "ft-checkpoint",
+            f"ft-checkpoint:{self._ft.key}",
+            lambda outer: self._take_checkpoint(),
         )
-        return outer
 
     def drain_checkpoints(self) -> "SimFuture":
-        """Wait until every pipelined checkpoint store has settled (stored,
-        buffered, or noted as failed).  A no-op in sync mode."""
-        orb = self._orb
-        outer = orb.sim.future(label=f"ft-drain:{self._ft.key}")
+        """Wait until every pipelined state shipment has settled (stored,
+        buffered, acked by the standbys, or noted as failed).  A no-op in
+        sync mode."""
 
-        def run():
-            yield self._ft_lock.acquire()
-            try:
-                yield from self._drain_pipeline()
-                if self._ft.group is not None:
-                    yield from self._ft.group.drain()
-            finally:
-                self._ft_lock.release()
-            outer.try_succeed(None)
+        def drain(outer):
+            yield from self._ft.shipper.drain()
+            if self._ft.group is not None:
+                yield from self._ft.group.drain()
 
-        process = orb.host.spawn(run(), name="ft-drain")
-        process.add_done_callback(
-            lambda p: outer.try_fail(p.exception) if p.failed else None
-        )
-        return outer
+        return self._locked_task("ft-drain", f"ft-drain:{self._ft.key}", drain)
 
 
 def make_ft_proxy(stub_class: type, name: Optional[str] = None) -> type:

@@ -31,9 +31,9 @@ from repro.errors import (
     TRANSIENT,
 )
 from repro.ft.breaker import HostBreakerRegistry
+from repro.ft.checkpointable import CheckpointableStub
 from repro.ft.factory import ObjectFactoryStub, UnknownType
 from repro.ft.policy import FtPolicy
-from repro.orb.stubs import ObjectStub
 from repro.services.checkpoint import NoCheckpoint
 from repro.services.naming import idl as naming_idl
 from repro.services.naming.names import to_name
@@ -51,6 +51,8 @@ RECOVERABLE = (COMM_FAILURE, OBJECT_NOT_EXIST, TRANSIENT, TIMEOUT)
 #: TRANSIENT may come from a backend service, e.g. the checkpoint store
 #: during an outage, and must not trip the target host's breaker).
 HOST_BLAMING = (COMM_FAILURE, OBJECT_NOT_EXIST, TIMEOUT)
+
+RESTORE_FROM = CheckpointableStub.__operations__["restore_from"]
 
 
 class RecoveryCoordinator:
@@ -107,7 +109,7 @@ class RecoveryCoordinator:
         # The failing call holds the proxy lock, so no new captures can
         # start; persists that fail against a down store land in the
         # degraded buffer, which _restore already prefers when newer.
-        yield from proxy._drain_pipeline()
+        yield from context.shipper.drain()
         inflight = self._inflight.get(context.key)
         if inflight is not None:
             self.coalesced += 1
@@ -190,45 +192,21 @@ class RecoveryCoordinator:
                 raise RecoveryError(
                     f"factory group {self.factory_group!r} is not bound"
                 ) from exc
-            if self.breakers is not None and not self.breakers.allow(
-                factory_ior.host
-            ):
-                # Breaker open for the offered host: skip the doomed round
-                # trip (counts as an attempt so a fully blacklisted group
-                # still terminates).
-                self.breaker_skips += 1
-                sim.obs.metrics.counter(
-                    "ft_recovery_breaker_skips_total", host=factory_ior.host
-                ).inc()
-                last_error = RecoveryError(
+            new_ior, error = yield from self._create_on(
+                factory_ior, "create", context.type_name
+            )
+            if new_ior is None:
+                # A breaker skip counts as an attempt, so a fully
+                # blacklisted group still terminates.
+                last_error = error or RecoveryError(
                     f"circuit breaker open for host {factory_ior.host}"
                 )
                 continue
-            factory = self.orb.stub(factory_ior, ObjectFactoryStub)
-            try:
-                new_ior = yield factory.create(context.type_name)
-            except UnknownType as exc:
-                raise RecoveryError(
-                    f"no factory knows type {context.type_name!r}"
-                ) from exc
-            except RECOVERABLE as exc:
-                # That factory host is dead too: drop it from the group so
-                # the naming service stops offering it, then try again.
-                last_error = exc
-                self.factory_failures += 1
-                if self.breakers is not None and isinstance(exc, HOST_BLAMING):
-                    self.breakers.record_failure(factory_ior.host)
-                yield from self._drop_replica(self.factory_group, factory_ior)
-                continue
-            if self.breakers is not None:
-                self.breakers.record_success(factory_ior.host)
-
             try:
                 yield from self._restore(context, new_ior)
             except RECOVERABLE as exc:
                 last_error = exc
-                if self.breakers is not None and isinstance(exc, HOST_BLAMING):
-                    self.breakers.record_failure(new_ior.host)
+                self._blame(new_ior.host, exc)
                 continue  # new host died during restore; start over
 
             yield from self._swap_group_binding(context, dead_ior, new_ior)
@@ -300,53 +278,20 @@ class RecoveryCoordinator:
                 ior for ior in factories if ior.host not in exclude_hosts
             ]
             for factory_ior in preferred or list(factories):
-                if self.breakers is not None and not self.breakers.allow(
-                    factory_ior.host
-                ):
-                    self.breaker_skips += 1
-                    sim.obs.metrics.counter(
-                        "ft_recovery_breaker_skips_total",
-                        host=factory_ior.host,
-                    ).inc()
+                member_ior, error = yield from self._create_on(
+                    factory_ior, "create_member", context.type_name, group_id
+                )
+                if member_ior is None:
+                    last_error = error or last_error
                     continue
-                factory = self.orb.stub(factory_ior, ObjectFactoryStub)
-                try:
-                    member_ior = yield factory.create_member(
-                        context.type_name, group_id
-                    )
-                except UnknownType as exc:
-                    raise RecoveryError(
-                        f"no factory knows type {context.type_name!r}"
-                    ) from exc
-                except RECOVERABLE as exc:
-                    last_error = exc
-                    self.factory_failures += 1
-                    if self.breakers is not None and isinstance(
-                        exc, HOST_BLAMING
-                    ):
-                        self.breakers.record_failure(factory_ior.host)
-                    yield from self._drop_replica(
-                        self.factory_group, factory_ior
-                    )
-                    continue
-                if self.breakers is not None:
-                    self.breakers.record_success(factory_ior.host)
                 if seed_state is not None:
-                    from repro.ft.checkpointable import CheckpointableStub
-
-                    restore_info = CheckpointableStub.__operations__[
-                        "restore_from"
-                    ]
                     try:
                         yield self.orb.invoke(
-                            member_ior, restore_info, (seed_state,)
+                            member_ior, RESTORE_FROM, (seed_state,)
                         )
                     except RECOVERABLE as exc:
                         last_error = exc
-                        if self.breakers is not None and isinstance(
-                            exc, HOST_BLAMING
-                        ):
-                            self.breakers.record_failure(member_ior.host)
+                        self._blame(member_ior.host, exc)
                         continue
                 self.replica_provisions += 1
                 sim.obs.metrics.counter(
@@ -369,6 +314,43 @@ class RecoveryCoordinator:
         return None
 
     # -- steps -------------------------------------------------------------------
+
+    def _create_on(self, factory_ior, operation: str, type_name: str, *args):
+        """Generator: one attempt at one factory host — breaker gate →
+        ``create`` / ``create_member`` → blame, drop or record.  Returns
+        ``(new_ior, None)``, ``(None, error)`` when the factory host is dead
+        too, or ``(None, None)`` when its breaker is open (the doomed round
+        trip is skipped)."""
+        host = factory_ior.host
+        if self.breakers is not None and not self.breakers.allow(host):
+            self.breaker_skips += 1
+            self.orb.sim.obs.metrics.counter(
+                "ft_recovery_breaker_skips_total", host=host
+            ).inc()
+            return None, None
+        factory = self.orb.stub(factory_ior, ObjectFactoryStub)
+        try:
+            new_ior = yield getattr(factory, operation)(type_name, *args)
+        except UnknownType as exc:
+            raise RecoveryError(
+                f"no factory knows type {type_name!r}"
+            ) from exc
+        except RECOVERABLE as exc:
+            # Drop the dead factory from the group so the naming service
+            # stops offering it; the caller tries again elsewhere.
+            self.factory_failures += 1
+            self._blame(host, exc)
+            yield from self._drop_replica(self.factory_group, factory_ior)
+            return None, exc
+        if self.breakers is not None:
+            self.breakers.record_success(host)
+        return new_ior, None
+
+    def _blame(self, host: str, exc: BaseException) -> None:
+        """Feed the host's breaker — only for failures that clearly blame
+        the target host (see :data:`HOST_BLAMING`)."""
+        if self.breakers is not None and isinstance(exc, HOST_BLAMING):
+            self.breakers.record_failure(host)
 
     def _restore(self, context, new_ior):
         """Restore the newest checkpoint onto ``new_ior``.
@@ -402,10 +384,7 @@ class RecoveryCoordinator:
                 if buffered is None:
                     raise  # store down and nothing buffered: cannot restore
                 state = buffered[1]
-        from repro.ft.checkpointable import CheckpointableStub
-
-        restore_info = CheckpointableStub.__operations__["restore_from"]
-        yield self.orb.invoke(new_ior, restore_info, (state,))
+        yield self.orb.invoke(new_ior, RESTORE_FROM, (state,))
 
     def _drop_replica(self, group_name, dead_ior):
         try:

@@ -54,13 +54,15 @@ class ReplicatedCheckpointStore:
     # -- the CheckpointStore call surface -------------------------------------
 
     def store(self, key: str, version: int, state) -> "SimFuture":
-        return self._spawn(self._store_proc(key, version, state), "rstore:store")
+        return self._spawn(
+            self._write_proc("store", (key, version, state)), "rstore:store"
+        )
 
     def store_delta(
         self, key: str, base_version: int, version: int, delta
     ) -> "SimFuture":
         return self._spawn(
-            self._store_delta_proc(key, base_version, version, delta),
+            self._write_proc("store_delta", (key, base_version, version, delta)),
             "rstore:store_delta",
         )
 
@@ -87,37 +89,14 @@ class ReplicatedCheckpointStore:
         process.add_done_callback(propagate)
         return outer
 
-    def _store_proc(self, key: str, version: int, state):
-        futures = [stub.store(key, version, state) for stub in self._stubs]
-        successes = 0
-        last_error: BaseException | None = None
-        for future in futures:
-            try:
-                yield future
-                successes += 1
-            except SystemException as exc:
-                last_error = exc
-        self.writes += 1
-        if successes < len(self._stubs):
-            self.degraded_writes += 1
-        if successes < self.write_quorum:
-            raise RecoveryError(
-                f"checkpoint write quorum not met ({successes}/"
-                f"{self.write_quorum} of {len(self._stubs)})"
-            ) from last_error
-        return None
-
-    def _store_delta_proc(self, key: str, base_version: int, version: int, delta):
-        """Fan a delta out to every replica.  Any ``BadDeltaBase`` answer
-        propagates: one replica missing the base means the client must fall
-        back to a full store, which re-converges *all* replicas (a replica
-        that already committed the delta just records the same version
-        twice — ``read_latest`` takes the newest record, so that's
-        harmless)."""
-        futures = [
-            stub.store_delta(key, base_version, version, delta)
-            for stub in self._stubs
-        ]
+    def _write_proc(self, operation: str, args: tuple):
+        """Fan one write out to every replica (all are attempted, a quorum
+        must succeed).  Any ``BadDeltaBase`` answer to a delta propagates:
+        one replica missing the base means the client must fall back to a
+        full store, which re-converges *all* replicas (a replica that
+        already committed the delta just records the same version twice —
+        ``read_latest`` takes the newest record, so that's harmless)."""
+        futures = [getattr(stub, operation)(*args) for stub in self._stubs]
         successes = 0
         last_error: BaseException | None = None
         bad_base: BadDeltaBase | None = None
@@ -136,7 +115,7 @@ class ReplicatedCheckpointStore:
             self.degraded_writes += 1
         if successes < self.write_quorum:
             raise RecoveryError(
-                f"checkpoint delta write quorum not met ({successes}/"
+                f"checkpoint {operation} quorum not met ({successes}/"
                 f"{self.write_quorum} of {len(self._stubs)})"
             ) from last_error
         return None

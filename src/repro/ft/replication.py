@@ -11,8 +11,9 @@ not as bench mock-ups but as proxy-integrated replication modes selected
 by :class:`~repro.ft.policy.FtPolicy.ft_mode`:
 
 * **warm-passive** (:class:`WarmPassiveGroup`) — the primary executes,
-  its post-call state is shipped to warm standbys (reusing the delta /
-  pipelined machinery of the checkpoint fast path); on a failed call or
+  its post-call state is shipped to warm standbys (by the same
+  :class:`~repro.ft.shipping.StateShipper` the checkpoint path uses, with
+  the standbys as sinks); on a failed call or
   a FailureDetector suspicion a standby is *promoted* without any
   checkpoint-store round trip.
 * **active** (:class:`ActiveGroup`) — every replica executes every call;
@@ -30,7 +31,7 @@ request its lineage has already seen.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from functools import partial
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import (
@@ -41,14 +42,10 @@ from repro.errors import (
 from repro.ft.checkpointable import CHECKPOINT_OPERATIONS, CheckpointableStub
 from repro.ft.detector import FailureDetector
 from repro.ft.recovery import RECOVERABLE
-from repro.orb.cdr import AnyEncodeMemo, encode_any
+from repro.ft.shipping import Shipment, StateShipper
+from repro.orb.cdr import encode_any
 from repro.orb.core import Servant
-from repro.services.checkpoint import (
-    BadDeltaBase,
-    apply_delta,
-    compute_delta,
-    state_digest,
-)
+from repro.services.checkpoint import BadDeltaBase, apply_delta, state_digest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.orb.ior import IOR
@@ -277,19 +274,6 @@ class _Member:
         self.acked_digest = acked_digest
 
 
-@dataclass
-class _PendingShip:
-    """One captured state waiting to reach the standbys."""
-
-    payload: dict
-    digest: str
-    data_len: int
-    delta: Optional[dict] = None
-    delta_bytes: int = 0
-    base_digest: Optional[str] = None
-    future: Optional["SimFuture"] = None
-
-
 class ReplicaGroup:
     """Client-side replica-group machinery shared by both modes.
 
@@ -321,22 +305,22 @@ class ReplicaGroup:
         self.retired: list[tuple["IOR", float, int]] = []
         self.provisioned = False
         self._request_seq = 0
-        self._encode_memo = AnyEncodeMemo()
-        #: newest captured member-state envelope — promotion sync and
-        #: replacement seeding use it instead of any checkpoint store.
-        self._last_payload: Optional[dict] = None
-        self._last_digest: Optional[str] = None
+        #: ships member-state envelopes to the standbys (warm-passive) and
+        #: holds the newest one (``last_state`` / ``last_digest``) — promotion
+        #: sync and replacement seeding use it instead of any checkpoint
+        #: store.  Its counters are the group's shipping counters.
+        self.shipper = StateShipper(
+            self._orb.host,
+            f"ft-ship:{ft.key}",
+            depth=ft.policy.checkpoint_pipeline_depth,
+            deltas=ft.policy.checkpoint_deltas,
+        )
         self._detector: Optional[FailureDetector] = None
         self._replacing = False
         # counters (surfaced through runtime_report's replication section)
         self.calls = 0
         self.promotions = 0
         self.lead_changes = 0
-        self.state_ships_full = 0
-        self.state_ships_delta = 0
-        self.ship_skips = 0
-        self.ship_bytes = 0
-        self.delta_fallbacks = 0
         self.replacements = 0
         self.replacement_failures = 0
         self.votes = 0
@@ -412,9 +396,9 @@ class ReplicaGroup:
                     f" {len(self.members)} member(s) could be created"
                 )
             exclude.add(member_ior.host)
-            # analysis: ignore[RACE004]: group dispatch enters via ft.group.call inside FtContext._ft_call_proc, which holds the proxy's _ft_lock for the whole call; the attribute dispatch hides that lock from the lockset inference
+            # analysis: ignore[RACE004]: group dispatch enters via ft.group.call inside _FtProxyBase._locked_task, which holds the proxy's _ft_lock for the whole call; the attribute dispatch hides that lock from the lockset inference
             self.members.append(_Member(member_ior))
-        # analysis: ignore[RACE002]: the provisioned latch is read and flipped under the proxy's _ft_lock held by FtContext._ft_call_proc across the whole group dispatch; no second process can enter this window
+        # analysis: ignore[RACE002]: the provisioned latch is read and flipped under the proxy's _ft_lock held by _FtProxyBase._locked_task across the whole group dispatch; no second process can enter this window
         self.provisioned = True
         lead = self.members[0].ior
         yield from self._recovery._swap_group_binding(self._ft, origin, lead)
@@ -501,7 +485,7 @@ class ReplicaGroup:
     def _capture_seed(self):
         """Generator: payload to seed a replacement member with."""
         yield from ()
-        return self._last_payload
+        return self.shipper.last_state
 
     def _replace_now(self):
         """Generator: re-provision up to ``replication_factor`` (lock
@@ -524,11 +508,11 @@ class ReplicaGroup:
                 )
                 return
             acked = (
-                self._last_digest
-                if seed is not None and seed is self._last_payload
+                self.shipper.last_digest
+                if seed is not None and seed is self.shipper.last_state
                 else None
             )
-            # analysis: ignore[RACE004]: every caller holds the proxy's _ft_lock — _replace_bg and _finish_round acquire it explicitly, and the group.call entries run under FtContext._ft_call_proc's hold; the analysis cannot follow the ft.group.call attribute dispatch
+            # analysis: ignore[RACE004]: every caller holds the proxy's _ft_lock — _replace_bg and _finish_round acquire it explicitly, and the group.call entries run under _FtProxyBase._locked_task's hold; the analysis cannot follow the ft.group.call attribute dispatch
             self.members.append(_Member(member_ior, acked_digest=acked))
             self.replacements += 1
             self._orb.sim.obs.metrics.counter(
@@ -575,6 +559,7 @@ class ReplicaGroup:
         yield from ()
 
     def snapshot(self) -> dict:
+        shipper = self.shipper
         return {
             "mode": self.mode,
             "group": self.group_id,
@@ -584,11 +569,11 @@ class ReplicaGroup:
             "calls": self.calls,
             "promotions": self.promotions,
             "lead_changes": self.lead_changes,
-            "state_ships_full": self.state_ships_full,
-            "state_ships_delta": self.state_ships_delta,
-            "ship_skips": self.ship_skips,
-            "ship_bytes": self.ship_bytes,
-            "delta_fallbacks": self.delta_fallbacks,
+            "state_ships_full": shipper.fulls,
+            "state_ships_delta": shipper.deltas,
+            "ship_skips": shipper.skipped,
+            "ship_bytes": shipper.bytes,
+            "delta_fallbacks": shipper.fallbacks,
             "replacements": self.replacements,
             "replacement_failures": self.replacement_failures,
             "votes": self.votes,
@@ -602,23 +587,16 @@ class WarmPassiveGroup(ReplicaGroup):
     """Primary executes; standbys hold shipped state; failover promotes.
 
     The recovery path never touches the checkpoint store: the newest
-    member-state envelope lives client-side (``_last_payload``) and on
-    the standbys, so promotion is a naming swap plus (at most) one state
-    sync to the chosen standby.
+    member-state envelope lives client-side (``shipper.last_state``) and
+    on the standbys, so promotion is a naming swap plus (at most) one
+    state sync to the chosen standby.
     """
 
     mode = "warm-passive"
 
-    def __init__(self, proxy) -> None:
-        super().__init__(proxy)
-        #: FIFO of background ships (``checkpoint_mode="pipelined"``).
-        self._ship_inflight: list[_PendingShip] = []
-        self.ship_stalls = 0
-
     def call(self, operation: str, args: tuple):
         yield from self.ensure_provisioned()
         policy = self._policy
-        obs = self._orb.sim.obs
         self.calls += 1
         contexts = self._next_request_context()
         attempts = 0
@@ -628,182 +606,94 @@ class WarmPassiveGroup(ReplicaGroup):
                     f"replica group {self.group_id} has no members left"
                 )
             primary = self.members[0]
+            step = "call"
             try:
                 result = yield self._invoke(
                     primary.ior, operation, args, contexts
                 )
-            except RECOVERABLE as exc:
-                attempts += 1
-                self._ft.retries += 1
-                obs.metrics.counter(
-                    "ft_retries_total", service=self._ft.key
-                ).inc()
-                if attempts > policy.max_call_retries:
-                    raise RecoveryError(
-                        f"{operation} still failing after"
-                        f" {attempts - 1} failovers"
-                    ) from exc
-                yield from self._promote(
-                    primary, f"call failed: {type(exc).__name__}"
-                )
-                continue
-            # Capture the post-call state.  A primary dying between the
-            # reply and this capture loses nothing: the SAME request id is
-            # re-executed on the promoted standby, whose lineage has not
-            # applied it — duplicate suppression keeps it exactly-once on
-            # every lineage that has.
-            try:
+                # Capture the post-call state.  A primary dying between the
+                # reply and this capture loses nothing: the SAME request id
+                # is re-executed on the promoted standby, whose lineage has
+                # not applied it — duplicate suppression keeps it
+                # exactly-once on every lineage that has.
+                step = "capture"
                 payload = yield self._invoke(
                     primary.ior, "get_checkpoint", ()
                 )
             except RECOVERABLE as exc:
                 attempts += 1
                 self._ft.retries += 1
-                obs.metrics.counter(
+                self._orb.sim.obs.metrics.counter(
                     "ft_retries_total", service=self._ft.key
                 ).inc()
                 if attempts > policy.max_call_retries:
                     raise RecoveryError(
-                        f"{operation}: state capture still failing after"
+                        f"{operation}: {step} still failing after"
                         f" {attempts - 1} failovers"
                     ) from exc
                 yield from self._promote(
-                    primary, f"capture failed: {type(exc).__name__}"
+                    primary, f"{step} failed: {type(exc).__name__}"
                 )
                 continue
-            yield from self._ship_payload(payload)
+            yield from self._ship(payload)
             return result
 
     # -- state shipping ----------------------------------------------------------------
 
-    # analysis: atomic: digest bookkeeping + enqueue must not yield — a later capture interleaving would reorder ships
-    def _prepare_ship(self, payload) -> Optional[_PendingShip]:
-        data = self._encode_memo.encode(payload)
-        digest = state_digest(data)
-        if digest == self._last_digest:
-            self.ship_skips += 1
-            self._last_payload = payload
-            return None
-        delta = None
-        delta_bytes = 0
-        base_digest = self._last_digest
-        if self._policy.checkpoint_deltas and self._last_payload is not None:
-            candidate = compute_delta(self._last_payload, payload)
-            if candidate is not None:
-                delta_data = encode_any(candidate)
-                if len(delta_data) < len(data):
-                    delta = candidate
-                    delta_bytes = len(delta_data)
-        ship = _PendingShip(
-            payload=payload,
-            digest=digest,
-            data_len=len(data),
-            delta=delta,
-            delta_bytes=delta_bytes,
-            base_digest=base_digest,
-        )
-        self._last_payload = payload
-        self._last_digest = digest
-        return ship
-
-    def _ship_payload(self, payload):
-        if self._policy.checkpoint_mode == "pipelined":
-            # Backpressure mirrors the pipelined checkpoint path: a new
-            # capture stalls once the in-flight window is full.
-            while (
-                len(self._ship_inflight)
-                >= self._policy.checkpoint_pipeline_depth
-            ):
-                self.ship_stalls += 1
-                yield self._ship_inflight[0].future
-            ship = self._prepare_ship(payload)
-            if ship is None:
-                return
-            ship.future = self._orb.sim.future(
-                label=f"ft-ship:{self.group_id}"
-            )
-            prev = (
-                self._ship_inflight[-1].future
-                if self._ship_inflight
-                else None
-            )
-            self._ship_inflight.append(ship)
-            self._orb.host.spawn(
-                self._ship_bg(ship, prev), name=f"ft-ship:{self.group_id}"
-            )
+    def _ship(self, payload):
+        """Generator: get the captured envelope to the standbys — inline,
+        or through the shipper's bounded FIFO window when pipelined."""
+        shipper = self.shipper
+        pipelined = self._policy.checkpoint_mode == "pipelined"
+        if pipelined:
+            yield from shipper.wait_for_slot()
+        # analysis: atomic-begin(capture-to-enqueue)
+        # Digest bookkeeping + enqueue must not yield — a later capture
+        # interleaving would reorder ships.
+        shipment = shipper.prepare(payload)
+        if shipment is None:
             return
-        ship = self._prepare_ship(payload)
-        if ship is None:
+        if pipelined:
+            shipper.enqueue(shipment, self._ship_to_standbys)
             return
-        yield from self._ship_to_standbys(ship)
+        # analysis: atomic-end(capture-to-enqueue)
+        yield from self._ship_to_standbys(shipment)
 
-    def _ship_bg(self, ship: _PendingShip, prev_future):
-        try:
-            if prev_future is not None:
-                yield prev_future  # FIFO: ships reach standbys in order
-            yield from self._ship_to_standbys(ship)
-        finally:
-            try:
-                self._ship_inflight.remove(ship)
-            except ValueError:
-                pass
-            ship.future.try_succeed(None)
-
-    def _ship_to_standbys(self, ship: _PendingShip):
-        obs = self._orb.sim.obs
+    def _ship_to_standbys(self, shipment: Shipment):
+        """Sink: each standby, delta base = the digest it last acked."""
         for member in list(self.members[1:]):
             if member not in self.members:
                 continue  # retired while this ship was in flight
-            if member.acked_digest == ship.digest:
+            if member.acked_digest == shipment.digest:
                 continue
-            use_delta = (
-                ship.delta is not None
-                and ship.base_digest is not None
-                and member.acked_digest == ship.base_digest
-            )
+            restore = partial(self._invoke, member.ior, "restore_from")
+            send_delta = None
+            if (
+                shipment.base_digest is not None
+                and member.acked_digest == shipment.base_digest
+            ):
+                envelope = {
+                    SHIP_DELTA_MARK: shipment.delta,
+                    "base": shipment.base_digest,
+                    "target": shipment.digest,
+                }
+                send_delta = partial(restore, (envelope,))
             try:
-                if use_delta:
-                    envelope = {
-                        SHIP_DELTA_MARK: ship.delta,
-                        "base": ship.base_digest,
-                        "target": ship.digest,
-                    }
-                    try:
-                        yield self._invoke(
-                            member.ior, "restore_from", (envelope,)
-                        )
-                    except BadDeltaBase:
-                        self.delta_fallbacks += 1
-                        yield self._invoke(
-                            member.ior, "restore_from", (ship.payload,)
-                        )
-                        self.state_ships_full += 1
-                        self.ship_bytes += ship.data_len
-                    else:
-                        self.state_ships_delta += 1
-                        self.ship_bytes += ship.delta_bytes
-                else:
-                    yield self._invoke(
-                        member.ior, "restore_from", (ship.payload,)
-                    )
-                    self.state_ships_full += 1
-                    self.ship_bytes += ship.data_len
+                yield from self.shipper.deliver(
+                    shipment, partial(restore, (shipment.state,)), send_delta
+                )
             # analysis: ignore[EXC003]: a dead standby reduces redundancy, not correctness — retired and backfilled in the background
             except RECOVERABLE:
                 self._retire(member, "state ship failed")
                 self._schedule_replacement()
                 continue
-            member.acked_digest = ship.digest
-        obs.metrics.counter(
+            member.acked_digest = shipment.digest
+        self._orb.sim.obs.metrics.counter(
             "ft_state_ships_total", group=self.group_id
         ).inc()
 
-    def _drain_ships(self):
-        while self._ship_inflight:
-            yield self._ship_inflight[-1].future
-
     def drain(self):
-        yield from self._drain_ships()
+        yield from self.shipper.drain()
 
     # -- failover ----------------------------------------------------------------------
 
@@ -816,7 +706,10 @@ class WarmPassiveGroup(ReplicaGroup):
         trip; at most one state sync when the standby missed a ship."""
         sim = self._orb.sim
         started = sim.now
-        yield from self._drain_ships()
+        yield from self.shipper.drain()
+        # Nothing is captured while the lock is held: the newest envelope
+        # and its digest are fixed for the whole promotion.
+        newest, digest = self.shipper.last_state, self.shipper.last_digest
         if dead in self.members:
             self._retire(dead, reason)
         candidate = self._pick_candidate()
@@ -828,28 +721,23 @@ class WarmPassiveGroup(ReplicaGroup):
                     self._ft,
                     self.group_id,
                     exclude_hosts=frozenset((dead.ior.host,)),
-                    seed_state=self._last_payload,
+                    seed_state=newest,
                 )
                 if member_ior is None:
                     raise RecoveryError(
                         f"no standby left to promote in group"
                         f" {self.group_id}"
                     )
-                candidate = _Member(
-                    member_ior, acked_digest=self._last_digest
-                )
+                candidate = _Member(member_ior, acked_digest=digest)
                 self.members.append(candidate)
-            if (
-                self._last_payload is not None
-                and candidate.acked_digest != self._last_digest
-            ):
+            if newest is not None and candidate.acked_digest != digest:
                 # The standby missed the newest ship: sync it before it
                 # takes traffic (its reply cache rides in the envelope).
                 try:
                     yield self._invoke(
-                        candidate.ior, "restore_from", (self._last_payload,)
+                        candidate.ior, "restore_from", (newest,)
                     )
-                    candidate.acked_digest = self._last_digest
+                    candidate.acked_digest = digest
                 # analysis: ignore[EXC003]: the chosen standby is dead too — retired, and the loop picks the next candidate
                 except RECOVERABLE:
                     self._retire(candidate, "promotion sync failed")
@@ -1111,10 +999,10 @@ class ActiveGroup(ReplicaGroup):
             # analysis: ignore[EXC003]: seed capture tries each live member in turn; total failure falls back to the last client-held envelope
             except RECOVERABLE:
                 continue
-            self._last_payload = payload
-            self._last_digest = None
+            self.shipper.last_state = payload
+            self.shipper.last_digest = None
             return payload
-        return self._last_payload
+        return self.shipper.last_state
 
     def _handle_dead_lead(self, reason: str):
         dead = self.members[0]

@@ -5,20 +5,18 @@ like the object proxies." (§3, Fig. 2)
 
 An :class:`FtRequest` mirrors the :class:`~repro.orb.dii.Request` API
 (``send_deferred`` / ``poll_response`` / ``get_response`` /
-``return_value``) but supervises the underlying request: on a recoverable
-failure it runs the proxy's recovery coordinator and re-issues a fresh
-Request at the recovered target; after success it checkpoints like the
-object proxy would.
+``return_value``) and runs the object proxy's own call loop with one
+difference: every attempt is a fresh DII Request at the proxy's current
+target.  Replica-group dispatch, recovery, retry and the checkpoint step
+are therefore the object proxy's, not a second copy.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional, TYPE_CHECKING
 
-from repro.errors import BAD_OPERATION, RecoveryError
-from repro.ft.recovery import RECOVERABLE
+from repro.errors import BAD_OPERATION
 from repro.orb.dii import Request
-from repro.orb.stubs import ObjectStub
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ft.proxies import _FtProxyBase
@@ -39,7 +37,8 @@ class FtRequest:
         self._info = proxy._op_info(operation)
         self._args = tuple(args)
         self._outer: Optional["SimFuture"] = None
-        #: number of underlying Requests issued (1 = no recovery needed).
+        #: number of underlying Requests issued (1 = no recovery needed; 0
+        #: on a replication-mode proxy, where the group dispatches).
         self.attempts = 0
 
     # -- Request-compatible API --------------------------------------------------
@@ -55,14 +54,26 @@ class FtRequest:
     def send_deferred(self) -> "FtRequest":
         if self._outer is not None:
             raise BAD_OPERATION(f"request {self.operation!r} was already sent")
-        orb = self._proxy._orb
-        # analysis: ignore[RACE004]: _outer is published exactly once, before _supervise is spawned; the supervising process only reads it afterwards, so the lock it takes guards proxy state, not this publish
-        self._outer = orb.sim.future(label=f"ft-req:{self.operation}")
-        process = orb.host.spawn(self._supervise(), name=f"ft-req:{self.operation}")
-        process.add_done_callback(
-            lambda p: self._outer.try_fail(p.exception) if p.failed else None
+        proxy = self._proxy
+        # The object proxy's call loop, with a fresh Request per attempt as
+        # the only difference — group dispatch, parked pipeline errors,
+        # retry/recovery and the checkpoint step are said once, there.
+        self._outer = proxy._locked_task(
+            f"ft-req:{self.operation}",
+            f"ft-req:{self.operation}",
+            lambda outer: proxy._ft_call_locked(
+                self.operation, self._args, outer, issue=self._issue, dii=True
+            ),
         )
         return self
+
+    def _issue(self) -> "SimFuture":
+        proxy = self._proxy
+        self.attempts += 1
+        request = Request(
+            proxy._orb, proxy.ior, self._info, self._args, reference=proxy
+        )
+        return request.send_deferred().get_response()
 
     def invoke(self) -> "SimFuture":
         """Synchronous flavour: send and return the response future."""
@@ -82,67 +93,6 @@ class FtRequest:
         self._ensure_sent()
         assert self._outer is not None
         return self._outer.value
-
-    # -- supervision -----------------------------------------------------------------
-
-    def _supervise(self):
-        proxy = self._proxy
-        yield proxy._ft_lock.acquire()
-        try:
-            yield from self._supervise_locked()
-        finally:
-            proxy._ft_lock.release()
-
-    def _supervise_locked(self):
-        proxy = self._proxy
-        ft = proxy._ft
-        policy = ft.policy
-        orb = proxy._orb
-        obs = orb.sim.obs
-        failures = 0
-        # Root span for the logical DII call — same shape as the object
-        # proxy's wrapped path, so retries/recoveries share one trace id.
-        with obs.tracer.span(
-            f"ft:{self.operation}", host=orb.host.name, service=ft.key
-        ) as span:
-            span.set_attr("dii", True)
-            while True:
-                request = Request(
-                    orb, proxy.ior, self._info, self._args, reference=proxy
-                )
-                self.attempts += 1
-                try:
-                    result = yield request.send_deferred().get_response()
-                    break
-                except RECOVERABLE as exc:
-                    failures += 1
-                    ft.retries += 1
-                    obs.metrics.counter(
-                        "ft_retries_total", service=ft.key
-                    ).inc()
-                    if ft.recovery is None:
-                        span.mark_error(exc)
-                        self._outer.try_fail(exc)
-                        return
-                    if failures > policy.max_call_retries:
-                        error = RecoveryError(
-                            f"{self.operation} still failing after "
-                            f"{failures - 1} recoveries"
-                        )
-                        span.mark_error(error)
-                        self._outer.try_fail(error)
-                        return
-                    try:
-                        yield from ft.recovery.recover(proxy)
-                    except RecoveryError as recovery_error:
-                        span.mark_error(recovery_error)
-                        self._outer.try_fail(recovery_error)
-                        return
-            span.set_attr("attempts", self.attempts)
-            # The post-success bookkeeping + checkpoint step is the object
-            # proxy's, shared verbatim so the two paths apply one policy
-            # (it settles self._outer, pipelined mode included).
-            yield from proxy._after_success(span, self._outer, result)
 
     def _ensure_sent(self) -> None:
         if self._outer is None:

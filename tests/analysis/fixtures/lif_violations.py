@@ -31,24 +31,42 @@ class RecordingGate:
         return payload
 
 
-class StuckPipeline:
-    """Begins pipelined checkpoints but defines no drain sink (LIF002)."""
+class StuckShipper:
+    """Enqueues pipelined shipments but defines no drain sink (LIF002)."""
 
-    def _checkpoint_pipelined(self, state):  # MARK:LIF002
-        self.pending = state
+    def enqueue(self, shipment):  # MARK:LIF002
+        self.inflight = shipment
 
 
-class DrainedPipeline:
+class DrainedShipper:
     """Defines the drain sink and exercises it — clean."""
 
-    def _checkpoint_pipelined(self, state):  # MARK:ok-pipeline
-        self.pending = state
+    def enqueue(self, shipment):  # MARK:ok-pipeline
+        self.inflight = shipment
 
-    def _drain_pipeline(self):
-        self.pending = None
+    def drain(self):
+        self.inflight = None
 
     def flush(self):
-        self._drain_pipeline()
+        self.drain()
+
+
+class HeldShipper:
+    """Drained only by its owner, through an attribute — clean."""
+
+    def enqueue(self, shipment):  # MARK:ok-held-pipeline
+        self.inflight = shipment
+
+    def drain(self):
+        self.inflight = None
+
+
+class ShipperOwner:
+    def __init__(self):
+        self.shipper = HeldShipper()
+
+    def settle(self):
+        self.shipper.drain()
 
 
 class LeakyConnector:

@@ -41,6 +41,16 @@ def test_exercised_drain_is_clean():
     ]
 
 
+def test_drain_through_an_owner_attribute_is_clean():
+    """The shipper is held in an attribute by the designs that use it; a
+    ``<...shipper>.drain()`` call is what exercises its exit path."""
+    text = load_fixture("lif_violations.py")
+    ok_line = line_of(text, "MARK:ok-held-pipeline")
+    assert not [
+        (code, line) for code, line in _lif_codes(text) if line == ok_line
+    ]
+
+
 def test_unresolved_cache_begin_is_lif003():
     text = load_fixture("lif_violations.py")
     assert ("LIF003", line_of(text, "MARK:LIF003")) in _lif_codes(text)

@@ -69,7 +69,7 @@ def test_pipelined_cheaper_than_sync_same_stores(make_ft_world):
     assert sync_world.runtime.store_servant.stores == 6
     assert pipe_world.runtime.store_servant.stores == 6
     assert pipe_proxy._ft.checkpoints_taken == 6
-    assert pipe_proxy._ft.pipeline_depth == 0
+    assert not pipe_proxy._ft.shipper.inflight
 
 
 def test_drain_checkpoints_empties_pipeline(ft_world):
@@ -80,7 +80,7 @@ def test_drain_checkpoints_empties_pipeline(ft_world):
         for _ in range(4):
             yield proxy.increment(1)
         yield proxy.drain_checkpoints()
-        return proxy._ft.pipeline_depth
+        return len(proxy._ft.shipper.inflight)
 
     assert ft_world.run(client()) == 0
     store = ft_world.runtime.store_servant
@@ -99,9 +99,9 @@ def test_pipeline_window_bounded(ft_world):
 
     ft_world.run(client())
     ft = proxy._ft
-    assert ft.pipeline_peak_depth <= 1
+    assert ft.shipper.peak_depth <= 1
     # Back-to-back calls must have waited for the in-flight store.
-    assert ft.pipeline_stalls >= 1
+    assert ft.shipper.stalls >= 1
 
 
 def test_versions_arrive_in_order(ft_world):
@@ -189,7 +189,7 @@ def test_recovery_drains_inflight_and_keeps_exactly_once(ft_world):
         # Let the state captures finish, then crash while the (slow) store
         # round-trips are still outstanding.
         yield ft_world.sim.timeout(0.2)
-        inflight = proxy._ft.pipeline_depth
+        inflight = len(proxy._ft.shipper.inflight)
         ft_world.cluster.host(1).crash()
         return inflight, (yield proxy.increment(1))
 
@@ -209,7 +209,7 @@ def test_checkpoint_now_drains_pipeline_first(ft_world):
         for _ in range(3):
             yield proxy.increment(1)
         yield proxy.checkpoint_now()
-        return proxy._ft.pipeline_depth
+        return len(proxy._ft.shipper.inflight)
 
     assert ft_world.run(client()) == 0
     backend = ft_world.runtime.store_servant.backend
@@ -228,14 +228,14 @@ def test_deltas_after_first_full(ft_world):
 
     ft_world.run(client())
     ft = proxy._ft
-    assert ft.fulls_sent == 1
-    assert ft.deltas_sent == 4
+    assert ft.shipper.fulls == 1
+    assert ft.shipper.deltas == 4
     store = ft_world.runtime.store_servant
     assert store.stores == 1
     assert store.delta_stores == 4
     assert store.backend.delta_bytes_written > 0
     # The deltas shipped a fraction of what full snapshots would have.
-    assert ft.checkpoint_bytes_shipped < 3 * store.backend.last_full_size("padded-1")
+    assert ft.shipper.bytes < 3 * store.backend.last_full_size("padded-1")
 
 
 def test_tiny_state_keeps_full_snapshots(ft_world):
@@ -249,8 +249,8 @@ def test_tiny_state_keeps_full_snapshots(ft_world):
             yield proxy.increment(1)
 
     ft_world.run(client())
-    assert proxy._ft.deltas_sent == 0
-    assert proxy._ft.fulls_sent == 4
+    assert proxy._ft.shipper.deltas == 0
+    assert proxy._ft.shipper.fulls == 4
 
 
 def test_unchanged_state_skips_store(ft_world):
@@ -263,7 +263,7 @@ def test_unchanged_state_skips_store(ft_world):
 
     ft_world.run(client())
     ft = proxy._ft
-    assert ft.checkpoints_skipped == 3
+    assert ft.shipper.skipped == 3
     store = ft_world.runtime.store_servant
     assert store.stores + store.delta_stores == 1
 
@@ -278,7 +278,7 @@ def test_full_interval_bounds_restore_chain(ft_world):
             yield proxy.increment(1)
 
     ft_world.run(client())
-    assert proxy._ft.fulls_sent == 3  # versions 1, 4, 7
+    assert proxy._ft.shipper.fulls == 3  # versions 1, 4, 7
     backend = ft_world.runtime.store_servant.backend
     assert len(backend.read_chain("padded-1")) <= 3
 
@@ -297,8 +297,8 @@ def test_lost_base_falls_back_to_full_store(ft_world):
 
     assert ft_world.run(client()) == 3
     ft = proxy._ft
-    assert ft.delta_fallbacks == 1
-    assert ft.fulls_sent == 2  # initial full + the fallback
+    assert ft.shipper.fallbacks == 1
+    assert ft.shipper.fulls == 2  # initial full + the fallback
     backend = ft_world.runtime.store_servant.backend
     latest = backend.read_latest("padded-1")
     assert latest.version == 3 and latest.full
@@ -334,8 +334,8 @@ def test_pipelined_deltas_compose(ft_world):
 
     assert ft_world.run(client()) == 6
     ft = proxy._ft
-    assert ft.deltas_sent >= 1
-    assert ft.pipeline_depth == 0
+    assert ft.shipper.deltas >= 1
+    assert not ft.shipper.inflight
 
 
 # -- composition with degraded buffering --------------------------------------
@@ -394,7 +394,7 @@ def test_runtime_report_surfaces_fastpath_counters(ft_world):
     assert proxies["proxies"] == 1
     assert proxies["calls"] == 5
     assert proxies["checkpoints_taken"] == proxy._ft.checkpoints_taken
-    assert proxies["deltas_sent"] == proxy._ft.deltas_sent
+    assert proxies["deltas_sent"] == proxy._ft.shipper.deltas
     assert proxies["checkpoints_skipped"] == 1
     assert proxies["pipeline_inflight"] == 0
     assert report["fault_tolerance"]["delta_stores"] >= 1

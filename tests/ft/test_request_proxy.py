@@ -168,3 +168,79 @@ def test_request_without_recovery_propagates(ft_world):
             return "failed"
 
     assert ft_world.run(client()) == "failed"
+
+
+# -- one call loop: what the stub path does, the DII path does -----------------------
+
+
+@pytest.mark.parametrize("mode", ["warm-passive", "active"])
+def test_request_on_replica_group_keeps_state_across_lead_crash(
+    make_ft_world, mode
+):
+    """A request proxy on a replication-mode proxy dispatches through the
+    group (request ids, state ships, failover) exactly like the stub path;
+    bypassing the group would lose every update on recovery (the sixth
+    call would return 1)."""
+    from repro.core.report import runtime_report
+    from tests.ft.test_replication import provision, replicated_proxy
+
+    def run(call):
+        world = make_ft_world()
+        proxy = replicated_proxy(world, mode)
+        group = provision(world, proxy)
+
+        def client():
+            for _ in range(5):
+                yield call(proxy)
+            world.cluster.host(proxy.ior.host).crash()
+            return (yield call(proxy))
+
+        value = world.run(client())
+        return value, group.snapshot(), runtime_report(world.runtime)["replication"]
+
+    stub_value, stub_snap, stub_report = run(lambda proxy: proxy.increment(1))
+    value, snap, report = run(
+        lambda proxy: FtRequest(proxy, "increment", (1,)).invoke()
+    )
+    assert value == stub_value == 6
+    assert snap["calls"] == 6
+    if mode == "warm-passive":
+        assert snap["promotions"] == 1
+    assert report["applies"] == stub_report["applies"] > 0
+    assert snap == stub_snap
+
+
+def test_request_surfaces_parked_pipeline_error(make_ft_world):
+    """The DII twin of ``test_pipelined_persist_failure_fails_next_call``:
+    a background persist failure parks on the proxy and fails the next
+    call — whichever of Fig. 2's two paths issues it."""
+    from repro.orb.ior import IOR
+    from repro.services.checkpoint import CheckpointStoreStub
+
+    world = make_ft_world(num_hosts=4)
+    ior = world.deploy_counter(host=2)
+    proxy = world.proxy(ior, policy=FtPolicy(checkpoint_mode="pipelined"))
+    world.settle()
+
+    def call():
+        return FtRequest(proxy, "increment", (1,)).invoke()
+
+    def client():
+        yield call()
+        yield proxy.drain_checkpoints()
+        # Point the store stub at a dead host: background persists now fail.
+        world.cluster.host(3).crash()
+        dead = IOR(world.runtime.store_ior.type_id, "ws03", 12345, b"gone", 0)
+        proxy._ft.store = world.runtime.orb(0).stub(dead, CheckpointStoreStub)
+
+        yield call()  # succeeds; its persist fails in the background
+        yield proxy.drain_checkpoints()
+        parked = proxy._ft._pipeline_error
+        try:
+            yield call()
+        except COMM_FAILURE:
+            return parked, proxy._ft._pipeline_error
+
+    parked, after = world.run(client())
+    assert isinstance(parked, COMM_FAILURE)
+    assert after is None

@@ -5,9 +5,9 @@ pipelined depth 4} × deltas {off, on} × {no fault, lead crash} plus the
 checkpoint cells again × ``on_checkpoint_failure`` {raise, ignore,
 degraded} under a store outage — each pinning what the caller saw, the
 last bit of the simulated clock, every shipping-related report counter,
-the network totals and the obs registry.  Recorded before ``ft/`` was
-rebuilt on one ``StateShipper`` (ISSUE 19), so any event, float, wire byte
-or metric series the merge moves shows up here as a literal diff.
+the network totals and the obs registry.  Both designs run on one
+``StateShipper`` (``ft/shipping.py``); any event, float, wire byte or
+metric series a change to it moves shows up here as a literal diff.
 
 Re-record (only when a change is *meant* to move simulated results)::
 
