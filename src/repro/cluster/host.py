@@ -216,17 +216,13 @@ class HostLoadSampler:
         """
         hosts = self.hosts
         now = self.sim.now
-        busy = np.fromiter(
-            (h.cpu.utilization_integral() for h in hosts),
-            dtype=np.float64,
-            count=len(hosts),
-        )
-        run_queue = np.fromiter(
-            (h.cpu.run_queue_length for h in hosts),
-            dtype=np.float64,
-            count=len(hosts),
-        )
-        up = np.fromiter((h.up for h in hosts), dtype=bool, count=len(hosts))
+        # One call per host (the CPU's load_sample), not three and a
+        # generator resumed for each: the per-host calls are most of what a
+        # sweep costs, so ``up`` is read past its property too.
+        integrals, lengths = zip(*[h.cpu.load_sample() for h in hosts])
+        busy = np.array(integrals, dtype=np.float64)
+        run_queue = np.array(lengths, dtype=np.float64)
+        up = np.array([h._up for h in hosts], dtype=bool)
         window = now - self._last_time
         if self._primed and window > 0.0:
             utilization = np.clip((busy - self._last_busy) / window, 0.0, 1.0)

@@ -22,6 +22,8 @@ is O(clients) in small integers and O(in-flight) in futures.
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left
+from functools import partial
 from typing import Callable, Optional, TYPE_CHECKING
 
 import numpy as np
@@ -89,8 +91,8 @@ class BackgroundLoad:
 class LatencyHistogram:
     """Fixed-memory latency accounting: log-spaced bins plus exact
     count/sum/min/max.  Quantiles are read from the bins (upper-edge
-    estimate), so recording 10⁶ completions costs two arrays, not a list
-    of samples."""
+    estimate), so recording 10⁶ completions costs two short sequences,
+    not a list of samples."""
 
     __slots__ = ("edges", "counts", "count", "total", "min", "max")
 
@@ -101,18 +103,20 @@ class LatencyHistogram:
         bins_per_decade: int = 16,
     ) -> None:
         decades = np.log10(high) - np.log10(low)
-        self.edges = np.logspace(
+        # Plain lists: record() runs once per completion, and on arrays it
+        # would pay a NumPy call and two NumPy scalars each time.
+        self.edges: list[float] = np.logspace(
             np.log10(low), np.log10(high), int(decades * bins_per_decade) + 1
-        )
+        ).tolist()
         # one underflow and one overflow bin around the edges.
-        self.counts = np.zeros(len(self.edges) + 1, dtype=np.int64)
+        self.counts: list[int] = [0] * (len(self.edges) + 1)
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = 0.0
 
     def record(self, value: float) -> None:
-        self.counts[int(np.searchsorted(self.edges, value))] += 1
+        self.counts[bisect_left(self.edges, value)] += 1
         self.count += 1
         self.total += value
         if value < self.min:
@@ -128,10 +132,10 @@ class LatencyHistogram:
         cumulative = np.cumsum(self.counts)
         index = int(np.searchsorted(cumulative, rank))
         if index <= 0:
-            return float(self.edges[0])
+            return self.edges[0]
         if index >= len(self.edges):
             return self.max
-        return float(self.edges[index])
+        return self.edges[index]
 
     @property
     def mean(self) -> float:
@@ -240,13 +244,9 @@ class OpenLoopPopulation:
         started = self.sim.now
         future = host.execute(self.request_work)
         self.in_flight += 1
-        future.add_done_callback(
-            lambda f, client=client, started=started: self._complete(
-                f, client, started
-            )
-        )
+        future.add_done_callback(partial(self._complete, client, started))
 
-    def _complete(self, future: SimFuture, client: int, started: float) -> None:
+    def _complete(self, client: int, started: float, future: SimFuture) -> None:
         self.in_flight -= 1
         if future.failed:
             self.failures += 1

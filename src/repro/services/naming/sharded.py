@@ -34,7 +34,7 @@ import zlib
 from typing import Any, Optional, Sequence
 
 from repro.errors import ConfigurationError, NamingError
-from repro.services.naming.names import NameComponent, NameLike, to_name
+from repro.services.naming.names import NameLike, to_name
 
 
 def shard_key(name: NameLike) -> str:
@@ -155,7 +155,9 @@ class ShardedServiceDirectory:
         return len(self._shards)
 
     def _locate(self, service: str) -> tuple[int, str]:
-        key = shard_key([NameComponent(service)])
+        # shard_key() of the one-component name (service, kind ""), without
+        # building and re-validating that name on every resolve
+        key = service + "."
         return zlib.crc32(key.encode("utf-8")) % len(self._shards), key
 
     def register(self, service: str, replica: Any) -> None:
@@ -173,6 +175,9 @@ class ShardedServiceDirectory:
         group.remove(replica)
         if not group:
             del self._shards[shard][key]
+            # the cursor goes with its group: a later group under this name
+            # starts at its first replica, and the table holds live names only
+            self._cursors[shard].pop(key, None)
 
     def resolve(self, service: str) -> Any:
         """Next replica for ``service`` (per-name round robin)."""

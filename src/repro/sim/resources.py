@@ -133,6 +133,18 @@ class ProcessorSharingCPU:
         self._advance()
         return self.busy_integral
 
+    def load_sample(self) -> tuple[float, int]:
+        """``(busy integral up to now, run-queue length)``: what a load
+        sampler reads per host per sweep, in one call.  An idle CPU has
+        accrued nothing since its last change, so its integral is read
+        as it stands (all :meth:`_advance` would do there is stamp
+        ``_last_update``, which the next change stamps again before any
+        elapsed time is charged)."""
+        tasks = self._tasks
+        if tasks:
+            self._advance()
+        return self.busy_integral, len(tasks)
+
     def set_speed(self, speed: float) -> None:
         """Change the delivered speed mid-run (gray-host degradation).
 

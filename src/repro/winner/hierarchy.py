@@ -121,10 +121,10 @@ class SiteLoadManager:
     def best_host(self) -> Optional[str]:
         """Best live host; charges the placement until the next refresh."""
         if self.vectorized:
-            top = self.board.top_hosts(1)
-            if not top:
+            board_index = self.board.best_index()
+            if board_index is None:
                 return None
-            index = top[0]
+            index = board_index
             self.board.note_placement(index)
         else:
             scalar_index = self._scalar_best()
@@ -137,8 +137,10 @@ class SiteLoadManager:
 
     def best_score(self) -> float:
         if self.vectorized:
-            top = self.board.top_hosts(1)
-            return float(self.board.scores()[top[0]]) if top else float("-inf")
+            best = self.board.best_index()
+            if best is None:
+                return float("-inf")
+            return float(self.board.scores()[best])
         index = self._scalar_best()
         return self._scalar_score(index) if index is not None else float("-inf")
 
@@ -253,6 +255,13 @@ class HierarchicalWinner:
         if site_fanout < 1 or region_fanout < 2:
             raise ConfigurationError(
                 "need site_fanout >= 1 and region_fanout >= 2"
+            )
+        if not refresh_interval > 0:
+            # at 0 the refresh tick reschedules itself at the same instant
+            # and run() never returns; below 0 the kernel refuses the
+            # second tick, after the first refresh already ran
+            raise ConfigurationError(
+                f"refresh_interval must be > 0, got {refresh_interval}"
             )
         if not hosts:
             raise ConfigurationError("HierarchicalWinner needs hosts")

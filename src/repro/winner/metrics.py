@@ -72,6 +72,13 @@ class Ewma:
         return f"<Ewma alpha={self.alpha} value={self.value:.4f}>"
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` itself, made read-only: the board replaces its arrays,
+    it never writes into one it has handed out."""
+    array.flags.writeable = False
+    return array
+
+
 class VectorLoadBoard:
     """Per-host load state for one site, held in numpy arrays.
 
@@ -85,6 +92,14 @@ class VectorLoadBoard:
     :class:`repro.winner.ranking.ExpectedRateRanking`:
     ``speed * min(1, cores / max(1, queue + 1))`` with
     ``queue = run_queue_ewma + pending_placements``.
+
+    The board keeps its score vector: :meth:`observe` recomputes all of
+    it, :meth:`note_placement` the one entry the placement changed (the
+    same float operations in the same order, on that host alone), and
+    :meth:`best_index` reads the maximum — so placing a request costs
+    O(1) interpreted steps, not a re-rank of the site.  Nothing else may
+    change what a score depends on: the arrays the board hands out are
+    read-only, ``pending`` is a copy.
     """
 
     def __init__(
@@ -100,23 +115,26 @@ class VectorLoadBoard:
             raise ConfigurationError(
                 "VectorLoadBoard needs names/speeds/cores of equal length"
             )
+        if not names:
+            raise ConfigurationError("VectorLoadBoard needs at least one host")
         self.names: list[str] = list(names)
         self.index: dict[str, int] = {n: i for i, n in enumerate(self.names)}
         if len(self.index) != len(self.names):
             raise ConfigurationError("duplicate host names on one board")
         self.alpha = alpha
         n = len(self.names)
-        self.speed = np.asarray(speeds, dtype=np.float64)
-        self.cores = np.asarray(cores, dtype=np.float64)
-        self._util = np.zeros(n, dtype=np.float64)
-        self._rq = np.zeros(n, dtype=np.float64)
-        self._seen = np.zeros(n, dtype=bool)
-        self.up = np.ones(n, dtype=bool)
-        #: placements charged since the last observation; cleared by
-        #: :meth:`observe` because a fresh run-queue sample already
-        #: reflects the work those placements put on the host.
-        self.pending = np.zeros(n, dtype=np.float64)
+        self.speed = _frozen(np.array(speeds, dtype=np.float64))
+        self.cores = _frozen(np.array(cores, dtype=np.float64))
+        self._util = _frozen(np.zeros(n, dtype=np.float64))
+        self._rq = _frozen(np.zeros(n, dtype=np.float64))
+        self._observed = False
+        self._up = _frozen(np.ones(n, dtype=bool))
         self.updated_at = 0.0
+        # What rescoring one host needs, as Python floats: indexing the
+        # arrays would make a NumPy scalar per operand per request.
+        self._speed_of: list[float] = self.speed.tolist()
+        self._cores_of: list[float] = self.cores.tolist()
+        self._rescore()
 
     def __len__(self) -> int:
         return len(self.names)
@@ -129,6 +147,17 @@ class VectorLoadBoard:
     def run_queue(self) -> np.ndarray:
         return self._rq
 
+    @property
+    def up(self) -> np.ndarray:
+        return self._up
+
+    @property
+    def pending(self) -> np.ndarray:
+        """Placements charged since the last observation (a copy);
+        cleared by :meth:`observe` because a fresh run-queue sample
+        already reflects the work those placements put on the host."""
+        return np.array(self._pending_of, dtype=np.float64)
+
     def observe(
         self,
         utilization: np.ndarray,
@@ -137,36 +166,64 @@ class VectorLoadBoard:
         now: float = 0.0,
     ) -> None:
         """Fold one full sampling sweep into the smoothed state."""
-        u = np.asarray(utilization, dtype=np.float64)
-        q = np.asarray(run_queue, dtype=np.float64)
-        alpha = self.alpha
-        seen = self._seen
-        self._util = np.where(seen, self._util + alpha * (u - self._util), u)
-        self._rq = np.where(seen, self._rq + alpha * (q - self._rq), q)
-        seen[:] = True
-        if up is not None:
-            self.up = np.asarray(up, dtype=bool)
-        self.pending[:] = 0.0
+        u = np.array(utilization, dtype=np.float64)
+        q = np.array(run_queue, dtype=np.float64)
+        alive = self._up if up is None else np.array(up, dtype=bool)
+        if not u.shape == q.shape == alive.shape == self._util.shape:
+            raise ConfigurationError(
+                f"a sweep must cover all {len(self.names)} hosts of the board"
+            )
+        if self._observed:
+            alpha = self.alpha
+            u = self._util + alpha * (u - self._util)
+            q = self._rq + alpha * (q - self._rq)
+        # else the first sweep seeds the averages, as Ewma.update does
+        self._observed = True
+        self._util = _frozen(u)
+        self._rq = _frozen(q)
+        self._up = _frozen(alive)
         self.updated_at = now
+        self._rescore()
+
+    def _rescore(self) -> None:
+        """Clear the pending placements and score every host afresh."""
+        self._pending_of: list[float] = [0.0] * len(self.names)
+        self._rq_of: list[float] = self._rq.tolist()
+        self._up_of: list[bool] = self._up.tolist()
+        # queue + 1 with nothing pending: (rq + 0.0) + 1.0 and rq + 1.0 are
+        # the same double for every rq, so the zero is not added.
+        denominator = np.maximum(1.0, self._rq + 1.0)
+        scores = self.speed * np.minimum(1.0, self.cores / denominator)
+        self._scores = np.where(self._up, scores, -np.inf)
 
     def note_placement(self, index: int, weight: float = 1.0) -> None:
         """Charge a just-made placement so burst decisions spread out."""
-        self.pending[index] += weight
+        pending = self._pending_of
+        pending[index] += weight
+        if self._up_of[index]:
+            queue = self._rq_of[index] + pending[index]
+            denominator = max(1.0, queue + 1.0)
+            self._scores[index] = self._speed_of[index] * min(
+                1.0, self._cores_of[index] / denominator
+            )
 
     def scores(self) -> np.ndarray:
         """Expected service rate per host; down hosts score ``-inf``."""
-        queue = self._rq + self.pending
-        denominator = np.maximum(1.0, queue + 1.0)
-        scores = self.speed * np.minimum(1.0, self.cores / denominator)
-        return np.where(self.up, scores, -np.inf)
+        return self._scores.copy()
+
+    def best_index(self) -> Optional[int]:
+        """Index of the best live host, the lowest among equals — what
+        ``top_hosts(1)`` ranks first — or ``None`` when all are down."""
+        index = int(self._scores.argmax())
+        return index if self._up_of[index] else None
 
     def top_hosts(self, k: int = 1) -> list[int]:
         """Indices of the best ``k`` live hosts, ties broken by index."""
-        scores = self.scores()
+        scores = self._scores
         order = np.lexsort((np.arange(len(scores)), -scores))
         out: list[int] = []
         for idx in order:
-            if not self.up[idx]:
+            if not self._up[idx]:
                 break  # -inf rows sort last; everything after is down too
             out.append(int(idx))
             if len(out) >= k:
@@ -174,15 +231,14 @@ class VectorLoadBoard:
         return out
 
     def best_host(self) -> Optional[str]:
-        top = self.top_hosts(1)
-        return self.names[top[0]] if top else None
+        best = self.best_index()
+        return self.names[best] if best is not None else None
 
     def summary(self) -> dict:
         """Site rollup for a parent aggregator (hierarchical Winner)."""
-        scores = self.scores()
-        alive = self.up
-        alive_count = int(np.count_nonzero(alive))
-        if alive_count == 0:
+        alive = self._up
+        best = self.best_index()
+        if best is None:
             return {
                 "alive_hosts": 0,
                 "best_host": None,
@@ -190,12 +246,11 @@ class VectorLoadBoard:
                 "total_idle_capacity": 0.0,
                 "updated_at": self.updated_at,
             }
-        best = self.top_hosts(1)[0]
         idle = self.speed * self.cores * np.maximum(0.0, 1.0 - self._util)
         return {
-            "alive_hosts": alive_count,
+            "alive_hosts": int(np.count_nonzero(alive)),
             "best_host": self.names[best],
-            "best_score": float(scores[best]),
+            "best_score": float(self._scores[best]),
             "total_idle_capacity": float(np.where(alive, idle, 0.0).sum()),
             "updated_at": self.updated_at,
         }
@@ -203,5 +258,5 @@ class VectorLoadBoard:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<VectorLoadBoard hosts={len(self.names)} "
-            f"alive={int(np.count_nonzero(self.up))}>"
+            f"alive={int(np.count_nonzero(self._up))}>"
         )

@@ -58,3 +58,32 @@ def test_hosts_curve_throughput_tracks_capacity():
     assert [row.hosts for row in rows] == [50, 100]
     # Offered load doubled with the cluster; delivered throughput kept up.
     assert rows[1].throughput > 1.5 * rows[0].throughput
+
+
+def test_placement_call_budget(count_calls):
+    """Python + C calls per placed request on the ORB-free path — arrival,
+    sharded resolve, the site's pick, the CPU task, completion, and the
+    request's share of the sampling sweeps: the calls a 3-second run of a
+    200-host cell makes beyond a 1-second run of the same seed, over the
+    requests it places beyond it.  A count, not a time; it fails if the
+    pick goes back to ranking the site, the directory to parsing the name,
+    or the recorder to NumPy."""
+
+    def run(duration):
+        result = {}
+        kwargs = dict(
+            num_hosts=200, num_clients=10_000,
+            arrival_rate=0.55 * cluster_capacity(200), seed=1,
+        )
+        calls = count_calls(
+            lambda: result.update(cell=scale_run(duration=duration, **kwargs))
+        )
+        return calls, result["cell"].completions
+
+    run(0.1)  # first-use imports and caches are not a request's cost
+    short_calls, short_ops = run(1.0)
+    long_calls, long_ops = run(3.0)
+    calls = (long_calls - short_calls) / (long_ops - short_ops)
+    # 90.4 when every request re-ranked its site from the load board,
+    # parsed its service name and recorded through NumPy; 62.5 now
+    assert calls <= 65

@@ -141,3 +141,25 @@ def test_latency_histogram_overflow_underflow():
     assert hist.counts[0] == 1
     assert hist.counts[-1] == 1
     assert hist.quantile(1.0) == 100.0  # overflow quantile reports the max
+
+
+def test_record_lands_in_the_bin_searchsorted_names():
+    """``record`` bisects a plain list; the bin is the one
+    ``np.searchsorted(edges, value)`` names — on every edge, one ulp either
+    side of it, below the first and above the last."""
+    edges = np.array(LatencyHistogram().edges)
+    values = np.concatenate([
+        edges,
+        np.nextafter(edges, -np.inf),
+        np.nextafter(edges, np.inf),
+        [0.0, edges[0] / 2, edges[-1] * 2, float("inf")],
+    ])
+    expected = np.zeros(len(edges) + 1, dtype=np.int64)
+    hist = LatencyHistogram()
+    for value in values.tolist():
+        hist.record(value)
+        expected[np.searchsorted(edges, value)] += 1
+    assert list(hist.counts) == expected.tolist()
+    assert hist.counts[0] == 4  # 0, half the first edge, the edge, an ulp below
+    assert hist.counts[-1] == 3  # twice the last edge, inf, an ulp above the edge
+    assert hist.count == len(values)

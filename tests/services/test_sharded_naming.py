@@ -10,7 +10,7 @@ from repro.services.naming import (
     shard_index,
     shard_key,
 )
-from repro.services.naming.names import name_to_string, to_name
+from repro.services.naming.names import NameComponent, name_to_string, to_name
 
 
 class FakeContext:
@@ -135,6 +135,44 @@ def test_directory_round_robin_and_errors():
         directory.resolve("svc")
     with pytest.raises(NamingError):
         directory.deregister("svc", "b")
+
+
+def test_directory_cursor_goes_with_its_group():
+    """A name bound again after its group emptied starts at the new
+    group's first replica; it used to start where the old cursor stood."""
+    directory = ShardedServiceDirectory(4)
+    directory.register("svc", "a")
+    directory.register("svc", "b")
+    assert directory.resolve("svc") == "a"
+    directory.deregister("svc", "a")
+    directory.deregister("svc", "b")
+    directory.register("svc", "c")
+    directory.register("svc", "d")
+    assert [directory.resolve("svc") for _ in range(3)] == ["c", "d", "c"]
+    # ...and the cursor table holds live names only, not every name ever bound
+    for index in range(50):
+        directory.register(f"once-{index}", "x")
+        directory.resolve(f"once-{index}")
+        directory.deregister(f"once-{index}", "x")
+    assert sum(len(cursors) for cursors in directory._cursors) == 1
+
+
+@pytest.mark.parametrize(
+    "service", ["svc-0007", "a.b", "a/b", "", "x.", "dienst-ü", "svc 1"]
+)
+def test_directory_routes_by_the_shard_key_of_the_one_component_name(service):
+    """The directory derives its routing key without parsing; it is still
+    ``shard_key`` of the name ``[(service, kind "")]``, whatever the id."""
+    shards = 8
+    directory = ShardedServiceDirectory(shards)
+    directory.register(service, "replica")
+    assert directory.resolve(service) == "replica"
+    expected = [0] * shards
+    expected[shard_index([NameComponent(service)], shards)] = 1
+    assert directory.resolutions_by_shard == expected
+    assert list(directory._shards[expected.index(1)]) == [
+        shard_key([NameComponent(service)])
+    ]
 
 
 def test_directory_spread_counts_per_shard():

@@ -209,10 +209,16 @@ def test_many_staggered_tasks_conserve_total_work():
 # order), and approx() would not notice an ulp.
 
 
-def ps_schedule_trace(cores, operations=300, seed=20000611):
+def ps_schedule_trace(
+    cores,
+    operations=300,
+    seed=20000611,
+    read_busy=ProcessorSharingCPU.utilization_integral,
+):
     """Drive one CPU through a seeded schedule of execute / abandon (what a
     killed waiter does to its CPU future) / set_speed / abort_all /
-    utilization samples, 30 % of them on the instant of the one before.
+    utilization samples (taken by ``read_busy``), 30 % of them on the
+    instant of the one before.
 
     Returns ``(events, busy_integral, work_completed, end)`` with every
     float as ``float.hex()``; events are ``(operation index, what, hex)``.
@@ -246,7 +252,7 @@ def ps_schedule_trace(cores, operations=300, seed=20000611):
         elif roll < 0.87:
             cpu.set_speed(0.25 + 2.0 * rng.random())
         elif roll < 0.97:
-            events.append((index, "sampled", cpu.utilization_integral().hex()))
+            events.append((index, "sampled", read_busy(cpu).hex()))
         else:
             cpu.abort_all()
 
@@ -686,3 +692,43 @@ def test_ps_schedule_matches_float_hex_golden(cores):
     assert busy_integral == golden["busy_integral"]
     assert work_completed == golden["work_completed"]
     assert end == golden["end"]
+
+
+@pytest.mark.parametrize("cores", sorted(PS_GOLDEN))
+def test_load_sample_reads_what_the_golden_samples_read(cores):
+    """``load_sample()`` leaves an idle CPU untouched where
+    ``utilization_integral()`` stamps it; sampled through either, the
+    schedule — and every sampled integral — is the golden to the last bit."""
+    queue_lengths = []
+
+    def read_busy(cpu):
+        busy, run_queue = cpu.load_sample()
+        queue_lengths.append(run_queue == cpu.run_queue_length)
+        return busy
+
+    events, busy_integral, work_completed, end = ps_schedule_trace(
+        cores, read_busy=read_busy
+    )
+    golden = PS_GOLDEN[cores]
+    assert tuple(events) == golden["events"]
+    assert (busy_integral, work_completed, end) == (
+        golden["busy_integral"], golden["work_completed"], golden["end"]
+    )
+    assert queue_lengths and all(queue_lengths)
+
+
+def test_load_sample_on_an_idle_cpu_moves_nothing():
+    sim = Simulator()
+    cpu = ProcessorSharingCPU(sim, speed=2.0, cores=2)
+    assert cpu.load_sample() == (0.0, 0)
+    done = cpu.execute(3.0)
+    sim.run()
+    assert done.value == 1.5 and cpu.load_sample() == (0.75, 0)
+    # idle for 10 s, sampled on the way: the next task is charged from its
+    # own arrival, not from the sample and not from the last completion
+    sim.schedule(5.0, cpu.load_sample)
+    sim.schedule(10.0, lambda: cpu.execute(1.0))
+    sim.run()
+    assert sim.now == 12.0
+    assert cpu.load_sample() == (1.0, 0)
+    assert cpu.utilization_integral() == 1.0

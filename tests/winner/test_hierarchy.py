@@ -1,7 +1,11 @@
 """Tests for the hierarchical Winner (site → region tree) and the
 vectorized load board's equivalence with the scalar ranking path."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Host
 from repro.errors import ConfigurationError
@@ -64,6 +68,17 @@ def test_vector_board_validation():
         VectorLoadBoard(["a"], [1.0, 2.0], [1])
     with pytest.raises(ConfigurationError):
         VectorLoadBoard(["a"], [1.0], [1], alpha=1.5)
+    with pytest.raises(ConfigurationError):
+        VectorLoadBoard([], [], [])
+    board = VectorLoadBoard(["a", "b"], [1.0, 2.0], [1, 1])
+    for sweep in (
+        ([0.0], [0.0], None),
+        ([0.0, 0.0], [0.0, 0.0, 0.0], None),
+        ([0.0, 0.0], [0.0, 0.0], [True]),
+    ):
+        with pytest.raises(ConfigurationError):
+            board.observe(sweep[0], sweep[1], up=sweep[2])
+    assert board.best_host() == "b"  # a refused sweep changed nothing
 
 
 def test_vector_board_skips_down_hosts():
@@ -72,6 +87,119 @@ def test_vector_board_skips_down_hosts():
                   up=[True, False, True])
     assert board.best_host() == "c"  # fastest alive, not fastest overall
     assert [board.names[i] for i in board.top_hosts(5)] == ["c", "a"]
+
+
+def test_vector_board_state_changes_only_through_observe_and_note_placement():
+    """What a score depends on is handed out read-only (or as a copy), so
+    no caller can leave the maintained scores stale."""
+    speeds, cores = np.array([1.0, 4.0, 2.0]), np.array([1, 1, 1])
+    board = VectorLoadBoard(["a", "b", "c"], speeds, cores)
+    up = np.array([True, True, True])
+    board.observe(np.zeros(3), np.zeros(3), up=up)
+    for array in (board.up, board.run_queue, board.utilization,
+                  board.speed, board.cores):
+        with pytest.raises(ValueError):
+            array[1] = 0
+    # the caller's arrays are neither frozen nor aliased
+    up[1] = False
+    speeds[1] = 0.5
+    board.pending[1] = 50.0
+    board.scores()[1] = -1.0
+    assert board.best_host() == "b"
+    assert board.scores().tolist() == [1.0, 4.0, 2.0]
+    with pytest.raises(AttributeError):
+        board.pending = np.zeros(3)
+    with pytest.raises(AttributeError):
+        board.up = up
+
+
+def _rescored(board):
+    """Every score from scratch: the formula as the board computed it per
+    request before it kept the vector."""
+    queue = board.run_queue + board.pending
+    denominator = np.maximum(1.0, queue + 1.0)
+    scores = board.speed * np.minimum(1.0, board.cores / denominator)
+    return np.where(board.up, scores, -np.inf)
+
+
+@st.composite
+def _board_scripts(draw):
+    n = draw(st.integers(1, 9))
+
+    def per_host(values):
+        return st.lists(values, min_size=n, max_size=n)
+
+    run_queue = st.one_of(
+        st.integers(0, 5).map(float), st.floats(0.0, 6.0, allow_nan=False)
+    )
+    step = st.one_of(
+        st.tuples(
+            st.just("observe"),
+            per_host(st.floats(0.0, 1.0, allow_nan=False)),
+            per_host(run_queue),
+            # all-up, all-down and mixed sweeps
+            st.one_of(per_host(st.booleans()), per_host(st.just(False))),
+        ),
+        st.tuples(st.just("place")),
+        st.tuples(
+            st.just("note"),
+            st.integers(0, n - 1),
+            st.sampled_from([1.0, 0.1, 1 / 3, 2.5]),
+        ),
+    )
+    return (
+        # few distinct speeds and cores, so that equal scores are common
+        draw(per_host(st.sampled_from([1.0, 1.25, 1.5]))),
+        draw(per_host(st.integers(1, 3))),
+        draw(st.lists(step, max_size=25)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_board_scripts())
+def test_maintained_scores_equal_a_recompute_after_any_interleaving(script):
+    """After any interleaving of sweeps (hosts going down and up) and
+    placements, the scores the board maintains entry by entry are a
+    from-scratch recompute to the last bit, ``best_index()`` is what
+    ``top_hosts(1)`` ranks first, and the scalar manager — the oracle the
+    board was derived from — chooses the same host."""
+    speeds, cores, steps = script
+    sim = Simulator(seed=1)
+
+    def make_hosts():
+        return [
+            Host(sim, i, f"h{i:02d}", speed=speeds[i], cores=cores[i])
+            for i in range(len(speeds))
+        ]
+
+    fast = SiteLoadManager("site", make_hosts(), vectorized=True)
+    slow = SiteLoadManager("site", make_hosts(), vectorized=False)
+    board = fast.board
+
+    def check():
+        assert [x.hex() for x in board.scores().tolist()] == [
+            x.hex() for x in _rescored(board).tolist()
+        ]
+        assert board.best_index() == (board.top_hosts(1) or [None])[0]
+        assert board.best_index() == slow._scalar_best()
+        assert fast.best_score() == slow.best_score()
+        if not board.up.any():
+            assert board.best_index() is None and board.best_host() is None
+            assert board.summary()["alive_hosts"] == 0
+
+    check()
+    for step in steps:
+        if step[0] == "observe":
+            sweep = tuple(np.array(column) for column in step[1:])
+            for manager in (fast, slow):
+                manager.sampler = SimpleNamespace(sample=lambda: sweep, sim=sim)
+                manager.refresh()
+        elif step[0] == "place":
+            assert fast.best_host() == slow.best_host()
+        else:
+            board.note_placement(step[1], step[2])
+            slow._pending[step[1]] += step[2]
+        check()
 
 
 def test_hierarchy_shape_and_fanout():
@@ -126,3 +254,14 @@ def test_region_node_prefers_the_idler_site():
     assert pick in {h.name for h in idle_hosts}
     summary = region.summary()
     assert summary.alive_hosts == 16
+
+
+@pytest.mark.parametrize("interval", [0, 0.0, -1.0, float("nan")])
+def test_refresh_interval_must_be_positive(interval):
+    """An interval of 0 used to reschedule the refresh tick on its own
+    instant for ever (``run(until=...)`` never returned); a negative one
+    failed inside the kernel, after the first refresh had run."""
+    sim = Simulator(seed=1)
+    with pytest.raises(ConfigurationError):
+        HierarchicalWinner(sim, _hosts(sim, 4), refresh_interval=interval)
+    assert sim.pending_event_count == 0
