@@ -68,7 +68,6 @@ def scale_run(
     refresh_interval: float = 0.5,
     num_shards: int = 8,
     services_per_shard: int = 4,
-    vectorized: bool = True,
     profiled: bool = False,
 ) -> ScaleRunResult:
     """Run one open-loop experiment at the given scale.
@@ -101,7 +100,6 @@ def scale_run(
         site_fanout=site_fanout,
         region_fanout=region_fanout,
         refresh_interval=refresh_interval,
-        vectorized=vectorized,
     ).start()
 
     # Service directory: each service is held by a deterministic stride of

@@ -73,16 +73,9 @@ class ForwardingAgent:
     def select(self) -> IOR:
         if not self._replicas:
             raise TRANSIENT("forwarding agent has no replicas registered")
-        hosts = sorted({ior.host for ior in self._replicas})
-        best = self._manager.best_host(candidates=hosts)
-        chosen = None
-        if best is not None:
-            chosen = next(
-                (ior for ior in self._replicas if ior.host == best), None
-            )
-            self._manager.note_placement(best)
+        chosen = self._manager.place(self._replicas)
         self.forwards += 1
-        return chosen if chosen is not None else self._replicas[0]
+        return self._replicas[0] if chosen is None else chosen
 
 
 def make_forwarding_servant(skeleton_class: type) -> type:

@@ -128,21 +128,17 @@ class WinnerStrategy(SelectionStrategy):
         self.fallbacks = 0
 
     def choose(self, group_name: str, candidates: Sequence[IOR]):
-        hosts = sorted({ior.host for ior in candidates})
         self.queries += 1
-        if hasattr(self._manager, "best_host") and not hasattr(
-            self._manager, "_invoke"
-        ):
-            best = self._manager.best_host(candidates=hosts)
-            chosen = self._pick(candidates, best)
-            if best and chosen is not None:
-                self._manager.note_placement(best)
-                return chosen
+        if hasattr(self._manager, "_invoke"):
+            return self._choose_remote(candidates)
+        chosen = self._manager.place(candidates)
+        if chosen is None:
             self.fallbacks += 1
             return candidates[0]
-        return self._choose_remote(candidates, hosts)
+        return chosen
 
-    def _choose_remote(self, candidates: Sequence[IOR], hosts: list[str]):
+    def _choose_remote(self, candidates: Sequence[IOR]):
+        hosts = sorted({ior.host for ior in candidates})
         best = yield self._manager.best_host(hosts, [])
         chosen = self._pick(candidates, best)
         if best and chosen is not None:

@@ -81,15 +81,8 @@ class TraderServant(TraderSkeleton):
         offers = self._offers.get(service_type)
         if not offers:
             raise NoOffers(service_type=service_type)
-        hosts = sorted({ior.host for ior in offers})
-        best = self._manager.best_host(candidates=hosts)
-        if best is None:
-            return offers[0]
-        self._manager.note_placement(best)
-        for ior in offers:
-            if ior.host == best:
-                return ior
-        return offers[0]
+        chosen = self._manager.place(offers)
+        return offers[0] if chosen is None else chosen
 
     def lookup_all(self, service_type):
         offers = self._offers.get(service_type)

@@ -11,17 +11,23 @@ performance." (§2)
 
 This package reproduces exactly that pipeline on the simulated NOW:
 
-* :mod:`repro.winner.metrics` — load samples and EWMA smoothing;
+* :mod:`repro.winner.metrics` — load samples, EWMA smoothing and the
+  location policy every manager shares: the host score
+  (:func:`~repro.winner.metrics.expected_rate`) and the site ranker
+  (:func:`~repro.winner.metrics.best_of` over
+  :class:`~repro.winner.metrics.SiteSummary` rollups);
 * :mod:`repro.winner.protocol` — the report datagrams (CDR-encoded);
 * :mod:`repro.winner.node_manager` — the per-host measuring daemon;
 * :mod:`repro.winner.system_manager` — the central collector and ranker,
-  with placement feedback so burst resolutions spread across hosts;
-* :mod:`repro.winner.ranking` — pluggable "best host" policies;
+  whose ``place()`` is the one placement call (best live candidate host,
+  charged so burst resolutions spread across hosts);
 * :mod:`repro.winner.service` — the CORBA servant wrapping the system
-  manager for the naming service's use (the integration of Fig. 1).
+  manager for the naming service's use (the integration of Fig. 1);
+* :mod:`repro.winner.hierarchy` and :mod:`repro.winner.federation` — the
+  site → region tree of the scale harness and the WAN meta manager.
 """
 
-from repro.winner.metrics import Ewma, LoadSample, VectorLoadBoard
+from repro.winner.metrics import Ewma, LoadSample, SiteSummary, VectorLoadBoard
 from repro.winner.hierarchy import (
     HierarchicalWinner,
     RegionNode,
@@ -30,19 +36,13 @@ from repro.winner.hierarchy import (
 from repro.winner.protocol import LoadReport, LoadReportDelta, decode_report
 from repro.winner.node_manager import NodeManager
 from repro.winner.system_manager import HostRecord, SystemManager
-from repro.winner.ranking import (
-    ExpectedRateRanking,
-    Ranking,
-    UtilizationRanking,
-)
 from repro.winner.batch import BatchJob, BatchQueue, JobState
-from repro.winner.federation import MetaManager, MetaStrategy, SiteSummary
+from repro.winner.federation import MetaManager, MetaStrategy
 
 __all__ = [
     "BatchJob",
     "BatchQueue",
     "Ewma",
-    "ExpectedRateRanking",
     "HierarchicalWinner",
     "HostRecord",
     "JobState",
@@ -53,11 +53,9 @@ __all__ = [
     "MetaManager",
     "MetaStrategy",
     "NodeManager",
-    "Ranking",
     "RegionNode",
     "SiteLoadManager",
     "SiteSummary",
     "SystemManager",
-    "UtilizationRanking",
     "VectorLoadBoard",
 ]

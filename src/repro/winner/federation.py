@@ -15,30 +15,18 @@ the same property the paper's §2 establishes for the single-LAN case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import ConfigurationError, ProcessKilled
 from repro.orb.ior import IOR
 from repro.services.naming.strategies import SelectionStrategy
+from repro.winner.metrics import SiteSummary, best_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.host import Host
     from repro.cluster.wan import WideAreaNetwork
     from repro.sim.process import Process
     from repro.winner.system_manager import SystemManager
-
-
-@dataclass
-class SiteSummary:
-    """Aggregated view of one site, as the meta manager last saw it."""
-
-    site: str
-    alive_hosts: int
-    best_host: Optional[str]
-    best_score: float
-    total_idle_capacity: float
-    updated_at: float
 
 
 class MetaManager:
@@ -98,20 +86,8 @@ class MetaManager:
 
     def refresh(self) -> None:
         """Pull a fresh summary from every site manager."""
-        now = self.host.sim.now
         for site, manager in self._site_managers.items():
-            alive = manager.alive_hosts()
-            best = manager.best_host()
-            self.summaries[site] = SiteSummary(
-                site=site,
-                alive_hosts=len(alive),
-                best_host=best,
-                best_score=manager.score(best) if best else float("-inf"),
-                total_idle_capacity=sum(
-                    max(0.0, manager.score(name)) for name in alive
-                ),
-                updated_at=now,
-            )
+            self.summaries[site] = manager.summary(site)
         self.polls += 1
 
     def _run(self):
@@ -131,27 +107,14 @@ class MetaManager:
         A remote site wins only when its best-host score exceeds the
         preferred site's by the WAN penalty factor.
         """
-        candidates = {
-            site: summary
-            for site, summary in self.summaries.items()
-            if summary.alive_hosts > 0
-        }
-        if not candidates:
-            return None
-        best_site = max(
-            sorted(candidates),
-            key=lambda site: candidates[site].best_score,
+        return best_of(
+            {
+                site: summary.best_score if summary.alive_hosts else None
+                for site, summary in sorted(self.summaries.items())
+            },
+            prefer,
+            self.wan_penalty,
         )
-        if prefer is None or prefer not in candidates:
-            return best_site
-        preferred = candidates[prefer]
-        if (
-            best_site != prefer
-            and candidates[best_site].best_score
-            > preferred.best_score * self.wan_penalty
-        ):
-            return best_site
-        return prefer
 
     def best_host(
         self,
@@ -167,33 +130,22 @@ class MetaManager:
             for site in self._site_managers:
                 per_site[site] = []
         # Evaluate each site's best among its candidates.
-        site_best: dict[str, tuple[str, float]] = {}
-        for site, names in per_site.items():
+        site_best: dict[str, str] = {}
+        scores: dict[str, float] = {}
+        for site, names in sorted(per_site.items()):
             manager = self._site_managers.get(site)
             if manager is None:
                 continue
             best = manager.best_host(candidates=names or None)
             if best is not None:
-                site_best[site] = (best, manager.score(best))
-        if not site_best:
+                site_best[site] = best
+                scores[site] = manager.score(best)
+        chosen_site = best_of(scores, prefer_site, self.wan_penalty)
+        if chosen_site is None:
             return None
-        chosen_site = self._choose_site(site_best, prefer_site)
-        best, _score = site_best[chosen_site]
+        best = site_best[chosen_site]
         self._site_managers[chosen_site].note_placement(best)
         return best
-
-    def _choose_site(
-        self, site_best: dict[str, tuple[str, float]], prefer: Optional[str]
-    ) -> str:
-        ranked = max(sorted(site_best), key=lambda s: site_best[s][1])
-        if prefer is None or prefer not in site_best:
-            return ranked
-        if (
-            ranked != prefer
-            and site_best[ranked][1] > site_best[prefer][1] * self.wan_penalty
-        ):
-            return ranked
-        return prefer
 
 
 class MetaStrategy(SelectionStrategy):

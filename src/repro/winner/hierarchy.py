@@ -10,9 +10,10 @@ module applies that shape *within* a cluster:
   them in one vectorized sweep (:class:`~repro.cluster.host.HostLoadSampler`
   feeding a :class:`~repro.winner.metrics.VectorLoadBoard`) instead of one
   report datagram per host per tick;
-* :class:`RegionNode`\\ s aggregate child summaries — the same fields as the
-  federation's :class:`~repro.winner.federation.SiteSummary` — so each tree
-  level ranks at most ``region_fanout`` children;
+* :class:`RegionNode`\\ s aggregate child summaries — the
+  :class:`~repro.winner.metrics.SiteSummary` the federation ranks too, with
+  the same :func:`~repro.winner.metrics.best_of` — so each tree level ranks
+  at most ``region_fanout`` children;
 * :class:`HierarchicalWinner` builds the tree, refreshes it on a fixed
   period, and answers ``best_host()`` by descending the best-summary path.
 
@@ -34,35 +35,25 @@ from typing import Optional, Sequence, TYPE_CHECKING, Union
 
 from repro.errors import ConfigurationError
 from repro.cluster.host import Host, HostLoadSampler
-from repro.winner.federation import SiteSummary
-from repro.winner.metrics import Ewma, VectorLoadBoard
+from repro.winner.metrics import SiteSummary, VectorLoadBoard, best_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import ScheduledEvent, Simulator
 
 
 class SiteLoadManager:
-    """Leaf manager: samples and ranks the hosts of one site.
-
-    :param vectorized: rank via the numpy :class:`VectorLoadBoard` (the
-        scale path) or via per-host :class:`Ewma` objects (the paper-style
-        scalar path).  Both produce bit-identical decisions — the property
-        tests hold the two against each other — so the flag exists to
-        *prove* the fast path neutral, not to change behaviour.
-    """
+    """Leaf manager: samples and ranks the hosts of one site."""
 
     def __init__(
         self,
         site: str,
         hosts: Sequence[Host],
         alpha: float = 0.5,
-        vectorized: bool = True,
     ) -> None:
         if not hosts:
             raise ConfigurationError(f"site {site!r} needs at least one host")
         self.site = site
         self.hosts: list[Host] = list(hosts)
-        self.vectorized = vectorized
         self.sampler = HostLoadSampler(self.hosts)
         self.board = VectorLoadBoard(
             self.sampler.names,
@@ -70,12 +61,6 @@ class SiteLoadManager:
             [h.cores for h in self.hosts],
             alpha=alpha,
         )
-        # Scalar shadow state, only maintained when vectorized=False.
-        self._util_ewma = [Ewma(alpha) for _ in self.hosts]
-        self._rq_ewma = [Ewma(alpha) for _ in self.hosts]
-        self._pending = [0.0] * len(self.hosts)
-        self._up = [True] * len(self.hosts)
-        self._updated_at = 0.0
         self.refreshes = 0
         self.placements = 0
 
@@ -86,84 +71,26 @@ class SiteLoadManager:
         """One sampling sweep folded into the smoothed per-host state."""
         utilization, run_queue, up = self.sampler.sample()
         now = self.sampler.sim.now
-        if self.vectorized:
-            self.board.observe(utilization, run_queue, up=up, now=now)
-        else:
-            for i in range(len(self.hosts)):
-                self._util_ewma[i].update(float(utilization[i]))
-                self._rq_ewma[i].update(float(run_queue[i]))
-                self._up[i] = bool(up[i])
-                self._pending[i] = 0.0
-            self._updated_at = now
+        self.board.observe(utilization, run_queue, up=up, now=now)
         self.refreshes += 1
-
-    # -- scalar shadow of the board's maths --------------------------------
-
-    def _scalar_score(self, i: int) -> float:
-        if not self._up[i]:
-            return float("-inf")
-        queue = self._rq_ewma[i].value + self._pending[i]
-        denominator = max(1.0, queue + 1.0)
-        host = self.hosts[i]
-        return host.speed * min(1.0, host.cores / denominator)
-
-    def _scalar_best(self) -> Optional[int]:
-        best: Optional[int] = None
-        best_score = float("-inf")
-        for i in range(len(self.hosts)):
-            score = self._scalar_score(i)
-            if score > best_score and self._up[i]:
-                best, best_score = i, score
-        return best
-
-    # -- queries ------------------------------------------------------------
 
     def best_host(self) -> Optional[str]:
         """Best live host; charges the placement until the next refresh."""
-        if self.vectorized:
-            board_index = self.board.best_index()
-            if board_index is None:
-                return None
-            index = board_index
-            self.board.note_placement(index)
-        else:
-            scalar_index = self._scalar_best()
-            if scalar_index is None:
-                return None
-            index = scalar_index
-            self._pending[index] += 1.0
+        index = self.board.best_index()
+        if index is None:
+            return None
+        self.board.note_placement(index)
         self.placements += 1
         return self.hosts[index].name
 
     def best_score(self) -> float:
-        if self.vectorized:
-            best = self.board.best_index()
-            if best is None:
-                return float("-inf")
-            return float(self.board.scores()[best])
-        index = self._scalar_best()
-        return self._scalar_score(index) if index is not None else float("-inf")
+        best = self.board.best_index()
+        if best is None:
+            return float("-inf")
+        return float(self.board.scores()[best])
 
     def summary(self) -> SiteSummary:
-        if self.vectorized:
-            rollup = self.board.summary()
-            return SiteSummary(site=self.site, **rollup)
-        alive = [i for i in range(len(self.hosts)) if self._up[i]]
-        best = self._scalar_best()
-        idle = sum(
-            self.hosts[i].speed
-            * self.hosts[i].cores
-            * max(0.0, 1.0 - self._util_ewma[i].value)
-            for i in alive
-        )
-        return SiteSummary(
-            site=self.site,
-            alive_hosts=len(alive),
-            best_host=self.hosts[best].name if best is not None else None,
-            best_score=self._scalar_score(best) if best is not None else 0.0,
-            total_idle_capacity=idle,
-            updated_at=self._updated_at,
-        )
+        return self.board.summary(self.site)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SiteLoadManager {self.site} hosts={len(self.hosts)}>"
@@ -189,38 +116,29 @@ class RegionNode:
         self._summaries = [child.summary() for child in self.children]
 
     def summary(self) -> SiteSummary:
-        alive = sum(s.alive_hosts for s in self._summaries)
+        updated_at = max(s.updated_at for s in self._summaries)
         best = self._best_child()
         if best is None:
-            return SiteSummary(
-                site=self.name,
-                alive_hosts=0,
-                best_host=None,
-                best_score=0.0,
-                total_idle_capacity=0.0,
-                updated_at=max(s.updated_at for s in self._summaries),
-            )
+            return SiteSummary(self.name, 0, None, 0.0, 0.0, updated_at)
         chosen = self._summaries[best]
         return SiteSummary(
             site=self.name,
-            alive_hosts=alive,
+            alive_hosts=sum(s.alive_hosts for s in self._summaries),
             best_host=chosen.best_host,
             best_score=chosen.best_score,
             total_idle_capacity=sum(
                 s.total_idle_capacity for s in self._summaries
             ),
-            updated_at=max(s.updated_at for s in self._summaries),
+            updated_at=updated_at,
         )
 
     def _best_child(self) -> Optional[int]:
-        best: Optional[int] = None
-        best_score = float("-inf")
-        for i, s in enumerate(self._summaries):
-            if s.alive_hosts == 0:
-                continue
-            if s.best_score > best_score:
-                best, best_score = i, s.best_score
-        return best
+        return best_of(
+            {
+                i: s.best_score if s.alive_hosts else None
+                for i, s in enumerate(self._summaries)
+            }
+        )
 
     def best_host(self) -> Optional[str]:
         best = self._best_child()
@@ -250,7 +168,6 @@ class HierarchicalWinner:
         region_fanout: int = 16,
         refresh_interval: float = 1.0,
         alpha: float = 0.5,
-        vectorized: bool = True,
     ) -> None:
         if site_fanout < 1 or region_fanout < 2:
             raise ConfigurationError(
@@ -276,7 +193,6 @@ class HierarchicalWinner:
                     site=f"site-{len(self.leaves):03d}",
                     hosts=chunk,
                     alpha=alpha,
-                    vectorized=vectorized,
                 )
             )
         self._leaf_of_host: dict[str, SiteLoadManager] = {

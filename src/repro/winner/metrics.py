@@ -1,4 +1,5 @@
-"""Load metrics: samples taken by node managers and EWMA smoothing.
+"""Load metrics and the location policy: samples, smoothing, one score,
+one summary ranker.
 
 The node manager measures what a 1990s Unix node manager measured from the
 kernel: CPU utilization over the sampling window (from the CPU's busy-time
@@ -9,12 +10,16 @@ At paper scale (10 hosts) each host gets its own :class:`Ewma` pair inside a
 ``HostRecord``; at harness scale (thousands of hosts per site) that per-host
 object graph is replaced by :class:`VectorLoadBoard` — the same smoothing and
 the same expected-rate score, but as O(hosts) float64 array math.
+
+Every Winner manager decides placement with the two functions here:
+:func:`expected_rate` scores a host, :func:`best_of` ranks the
+:class:`SiteSummary` rollups of sites or subtrees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -34,6 +39,57 @@ class LoadSample:
     #: static relative speed rating (Winner's benchmark value).
     speed: float
     cores: int
+
+
+def expected_rate(speed: float, cores: float, queue: float) -> float:
+    """The score: the CPU rate a newly placed task would get on the host.
+
+    With ``queue`` smoothed runnable tasks plus not yet visible placements
+    on a ``speed × cores`` machine, one more task runs at
+    ``speed * min(1, cores / max(1, queue + 1))`` under processor sharing —
+    the quantity that determines the runtimes in Fig. 3.  The float operations
+    and their order are part of every pinned placement;
+    :meth:`VectorLoadBoard._rescore` is the same expression over arrays.
+    """
+    return speed * min(1.0, cores / max(1.0, queue + 1.0))
+
+
+@dataclass
+class SiteSummary:
+    """Rollup of one site (or subtree) for the manager above it."""
+
+    site: str
+    alive_hosts: int
+    best_host: Optional[str]
+    best_score: float
+    total_idle_capacity: float
+    updated_at: float
+
+
+K = TypeVar("K")
+
+
+def best_of(
+    scores: Mapping[K, Optional[float]],
+    prefer: Optional[K] = None,
+    penalty: float = 1.0,
+) -> Optional[K]:
+    """The key of the first maximum score; ``None`` marks a dead entry,
+    which is never chosen (``None`` back when every entry is dead).
+
+    ``prefer`` is kept while it is live and the maximum does not exceed its
+    score times ``penalty`` — a remote site must beat the caller's by the
+    WAN penalty factor to win.
+    """
+    best: Optional[K] = None
+    best_score = float("-inf")
+    for key, score in scores.items():
+        if score is not None and score > best_score:
+            best, best_score = key, score
+    kept = None if prefer is None else scores.get(prefer)
+    if kept is not None and not best_score > kept * penalty:
+        return prefer
+    return best
 
 
 class Ewma:
@@ -87,11 +143,9 @@ class VectorLoadBoard:
     name to reproduce the scalar managers' name tie-break).  The EWMA
     update is ``v += alpha * (x - v)`` elementwise in float64 — the exact
     IEEE operations :class:`Ewma` performs, so a board-driven manager and
-    an :class:`Ewma`-driven one smooth identically — and the score is the
-    expected-rate formula of
-    :class:`repro.winner.ranking.ExpectedRateRanking`:
-    ``speed * min(1, cores / max(1, queue + 1))`` with
-    ``queue = run_queue_ewma + pending_placements``.
+    an :class:`Ewma`-driven one smooth identically — and the score is
+    :func:`expected_rate` with ``queue = run_queue_ewma +
+    pending_placements``.
 
     The board keeps its score vector: :meth:`observe` recomputes all of
     it, :meth:`note_placement` the one entry the placement changed (the
@@ -190,8 +244,9 @@ class VectorLoadBoard:
         self._pending_of: list[float] = [0.0] * len(self.names)
         self._rq_of: list[float] = self._rq.tolist()
         self._up_of: list[bool] = self._up.tolist()
-        # queue + 1 with nothing pending: (rq + 0.0) + 1.0 and rq + 1.0 are
-        # the same double for every rq, so the zero is not added.
+        # expected_rate over arrays.  queue + 1 with nothing pending:
+        # (rq + 0.0) + 1.0 and rq + 1.0 are the same double for every rq, so
+        # the zero is not added.
         denominator = np.maximum(1.0, self._rq + 1.0)
         scores = self.speed * np.minimum(1.0, self.cores / denominator)
         self._scores = np.where(self._up, scores, -np.inf)
@@ -201,10 +256,10 @@ class VectorLoadBoard:
         pending = self._pending_of
         pending[index] += weight
         if self._up_of[index]:
-            queue = self._rq_of[index] + pending[index]
-            denominator = max(1.0, queue + 1.0)
-            self._scores[index] = self._speed_of[index] * min(
-                1.0, self._cores_of[index] / denominator
+            self._scores[index] = expected_rate(
+                self._speed_of[index],
+                self._cores_of[index],
+                self._rq_of[index] + pending[index],
             )
 
     def scores(self) -> np.ndarray:
@@ -234,26 +289,21 @@ class VectorLoadBoard:
         best = self.best_index()
         return self.names[best] if best is not None else None
 
-    def summary(self) -> dict:
+    def summary(self, site: str) -> SiteSummary:
         """Site rollup for a parent aggregator (hierarchical Winner)."""
         alive = self._up
         best = self.best_index()
         if best is None:
-            return {
-                "alive_hosts": 0,
-                "best_host": None,
-                "best_score": 0.0,
-                "total_idle_capacity": 0.0,
-                "updated_at": self.updated_at,
-            }
+            return SiteSummary(site, 0, None, 0.0, 0.0, self.updated_at)
         idle = self.speed * self.cores * np.maximum(0.0, 1.0 - self._util)
-        return {
-            "alive_hosts": int(np.count_nonzero(alive)),
-            "best_host": self.names[best],
-            "best_score": float(self._scores[best]),
-            "total_idle_capacity": float(np.where(alive, idle, 0.0).sum()),
-            "updated_at": self.updated_at,
-        }
+        return SiteSummary(
+            site=site,
+            alive_hosts=int(np.count_nonzero(alive)),
+            best_host=self.names[best],
+            best_score=float(self._scores[best]),
+            total_idle_capacity=float(np.where(alive, idle, 0.0).sum()),
+            updated_at=self.updated_at,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

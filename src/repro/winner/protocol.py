@@ -5,10 +5,17 @@ the plain network (Winner predates the CORBA integration — it is a Unix
 daemon speaking its own lightweight protocol; the CORBA face is added by
 :mod:`repro.winner.service`).  Reports are CDR-encoded so their wire size is
 charged realistically.
+
+Both decoders accept only what a node manager can send — finite ``time``,
+``cpu_utilization`` and ``speed``, ``speed > 0``, ``cores >= 1`` — and
+raise :class:`~repro.errors.CdrError` otherwise, which the collector drops:
+one forged report with ``speed=inf`` would otherwise win every placement
+until the host went stale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -57,7 +64,7 @@ class LoadReport:
         stream = CdrInputStream(data)
         if stream.read_raw(4) != _MAGIC:
             raise CdrError("not a Winner load report")
-        return cls(
+        report = cls(
             host=stream.read_string(),
             time=stream.read_double(),
             cpu_utilization=stream.read_double(),
@@ -66,6 +73,13 @@ class LoadReport:
             cores=stream.read_ulong(),
             seq=stream.read_ulonglong(),
         )
+        _check_finite(report.time, report.cpu_utilization, report.speed)
+        if not report.speed > 0 or report.cores == 0:
+            raise CdrError(
+                f"Winner load report: speed {report.speed}, "
+                f"cores {report.cores} (need > 0)"
+            )
+        return report
 
 
 @dataclass(frozen=True)
@@ -116,10 +130,17 @@ class LoadReportDelta:
         mask = stream.read_octet()
         cpu = stream.read_double() if mask & DELTA_HAS_CPU else None
         run_queue = stream.read_ulong() if mask & DELTA_HAS_RUN_QUEUE else None
+        _check_finite(time, 0.0 if cpu is None else cpu)
         return cls(
             host=host, time=time, seq=seq,
             cpu_utilization=cpu, run_queue=run_queue,
         )
+
+
+def _check_finite(*values: float) -> None:
+    for value in values:
+        if not math.isfinite(value):
+            raise CdrError(f"Winner report with a non-finite field: {values}")
 
 
 def decode_report(data: bytes) -> Union[LoadReport, LoadReportDelta]:

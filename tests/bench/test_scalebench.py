@@ -1,5 +1,5 @@
 """Tests for the scale harness drivers: accounting, and the determinism
-of ``scale_run`` across every fast-path flag (the property the
+of ``scale_run`` across reruns and the kernel profiler (the property the
 optimizations must not break)."""
 
 import pytest
@@ -30,14 +30,13 @@ def test_scale_run_accounting_closes():
     "overrides",
     [
         {},  # the reference itself re-runs identically
-        {"vectorized": False},  # scalar ranking path
         {"profiled": True},  # kernel profiler installed
     ],
-    ids=["rerun", "scalar", "profiled"],
+    ids=["rerun", "profiled"],
 )
 def test_thousand_host_run_is_bit_identical(overrides):
-    """Satellite property: same seed => same completion fingerprint for a
-    1k-host run, with and without the fast-path machinery engaged."""
+    """Same seed => same completion fingerprint for a 1k-host run, with
+    and without the kernel profiler installed."""
     kwargs = dict(
         num_hosts=1_000, num_clients=10_000,
         arrival_rate=0.5 * cluster_capacity(1_000), duration=1.0, seed=11,

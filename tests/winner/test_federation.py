@@ -6,8 +6,9 @@ from repro.cluster import BackgroundLoad, Cluster, ClusterConfig, Host
 from repro.cluster.wan import WideAreaNetwork
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim import Simulator
-from repro.winner import NodeManager, SystemManager
+from repro.winner import NodeManager, RegionNode, SiteSummary, SystemManager
 from repro.winner.federation import MetaManager, MetaStrategy
+from repro.winner.metrics import best_of
 
 
 def build_wan(num_per_site=3, sites=("eu", "us"), seed=5):
@@ -138,6 +139,54 @@ def test_meta_survives_dead_site():
     sim.run(until=12.0)
     assert meta.best_site(prefer="us") == "eu"
     assert meta.summaries["us"].alive_hosts == 0
+
+
+#: (scores — None marks a dead entry —, prefer, penalty, the chosen key)
+BEST_OF_TABLE = [
+    ({"a": 1.0, "b": 2.0, "c": 2.0}, None, 1.0, "b"),  # ties go to the first
+    ({"a": None, "b": None}, None, 1.0, None),  # all dead
+    ({}, "a", 1.5, None),
+    ({"a": 2.0, "b": 3.0}, "a", 1.5, "a"),  # kept at exactly penalty x
+    ({"a": 2.0, "b": 3.0000000000000004}, "a", 1.5, "b"),  # beaten by more
+    ({"a": 2.0, "b": 2.0}, "b", 1.0, "b"),  # kept on a tie
+    ({"a": None, "b": 1.0}, "a", 1.5, "b"),  # a dead prefer loses
+    ({"a": 1.0, "b": None}, "b", 1.0, "a"),
+    ({"a": 1.0, "b": 2.0}, "zz", 1.5, "b"),  # an unknown prefer is ignored
+]
+
+
+class _Child:
+    """A region child or site with a fixed best score (None = dark)."""
+
+    def __init__(self, key, score):
+        self.key, self.score = key, score
+
+    def refresh(self):
+        pass
+
+    def summary(self):
+        alive = self.score is not None
+        return SiteSummary(
+            self.key, int(alive), f"{self.key}-host" if alive else None,
+            self.score if alive else 0.0, 0.0, 0.0,
+        )
+
+    def best_host(self):
+        return f"{self.key}-host"
+
+
+@pytest.mark.parametrize("scores, prefer, penalty, expected", BEST_OF_TABLE)
+def test_best_of_table(scores, prefer, penalty, expected):
+    assert best_of(scores, prefer, penalty) == expected
+    # the meta manager ranks its site summaries through it ...
+    sim = Simulator()
+    meta = MetaManager(Host(sim, 0, "ws00"), WideAreaNetwork(sim), wan_penalty=penalty)
+    meta.summaries = {key: _Child(key, s).summary() for key, s in scores.items()}
+    assert meta.best_site(prefer) == expected
+    # ... and so does a region over its children, which prefers none
+    if scores and prefer is None:
+        region = RegionNode("r", [_Child(key, score) for key, score in scores.items()])
+        assert region.best_host() == (expected and f"{expected}-host")
 
 
 def test_wan_penalty_validation():

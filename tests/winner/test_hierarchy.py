@@ -1,5 +1,6 @@
 """Tests for the hierarchical Winner (site → region tree) and the
-vectorized load board's equivalence with the scalar ranking path."""
+vectorized load board's equivalence with the scalar oracle
+(``tests/winner/scalar_oracle.py``) and with ``expected_rate``."""
 
 from types import SimpleNamespace
 
@@ -7,15 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import Host
+from repro.cluster import Cluster, ClusterConfig, Host
 from repro.errors import ConfigurationError
 from repro.sim import Simulator
 from repro.winner import (
     HierarchicalWinner,
+    LoadReport,
     RegionNode,
     SiteLoadManager,
+    SystemManager,
     VectorLoadBoard,
 )
+from repro.winner.metrics import expected_rate
+
+from tests.winner.scalar_oracle import ScalarSiteLoadManager
 
 
 def _hosts(sim, n, offset=0):
@@ -27,12 +33,12 @@ def _hosts(sim, n, offset=0):
 
 
 def test_vector_board_matches_scalar_manager_decisions():
-    """The vectorized and scalar site managers must place identically."""
+    """The site manager and its scalar oracle must place identically."""
     sim = Simulator(seed=4)
     hosts_a = _hosts(sim, 40)
     hosts_b = _hosts(sim, 40)
-    fast = SiteLoadManager("site", hosts_a, vectorized=True)
-    slow = SiteLoadManager("site", hosts_b, vectorized=False)
+    fast = SiteLoadManager("site", hosts_a)
+    slow = ScalarSiteLoadManager("site", hosts_b)
 
     load = sim.rng("test", "load")
     for _ in range(5):
@@ -122,6 +128,41 @@ def _rescored(board):
     return np.where(board.up, scores, -np.inf)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    speed=st.one_of(st.sampled_from([1.0, 1.25, 1.5]), st.floats(0.01, 100.0)),
+    cores=st.integers(1, 8),
+    run_queues=st.lists(st.integers(0, 9), min_size=1, max_size=4),
+    placements=st.integers(0, 4),
+    run_queue_discount=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 5.0)),
+    placement_discount=st.integers(0, 5),
+)
+def test_expected_rate_is_the_boards_array_form(
+    speed, cores, run_queues, placements, run_queue_discount, placement_discount
+):
+    """The system manager's score — smoothed run queue, pending
+    placements, both of ``score()``'s discounts — is ``expected_rate``, and
+    that is the board's array form and its single-entry rescore, to the
+    last bit."""
+    sim = Simulator(seed=1)
+    cluster = Cluster(sim, ClusterConfig(num_hosts=1))
+    manager = SystemManager(cluster.host(0), cluster.network)
+    for seq, run_queue in enumerate(run_queues):
+        manager._apply(LoadReport("h", 0.0, 0.5, run_queue, speed, cores, seq))
+    for _ in range(placements):
+        manager.note_placement("h")
+    score = manager.score("h", run_queue_discount, placement_discount)
+
+    queue = max(0.0, manager.records["h"].run_queue_ewma.value - run_queue_discount)
+    pending = max(0, placements - placement_discount)
+    board = VectorLoadBoard(["h"], [speed], [cores])
+    board.observe([0.5], [queue])
+    board.note_placement(0, float(pending))
+    assert score.hex() == expected_rate(speed, cores, queue + pending).hex()
+    assert score.hex() == float(_rescored(board)[0]).hex()
+    assert score.hex() == float(board.scores()[0]).hex()
+
+
 @st.composite
 def _board_scripts(draw):
     n = draw(st.integers(1, 9))
@@ -161,8 +202,8 @@ def test_maintained_scores_equal_a_recompute_after_any_interleaving(script):
     """After any interleaving of sweeps (hosts going down and up) and
     placements, the scores the board maintains entry by entry are a
     from-scratch recompute to the last bit, ``best_index()`` is what
-    ``top_hosts(1)`` ranks first, and the scalar manager — the oracle the
-    board was derived from — chooses the same host."""
+    ``top_hosts(1)`` ranks first, and the scalar oracle the board was
+    derived from chooses the same host."""
     speeds, cores, steps = script
     sim = Simulator(seed=1)
 
@@ -172,8 +213,8 @@ def test_maintained_scores_equal_a_recompute_after_any_interleaving(script):
             for i in range(len(speeds))
         ]
 
-    fast = SiteLoadManager("site", make_hosts(), vectorized=True)
-    slow = SiteLoadManager("site", make_hosts(), vectorized=False)
+    fast = SiteLoadManager("site", make_hosts())
+    slow = ScalarSiteLoadManager("site", make_hosts())
     board = fast.board
 
     def check():
@@ -185,7 +226,7 @@ def test_maintained_scores_equal_a_recompute_after_any_interleaving(script):
         assert fast.best_score() == slow.best_score()
         if not board.up.any():
             assert board.best_index() is None and board.best_host() is None
-            assert board.summary()["alive_hosts"] == 0
+            assert board.summary("site").alive_hosts == 0
 
     check()
     for step in steps:

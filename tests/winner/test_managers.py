@@ -1,17 +1,17 @@
 """Tests for node managers, the system manager and host ranking."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.cluster import BackgroundLoad, Cluster, ClusterConfig
 from repro.errors import ServiceError
 from repro.sim import Simulator
-from repro.winner import (
-    ExpectedRateRanking,
-    HostRecord,
-    NodeManager,
-    SystemManager,
-    UtilizationRanking,
-)
+from repro.orb.ior import IOR
+from repro.winner import LoadReport, NodeManager, SystemManager
+from repro.winner.node_manager import NODE_MANAGER_PORT
+from repro.winner.protocol import SYSTEM_MANAGER_PORT
 
 
 def build(num_hosts=4, seed=3, speeds=1.0, cores=1, interval=1.0):
@@ -160,21 +160,77 @@ def test_out_of_order_reports_discarded():
     assert record.utilization_ewma.value == 0.5
 
 
-def test_rankings_disagree_where_expected():
-    # A fast host with a queue vs. a slow idle host.
-    fast_busy = HostRecord("fast", speed=4.0, cores=1)
-    fast_busy.run_queue_ewma.update(3)
-    fast_busy.utilization_ewma.update(1.0)
-    slow_idle = HostRecord("slow", speed=1.0, cores=1)
-    slow_idle.run_queue_ewma.update(0)
-    slow_idle.utilization_ewma.update(0.0)
-    expected_rate = ExpectedRateRanking()
-    utilization = UtilizationRanking()
-    # Expected rate: 4/4 = 1.0 on fast vs 1.0 on slow -> tie broken elsewhere;
-    # utilization ranking strongly prefers the idle one.
-    assert expected_rate.score(fast_busy) == pytest.approx(1.0)
-    assert expected_rate.score(slow_idle) == pytest.approx(1.0)
-    assert utilization.score(slow_idle) > utilization.score(fast_busy)
+def _replicas(*hosts):
+    return [IOR("IDL:X:1.0", host, 9000 + i, b"k", 0) for i, host in enumerate(hosts)]
+
+
+def test_place_returns_the_first_candidate_on_the_best_host_and_charges_once():
+    sim, cluster, manager, _ = build(speeds=[1.0, 1.0, 3.0, 1.0])
+    sim.run(until=5.0)
+    candidates = _replicas("ws01", "ws02", "ws03", "ws02")
+    before = {name: r.pending_placements for name, r in manager.records.items()}
+    chosen = manager.place(candidates)
+    assert chosen is candidates[1]  # ws02 is fastest; its first replica
+    after = {name: r.pending_placements for name, r in manager.records.items()}
+    assert after == {**before, "ws02": before["ws02"] + 1}
+
+
+def test_place_charges_nothing_without_a_live_candidate():
+    sim, cluster, manager, _ = build()
+    sim.run(until=5.0)
+    cluster.host(3).crash()
+    sim.run(until=12.0)
+    pending = [r.pending_placements for r in manager.records.values()]
+    assert manager.place([]) is None
+    assert manager.place(_replicas("ws03", "ws03")) is None  # stale host
+    assert manager.place(_replicas("nowhere")) is None  # unknown host
+    assert [r.pending_placements for r in manager.records.values()] == pending
+
+
+@pytest.mark.parametrize(
+    "forged",
+    [
+        {"speed": math.inf},
+        {"speed": math.nan},
+        {"speed": 0.0},
+        {"cores": 0},
+        {"cpu_utilization": -math.inf},
+        {"time": math.nan},
+    ],
+    ids=lambda forged: "-".join(f"{k}={v}" for k, v in forged.items()),
+)
+def test_forged_report_over_the_network_changes_no_placement(forged):
+    """One datagram no node manager could send — a valid-CDR full report
+    for ws00 with an out-of-domain field and a sequence number far ahead,
+    so genuine reports would be dropped as reordered behind it — is
+    dropped by the collector, which keeps running and places as if it had
+    never arrived (``speed=inf`` used to win six placements of six)."""
+
+    def placements(forge: bool):
+        sim, cluster, manager, _ = build()
+        for index in (0, 1, 2):
+            BackgroundLoad(cluster.host(index), chunk=0.25).start()
+        sim.run(until=8.0)
+        if forge:
+            report = dataclasses.replace(
+                LoadReport("ws00", sim.now, 0.0, 0, 1.0, 1, seq=2**40), **forged
+            )
+            raw = report.encode()
+            cluster.network.send(
+                cluster.host(1), NODE_MANAGER_PORT,
+                "ws00", SYSTEM_MANAGER_PORT, raw, len(raw),
+            )
+        sim.run(until=8.5)
+        chosen = []
+        for _ in range(6):
+            chosen.append(manager.best_host())
+            manager.note_placement(chosen[-1])
+        return chosen, manager
+
+    chosen, manager = placements(forge=True)
+    assert chosen == placements(forge=False)[0]
+    assert manager.records["ws00"].last_seq < 2**40
+    assert manager._process.is_pending  # winner-sm still collecting
 
 
 def test_node_manager_sampling_window_utilization():

@@ -12,8 +12,9 @@ Two halves, both literals (``tests/winner/placement_golden_steps.py``):
   200-step sequence of placements, refreshes, host crashes and restarts
   (one whole site goes dark and comes back): the host chosen at every
   step and ``float.hex`` of every ``board.scores()`` entry after it,
-  stored as the entries that changed since the previous step.  The scalar
-  (``vectorized=False``) managers must choose the same hosts.
+  stored as the entries that changed since the previous step.  The same
+  tree over the scalar oracle's leaves (``scalar_oracle.py``) must choose
+  the same hosts.
 
 Any event, float operation, RNG draw or tie-break a change to the request
 path moves shows up here as a literal diff.
@@ -33,9 +34,10 @@ import pytest
 from repro.bench.scalebench import cluster_capacity, scale_run
 from repro.cluster import Host
 from repro.sim import Simulator
-from repro.winner import HierarchicalWinner
+from repro.winner import HierarchicalWinner, hierarchy
 
 from tests.winner.placement_golden_steps import SCALE_CELLS, STEPS
+from tests.winner.scalar_oracle import ScalarSiteLoadManager
 
 SCALE_KWARGS = {
     "60x2000/seed3": dict(
@@ -100,7 +102,7 @@ def script() -> Iterator[tuple]:
             yield ("place", (state >> 16) % 3, 0.25 * (1 + (state >> 4) % 12))
 
 
-def run_script(vectorized: bool = True) -> list[tuple]:
+def run_script() -> list[tuple]:
     """``(action, chosen host or None, [hex of every score])`` per step."""
     sim = Simulator(seed=20)
     hosts = [
@@ -110,7 +112,6 @@ def run_script(vectorized: bool = True) -> list[tuple]:
     by_name = {host.name: host for host in hosts}
     winner = HierarchicalWinner(
         sim, hosts, site_fanout=SITE_FANOUT, region_fanout=2,
-        vectorized=vectorized,
     )
     winner.refresh()
     out: list[tuple] = []
@@ -165,8 +166,9 @@ def test_scripted_placements_and_scores_match_the_recorded_commit():
     assert any(site_one_dark) and not site_one_dark[-1]
 
 
-def test_scalar_managers_choose_the_recorded_hosts():
-    chosen = [(action, host) for action, host, _ in run_script(vectorized=False)]
+def test_scalar_managers_choose_the_recorded_hosts(monkeypatch):
+    monkeypatch.setattr(hierarchy, "SiteLoadManager", ScalarSiteLoadManager)
+    chosen = [(action, host) for action, host, _ in run_script()]
     assert chosen == [(action, host) for action, host, _ in STEPS]
 
 
