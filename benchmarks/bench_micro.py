@@ -12,7 +12,7 @@ from repro.cluster import Cluster, ClusterConfig
 from repro.orb import Orb, compile_idl
 from repro.orb.cdr import CdrInputStream, CdrOutputStream, decode_any, encode_any
 from repro.orb import typecodes as tc
-from repro.opt import complex_box, rosenbrock
+from repro.opt import DecomposedRosenbrock, complex_box, rosenbrock
 from repro.sim import ProcessorSharingCPU, Simulator
 from repro.sim.randomness import rng_stream
 
@@ -137,3 +137,17 @@ def test_complex_box_2d_rosenbrock(benchmark):
 
     result = benchmark(optimize)
     assert np.isfinite(result.fun)
+
+
+def test_complex_box_14d_worker_solve(benchmark):
+    """One worker solve of the shape Table 1 runs: worker 0 of the 100/7
+    layout (14 block variables next to a fixed coupling value) at the
+    bench iteration cap of 96."""
+    problem = DecomposedRosenbrock(100, 7)
+    coupling = np.full(problem.manager_dimension, 0.5)
+
+    def solve():
+        return problem.solve_worker(0, coupling, rng_stream(7, "micro"), 96)
+
+    result = benchmark(solve)
+    assert result.x.shape == (14,) and np.isfinite(result.fun)

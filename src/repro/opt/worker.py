@@ -153,9 +153,7 @@ class RosenbrockWorkerServant(RosenbrockWorkerSkeleton):
         }
 
     def restore_from(self, state):
-        self._evaluations = int(state["evaluations"])
-        self.solve_calls = int(state["solve_calls"])
-        self._best = {
+        best = {
             int(worker_id): {
                 "fun": float(entry["fun"]),
                 "block": np.asarray(entry["block"], dtype=np.float64),
@@ -163,3 +161,15 @@ class RosenbrockWorkerServant(RosenbrockWorkerSkeleton):
             }
             for worker_id, entry in state["best"].items()
         }
+        # A block is the next solve's warm start: it must fit its subproblem.
+        for worker_id, entry in best.items():
+            if not 0 <= worker_id < self.problem.num_workers:
+                raise BadSubproblem(why=f"no subproblem {worker_id}")
+            dim = self.problem.worker(worker_id).dimension
+            if entry["block"].shape != (dim,):
+                raise BadSubproblem(
+                    why=f"subproblem {worker_id} block must have {dim} values"
+                )
+        self._evaluations = int(state["evaluations"])
+        self.solve_calls = int(state["solve_calls"])
+        self._best = best

@@ -133,6 +133,25 @@ def test_invalid_arguments_rejected():
         complex_box(sphere, np.zeros(2), np.ones(2), rng, n_points=2)
 
 
+def test_x0_of_wrong_shape_rejected():
+    # a length-1 x0 used to be broadcast over all n coordinates
+    for x0 in ([0.5], [0.5] * 3, [0.5] * 5, [[0.5] * 4]):
+        with pytest.raises(ValueError, match="x0 must have shape"):
+            run_box(sphere, 4, max_iterations=5, x0=np.array(x0))
+
+
+def test_nan_bounds_rejected():
+    rng = rng_stream(0, "x")
+    for lower, upper in (
+        ([0.0, np.nan], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, np.nan]),
+        ([np.nan, 0.0], [np.nan, 1.0]),
+        ([0.0, 1.0], [1.0, 1.0]),
+    ):
+        with pytest.raises(ValueError, match="lower bound"):
+            complex_box(sphere, np.array(lower), np.array(upper), rng)
+
+
 def test_engine_coroutine_protocol():
     """The engine yields points and receives values — drivable manually."""
     lower, upper = np.zeros(2), np.ones(2)

@@ -122,6 +122,30 @@ def test_worker_checkpoint_roundtrip_preserves_state():
     assert evals_a == evals_b
 
 
+def test_worker_restore_rejects_block_of_wrong_length():
+    """A restored block is the next warm start: a wrong length must not
+    get in (the engine would broadcast a length-1 block over the complex's
+    first point)."""
+    problem = DecomposedRosenbrock(10, 2)
+    servant = RosenbrockWorkerServant(problem)
+
+    def state(worker_id, block):
+        return {
+            "evaluations": 5,
+            "solve_calls": 1,
+            "best": {
+                str(worker_id): {"fun": 1.0, "block": block, "coupling": [1.0]}
+            },
+        }
+
+    for worker_id, block in ((0, [0.5]), (0, [0.5] * 4), (1, [0.5] * 5), (2, [0.5] * 4)):
+        with pytest.raises(worker_idl.BadSubproblem):
+            servant.restore_from(state(worker_id, block))
+    assert servant.solve_calls == 0  # a rejected state leaves nothing behind
+    servant.restore_from(state(1, [0.5] * 4))
+    np.testing.assert_array_equal(servant.best_block(1), [0.5] * 4)
+
+
 def test_worker_warm_start_reuses_best_block():
     runtime = build_runtime()
     problem = DecomposedRosenbrock(10, 2)
