@@ -187,7 +187,10 @@ def runtime_report(runtime: "Runtime") -> dict:
         "resolve_cache": resolve_cache,
         "connection_cache": connections,
         "winner_reports": winner_reports,
-        "cdr_plan_cache": cdr.plan_cache_stats(),
+        "cdr_plan_cache": {
+            key: count - runtime._plan_stats_at_start[key]
+            for key, count in cdr.plan_cache_stats().items()
+        },
         "observability": sim.obs.report(),
         "slo": slo_report(sim.obs.metrics.snapshot()),
     }

@@ -15,7 +15,7 @@ from repro.ft import (
     RecoveryCoordinator,
     make_ft_proxy,
 )
-from repro.orb import Orb
+from repro.orb import Orb, cdr
 from repro.orb.ior import IOR
 from repro.services.checkpoint import (
     CheckpointStoreServant,
@@ -94,6 +94,9 @@ class Runtime:
         self.store_servant: Optional[CheckpointStoreServant] = None
         self.store_ior: Optional[IOR] = None
         self._started = False
+        #: process-wide CDR plan-cache counters when this runtime started;
+        #: ``runtime_report`` subtracts them so it counts this runtime only.
+        self._plan_stats_at_start = cdr.plan_cache_stats()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -102,6 +105,7 @@ class Runtime:
         if self._started:
             return self
         self._started = True
+        self._plan_stats_at_start = cdr.plan_cache_stats()
         config = self.config
         service_host = self.cluster.host(config.service_host)
 

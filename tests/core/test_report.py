@@ -107,3 +107,20 @@ def test_format_runtime_report_renders_all_sections():
     assert "Network:" in text
     assert "spin" in text
     assert "Fault tolerance:" in text
+
+
+def test_plan_cache_section_counts_this_runtime_only():
+    """The plan cache is process-wide; the report is per runtime."""
+    from repro.orb import cdr
+
+    before = cdr.plan_cache_stats()
+    busy = build_busy_runtime()
+    after = cdr.plan_cache_stats()
+    own = runtime_report(busy)["cdr_plan_cache"]
+    assert own == {key: after[key] - before[key] for key in after}
+    assert own["encoder_plan_hits"] + own["decoder_plan_hits"] > 0
+
+    fresh = Runtime(RuntimeConfig(num_hosts=3, seed=4)).start()
+    plans = runtime_report(fresh)["cdr_plan_cache"]
+    assert set(plans) == set(after)
+    assert all(count == 0 for count in plans.values())
