@@ -2,7 +2,7 @@
 """The static analyzer as a library: lint a snippet, read the findings,
 suppress one with a justification, and render the reports.
 
-`python -m repro.analysis` wraps exactly this API (plus the baseline and
+`python -m repro.analysis` wraps exactly this API (plus the cache and
 CI plumbing); here we drive it programmatically:
 
 1. run all four checker families over an in-memory snippet that breaks
@@ -19,8 +19,7 @@ Run:  PYTHONPATH=src python examples/analysis_report.py
 
 from pathlib import Path
 
-from repro.analysis import Baseline, analyze_paths, analyze_source
-from repro.analysis.cli import BASELINE_FILENAME
+from repro.analysis import analyze_paths, analyze_source
 from repro.analysis.report import render_json, render_text
 
 # 1. A snippet that is wrong in two ways: it reads the wall clock inside
@@ -77,17 +76,14 @@ print(render_text(result))
 print(render_json(result, strict=True)[:200] + "...")
 
 # 5. The real gate, exactly as CI and tests/analysis/test_live_tree.py
-#    run it: the live tree must be clean modulo the checked-in baseline.
+#    run it: the live tree must be strict-clean, every suppression an
+#    inline directive that still silences a finding.
 repo_root = Path(__file__).resolve().parents[1]
-baseline = Baseline.load(repo_root / BASELINE_FILENAME)
-live = analyze_paths(
-    [repo_root / "src" / "repro"], root=repo_root, baseline=baseline
-)
+live = analyze_paths([repo_root / "src" / "repro"], root=repo_root)
 print("\n== live tree ==")
 print(
     f"  files={live.files_checked} actionable={len(live.findings)} "
-    f"baselined={len(live.baselined)} suppressed={len(live.suppressed)} "
-    f"stale={len(live.stale_baseline)}"
+    f"suppressed={len(live.suppressed)}"
 )
 assert live.exit_code(strict=True) == 0, "the tree must pass its own gate"
 print("  strict gate: PASS")

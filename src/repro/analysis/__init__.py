@@ -35,7 +35,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.baseline import Baseline, BaselineError
 from repro.analysis.checkers import (
     ALL_CHECKERS,
     AtomicityChecker,
@@ -55,8 +54,6 @@ __all__ = [
     "ALL_CHECKERS",
     "AnalysisResult",
     "AtomicityChecker",
-    "Baseline",
-    "BaselineError",
     "Checker",
     "ConfigFlagChecker",
     "DeterminismChecker",

@@ -1,20 +1,19 @@
 """Incremental analysis cache (``--cache <dir>``).
 
 The strict CI gate re-runs the whole analysis on every push; almost
-always on a tree where nothing relevant changed.  This module makes the
-gate incremental with three content-addressed tiers, coarsest first:
+always on a tree where little changed.  This module makes the gate
+incremental with two content-addressed tiers, coarsest first:
 
 * **full-run** — one key over the sorted ``(relpath, sha256(text))`` set,
   the checker-code signature, the semantic flag and the ``--select``
   expression.  A hit skips parsing entirely: the stored findings (already
   classified against inline suppressions, which live in the hashed file
-  contents) are replayed and only the baseline — which can change
-  independently of the tree — is re-applied fresh;
-* **per-checker project** — ``check_project`` output keyed by the same
-  file-set hash, per checker.  Lets ``--select RACE`` runs share work
-  with full runs over the same tree;
+  contents) are replayed as they are;
 * **per-file** — ``check_file`` output keyed by one file's content hash,
   per checker.  Survives edits to *other* files.
+
+``check_project`` output is not cached: its only sound key is the whole
+file set, which the full-run tier already covers.
 
 Every key embeds :data:`CACHE_VERSION` and a signature hashed from the
 source text of every loaded ``repro.analysis`` module, so editing any
@@ -192,28 +191,7 @@ class AnalysisCache:
             },
         )
 
-    # -- per-checker / per-file tiers (used by run_checkers) ----------------------
-
-    def load_project_findings(
-        self, checker_name: str, semantic: bool
-    ) -> Optional[list[Finding]]:
-        key = self._key(
-            "project", checker_name, self._file_set_digest(), str(semantic)
-        )
-        payload = self._load(key)
-        if payload is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return [finding_from_dict(f) for f in payload.get("findings", [])]
-
-    def store_project_findings(
-        self, checker_name: str, semantic: bool, findings: Sequence[Finding]
-    ) -> None:
-        key = self._key(
-            "project", checker_name, self._file_set_digest(), str(semantic)
-        )
-        self._store(key, {"findings": [f.to_dict() for f in findings]})
+    # -- per-file tier (used by run_checkers) ------------------------------------
 
     def load_file_findings(
         self, checker_name: str, relpath: str

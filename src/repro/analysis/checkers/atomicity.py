@@ -57,7 +57,7 @@ class AtomicityChecker(Checker):
     default_scope = ("src/repro/",)
 
     def check_project(self, project: Project) -> Iterable[Finding]:
-        graph = CallGraph(project)
+        graph = project.call_graph
         findings: list[Finding] = []
         for source in self.scoped_files(project):
             findings.extend(self._check_markers(source, graph))
@@ -235,8 +235,8 @@ class AtomicityChecker(Checker):
             if not self.applies_to(fn.source):
                 continue
             held: list[str] = []
-            for event in fn.lock_events:
-                if event.op == "acquire":
+            for event in fn.events:
+                if event.kind == "acquire":
                     for holder in held:
                         if holder != event.name:
                             edges.setdefault(
@@ -244,10 +244,10 @@ class AtomicityChecker(Checker):
                                 (fn.source, event.line, fn.qualname),
                             )
                     held.append(event.name)
-                elif event.op == "release":
+                elif event.kind == "release":
                     if event.name in held:
                         held.remove(event.name)
-                elif event.op == "call" and held and event.call is not None:
+                elif event.kind == "call" and held and event.call is not None:
                     for target in graph.resolve(fn, event.call):
                         for wanted in acquired[id(target)]:
                             for holder in held:

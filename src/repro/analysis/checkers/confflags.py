@@ -158,17 +158,11 @@ class ConfigFlagChecker(Checker):
     def _consulted(
         name: str, config_source: SourceFile, scoped: list[SourceFile]
     ) -> bool:
-        for source in scoped:
-            if source is config_source or source.tree is None:
-                continue
-            for node in ast.walk(source.tree):
-                if (
-                    isinstance(node, ast.Attribute)
-                    and node.attr == name
-                    and isinstance(node.ctx, ast.Load)
-                ):
-                    return True
-        return False
+        return any(
+            name in source.attribute_loads
+            for source in scoped
+            if source is not config_source
+        )
 
     # -- CFG003: runtime_report shape ---------------------------------------------
 
@@ -336,13 +330,11 @@ class ConfigFlagChecker(Checker):
     def _string_appears_elsewhere(
         key: str, report_source: SourceFile, scoped: list[SourceFile]
     ) -> bool:
-        for source in scoped:
-            if source is report_source or source.tree is None:
-                continue
-            for node in ast.walk(source.tree):
-                if isinstance(node, ast.Constant) and node.value == key:
-                    return True
-        return False
+        return any(
+            key in source.string_constants
+            for source in scoped
+            if source is not report_source
+        )
 
 
 def _subscript_or_get_key(node: ast.AST) -> Optional[str]:

@@ -109,7 +109,7 @@ class LifecycleChecker(Checker):
     )
 
     def check_project(self, project: Project) -> Iterable[Finding]:
-        graph = CallGraph(project)
+        graph = project.call_graph
         scoped = [fn for fn in graph.functions if self.applies_to(fn.source)]
         findings: list[Finding] = []
         for spec in PROTOCOLS:

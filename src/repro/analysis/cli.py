@@ -5,8 +5,11 @@ Typical invocations::
     PYTHONPATH=src python -m repro.analysis                 # default tree, report
     PYTHONPATH=src python -m repro.analysis --strict        # CI gate (warnings fail)
     PYTHONPATH=src python -m repro.analysis --json out.json # machine report
-    PYTHONPATH=src python -m repro.analysis --write-baseline  # (re)seed baseline
-    PYTHONPATH=src python -m repro.analysis --list-checkers   # the catalog
+    PYTHONPATH=src python -m repro.analysis --list-checkers # the catalog
+
+Findings are silenced only by inline ``# analysis: ignore[CODE]: why``
+directives next to the code; a directive that silences nothing is an
+``ANA002`` warning, so ``--strict`` fails until it is deleted.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.baseline import Baseline, BaselineError
 from repro.analysis.cache import AnalysisCache
 from repro.analysis.checkers import ALL_CHECKERS
-from repro.analysis.findings import AnalysisResult, Finding
+from repro.analysis.findings import AnalysisResult
 from repro.analysis.framework import checker_catalog, run_checkers
 from repro.analysis.report import (
     render_cache_line,
@@ -33,8 +35,6 @@ from repro.analysis.source import (
     discover_python_files,
     find_repo_root,
 )
-
-BASELINE_FILENAME = "analysis-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,23 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="repository root for relative paths (default: auto-detected)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"suppression baseline (default: <root>/{BASELINE_FILENAME})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file even if present",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit "
-        "(justifications start as TODO placeholders that must be edited)",
-    )
-    parser.add_argument(
         "--json",
         type=Path,
         default=None,
@@ -93,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="fail on warnings and stale baseline entries, not just errors",
+        help="fail on warnings (stale ignore directives among them), not "
+        "just errors",
     )
     parser.add_argument(
         "--select",
@@ -115,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-v",
         "--verbose",
         action="store_true",
-        help="also list baselined and inline-suppressed findings",
+        help="also list inline-suppressed findings",
     )
     return parser
 
@@ -159,47 +143,23 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             }
         )
 
-    baseline_path = args.baseline or (root / BASELINE_FILENAME)
-    baseline: Optional[Baseline] = None
-    if args.write_baseline:
-        project = Project.from_files(file_paths, root=root, semantic=semantic)
-        result = run_checkers(
-            project, checkers, baseline=None, select=select, cache=cache
-        )
-        baseline_path.write_text(
-            Baseline.render(result.findings), encoding="utf-8"
-        )
-        print(
-            f"wrote {len(result.findings)} suppression(s) to {baseline_path}; "
-            "edit the TODO justifications before committing"
-        )
-        return 0
-    if not args.no_baseline and baseline_path.exists():
-        try:
-            baseline = Baseline.load(baseline_path)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
     cached = cache.load_full(semantic, select) if cache is not None else None
     if cached is not None:
-        # Identical tree + checkers: replay without parsing.  Only the
-        # baseline (which changes independently of the tree) is re-applied.
-        kept, suppressed = cached
-        result = _classify_cached(
-            kept, suppressed, baseline, select, len(file_paths), checkers
+        # Identical tree + checkers: replay without parsing.
+        findings, suppressed = cached
+        result = AnalysisResult(
+            findings=findings,
+            suppressed=suppressed,
+            files_checked=len(file_paths),
+            checkers_run=tuple(checker.name for checker in checkers),
         )
     else:
         project = Project.from_files(file_paths, root=root, semantic=semantic)
-        result = run_checkers(
-            project, checkers, baseline=baseline, select=select, cache=cache
-        )
+        result = run_checkers(project, checkers, select=select, cache=cache)
         if cache is not None:
-            pre_baseline = sorted(
-                [*result.findings, *result.baselined],
-                key=lambda f: (f.path, f.line, f.code),
+            cache.store_full(
+                semantic, select, result.findings, result.suppressed
             )
-            cache.store_full(semantic, select, pre_baseline, result.suppressed)
 
     print(render_text(result, verbose=args.verbose))
     if cache is not None:
@@ -224,41 +184,6 @@ def _cli_relpath(path: Path, root: Path) -> str:
         return path.as_posix()
 
 
-def _classify_cached(
-    kept: list[Finding],
-    suppressed: list[Finding],
-    baseline: Optional[Baseline],
-    select: Optional[list[str]],
-    files_checked: int,
-    checkers: list,
-) -> AnalysisResult:
-    """Re-apply the baseline over a replayed full-run cache entry."""
-    result = AnalysisResult(
-        files_checked=files_checked,
-        checkers_run=tuple(checker.name for checker in checkers),
-    )
-    result.suppressed = list(suppressed)
-    matched: set[str] = set()
-    for finding in kept:
-        if baseline is not None and baseline.matches(finding):
-            matched.add(finding.fingerprint)
-            result.baselined.append(finding)
-        else:
-            result.findings.append(finding)
-    if baseline is not None:
-        stale = baseline.unmatched(matched)
-        if select:
-            wanted = {code.strip().upper() for code in select}
-            stale = [
-                entry
-                for entry in stale
-                if str(entry.get("code", "")) in wanted
-                or str(entry.get("code", "")).rstrip("0123456789") in wanted
-            ]
-        result.stale_baseline = stale
-    return result
-
-
 def _parse_select(select: Optional[str]) -> Optional[list[str]]:
     if not select:
         return None
@@ -269,9 +194,8 @@ def analyze_paths(
     paths: Sequence[Path],
     root: Optional[Path] = None,
     semantic: bool = True,
-    baseline: Optional[Baseline] = None,
 ) -> AnalysisResult:
     """Programmatic entry point: run every checker over ``paths``."""
     project = Project.from_paths(paths, root=root, semantic=semantic)
     checkers = [checker_cls() for checker_cls in ALL_CHECKERS]
-    return run_checkers(project, checkers, baseline=baseline)
+    return run_checkers(project, checkers)

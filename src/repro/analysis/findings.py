@@ -4,7 +4,7 @@ A :class:`Finding` is one defect report: a stable code (``DET001``,
 ``IDL003``, ...), the file/line it anchors to, and a *fingerprint* that
 identifies the finding across unrelated line drift — the fingerprint hashes
 the code, path, enclosing definition and message, but **not** the line
-number, so re-formatting a file does not invalidate baseline entries.
+number, so re-formatting a file does not change it.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ class Finding:
 
     :param code: stable finding code, e.g. ``"DET001"``.
     :param message: human-readable defect statement (must not embed line
-        numbers — the baseline fingerprint hashes it).
+        numbers — the fingerprint hashes it).
     :param path: repo-relative posix path of the file.
     :param line: 1-based line the finding anchors to.
     :param severity: :class:`Severity` of the defect.
     :param checker: name of the checker that produced it.
     :param context: enclosing qualified name (``Class.method`` or module
-        symbol) — part of the fingerprint, keeps baselines line-stable.
+        symbol) — part of the fingerprint, keeps it line-stable.
     """
 
     code: str
@@ -50,7 +50,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Line-independent identity used for baseline matching."""
+        """Line-independent identity of the finding."""
         raw = "|".join((self.code, self.path, self.context, self.message))
         return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
 
@@ -80,10 +80,6 @@ class AnalysisResult:
     findings: list[Finding] = field(default_factory=list)
     #: findings silenced by an inline ``# analysis: ignore[...]`` directive.
     suppressed: list[Finding] = field(default_factory=list)
-    #: findings matched by a checked-in baseline entry.
-    baselined: list[Finding] = field(default_factory=list)
-    #: baseline entries that matched nothing (stale — candidates for removal).
-    stale_baseline: list[dict] = field(default_factory=list)
     files_checked: int = 0
     checkers_run: tuple[str, ...] = ()
 
@@ -97,10 +93,7 @@ class AnalysisResult:
 
     def exit_code(self, strict: bool = False) -> int:
         """0 = clean; 1 = actionable findings.  ``--strict`` also fails on
-        warnings and on stale baseline entries (a stale entry means the
-        baseline no longer describes the tree)."""
-        if self.errors:
-            return 1
-        if strict and (self.warnings or self.stale_baseline):
+        warnings, stale ``ANA002`` directives among them."""
+        if self.errors or (strict and self.warnings):
             return 1
         return 0

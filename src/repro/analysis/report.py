@@ -15,26 +15,11 @@ def render_text(result: AnalysisResult, verbose: bool = False) -> str:
     lines: list[str] = []
     for finding in result.findings:
         lines.append(finding.render())
-    if verbose and result.baselined:
-        lines.append("")
-        lines.append("baselined (justified in the suppression file):")
-        for finding in result.baselined:
-            lines.append(f"  {finding.render()}")
     if verbose and result.suppressed:
         lines.append("")
         lines.append("suppressed inline (# analysis: ignore[...]):")
         for finding in result.suppressed:
             lines.append(f"  {finding.render()}")
-    if result.stale_baseline:
-        lines.append("")
-        lines.append(
-            "stale baseline entries (match nothing in the tree — remove them):"
-        )
-        for entry in result.stale_baseline:
-            lines.append(
-                f"  {entry.get('code', '?')} {entry.get('path', '?')} "
-                f"[{entry.get('context', '')}] {entry.get('fingerprint')}"
-            )
     lines.append("")
     lines.append(summary_line(result))
     return "\n".join(lines)
@@ -50,8 +35,8 @@ def summary_line(result: AnalysisResult) -> str:
     return (
         f"{len(result.findings)} finding(s){breakdown}: "
         f"{len(result.errors)} error(s), {len(result.warnings)} warning(s); "
-        f"{len(result.baselined)} baselined, {len(result.suppressed)} "
-        f"suppressed inline; {result.files_checked} file(s), "
+        f"{len(result.suppressed)} suppressed inline; "
+        f"{result.files_checked} file(s), "
         f"checkers: {', '.join(result.checkers_run)}"
     )
 
@@ -76,17 +61,13 @@ def render_json(
             "findings": len(result.findings),
             "errors": len(result.errors),
             "warnings": len(result.warnings),
-            "baselined": len(result.baselined),
             "suppressed": len(result.suppressed),
-            "stale_baseline": len(result.stale_baseline),
             "files_checked": result.files_checked,
             "checkers": list(result.checkers_run),
             "exit_code": result.exit_code(strict=strict),
         },
         "findings": [finding.to_dict() for finding in result.findings],
-        "baselined": [finding.to_dict() for finding in result.baselined],
         "suppressed": [finding.to_dict() for finding in result.suppressed],
-        "stale_baseline": result.stale_baseline,
         "cache": (
             cache_stats.to_dict()
             if cache_stats is not None

@@ -4,7 +4,8 @@ A :class:`SourceFile` bundles one parsed module: text, AST, the comment map
 (extracted with :mod:`tokenize`, so trailing comments are attributed to the
 right line), the parsed ``# analysis:`` directives, and an import-alias
 table for resolving dotted call names.  A :class:`Project` is the set of
-files under analysis plus the root used for repo-relative paths.
+files under analysis plus the root used for repo-relative paths, and
+holds the one call graph every interprocedural checker shares.
 """
 
 from __future__ import annotations
@@ -14,11 +15,15 @@ import io
 import subprocess
 import tokenize
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.suppressions import Directives, parse_directives
+
+if TYPE_CHECKING:
+    from repro.analysis.callgraph import CallGraph
 
 
 def extract_comments(text: str) -> dict[int, str]:
@@ -95,6 +100,28 @@ class SourceFile:
             parse_error=parse_error,
         )
 
+    @cached_property
+    def attribute_loads(self) -> frozenset[str]:
+        """Every ``<name>`` read as ``x.<name>`` anywhere in the module."""
+        if self.tree is None:
+            return frozenset()
+        return frozenset(
+            node.attr
+            for node in ast.walk(self.tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
+
+    @cached_property
+    def string_constants(self) -> frozenset[str]:
+        """Every string literal in the module."""
+        if self.tree is None:
+            return frozenset()
+        return frozenset(
+            node.value
+            for node in ast.walk(self.tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        )
+
     def resolve_call_name(self, node: ast.expr) -> str:
         """Best-effort dotted name of a call target, import-resolved.
 
@@ -150,6 +177,14 @@ class Project:
         for file_path in file_paths:
             project.files.append(SourceFile.load(file_path, project.root))
         return project
+
+    @cached_property
+    def call_graph(self) -> "CallGraph":
+        """The project call graph, built on first use and shared by every
+        checker of the run."""
+        from repro.analysis.callgraph import CallGraph  # imports this module
+
+        return CallGraph(self)
 
     def by_relpath(self, relpath: str) -> Optional[SourceFile]:
         for source in self.files:

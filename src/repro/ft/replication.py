@@ -375,6 +375,7 @@ class ReplicaGroup:
         )
         try:
             seed = yield self._invoke(origin, "get_checkpoint", ())
+        # analysis: ignore[EXC003]: Seeding the new replica group from the origin object is best-effort: an origin that is already dead simply means the members start from fresh state, and provisioning then retires the origin from the naming group anyway.
         except RECOVERABLE:
             seed = None  # origin already dead: members start fresh
         # Replicas avoid the caller's host (a soft preference — the

@@ -1,4 +1,4 @@
-"""CLI exit-code matrix, baseline round-trip, --select, and the cache.
+"""CLI exit-code matrix, stale directives, --select, and the cache.
 
 Each test builds a tiny throwaway tree under ``tmp_path`` with one
 exception-safety error (``repro/loader.py``) and one race error
@@ -58,17 +58,10 @@ def _run_json(argv: list[str], json_path: Path):
     return rc, json.loads(json_path.read_text(encoding="utf-8"))
 
 
-def _justify(baseline_path: Path) -> None:
-    payload = json.loads(baseline_path.read_text(encoding="utf-8"))
-    for entry in payload["suppressions"]:
-        entry["justification"] = "intentional fixture violation"
-    baseline_path.write_text(json.dumps(payload), encoding="utf-8")
-
-
 def test_errors_exit_nonzero(tmp_path):
     tree = _seed_tree(tmp_path)
     rc, payload = _run_json(
-        [str(tree), "--root", str(tmp_path), "--no-baseline"],
+        [str(tree), "--root", str(tmp_path)],
         tmp_path / "report.json",
     )
     assert rc == 1
@@ -78,7 +71,7 @@ def test_errors_exit_nonzero(tmp_path):
 
 def test_select_narrows_to_the_named_family(tmp_path):
     tree = _seed_tree(tmp_path)
-    base = [str(tree), "--root", str(tmp_path), "--no-baseline"]
+    base = [str(tree), "--root", str(tmp_path)]
     rc, payload = _run_json(
         [*base, "--select", "RACE"], tmp_path / "race.json"
     )
@@ -89,105 +82,77 @@ def test_select_narrows_to_the_named_family(tmp_path):
     assert payload["findings"] == []
 
 
-def test_write_baseline_roundtrip_is_strict_clean(tmp_path):
+def _silence_both(tree: Path) -> None:
+    """Justify both seeded violations with an inline directive."""
+    (tree / "loader.py").write_text(
+        BARE_EXCEPT.replace(
+            "    except:",
+            "    # analysis: ignore[EXC001]: intentional fixture violation\n"
+            "    except:",
+        ),
+        encoding="utf-8",
+    )
+    (tree / "ft" / "state.py").write_text(
+        RACY_STATE.replace(
+            "    def reset(self):\n",
+            "    def reset(self):\n"
+            "        # analysis: ignore[RACE004]: intentional fixture violation\n",
+        ),
+        encoding="utf-8",
+    )
+
+
+def test_silenced_tree_is_strict_clean(tmp_path):
     tree = _seed_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert (
-        run(
-            [
-                str(tree),
-                "--root",
-                str(tmp_path),
-                "--baseline",
-                str(baseline),
-                "--write-baseline",
-            ]
-        )
-        == 0
-    )
-    # unedited TODO justifications must invalidate the whole file...
-    assert (
-        run(
-            [
-                str(tree),
-                "--root",
-                str(tmp_path),
-                "--baseline",
-                str(baseline),
-            ]
-        )
-        == 2
-    )
-    # ...and once justified, the baselined-only tree is strict-clean.
-    _justify(baseline)
+    _silence_both(tree)
     rc, payload = _run_json(
-        [
-            str(tree),
-            "--root",
-            str(tmp_path),
-            "--baseline",
-            str(baseline),
-            "--strict",
-        ],
+        [str(tree), "--root", str(tmp_path), "--strict"],
         tmp_path / "report.json",
     )
     assert rc == 0
-    assert payload["summary"]["baselined"] == 2
     assert payload["findings"] == []
+    assert payload["summary"]["suppressed"] == 2
 
 
-def test_new_finding_over_a_baseline_fails(tmp_path):
+def test_new_finding_over_a_directive_fails(tmp_path):
     tree = _seed_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    run(
-        [
-            str(tree),
-            "--root",
-            str(tmp_path),
-            "--baseline",
-            str(baseline),
-            "--write-baseline",
-        ]
-    )
-    _justify(baseline)
+    _silence_both(tree)
     (tree / "extra.py").write_text(BARE_EXCEPT, encoding="utf-8")
-    rc = run(
-        [str(tree), "--root", str(tmp_path), "--baseline", str(baseline)]
-    )
+    rc = run([str(tree), "--root", str(tmp_path)])
     assert rc == 1
 
 
-def test_stale_baseline_entry_fails_only_strict(tmp_path):
+def test_stale_directive_fails_only_strict(tmp_path):
     tree = _seed_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    run(
-        [
-            str(tree),
-            "--root",
-            str(tmp_path),
-            "--baseline",
-            str(baseline),
-            "--write-baseline",
-        ]
+    _silence_both(tree)
+    state = tree / "ft" / "state.py"
+    # reset() now takes the lock: the RACE004 directive silences nothing.
+    state.write_text(
+        state.read_text(encoding="utf-8").replace(
+            "fixture violation\n        self.seq = 0\n",
+            "fixture violation\n        with self._lock:\n"
+            "            self.seq = 0\n",
+        ),
+        encoding="utf-8",
     )
-    _justify(baseline)
-    (tree / "ft" / "state.py").unlink()  # the RACE004 entry goes stale
-    common = [str(tree), "--root", str(tmp_path), "--baseline", str(baseline)]
-    assert run(common) == 0
+    common = [str(tree), "--root", str(tmp_path)]
+    rc, payload = _run_json(common, tmp_path / "lenient.json")
+    assert rc == 0
+    assert [(f["code"], f["path"]) for f in payload["findings"]] == [
+        ("ANA002", "repro/ft/state.py")
+    ]
+    assert payload["findings"][0]["severity"] == "warning"
     assert run([*common, "--strict"]) == 1
+    # Under a --select that leaves RACE out, the RACE004 directive is not
+    # evidence of anything: its checker never ran.
+    assert run([*common, "--strict", "--select", "EXC"]) == 0
+    assert run([*common, "--strict", "--select", "RACE"]) == 1
 
 
 def test_cache_replays_identical_runs_and_invalidates_on_edit(tmp_path):
     tree = _seed_tree(tmp_path)
     cache_dir = tmp_path / "cache"
-    base = [
-        str(tree),
-        "--root",
-        str(tmp_path),
-        "--no-baseline",
-        "--cache",
-        str(cache_dir),
-    ]
+    base = [str(tree), "--root", str(tmp_path), "--cache", str(cache_dir)]
     rc_cold, cold = _run_json(base, tmp_path / "cold.json")
     rc_warm, warm = _run_json(base, tmp_path / "warm.json")
     assert rc_cold == rc_warm == 1

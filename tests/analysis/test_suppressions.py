@@ -1,11 +1,9 @@
-"""Suppression machinery: inline directives, justification rules, and the
-fingerprint baseline (matching, staleness, strict exit codes)."""
+"""Suppression machinery: inline directives, justification rules,
+staleness and strict exit codes, and line-independent fingerprints."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis import Baseline, BaselineError, analyze_source
+from repro.analysis import ExceptionSafetyChecker, analyze_source
 
 BROKEN = (
     "def swallow(op):\n"
@@ -47,31 +45,22 @@ def test_unjustified_ignore_is_rejected_and_does_not_suppress():
     assert "EXC002" in codes  # ...and the finding it failed to silence
 
 
-def test_baseline_round_trip_and_staleness(tmp_path):
-    result = analyze_source(BROKEN)
-    assert result.findings
-    rendered = Baseline.render(
-        result.findings, justification="fixture: provably benign"
+def test_directive_that_silences_nothing_is_stale_only_under_strict():
+    text = "def fine():  # analysis: ignore[EXC002]: fixture — nothing here\n"
+    result = analyze_source(text + "    return 1\n")
+    assert [(f.code, f.line) for f in result.findings] == [("ANA002", 1)]
+    assert "ignore[EXC002]" in result.findings[0].message
+    assert result.exit_code(strict=False) == 0
+    assert result.exit_code(strict=True) == 1
+
+
+def test_directive_for_a_family_that_did_not_run_is_not_stale():
+    text = "def fine():  # analysis: ignore[RACE004]: fixture — not judged\n"
+    result = analyze_source(
+        text + "    return 1\n", checkers=[ExceptionSafetyChecker(scope=())]
     )
-    path = tmp_path / "analysis-baseline.json"
-    path.write_text(rendered, encoding="utf-8")
-    baseline = Baseline.load(path)
-
-    # Every finding matches its baseline entry -> nothing actionable.
-    assert all(baseline.matches(f) for f in result.findings)
-
-    # A clean tree leaves the entries unmatched -> stale, strict fails.
-    clean = analyze_source("def fine():\n    return 1\n")
-    assert baseline.unmatched(set()) == baseline.entries
-    assert clean.exit_code(strict=False) == 0
-
-
-def test_baseline_rejects_todo_justifications(tmp_path):
-    rendered = Baseline.render(analyze_source(BROKEN).findings)
-    path = tmp_path / "analysis-baseline.json"
-    path.write_text(rendered, encoding="utf-8")
-    with pytest.raises(BaselineError):
-        Baseline.load(path)
+    assert result.findings == []
+    assert result.exit_code(strict=True) == 0
 
 
 def test_fingerprints_survive_line_drift():
