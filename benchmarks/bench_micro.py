@@ -68,6 +68,51 @@ def test_any_decode_checkpoint_state(benchmark):
     assert result == CHECKPOINT_STATE
 
 
+#: what a warm-passive group ships after every call: the bulk state and a
+#: 20-entry reply cache in a member envelope
+MEMBER_ENVELOPE = {
+    "__ft_member_state__": 1,
+    "state": {"total": 6.0, "weights": [0.5 * i for i in range(512)]},
+    "replies": {f"acc:{i}": 1.5 * i for i in range(1, 21)},
+}
+#: a Table 1 worker state of the paper's 100/7 layout: seven subproblems,
+#: each with its objective value, block (14 or 13) and coupling (6)
+WORKER_STATE = {
+    "evaluations": 1498,
+    "solve_calls": 7,
+    "best": {
+        str(w): {
+            "fun": 0.25 * (w + 1),
+            "block": np.array([w + 0.125 * j for j in range(n)]),
+            "coupling": np.full(6, 0.5),
+        }
+        for w, n in enumerate((14, 14, 14, 13, 13, 13, 13))
+    },
+}
+
+
+def test_any_encode_member_envelope(benchmark):
+    data = benchmark(lambda: encode_any(MEMBER_ENVELOPE))
+    assert len(data) == 9056
+
+
+def test_any_decode_member_envelope(benchmark):
+    data = encode_any(MEMBER_ENVELOPE)
+    result = benchmark(lambda: decode_any(data))
+    assert result == MEMBER_ENVELOPE
+
+
+def test_any_encode_table1_worker_state(benchmark):
+    data = benchmark(lambda: encode_any(WORKER_STATE))
+    assert len(data) == 3360
+
+
+def test_any_decode_table1_worker_state(benchmark):
+    data = encode_any(WORKER_STATE)
+    result = benchmark(lambda: decode_any(data))
+    assert encode_any(result) == data
+
+
 def test_idl_compile(benchmark):
     ns = benchmark(lambda: compile_idl(IDL_SOURCE, name="bench"))
     assert hasattr(ns, "TargetStub")

@@ -348,9 +348,7 @@ def format_runtime_report(report: dict) -> str:
             f"CDR plan cache: {plans['encoder_plan_hits']} encoder hits / "
             f"{plans['encoder_plans_compiled']} compiled, "
             f"{plans['decoder_plan_hits']} decoder hits / "
-            f"{plans['decoder_plans_compiled']} compiled, "
-            f"any-memo {plans['any_memo_hits']} hits / "
-            f"{plans['any_memo_misses']} misses"
+            f"{plans['decoder_plans_compiled']} compiled"
         )
     obs = report.get("observability")
     if obs:

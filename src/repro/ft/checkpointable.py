@@ -9,6 +9,9 @@ whatever internal state a restarted instance needs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+from repro.orb.cdr import TC_ANY_IMAGE
 from repro.orb.idl import compile_idl
 
 CHECKPOINTABLE_IDL = """
@@ -30,3 +33,11 @@ CheckpointableSkeleton = ns.CheckpointableSkeleton
 #: operations a fault-tolerance proxy must never wrap (they are the
 #: recovery machinery itself).
 CHECKPOINT_OPERATIONS = frozenset({"get_checkpoint", "restore_from"})
+
+#: ``get_checkpoint`` as the fault-tolerance layer calls it to capture a
+#: state: the same request, but a reply whose body decodes cleanly comes
+#: back as an :class:`~repro.orb.cdr.AnyImage`, so the state can be hashed
+#: and passed on to ``restore_from`` without being marshalled again.
+CAPTURE_CHECKPOINT = replace(
+    CheckpointableStub.__operations__["get_checkpoint"], result=TC_ANY_IMAGE
+)

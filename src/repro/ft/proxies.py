@@ -44,7 +44,7 @@ from functools import partial
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import RecoveryError, SystemException
-from repro.ft.checkpointable import CHECKPOINT_OPERATIONS
+from repro.ft.checkpointable import CAPTURE_CHECKPOINT, CHECKPOINT_OPERATIONS
 from repro.ft.policy import FtPolicy
 from repro.ft.recovery import RECOVERABLE, RecoveryCoordinator
 from repro.ft.shipping import Shipment, StateShipper
@@ -313,7 +313,7 @@ class _FtProxyBase:
         with obs.tracer.span(
             "ft:checkpoint", host=self._orb.host.name, service=ft.key
         ):
-            state = yield ObjectStub._invoke(self, "get_checkpoint", ())
+            state = yield self._capture()
             shipment = ft.shipper.prepare(state, incremental=not ft.degraded)
             if shipment is None:
                 ft._calls_since_checkpoint = 0
@@ -328,6 +328,11 @@ class _FtProxyBase:
         obs.metrics.histogram(
             "ft_checkpoint_seconds", service=ft.key
         ).observe(self._orb.sim.now - started)
+
+    def _capture(self) -> "SimFuture":
+        """``get_checkpoint`` on the current target; resolves to the state's
+        :class:`~repro.orb.cdr.AnyImage` (or the decoded state)."""
+        return self._orb.invoke(self._ior, CAPTURE_CHECKPOINT, (), reference=self)
 
     def _checkpoint_pipelined(self):
         """Pipelined step 3: capture the state under the proxy lock, then
@@ -346,7 +351,7 @@ class _FtProxyBase:
             "ft:checkpoint", host=orb.host.name, service=ft.key
         ):
             try:
-                state = yield ObjectStub._invoke(self, "get_checkpoint", ())
+                state = yield self._capture()
             except Exception as exc:  # noqa: BLE001 - policy decides
                 self._note_persist_failure(exc)
                 return

@@ -39,7 +39,11 @@ from repro.errors import (
     RecoveryError,
     UserException,
 )
-from repro.ft.checkpointable import CHECKPOINT_OPERATIONS, CheckpointableStub
+from repro.ft.checkpointable import (
+    CAPTURE_CHECKPOINT,
+    CHECKPOINT_OPERATIONS,
+    CheckpointableStub,
+)
 from repro.ft.detector import FailureDetector
 from repro.ft.recovery import RECOVERABLE
 from repro.ft.shipping import Shipment, StateShipper
@@ -219,6 +223,10 @@ class ReplicatedServant(Servant):
         return self._wrap_state(state)
 
     def restore_from(self, payload):
+        # Synchronous prefix of the upcall: the body this payload was
+        # decoded from is its encoding, so hashing it stands in for
+        # marshalling the payload again (None when called directly).
+        body = self._poa.orb.current_request_body if self._poa else None
         digest: Optional[str] = None
         if isinstance(payload, dict) and SHIP_DELTA_MARK in payload:
             envelope = payload
@@ -233,11 +241,11 @@ class ReplicatedServant(Servant):
             digest = envelope.get("target")
         if isinstance(payload, dict) and MEMBER_STATE_MARK in payload:
             self._ship_base = payload
-            self._ship_digest = (
-                digest
-                if digest is not None
-                else state_digest(encode_any(payload))
-            )
+            if digest is None:
+                digest = state_digest(
+                    body if body is not None else encode_any(payload)
+                )
+            self._ship_digest = digest
             self._replies = dict(payload.get("replies") or {})
             inner_state = payload.get("state")
         else:
@@ -347,6 +355,11 @@ class ReplicaGroup:
             ior, self._op_info(operation), args, service_contexts=contexts
         )
 
+    def _capture(self, ior: "IOR") -> "SimFuture":
+        """``get_checkpoint`` on ``ior``; resolves to the state's
+        :class:`~repro.orb.cdr.AnyImage` (or the decoded state)."""
+        return self._orb.invoke(ior, CAPTURE_CHECKPOINT, ())
+
     def _next_request_context(self) -> tuple:
         self._request_seq += 1
         request_key = f"{self._ft.key}:{self._request_seq}"
@@ -374,7 +387,7 @@ class ReplicaGroup:
             factor=self._policy.replication_factor,
         )
         try:
-            seed = yield self._invoke(origin, "get_checkpoint", ())
+            seed = yield self._capture(origin)
         # analysis: ignore[EXC003]: Seeding the new replica group from the origin object is best-effort: an origin that is already dead simply means the members start from fresh state, and provisioning then retires the origin from the naming group anyway.
         except RECOVERABLE:
             seed = None  # origin already dead: members start fresh
@@ -486,7 +499,7 @@ class ReplicaGroup:
     def _capture_seed(self):
         """Generator: payload to seed a replacement member with."""
         yield from ()
-        return self.shipper.last_state
+        return self.shipper.newest()
 
     def _replace_now(self):
         """Generator: re-provision up to ``replication_factor`` (lock
@@ -510,7 +523,7 @@ class ReplicaGroup:
                 return
             acked = (
                 self.shipper.last_digest
-                if seed is not None and seed is self.shipper.last_state
+                if seed is not None and seed is self.shipper.newest()
                 else None
             )
             # analysis: ignore[RACE004]: every caller holds the proxy's _ft_lock — _replace_bg and _finish_round acquire it explicitly, and the group.call entries run under _FtProxyBase._locked_task's hold; the analysis cannot follow the ft.group.call attribute dispatch
@@ -618,9 +631,7 @@ class WarmPassiveGroup(ReplicaGroup):
                 # not applied it — duplicate suppression keeps it
                 # exactly-once on every lineage that has.
                 step = "capture"
-                payload = yield self._invoke(
-                    primary.ior, "get_checkpoint", ()
-                )
+                payload = yield self._capture(primary.ior)
             except RECOVERABLE as exc:
                 attempts += 1
                 self._ft.retries += 1
@@ -681,7 +692,7 @@ class WarmPassiveGroup(ReplicaGroup):
                 send_delta = partial(restore, (envelope,))
             try:
                 yield from self.shipper.deliver(
-                    shipment, partial(restore, (shipment.state,)), send_delta
+                    shipment, partial(restore, (shipment.payload,)), send_delta
                 )
             # analysis: ignore[EXC003]: a dead standby reduces redundancy, not correctness — retired and backfilled in the background
             except RECOVERABLE:
@@ -710,7 +721,7 @@ class WarmPassiveGroup(ReplicaGroup):
         yield from self.shipper.drain()
         # Nothing is captured while the lock is held: the newest envelope
         # and its digest are fixed for the whole promotion.
-        newest, digest = self.shipper.last_state, self.shipper.last_digest
+        newest, digest = self.shipper.newest(), self.shipper.last_digest
         if dead in self.members:
             self._retire(dead, reason)
         candidate = self._pick_candidate()
@@ -965,7 +976,7 @@ class ActiveGroup(ReplicaGroup):
             self._retire(member, "divergent with no sync source")
             return
         try:
-            payload = yield self._invoke(source.ior, "get_checkpoint", ())
+            payload = yield self._capture(source.ior)
             yield self._invoke(member.ior, "restore_from", (payload,))
         # analysis: ignore[EXC003]: an unreachable divergent replica is retired — replacement restores redundancy
         except RECOVERABLE:
@@ -994,16 +1005,13 @@ class ActiveGroup(ReplicaGroup):
         # cache, or a replayed round would double-apply on it.
         for member in list(self.members):
             try:
-                payload = yield self._invoke(
-                    member.ior, "get_checkpoint", ()
-                )
+                payload = yield self._capture(member.ior)
             # analysis: ignore[EXC003]: seed capture tries each live member in turn; total failure falls back to the last client-held envelope
             except RECOVERABLE:
                 continue
-            self.shipper.last_state = payload
-            self.shipper.last_digest = None
+            self.shipper.adopt(payload)
             return payload
-        return self.shipper.last_state
+        return self.shipper.newest()
 
     def _handle_dead_lead(self, reason: str):
         dead = self.members[0]

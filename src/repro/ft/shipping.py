@@ -6,8 +6,10 @@ checkpoint/restart ships it to the checkpoint *store*, warm-passive
 replication ships it to the *standbys*.  The steps are identical and live
 here once:
 
-1. :meth:`StateShipper.prepare` — encode once, hash, skip when nothing
-   changed, and decide delta vs. full against the last state handed out;
+1. :meth:`StateShipper.prepare` — hash the state's wire image (the bytes
+   its capture reply carried; a state without one is encoded), skip when
+   nothing changed, and decide delta vs. full against the last state
+   handed out;
 2. :meth:`StateShipper.deliver` — send one :class:`Shipment` to one sink:
    the delta when the sink can take it (falling back to the full state on
    ``BadDeltaBase``), otherwise the full state;
@@ -28,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, TYPE_CHECKING
 
-from repro.orb.cdr import AnyEncodeMemo, encode_any
+from repro.orb.cdr import AnyImage, encode_any
 from repro.services.checkpoint import BadDeltaBase, compute_delta, state_digest
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,12 +38,24 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import SimFuture
 
 
+def _unwrap(state) -> tuple:
+    """``(decoded state, its image or None)`` of a state or an image."""
+    if isinstance(state, AnyImage):
+        return state.value, state
+    return state, None
+
+
 @dataclass
 class Shipment:
     """One captured state on its way to the sinks."""
 
     version: int
+    #: the decoded state — what every API that looks at a state sees
     state: object
+    #: the state's wire image, when its capture reply carried one: an
+    #: ``any`` argument of a sink's round trip appends it verbatim instead
+    #: of marshalling ``state`` again (see :attr:`payload`)
+    image: Optional[AnyImage] = None
     #: content hash and encoded size of the full state (None / 0 when the
     #: shipper does not digest — the paper path leaves all marshalling to
     #: the stub layer).
@@ -58,6 +72,12 @@ class Shipment:
     #: the window, drains and recovery wait on this.
     future: Optional["SimFuture"] = None
 
+    @property
+    def payload(self):
+        """The full state as a sink's ``any`` argument: the image when
+        there is one, else the decoded state."""
+        return self.image if self.image is not None else self.state
+
 
 class StateShipper:
     """Prepares, counts and (optionally) pipelines state shipments.
@@ -65,10 +85,11 @@ class StateShipper:
     :param host: where background deliveries are spawned.
     :param name: process / future label of the background deliveries.
     :param depth: pipelined window — deliveries outstanding at most.
-    :param digests: encode and hash every state (the unchanged-state skip,
-        the delta decision and the size accounting all need it).  Off, the
-        shipper only numbers the shipments: every one is a full state and
-        all marshalling is left to the sink's stub — the paper path.
+    :param digests: hash every state's encoding — its wire image when it
+        has one (the unchanged-state skip, the delta decision and the size
+        accounting all need it).  Off, the shipper only numbers the
+        shipments: every one is a full state and all marshalling is left
+        to the sink's stub — the paper path.
     :param deltas: diff consecutive states and prefer the delta when its
         encoding is smaller (needs ``digests``).
     :param full_interval: every n-th shipment is a full state, bounding
@@ -95,12 +116,13 @@ class StateShipper:
         self._use_deltas = deltas
         self._full_interval = full_interval
         self._on_count = on_count
-        self._memo = AnyEncodeMemo()
         self._versions = itertools.count(1)
         self._since_full = 0
         #: the skip / delta base: the last state handed out by
-        #: :meth:`prepare`, its content digest and version.
+        #: :meth:`prepare` (decoded, and its wire image when it had one),
+        #: its content digest and version.
         self.last_state: Optional[object] = None
+        self.last_image: Optional[AnyImage] = None
         self.last_digest: Optional[str] = None
         self.last_version = 0
         #: pipelined deliveries still running, oldest first (they are
@@ -125,15 +147,18 @@ class StateShipper:
     def prepare(self, state, incremental: bool = True) -> Optional[Shipment]:
         """Assign a version and decide *what* to ship.
 
-        Returns None when the state's content hash matches the last one
-        handed out — nothing to do.  ``incremental=False`` disables both
-        the skip and the delta for this shipment: the caller cannot vouch
-        for what the sink holds (checkpoints are buffered client-side), so
-        only a full state is safe.
+        ``state`` is a decoded state or the :class:`AnyImage` a capture
+        call returned.  Returns None when the state's content hash matches
+        the last one handed out — nothing to do.  ``incremental=False``
+        disables both the skip and the delta for this shipment: the caller
+        cannot vouch for what the sink holds (checkpoints are buffered
+        client-side), so only a full state is safe.
         """
+        state, image = _unwrap(state)
         if not self._digests:
-            return Shipment(version=next(self._versions), state=state)
-        data = self._memo.encode(state)
+            return Shipment(version=next(self._versions), state=state, image=image)
+        # an image at offset 0 mod 8 *is* these bytes: no marshalling
+        data = encode_any(state if image is None else image)
         digest = state_digest(data)
         if incremental and digest == self.last_digest:
             self._count("skipped")
@@ -141,6 +166,7 @@ class StateShipper:
         shipment = Shipment(
             version=next(self._versions),
             state=state,
+            image=image,
             digest=digest,
             data_len=len(data),
             base_version=self.last_version,
@@ -164,14 +190,28 @@ class StateShipper:
             self._since_full + 1 if shipment.delta is not None else 0
         )
         self.last_state = state
+        self.last_image = image
         self.last_digest = digest
         self.last_version = shipment.version
         return shipment
+
+    def newest(self):
+        """The last state handed out, as a sink's ``any`` argument (its
+        image when it has one), or None."""
+        return self.last_image if self.last_image is not None else self.last_state
+
+    def adopt(self, state) -> None:
+        """Make ``state`` (decoded, or an :class:`AnyImage`), captured
+        outside :meth:`prepare`, the newest state.  It has no digest, so
+        nothing is skipped against it."""
+        self.last_state, self.last_image = _unwrap(state)
+        self.last_digest = None
 
     def forget_base(self) -> None:
         """The last shipment never reached its sink: no skip or delta may
         reference its content."""
         self.last_state = None
+        self.last_image = None
         self.last_digest = None
 
     # -- one shipment to one sink -----------------------------------------------------

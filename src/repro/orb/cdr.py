@@ -18,33 +18,44 @@ is written as one buffer, not element-by-element — the optimization guides'
 "vectorize the hot loop" rule applied to marshalling, which *is* the hot
 loop of an ORB.
 
-The same rule covers bulk state inside an ``any``: a Python list that is
-all ``float`` or all ``int`` is a ``sequence<any>`` whose elements, after
-the first, are identical 16-byte records, and the plan for
-``sequence<any>`` writes and reads such a homogeneous run as one NumPy
-structured array (:func:`_write_any_seq` / :func:`_read_any_seq`) — the
-same bytes as the per-element loop, which every other list still takes.
-
-Two caches take re-walking out of the hot loop:
+Three mechanisms take re-walking out of the hot loop, and all three write
+exactly the bytes of the per-element kind-dispatch they replace:
 
 * **encoder/decoder plans** — :class:`TypeCode` is a frozen dataclass
   whose hash is computed once at construction, so the kind-dispatch over
-  a typecode tree can be compiled once into nested closures and memoized
-  per typecode (:func:`encoder_plan` / :func:`decoder_plan`).
-  ``write_value`` / ``read_value`` always run the plan; the per-element
-  kind-dispatch it was compiled from (``_write_value_slow`` /
-  ``_read_value_slow``) stays as the oracle the parity tests reach
-  through :class:`ReferenceOutputStream` / :class:`ReferenceInputStream`.
-  Both plan tables are bounded (:data:`_MAX_CACHED_PLANS`): a peer can
-  put any number of distinct typecodes on the wire.  Typecodes read off
-  the wire come back as the module's own objects where they can — a
-  singleton per parameterless kind, and the reserved structs/sequences
-  ``infer_typecode`` produces — so decoding an ``any`` builds no
-  typecode and its plan look-up hits on identity;
-* **:class:`AnyEncodeMemo`** — callers that repeatedly encode the same
-  logical value (the checkpoint path encodes the server state after
-  every call, and most calls barely change it) get the previous bytes
-  back after a structural equality check instead of a full re-encode.
+  a typecode tree is compiled once into nested closures and memoized per
+  typecode (:func:`encoder_plan` / :func:`decoder_plan`).  Both tables
+  are bounded (:data:`_MAX_CACHED_PLANS`): a peer can put any number of
+  distinct typecodes on the wire.  Typecodes read off the wire come back
+  as the module's own objects where they can — a singleton per
+  parameterless kind, and the reserved structs/sequences
+  ``infer_typecode`` produces — so a plan look-up hits on identity;
+* **lanes for ``any``** — ``write_any`` dispatches once on the value's
+  exact type (``float``, ``int``, ``str``, ``bool``, ``None``,
+  ``bytes``, ``dict``, ``list``/``tuple``, ``ndarray``) and ``read_any``
+  once on the kind octet; a lane writes or reads typecode and value in
+  one frame, matching the ``__dict__``/``__ndarray__`` typecode bytes,
+  precomputed per start offset, with one ``startswith``.  A list that is
+  all ``float`` or all ``int`` — a ``sequence<any>`` whose elements after
+  the first are identical 16-byte records — is written and read as one
+  NumPy structured array (:func:`_write_any_seq` / :func:`_read_any_seq`).
+  Whatever a lane does not handle (an int beyond longlong, a malformed or
+  truncated buffer, an unhashable key) restarts the generic path
+  (``infer_typecode`` → ``write_typecode`` → plan) at the same offset;
+* **images** — an :class:`AnyImage` keeps a decoded ``any`` beside the
+  bytes it came from.  A call whose result typecode is
+  :data:`TC_ANY_IMAGE` returns one when the value ran to the end of the
+  reply body (the fault-tolerance layer captures states this way), and
+  ``write_any`` appends its bytes verbatim where a top-level ``any``
+  starts at the same offset mod 8 — a state is marshalled once by the
+  servant that owns it, then hashed and forwarded as bytes.
+
+``write_value`` / ``read_value`` always run the plans and the streams
+always take the lanes; the uncompiled kind-dispatch and the lane-free
+``any`` (``_write_value_slow`` / ``_read_value_slow``) stay as the oracle
+the parity tests reach through :class:`ReferenceOutputStream` /
+:class:`ReferenceInputStream`.  :func:`values_equal` is equality of the
+``any`` bytes.
 
 Bytes off the wire are not trusted: element counts are checked against
 what is left of the buffer (zero-width elements against a small cap),
@@ -56,6 +67,7 @@ boundary) — never ``IndexError``, ``ValueError`` or ``RecursionError``.
 from __future__ import annotations
 
 import struct as _struct
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -458,6 +470,10 @@ class CdrOutputStream:
                 self.write_string(field_name)
                 self.write_typecode(field_tc)
 
+    #: exact Python type -> lane writing that value as an ``any`` (the
+    #: table is filled in below, with the lanes)
+    _any_lanes: dict = {}
+
     def write_any(self, value: Any) -> None:
         depth = self._any_depth
         if depth >= _MAX_ANY_DEPTH:
@@ -466,9 +482,11 @@ class CdrOutputStream:
             raise _any_depth_error()
         self._any_depth = depth + 1
         try:
-            tc, coerced = infer_typecode(value)
-            self.write_typecode(tc)
-            self.write_value(tc, coerced)
+            lane = self._any_lanes.get(type(value))
+            if lane is None or lane(self, value) is _RESTART:
+                tc, coerced = infer_typecode(value)
+                self.write_typecode(tc)
+                self.write_value(tc, coerced)
         finally:
             self._any_depth = depth
 
@@ -712,12 +730,25 @@ class CdrInputStream:
             default_index=default_index,
         )
 
+    #: kind octet -> lane reading an ``any`` that starts with it (the
+    #: table is filled in below, with the lanes)
+    _any_lanes: dict = {}
+
     def read_any(self) -> Any:
         depth = self._any_depth
         if depth >= _MAX_ANY_DEPTH:
             raise _any_depth_error()
         self._any_depth = depth + 1
         try:
+            data = self._data
+            pos = self._pos
+            if pos < len(data):
+                lane = self._any_lanes.get(data[pos])
+                if lane is not None:
+                    value = lane(self, data, pos)
+                    if value is not _RESTART:
+                        return value
+                    self._pos = pos
             tc = self.read_typecode()
             return _postprocess_any(tc, self.read_value(tc))
         finally:
@@ -726,17 +757,21 @@ class CdrInputStream:
 
 class ReferenceOutputStream(CdrOutputStream):
     """The per-element reference encoder: ``write_value`` *is* the
-    uncompiled kind-dispatch, so nested values, sequence elements and
-    ``any`` payloads recurse through it too and no plan or lane ever runs.
-    Parity tests compare its bytes with :class:`CdrOutputStream`'s."""
+    uncompiled kind-dispatch and ``write_any`` has no lanes, so nested
+    values, sequence elements and ``any`` payloads recurse through the
+    generic path (``infer_typecode`` → ``write_typecode`` → kind-dispatch)
+    and no plan, lane or image splice ever runs.  Parity tests compare its
+    bytes with :class:`CdrOutputStream`'s."""
 
     write_value = CdrOutputStream._write_value_slow
+    _any_lanes: dict = {}
 
 
 class ReferenceInputStream(CdrInputStream):
     """The per-element reference decoder (see :class:`ReferenceOutputStream`)."""
 
     read_value = CdrInputStream._read_value_slow
+    _any_lanes: dict = {}
 
 
 def _union_case_index(tc: TypeCode, discriminator: Any) -> Optional[int]:
@@ -795,9 +830,9 @@ _RESERVED_STRUCTS: dict[str, TypeCode] = {
 }
 
 #: Deepest nesting of ``any`` values (written or read) and of a TypeCode
-#: read off the wire.  A level of dict costs 9 Python frames to decode and
-#: a level of typecode 3, so together they stay inside the default
-#: recursion limit.
+#: read off the wire.  A level of dict costs 9 Python frames to decode on
+#: the generic path (3 through its lane) and a level of typecode 3, so
+#: together they stay inside the default recursion limit.
 _MAX_ANY_DEPTH = 64
 _MAX_TYPECODE_DEPTH = 32
 #: Most decode steps accepted for a sequence/array whose elements occupy
@@ -897,6 +932,8 @@ def infer_typecode(value: Any) -> tuple[TypeCode, Any]:
         return _DICT_TC, {"items": items}
     if isinstance(value, (list, tuple)):
         return _ANY_SEQ_TC, list(value)
+    if isinstance(value, AnyImage):
+        return infer_typecode(value.value)
     raise CdrError(
         f"cannot infer a TypeCode for {type(value).__name__}; "
         "supported: None, bool, int, float, str, bytes, IOR, ndarray, "
@@ -958,8 +995,6 @@ _PLAN_STATS = {
     "decoder_plans_compiled": 0,
     "encoder_plan_hits": 0,
     "decoder_plan_hits": 0,
-    "any_memo_hits": 0,
-    "any_memo_misses": 0,
 }
 
 
@@ -972,7 +1007,7 @@ def clear_plan_cache() -> None:
 
 
 def plan_cache_stats() -> dict:
-    """A snapshot of plan-cache and any-memo counters."""
+    """A snapshot of the plan-cache counters."""
     return dict(_PLAN_STATS)
 
 
@@ -1272,7 +1307,7 @@ def _compile_decoder(tc: TypeCode) -> Callable[[CdrInputStream], Any]:
     if kind is TCKind.OBJREF:
         return CdrInputStream.read_ior
     if kind is TCKind.ANY:
-        return CdrInputStream.read_any
+        return _read_any_image if tc == TC_ANY_IMAGE else CdrInputStream.read_any
 
     def read_unsupported(stream, _kind=kind):
         raise CdrError(f"cannot decode TypeCode kind {_kind.name}")
@@ -1280,64 +1315,306 @@ def _compile_decoder(tc: TypeCode) -> Callable[[CdrInputStream], Any]:
     return read_unsupported
 
 
-# -- unchanged-payload fast path ---------------------------------------------------
+# -- any images -----------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class AnyImage:
+    """An ``any`` value beside the bytes it was decoded from — a captured
+    state that travels on as its wire image instead of being marshalled
+    again (an object store moves an object's image; it does not
+    re-serialise it for every destination).
+
+    ``data`` encodes ``value`` as an ``any`` that starts at an offset
+    congruent to ``offset`` mod 8.  ``write_any`` appends ``data`` verbatim
+    where a top-level ``any`` starts at such an offset, and encodes
+    ``value`` anywhere else.  Neither field may change: ``value`` must not
+    be mutated, or the two would stop describing each other.
+    """
+
+    __slots__ = ("data", "value", "offset")
+
+    data: bytes
+    value: Any
+    offset: int
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"AnyImage({len(self.data)} bytes at {self.offset} mod 8)"
+
+
+#: the result typecode of a call whose ``any`` reply should keep its wire
+#: image: on the wire an ``any`` like any other, decoded to an
+#: :class:`AnyImage` when the value ran to the end of the reply body.
+TC_ANY_IMAGE = TypeCode(TCKind.ANY, name="AnyImage")
+
+
+def _read_any_image(stream: CdrInputStream) -> Any:
+    start = stream._pos
+    value = stream.read_any()
+    data = stream._data
+    if stream._pos != len(data):
+        return value  # something follows: the bytes are not the value's alone
+    return AnyImage(bytes(data[start:]), value, start & 7)
+
+
+# -- one dispatch per any value -----------------------------------------------------
+#
+# ``write_any`` looks the value's exact type up in one table, ``read_any``
+# the kind octet in another; a hit runs a lane that writes (reads) the
+# typecode and the value in one frame, with the fixed typecode bytes of a
+# dict or an ndarray precomputed for every start offset.  A lane either
+# does the whole value or returns ``_RESTART`` — an int beyond longlong, a truncated or malformed buffer, an unhashable
+# key — and the generic path (``infer_typecode`` → ``write_typecode`` →
+# plan, or ``read_typecode`` → plan → ``_postprocess_any``) runs from the
+# same offset, so bytes, values and ``CdrError`` texts are the generic
+# path's.  (A write lane gives up before writing; ``read_any`` rewinds a
+# read lane that gave up.)  The reference streams have no lanes.
+
+#: a lane's "not mine after all: take the generic path"
+_RESTART = object()
+
+_unpack_double = _struct.Struct(">d").unpack_from
+_unpack_longlong = _struct.Struct(">q").unpack_from
+_unpack_ulong = _struct.Struct(">I").unpack_from
+_pack_double = _struct.Struct(">d").pack
+_pack_longlong = _struct.Struct(">q").pack
+_pack_ulong = _struct.Struct(">I").pack
+_LONGLONG_MIN, _LONGLONG_MAX = TC_LONGLONG.integer_bounds()
+_ANY_TRUE = bytes([TCKind.BOOLEAN, 1])
+_ANY_FALSE = bytes([TCKind.BOOLEAN, 0])
+_ANY_SEQ_HEAD = bytes([TCKind.SEQUENCE, TCKind.ANY])
+
+
+def _heads(kind: int, size: int) -> tuple[bytes, ...]:
+    """Kind octet + padding up to a ``size``-aligned value, by the offset
+    (mod 8) of the kind octet."""
+    return tuple(
+        bytes([kind]) + _ZEROS[-(offset + 1) & (size - 1)] for offset in range(8)
+    )
+
+
+def _typecode_heads(tc: TypeCode) -> tuple[bytes, ...]:
+    """The typecode bytes of ``tc`` plus the padding before the ulong that
+    follows it, by start offset mod 4 (a typecode holds nothing wider)."""
+    heads = []
+    for offset in range(4):
+        stream = CdrOutputStream(_ZEROS[offset])
+        stream.write_typecode(tc)
+        stream.align(4)
+        heads.append(stream.getvalue()[offset:])
+    return tuple(heads)
+
+
+_DOUBLE_HEADS = _heads(TCKind.DOUBLE, 8)
+_LONGLONG_HEADS = _heads(TCKind.LONGLONG, 8)
+_STRING_HEADS = _heads(TCKind.STRING, 4)
+_DICT_HEADS = _typecode_heads(_DICT_TC)
+_NDARRAY_HEADS = _typecode_heads(_NDARRAY_TC)
+_SHAPE_FIELD, _DATA_FIELD = (field_tc for _, field_tc in _NDARRAY_TC.fields)
+
+
+def _write_any_double(stream: CdrOutputStream, value: float) -> None:
+    buffer = stream._buffer
+    buffer += _DOUBLE_HEADS[len(buffer) & 7]
+    buffer += _pack_double(value)
+
+
+def _write_any_int(stream: CdrOutputStream, value: int):
+    if not _LONGLONG_MIN <= value <= _LONGLONG_MAX:
+        return _RESTART  # the generic path raises the canonical error
+    buffer = stream._buffer
+    buffer += _LONGLONG_HEADS[len(buffer) & 7]
+    buffer += _pack_longlong(value)
+
+
+def _write_any_str(stream: CdrOutputStream, value: str) -> None:
+    data = value.encode("utf-8")
+    buffer = stream._buffer
+    buffer += _STRING_HEADS[len(buffer) & 3]
+    buffer += _pack_ulong(len(data) + 1)
+    buffer += data
+    buffer.append(0)
+
+
+def _write_any_bool(stream: CdrOutputStream, value: bool) -> None:
+    stream._buffer += _ANY_TRUE if value else _ANY_FALSE
+
+
+def _write_any_none(stream: CdrOutputStream, value: None) -> None:
+    stream._buffer.append(TCKind.NULL)
+
+
+def _write_any_bytes(stream: CdrOutputStream, value: bytes) -> None:
+    stream._buffer.append(TCKind.OCTETS)
+    stream.write_octets(value)
+
+
+def _write_any_list(stream: CdrOutputStream, value) -> None:
+    stream._buffer += _ANY_SEQ_HEAD
+    _write_any_seq(stream, value)
+
+
+def _write_any_dict(stream: CdrOutputStream, value: dict) -> None:
+    buffer = stream._buffer
+    buffer += _DICT_HEADS[len(buffer) & 3]
+    buffer += _pack_ulong(len(value))
+    write_any = stream.write_any
+    for key, item in value.items():
+        write_any(key)
+        write_any(item)
+
+
+def _write_any_ndarray(stream: CdrOutputStream, value: np.ndarray) -> None:
+    flat = np.ascontiguousarray(value, dtype=np.float64).reshape(-1)
+    buffer = stream._buffer
+    buffer += _NDARRAY_HEADS[len(buffer) & 3]
+    _WRITE_SHAPE(stream, list(value.shape))
+    _WRITE_DATA(stream, flat)
+
+
+def _write_any_image(stream: CdrOutputStream, image: "AnyImage"):
+    buffer = stream._buffer
+    if stream._any_depth == 1 and len(buffer) & 7 == image.offset:
+        buffer += image.data
+        return None
+    return _RESTART  # nested or misaligned: encode the value
+
+
+def _read_any_double(stream: CdrInputStream, data, pos: int):
+    pos += 8 - (pos & 7)  # the kind octet, then padding to 8
+    end = pos + 8
+    if end > len(data):
+        return _RESTART
+    stream._pos = end
+    return _unpack_double(data, pos)[0]
+
+
+def _read_any_longlong(stream: CdrInputStream, data, pos: int):
+    pos += 8 - (pos & 7)
+    end = pos + 8
+    if end > len(data):
+        return _RESTART
+    stream._pos = end
+    return _unpack_longlong(data, pos)[0]
+
+
+def _read_any_string(stream: CdrInputStream, data, pos: int):
+    pos += 4 - (pos & 3)
+    start = pos + 4
+    if start > len(data):
+        return _RESTART
+    end = start + _unpack_ulong(data, pos)[0]
+    if end == start or end > len(data) or data[end - 1]:
+        return _RESTART
+    try:
+        text = str(data[start : end - 1], "utf-8")
+    except UnicodeDecodeError:
+        return _RESTART
+    stream._pos = end
+    return text
+
+
+def _read_any_bool(stream: CdrInputStream, data, pos: int):
+    pos += 1
+    if pos >= len(data):
+        return _RESTART
+    stream._pos = pos + 1
+    return data[pos] != 0
+
+
+def _read_any_null(stream: CdrInputStream, data, pos: int) -> None:
+    stream._pos = pos + 1
+
+
+def _read_any_octets(stream: CdrInputStream, data, pos: int) -> bytes:
+    stream._pos = pos + 1
+    return stream.read_octets()
+
+
+def _read_any_sequence(stream: CdrInputStream, data, pos: int):
+    pos += 1
+    if pos >= len(data) or data[pos] != TCKind.ANY:
+        return _RESTART
+    stream._pos = pos + 1
+    return _read_any_seq(stream)
+
+
+def _read_any_struct(stream: CdrInputStream, data, pos: int):
+    offset = pos & 3
+    head = _DICT_HEADS[offset]
+    if data.startswith(head, pos):
+        pos += len(head)
+        stream._pos = pos + 4
+        if stream._pos > len(data):
+            return _RESTART
+        count = _unpack_ulong(data, pos)[0]
+        if 2 * count > len(data) - stream._pos:
+            return _RESTART
+        read_any = stream.read_any
+        items = [(read_any(), read_any()) for _ in range(count)]
+        try:
+            return dict(items)
+        except TypeError:
+            return _RESTART  # an unhashable key
+    head = _NDARRAY_HEADS[offset]
+    if data.startswith(head, pos):
+        stream._pos = pos + len(head)
+        shape = _READ_SHAPE(stream)
+        flat = _READ_DATA(stream)
+        try:
+            return flat.reshape(tuple(int(s) for s in shape))
+        except (TypeError, ValueError):
+            return _RESTART  # a shape that disagrees with the data
+    return _RESTART
+
+
+#: the two fields of an ndarray, compiled outside the plan cache (a lane
+#: takes no plan look-up)
+_WRITE_SHAPE = _compile_encoder(_SHAPE_FIELD)
+_WRITE_DATA = _compile_encoder(_DATA_FIELD)
+_READ_SHAPE = _compile_decoder(_SHAPE_FIELD)
+_READ_DATA = _compile_decoder(_DATA_FIELD)
+
+CdrOutputStream._any_lanes = {
+    float: _write_any_double,
+    int: _write_any_int,
+    str: _write_any_str,
+    bool: _write_any_bool,
+    type(None): _write_any_none,
+    bytes: _write_any_bytes,
+    dict: _write_any_dict,
+    list: _write_any_list,
+    tuple: _write_any_list,
+    np.ndarray: _write_any_ndarray,
+    AnyImage: _write_any_image,
+}
+CdrInputStream._any_lanes = {
+    TCKind.DOUBLE: _read_any_double,
+    TCKind.LONGLONG: _read_any_longlong,
+    TCKind.STRING: _read_any_string,
+    TCKind.BOOLEAN: _read_any_bool,
+    TCKind.NULL: _read_any_null,
+    TCKind.OCTETS: _read_any_octets,
+    TCKind.SEQUENCE: _read_any_sequence,
+    TCKind.STRUCT: _read_any_struct,
+}
+
+
+# -- wire equality -------------------------------------------------------------------
 
 
 def values_equal(a: Any, b: Any) -> bool:
-    """Structural equality over the value domain ``any`` can carry.
+    """Whether ``a`` and ``b`` travel as the same ``any``: equal
+    :func:`encode_any` bytes.
 
-    ndarray-aware (``==`` on arrays yields an array, so plain comparison
-    is unusable), recursive over dicts and sequences; list/tuple compare
-    equal element-wise because the wire format does not distinguish them.
+    So ``1``, ``1.0`` and ``True`` differ, ``0.0`` and ``-0.0`` differ, a
+    dict differs from one holding the same items in another order, and a
+    list equals the tuple of its elements (the wire cannot tell them
+    apart).  A value no ``any`` can carry equals only itself.
     """
     if a is b:
         return True
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
-            return False
-        return a.shape == b.shape and bool(np.array_equal(a, b))
-    if isinstance(a, dict):
-        if not isinstance(b, dict) or len(a) != len(b):
-            return False
-        for key, value in a.items():
-            if key not in b or not values_equal(value, b[key]):
-                return False
-        return True
-    if isinstance(a, (list, tuple)):
-        if not isinstance(b, (list, tuple)) or len(a) != len(b):
-            return False
-        return all(values_equal(x, y) for x, y in zip(a, b))
     try:
-        return bool(a == b)
-    # analysis: ignore[EXC002]: exotic __eq__ is treated as unequal — forces a full store, which is always safe
-    except Exception:  # noqa: BLE001 - exotic __eq__, treat as unequal
+        return encode_any(a) == encode_any(b)
+    except (CdrError, TypeError, ValueError):
         return False
-
-
-class AnyEncodeMemo:
-    """Memoized :func:`encode_any` for a caller that repeatedly encodes
-    the same logical value — the checkpoint path, where consecutive
-    server states are often identical or nearly so.
-
-    Holds the last ``(value, bytes)`` pair; a structural-equality hit
-    returns the previous bytes without re-walking the value.  The caller
-    must not mutate a value after encoding it (checkpoint states are
-    fresh objects decoded off the wire, so the proxy path is safe).
-    """
-
-    def __init__(self) -> None:
-        self._value: Any = None
-        self._data: Optional[bytes] = None
-        self.hits = 0
-        self.misses = 0
-
-    def encode(self, value: Any) -> bytes:
-        if self._data is not None and values_equal(self._value, value):
-            self.hits += 1
-            _PLAN_STATS["any_memo_hits"] += 1
-            return self._data
-        self.misses += 1
-        _PLAN_STATS["any_memo_misses"] += 1
-        self._value = value
-        self._data = encode_any(value)
-        return self._data

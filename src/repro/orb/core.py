@@ -253,6 +253,11 @@ class Orb:
         #: call (set immediately before the method is invoked, consumed
         #: before its first yield).
         self.current_service_contexts: tuple = ()
+        #: the body of the request being dispatched, during the synchronous
+        #: prefix of its upcall only (None otherwise): a servant that must
+        #: know the encoding of an argument it was handed can hash this
+        #: instead of marshalling the argument again
+        self.current_request_body: Optional[bytes] = None
 
     def add_request_interceptor(self, interceptor) -> None:
         """Register a :class:`repro.orb.interceptors.RequestInterceptor`."""
@@ -945,7 +950,11 @@ class Orb:
             # so a replicated servant can capture its request-id context
             # before any other dispatch runs.
             self.current_service_contexts = message.service_contexts
-            result = method(*args)
+            self.current_request_body = message.body
+            try:
+                result = method(*args)
+            finally:
+                self.current_request_body = None
             if inspect.isgenerator(result):
                 result = yield from result
             stream = CdrOutputStream()

@@ -5,7 +5,7 @@ no-stale-primary sequence audit."""
 import pytest
 
 from repro.chaos.invariants import stale_primary_violations
-from repro.ft import FtPolicy
+from repro.ft import FtPolicy, replication
 from repro.ft.replication import (
     MEMBER_STATE_MARK,
     REPLY_CACHE_LIMIT,
@@ -13,7 +13,8 @@ from repro.ft.replication import (
     SHIP_DELTA_MARK,
     ReplicatedServant,
 )
-from repro.services.checkpoint import BadDeltaBase
+from repro.orb.cdr import encode_any
+from repro.services.checkpoint import BadDeltaBase, state_digest
 
 from tests.ft.conftest import CounterImpl, counter_ns
 from tests.ft.test_replication import provision, replicated_proxy
@@ -143,6 +144,38 @@ def test_raw_seed_state_clears_dedup_history(ft_world):
     wrapper.restore_from({"value": 7})  # raw servant state, no envelope
     assert wrapper._replies == {}
     assert wrapper._inner._value == 7
+
+
+RESTORE_FROM = counter_ns.CounterStub.__operations__["restore_from"]
+
+
+def _envelope(value):
+    return {MEMBER_STATE_MARK: 1, "state": {"value": value}, "replies": {"g:1": 1}}
+
+
+def test_restore_through_the_orb_hashes_the_body_it_received(ft_world, monkeypatch):
+    """A standby learns the digest of a shipped envelope from the request
+    body, without marshalling the envelope again."""
+    standby, ior = _activate_wrapper(ft_world)
+    envelope = _envelope(5)
+    expected = state_digest(encode_any(envelope))
+
+    def no_encode(value):
+        raise AssertionError("the standby marshalled the envelope again")
+
+    monkeypatch.setattr(replication, "encode_any", no_encode)
+
+    def client():
+        yield ft_world.runtime.orb(0).invoke(ior, RESTORE_FROM, (envelope,))
+
+    ft_world.run(client())
+    assert standby._ship_digest == expected
+    assert standby._inner._value == 5
+    # outside an upcall there is no body: the wrapper encodes
+    assert ft_world.runtime.orb(1).current_request_body is None
+    monkeypatch.undo()
+    standby.restore_from(_envelope(6))
+    assert standby._ship_digest == state_digest(encode_any(_envelope(6)))
 
 
 def test_delta_ship_with_unknown_base_raises(ft_world):

@@ -5,8 +5,10 @@ import pytest
 
 from repro.core.report import format_runtime_report, runtime_report
 from repro.ft import FtPolicy
+from repro.ft import shipping
 from repro.ft.shipping import StateShipper
-from repro.services.checkpoint import BadDeltaBase
+from repro.orb.cdr import AnyImage, encode_any
+from repro.services.checkpoint import BadDeltaBase, state_digest
 from repro.sim import Simulator
 
 from tests.ft.conftest import counter_ns
@@ -53,12 +55,40 @@ def test_unchanged_state_is_skipped_once_a_base_exists():
     assert shipper.prepare(padded(2)).version == 2
 
 
-def test_without_digests_nothing_is_encoded_or_skipped():
+def test_a_state_whose_wire_bytes_changed_is_not_skipped():
+    """``{"x": 1}`` and ``{"x": 1.0}`` compare equal in Python but travel
+    as a longlong and a double: the second is a new state."""
+    shipper, _ = make_shipper()
+    first = shipper.prepare({"x": 1})
+    second = shipper.prepare({"x": 1.0})
+    assert second is not None and second.digest != first.digest
+    assert shipper.prepare({"x": -0.0}) is not None
+    assert shipper.skipped == 0
+
+
+def test_an_image_is_hashed_as_is_and_shipped_beside_the_decoded_state(monkeypatch):
+    state = padded(3)
+    image = AnyImage(encode_any(state), state, 0)
+    monkeypatch.setattr(shipping, "encode_any", lambda value: value.data)
+    shipper, _ = make_shipper()
+    shipment = shipper.prepare(image)
+    assert shipment.state is state and shipment.image is image
+    assert shipment.payload is image and shipper.newest() is image
+    assert shipment.digest == state_digest(image.data)
+    assert shipment.data_len == len(image.data)
+    assert shipper.last_state is state
+    shipper.forget_base()
+    assert shipper.newest() is None
+
+
+def test_without_digests_nothing_is_encoded_or_skipped(monkeypatch):
+    encoded = []
+    monkeypatch.setattr(shipping, "encode_any", encoded.append)
     shipper, counts = make_shipper(digests=False)
     a, b = shipper.prepare(padded(1)), shipper.prepare(padded(1))
     assert (a.version, b.version) == (1, 2)
     assert a.digest is None and a.data_len == 0 and b.delta is None
-    assert shipper._memo.misses == 0 and not counts
+    assert not encoded and not counts
 
 
 def test_delta_is_taken_only_when_smaller_than_the_full_state():

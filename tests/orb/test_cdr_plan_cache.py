@@ -22,7 +22,6 @@ from repro.errors import CdrError
 from repro.orb import cdr
 from repro.orb import typecodes as tc
 from repro.orb.cdr import (
-    AnyEncodeMemo,
     CdrInputStream,
     CdrOutputStream,
     ReferenceInputStream,
@@ -574,43 +573,48 @@ def test_clear_plan_cache_resets_stats():
     assert all(v == 0 for v in plan_cache_stats().values())
 
 
-# -- AnyEncodeMemo ------------------------------------------------------------
-
-
-def test_any_memo_hits_on_structurally_equal_value():
-    memo = AnyEncodeMemo()
-    state = {"total": 7.0, "weights": [1.0, 2.0, 3.0]}
-    first = memo.encode(state)
-    # fresh but equal object (the checkpoint path decodes a new dict per call)
-    second = memo.encode({"total": 7.0, "weights": [1.0, 2.0, 3.0]})
-    assert first is second
-    assert memo.hits == 1 and memo.misses == 1
-    assert first == encode_any(state)
-
-
-def test_any_memo_misses_on_change_and_recovers():
-    memo = AnyEncodeMemo()
-    memo.encode({"total": 1.0})
-    changed = memo.encode({"total": 2.0})
-    assert memo.misses == 2 and memo.hits == 0
-    assert changed == encode_any({"total": 2.0})
-    assert memo.encode({"total": 2.0}) is changed
-
-
-def test_any_memo_is_ndarray_aware():
-    memo = AnyEncodeMemo()
-    a = np.arange(6, dtype=np.float64).reshape(2, 3)
-    first = memo.encode({"w": a})
-    assert memo.encode({"w": a.copy()}) is first
-    bumped = a.copy()
-    bumped[1, 2] += 1.0
-    assert memo.encode({"w": bumped}) is not first
-    assert memo.hits == 1 and memo.misses == 2
+# -- values_equal ---------------------------------------------------------------
 
 
 def test_values_equal_edge_cases():
     assert values_equal([1, 2], (1, 2))  # wire format can't tell them apart
+    assert values_equal([1.0, 2.0], (1.0, 2.0))
     assert not values_equal([1, 2], [1, 2, 3])
     assert not values_equal(np.array([1.0]), [1.0])
     assert values_equal({"a": np.array([1.0, 2.0])}, {"a": np.array([1.0, 2.0])})
     assert not values_equal({"a": 1}, {"b": 1})
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (1, 1.0),
+        (1, True),
+        (1.0, True),
+        (0.0, -0.0),
+        ([1, 2], (1.0, 2.0)),
+        ({"x": 1}, {"x": 1.0}),
+        ({"a": 1, "b": 2}, {"b": 2, "a": 1}),
+        (np.array([0.0]), np.array([-0.0])),
+    ],
+)
+def test_values_equal_means_same_wire_bytes(a, b):
+    """Values whose ``any`` encodings differ are not equal, however
+    Python's ``==`` sees them."""
+    assert encode_any(a) != encode_any(b)
+    assert not values_equal(a, b)
+    assert values_equal(a, a) and values_equal(b, b)
+
+
+def test_values_equal_tells_nan_payloads_apart_but_not_nan_objects():
+    quiet = struct.unpack(">d", bytes.fromhex("7ff8000000000000"))[0]
+    payload = struct.unpack(">d", bytes.fromhex("7ff00000deadbeef"))[0]
+    assert values_equal([quiet], [float("nan")])  # same bits, other objects
+    assert not values_equal([quiet], [payload])
+
+
+def test_values_equal_of_values_no_any_carries():
+    thing = object()
+    assert values_equal(thing, thing)
+    assert not values_equal(thing, object())
+    assert not values_equal(np.array(["x"]), np.array(["x"]))

@@ -56,6 +56,18 @@ def test_nested_delta_only_ships_changes():
     assert apply_delta(base, delta) == new
 
 
+def test_delta_carries_entries_whose_wire_bytes_changed():
+    """``==`` calls ``0.0`` and ``-0.0`` (or ``1`` and ``1.0``) equal; the
+    wire does not, so a delta that dropped the entry would restore the
+    old value."""
+    delta = compute_delta({"x": 0.0, "n": 1, "same": 2.5}, {"x": -0.0, "n": 1.0, "same": 2.5})
+    assert set(delta["set"]) == {"x", "n"}
+    restored = apply_delta({"x": 0.0, "n": 1, "same": 2.5}, delta)
+    assert str(restored["x"]) == "-0.0" and type(restored["n"]) is float
+    # a list and a tuple are one sequence on the wire: no change to ship
+    assert compute_delta({"w": [1.0, 2.0]}, {"w": (1.0, 2.0)})["set"] == {}
+
+
 # -- store_delta / load reconstruction ---------------------------------------
 
 
