@@ -1373,8 +1373,6 @@ def _read_any_image(stream: CdrInputStream) -> Any:
 #: a lane's "not mine after all: take the generic path"
 _RESTART = object()
 
-_unpack_double = _struct.Struct(">d").unpack_from
-_unpack_longlong = _struct.Struct(">q").unpack_from
 _unpack_ulong = _struct.Struct(">I").unpack_from
 _pack_double = _struct.Struct(">d").pack
 _pack_longlong = _struct.Struct(">q").pack
@@ -1480,22 +1478,22 @@ def _write_any_image(stream: CdrOutputStream, image: "AnyImage"):
     return _RESTART  # nested or misaligned: encode the value
 
 
-def _read_any_double(stream: CdrInputStream, data, pos: int):
-    pos += 8 - (pos & 7)  # the kind octet, then padding to 8
-    end = pos + 8
-    if end > len(data):
-        return _RESTART
-    stream._pos = end
-    return _unpack_double(data, pos)[0]
+def _eight_byte_reader(unpack_from) -> Callable:
+    """The read lane of a double or a longlong."""
+
+    def read(stream: CdrInputStream, data, pos: int):
+        pos += 8 - (pos & 7)  # the kind octet, then padding to 8
+        end = pos + 8
+        if end > len(data):
+            return _RESTART
+        stream._pos = end
+        return unpack_from(data, pos)[0]
+
+    return read
 
 
-def _read_any_longlong(stream: CdrInputStream, data, pos: int):
-    pos += 8 - (pos & 7)
-    end = pos + 8
-    if end > len(data):
-        return _RESTART
-    stream._pos = end
-    return _unpack_longlong(data, pos)[0]
+_read_any_double = _eight_byte_reader(_struct.Struct(">d").unpack_from)
+_read_any_longlong = _eight_byte_reader(_struct.Struct(">q").unpack_from)
 
 
 def _read_any_string(stream: CdrInputStream, data, pos: int):
