@@ -12,10 +12,10 @@ Two experiments share one artifact:
   quantiles climb.
 
 A fixed **smoke cell** (200 hosts / 10⁴ clients) runs in both quick and
-full mode with identical parameters, and is re-run two more ways — same
-seed again, and with the kernel profiler installed — all three must
-produce bit-identical completion fingerprints.  (The scalar oracle the
-vector board is held to lives in ``tests/winner/scalar_oracle.py``.)
+full mode with identical parameters, and is re-run with the same seed;
+both runs must produce bit-identical completion fingerprints.  (The
+scalar oracle the vector board is held to lives in
+``tests/winner/scalar_oracle.py``.)
 
 The file doubles as the CI scale-smoke gate::
 
@@ -23,7 +23,7 @@ The file doubles as the CI scale-smoke gate::
 
 which exits non-zero when any cell drops or fails a request, the
 delivered rate drifts from the configured Poisson rate, the naming shards
-lose their spread, or any of the determinism re-runs diverges.
+lose their spread, or the determinism re-run diverges.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ def run_bench(quick: bool = False) -> dict:
     )
     smoke = scale_run(**smoke_kwargs)
     smoke_again = scale_run(**smoke_kwargs)
-    smoke_profiled = scale_run(**smoke_kwargs, profiled=True)
 
     if quick:
         hosts_curve = hosts_throughput_curve(
@@ -117,8 +116,6 @@ def run_bench(quick: bool = False) -> dict:
         "determinism": {
             "fingerprint": smoke.fingerprint,
             "rerun_match": smoke_again.fingerprint == smoke.fingerprint,
-            "profiled_match": smoke_profiled.fingerprint == smoke.fingerprint,
-            "profiled_completions": smoke_profiled.completions,
         },
         "hosts_curve": hosts_curve,
         "clients_curve": clients_curve,
@@ -156,12 +153,11 @@ def _check_cell(label: str, cell: ScaleRunResult, failures: list) -> None:
 def check_results(results: dict) -> list:
     """Every violated acceptance condition (empty = pass)."""
     failures: list = []
-    for key in ("rerun_match", "profiled_match"):
-        if not results["determinism"][key]:
-            failures.append(
-                f"determinism: {key.replace('_match', '')} re-run of the "
-                "smoke cell diverged from the reference fingerprint"
-            )
+    if not results["determinism"]["rerun_match"]:
+        failures.append(
+            "determinism: rerun of the smoke cell diverged from the "
+            "reference fingerprint"
+        )
     _check_cell("smoke", results["smoke"], failures)
     for cell in results["hosts_curve"]:
         _check_cell(f"hosts={cell.hosts}", cell, failures)
@@ -223,8 +219,7 @@ def render(results: dict) -> str:
     det = results["determinism"]
     det_line = (
         f"determinism: smoke fingerprint {det['fingerprint']:#010x} — "
-        f"rerun {'ok' if det['rerun_match'] else 'DIVERGED'}, "
-        f"profiled {'ok' if det['profiled_match'] else 'DIVERGED'}"
+        f"rerun {'ok' if det['rerun_match'] else 'DIVERGED'}"
     )
     return "\n\n".join([hosts_table, clients_table, det_line])
 

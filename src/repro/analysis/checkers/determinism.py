@@ -16,12 +16,9 @@ DET004  iterating a ``set`` where order can leak into results (string
         hashing is randomized per process, so set order is not stable).
 
 Scope: the deterministic core (``sim``, ``cluster``, ``orb``, ``ft``,
-``winner``, ``services``, ``chaos``) plus ``obs`` — exporters that
-legitimately stamp wall-clock metadata, and the kernel profiler in
-``repro.obs.profile`` whose whole point is measuring host CPU cost (its
-reads are observational only: no value ever feeds back into simulated
-state), carry inline ``# analysis: ignore[DET001]: ...`` allowlist
-entries with the justification.
+``winner``, ``services``, ``chaos``) plus ``obs``; a legitimate host
+clock read carries an inline ``# analysis: ignore[DET001]: ...``
+allowlist entry with the justification.
 """
 
 from __future__ import annotations
@@ -209,9 +206,9 @@ class DeterminismChecker(Checker):
         ``clock = time.perf_counter`` smuggles the wall clock past the
         call check — the read happens later, at an uncheckable site (a
         default argument, an injected callback, a dispatch table).  Flag
-        the reference itself; legitimate captures (the profiler's
-        injectable host clock) carry the same justified
-        ``# analysis: ignore[DET001]`` directive a direct call would.
+        the reference itself; a legitimate capture carries the same
+        justified ``# analysis: ignore[DET001]`` directive a direct call
+        would.
         """
         for node in ast.walk(source.tree):
             if not isinstance(node, (ast.Attribute, ast.Name)):

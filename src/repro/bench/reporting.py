@@ -49,29 +49,3 @@ def _jsonable(value: Any) -> Any:
         return list(value)
     return str(value)
 
-
-def write_observability_artifacts(
-    directory: str | Path, name: str, obs
-) -> dict[str, Path]:
-    """Dump one run's observability state next to the bench results.
-
-    Writes ``<name>.metrics.json`` (registry snapshot), ``<name>.prom``
-    (Prometheus text) and ``<name>.trace.json`` (Chrome ``trace_event``,
-    loadable in chrome://tracing or Perfetto).  Returns the paths.
-    """
-    from repro.obs.exporters import chrome_trace, prometheus_text
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "metrics": write_json(
-            directory / f"{name}.metrics.json", obs.metrics.snapshot()
-        ),
-        "prometheus": directory / f"{name}.prom",
-        "trace": write_json(
-            directory / f"{name}.trace.json",
-            chrome_trace(obs.tracer.spans, now=obs.sim.now),
-        ),
-    }
-    paths["prometheus"].write_text(prometheus_text(obs.metrics))
-    return paths

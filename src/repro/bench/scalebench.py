@@ -68,7 +68,6 @@ def scale_run(
     refresh_interval: float = 0.5,
     num_shards: int = 8,
     services_per_shard: int = 4,
-    profiled: bool = False,
 ) -> ScaleRunResult:
     """Run one open-loop experiment at the given scale.
 
@@ -77,10 +76,6 @@ def scale_run(
     site's leaf manager picks its best host → ``host.execute``.
     """
     sim = Simulator(seed=seed)
-    if profiled:
-        from repro.obs.profile import SimProfiler
-
-        SimProfiler(sim).install()
     hosts = [
         # Mixed speeds/cores, assigned deterministically, so ranking has
         # real work to do (a uniform cluster makes every answer trivial).

@@ -51,7 +51,7 @@ class Network:
         bandwidth: float = 10e6,
         local_latency: float = 20e-6,
     ) -> None:
-        if latency < 0 or bandwidth <= 0 or local_latency < 0:
+        if not (latency >= 0 and bandwidth > 0 and local_latency >= 0):
             raise SimulationError("invalid network parameters")
         self.sim = sim
         self.latency = latency
@@ -172,7 +172,7 @@ class Network:
         """Install (or clear, with defaults) a latency surge on every
         host-to-host path: base latency × ``factor`` + ``extra`` seconds,
         plus exponential jitter of mean ``jitter`` seconds per message."""
-        if factor <= 0 or extra < 0 or jitter < 0:
+        if not (factor > 0 and extra >= 0 and jitter >= 0):
             raise SimulationError("invalid latency surge parameters")
         self.latency_factor = factor
         self.extra_latency = extra

@@ -1,13 +1,9 @@
-"""``python -m repro.obs`` — profile, critical-path and SLO/regression CLI.
+"""``python -m repro.obs`` — critical-path and SLO/regression CLI.
 
-Three subcommands, all built on a short deterministic fault-tolerance
+Two subcommands, both built on a short deterministic fault-tolerance
 scenario (the ``bench_recovery`` cell: a checkpointed accumulator stream
 with optional mid-run host crashes, ``num_hosts=7``, ``seed=17``):
 
-* ``profile`` — run the scenario under :class:`repro.obs.profile.SimProfiler`
-  and print host-side kernel throughput (events/sec), per-site and
-  per-process attribution, heap depth; optional folded-stack, Chrome
-  ``trace_event`` and JSON exports.
 * ``critical-path`` — reconstruct the causal span tree of the scenario's
   recovery episode (or last client request) and print the segment
   timeline plus the per-component breakdown.
@@ -24,7 +20,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Optional
+from typing import Optional
 
 
 # -- the quick scenario ----------------------------------------------------------
@@ -35,15 +31,12 @@ def _quick_cell(
     call_work: float,
     failures: int,
     seed: int,
-    profiler: Any = None,
 ):
     """One ``bench_recovery`` cell; returns (runtime, elapsed, final).
 
     Mirrors :func:`repro.bench.ftbench.recovery_bench` exactly (same
     runtime shape, crash schedule and client), so the simulated results
-    line up with the pinned ``BENCH_recovery.json`` golden; ``profiler``
-    (a :class:`~repro.obs.profile.SimProfiler` factory taking the sim)
-    is installed around the measured run only.
+    line up with the pinned ``BENCH_recovery.json`` golden.
     """
     from repro.bench.ftbench import AccumulatorImpl, _runtime, ns
 
@@ -70,15 +63,8 @@ def _quick_cell(
         final = yield proxy.total()
         return runtime.sim.now - start, final
 
-    prof = profiler(runtime.sim) if profiler is not None else None
-    if prof is not None:
-        prof.install()
-    try:
-        elapsed, final = runtime.run(client())
-    finally:
-        if prof is not None:
-            prof.uninstall()
-    return runtime, prof, elapsed, final
+    elapsed, final = runtime.run(client())
+    return runtime, elapsed, final
 
 
 def _write(path: str, text: str) -> None:
@@ -86,77 +72,6 @@ def _write(path: str, text: str) -> None:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(text)
     print(f"wrote {path}")
-
-
-# -- profile ---------------------------------------------------------------------
-
-
-def _cmd_profile(args) -> int:
-    from repro.obs.profile import SimProfiler
-    from repro.obs.slo import DEFAULT_SLOS, evaluate_slos
-
-    runtime, prof, elapsed, final = _quick_cell(
-        args.calls, args.work, args.failures, args.seed,
-        profiler=lambda sim: SimProfiler(sim),
-    )
-    assert prof is not None
-    summary = prof.summary(top=args.top)
-    print(
-        f"profiled {summary['events']} events / "
-        f"{summary['process_steps']} process steps in "
-        f"{summary['wall_seconds']:.3f}s wall "
-        f"({summary['sim_seconds']:.3f}s simulated, "
-        f"{args.calls} calls, {args.failures} failure(s), "
-        f"final total {final})"
-    )
-    print(
-        f"throughput: {summary['events_per_second']:,.0f} events/s; "
-        f"heap depth max {summary['heap_depth_max']} "
-        f"mean {summary['heap_depth_mean']:.1f}; "
-        f"timeline dropped {summary['timeline_dropped']}"
-    )
-    print("\ntop event-callback sites (exclusive wall):")
-    for site in summary["callback_sites"]:
-        print(
-            f"  {site['wall_seconds'] * 1e3:>9.3f} ms  "
-            f"{site['count']:>7}x  {site['site']}"
-        )
-    print("\ntop process step sites:")
-    for site in summary["step_sites"]:
-        print(
-            f"  {site['wall_seconds'] * 1e3:>9.3f} ms  "
-            f"{site['count']:>7}x  {site['site']}"
-        )
-
-    # publish throughput into the run's registry so SLOs can see it
-    registry = runtime.obs.metrics
-    for name, value in prof.bench_metrics().items():
-        registry.gauge(name).set(value)
-    results = evaluate_slos(registry.snapshot(), DEFAULT_SLOS)
-    print("\nSLOs:")
-    for result in results:
-        status = "skip" if result.skipped else ("ok" if result.ok else "FAIL")
-        value = "-" if result.value is None else f"{result.value:.6g}"
-        print(f"  [{status:>4}] {result.spec.name:<24} {value}")
-
-    if args.folded:
-        _write(args.folded, prof.folded_stacks(weight=args.weight))
-    if args.chrome:
-        _write(args.chrome, json.dumps(prof.chrome_trace(), indent=2) + "\n")
-    if args.json:
-        _write(args.json, json.dumps(summary, indent=2) + "\n")
-    if args.bench_json:
-        from repro.obs import MetricsRegistry
-
-        bench = MetricsRegistry()
-        for name, value in prof.bench_metrics().items():
-            bench.gauge(name).set(value)
-        bench.gauge("bench_recovery_time_seconds",
-                    failures=str(args.failures)).set(
-            runtime.coordinator(0).recovery_time_total
-        )
-        _write(args.bench_json, json.dumps(bench.snapshot(), indent=2) + "\n")
-    return 0 if all(r.ok for r in results) or args.report_only else 1
 
 
 # -- critical-path ------------------------------------------------------------------
@@ -181,7 +96,7 @@ def _cmd_critical_path(args) -> int:
             return 2
     else:
         failures = max(1, args.failures) if args.target == "recovery" else 0
-        runtime, _, _, _ = _quick_cell(args.calls, args.work, failures, args.seed)
+        runtime, _, _ = _quick_cell(args.calls, args.work, failures, args.seed)
         tracer = runtime.obs.tracer
         try:
             if args.target == "recovery":
@@ -203,13 +118,11 @@ def _cmd_critical_path(args) -> int:
 def _generate_current(args) -> list[dict]:
     """A fresh snapshot in BENCH_recovery shape from the quick scenario."""
     from repro.obs import MetricsRegistry
-    from repro.obs.profile import SimProfiler
 
     registry = MetricsRegistry()
     for failures in (0, 1):
-        runtime, prof, elapsed, final = _quick_cell(
-            args.calls, args.work, failures, args.seed,
-            profiler=lambda sim: SimProfiler(sim),
+        runtime, elapsed, final = _quick_cell(
+            args.calls, args.work, failures, args.seed
         )
         labels = {"failures": str(failures)}
         coordinator = runtime.coordinator(0)
@@ -223,9 +136,6 @@ def _generate_current(args) -> list[dict]:
         registry.gauge("bench_state_correct", **labels).set(
             1.0 if abs(final - args.calls) < 1e-9 else 0.0
         )
-        assert prof is not None
-        for name, value in prof.bench_metrics().items():
-            registry.gauge(name, **labels).set(value)
     return registry.snapshot()
 
 
@@ -287,32 +197,10 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Profiling, critical-path analysis and SLO/regression "
-        "gating for the runtime.",
+        description="Critical-path analysis and SLO/regression gating "
+        "for the runtime.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "profile",
-        help="profile the sim kernel on a quick FT scenario",
-    )
-    _add_scenario_args(p)
-    p.add_argument("--failures", type=int, default=1,
-                   help="host crashes to inject (default 1)")
-    p.add_argument("--top", type=int, default=10,
-                   help="attribution rows to print (default 10)")
-    p.add_argument("--weight", choices=("wall", "events"), default="wall",
-                   help="folded-stack weight (default wall microseconds)")
-    p.add_argument("--folded", metavar="PATH",
-                   help="write flamegraph folded stacks")
-    p.add_argument("--chrome", metavar="PATH",
-                   help="write the profiler timeline as Chrome trace_event")
-    p.add_argument("--json", metavar="PATH", help="write the profile summary")
-    p.add_argument("--bench-json", metavar="PATH",
-                   help="write headline numbers as a BENCH-style snapshot")
-    p.add_argument("--report-only", action="store_true",
-                   help="exit 0 even when an SLO fails")
-    p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser(
         "critical-path",

@@ -250,9 +250,3 @@ class MetricsRegistry:
             }
             for instrument in self
         ]
-
-    def to_prometheus(self) -> str:
-        """Prometheus-style text exposition of every instrument."""
-        from repro.obs.exporters import prometheus_text
-
-        return prometheus_text(self)

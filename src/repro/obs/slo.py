@@ -183,14 +183,6 @@ DEFAULT_SLOS: tuple[SloSpec, ...] = (
         description="active-mode quorum reached within 0.5 s p99 — voting"
         " must mask failures without stalling the caller",
     ),
-    SloSpec(
-        name="events-per-sec-floor",
-        metric="sim_events_per_sec",
-        summary_field="max",
-        min_value=1000.0,
-        description="sim kernel sustains at least 1k events/s of host "
-        "throughput (only present on profiled runs)",
-    ),
 )
 
 
@@ -262,7 +254,7 @@ _HIGHER_BETTER = ("_per_sec", "_throughput", "_ok_calls", "_hits")
 
 #: metrics measured on the host wall clock: deterministic across seeds
 #: but not across machines or runs, so they get the loose tolerance.
-_WALL_CLOCK_PREFIXES = ("sim_events", "sim_process", "bench_wall")
+_WALL_CLOCK_PREFIXES = ("bench_wall",)
 
 
 def metric_direction(name: str) -> Optional[str]:

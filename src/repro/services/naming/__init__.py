@@ -37,10 +37,6 @@ from repro.services.naming.strategies import (
     SelectionStrategy,
     WinnerStrategy,
 )
-from repro.services.naming.persistent import (
-    FtNamingContextServant,
-    FtNamingContextStub,
-)
 from repro.services.naming.sharded import (
     ShardedNameRouter,
     ShardedServiceDirectory,
@@ -51,8 +47,6 @@ from repro.services.naming.sharded import (
 __all__ = [
     "BreakerAwareStrategy",
     "FirstBoundStrategy",
-    "FtNamingContextServant",
-    "FtNamingContextStub",
     "LoadDistributingContextServant",
     "Name",
     "NameComponent",

@@ -19,8 +19,7 @@ its data layout is chosen for speed:
 * one drain loop (:meth:`Simulator._drain`) serves :meth:`Simulator.run`,
   :meth:`Simulator.run_until_done` and :meth:`Simulator.step`, so
   dispatching an event costs no Python frame beyond the callback itself
-  whichever way the simulation is driven, and the profiler hook costs a
-  single ``None`` check per event when disabled.
+  whichever way the simulation is driven.
 """
 
 from __future__ import annotations
@@ -118,12 +117,6 @@ class Simulator:
         #: trace context used when no process is running (driver code).
         self.ambient_trace_context: Optional[Any] = None
         self._obs: Optional[Any] = None
-        #: optional host-side kernel profiler
-        #: (:class:`repro.obs.profile.SimProfiler`).  Strictly
-        #: observational: it measures wall-clock cost per event/step but
-        #: never feeds a value back into simulated state, so a profiled
-        #: run stays bit-identical to an unprofiled one.
-        self.profiler: Optional[Any] = None
         #: (name, exception) pairs of processes that died from an uncaught,
         #: non-kill exception while nobody was watching them.
         self.unhandled_failures: list[tuple[str, BaseException]] = []
@@ -135,7 +128,7 @@ class Simulator:
 
         Events scheduled for the same instant fire in scheduling order.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self.now + delay
         seq = self._seq
@@ -213,15 +206,7 @@ class Simulator:
                     self.now = time
                 elif time < now - _TIME_EPSILON:
                     raise SimulationError("event heap time went backwards")
-                profiler = self.profiler
-                if profiler is None:
-                    event.callback()
-                else:
-                    profiler.event_begin(event.callback, len(heap))
-                    try:
-                        event.callback()
-                    finally:
-                        profiler.event_end()
+                event.callback()
                 if stop._state is not _PENDING:
                     return True
         finally:

@@ -104,37 +104,26 @@ class Process(SimFuture):
         sim = self.sim
         previous_process = sim.current_process
         sim.current_process = self
-        profiler = sim.profiler
-        if profiler is not None:
-            profiler.process_step_begin(self)
         try:
             if throw_exc is not None:
                 yielded = self._generator.throw(throw_exc)
             else:
                 yielded = self._generator.send(send_value)
         except StopIteration as stop:
-            if profiler is not None:
-                profiler.process_step_end(self, finished=True)
             sim.current_process = previous_process
             self._in_resume = False
             self._finish_success(stop.value)
             return
         except ProcessKilled as killed:
-            if profiler is not None:
-                profiler.process_step_end(self, finished=True)
             sim.current_process = previous_process
             self._in_resume = False
             self._finish_failure(killed, unhandled=False)
             return
         except BaseException as exc:  # noqa: BLE001 - process body failed
-            if profiler is not None:
-                profiler.process_step_end(self, finished=True)
             sim.current_process = previous_process
             self._in_resume = False
             self._finish_failure(exc, unhandled=True)
             return
-        if profiler is not None:
-            profiler.process_step_end(self, finished=False)
         sim.current_process = previous_process
         self._in_resume = False
 

@@ -60,7 +60,7 @@ class ProcessorSharingCPU:
     )
 
     def __init__(self, sim: "Simulator", speed: float = 1.0, cores: int = 1) -> None:
-        if speed <= 0:
+        if not speed > 0:
             raise SimulationError(f"CPU speed must be positive, got {speed}")
         if cores < 1:
             raise SimulationError(f"CPU needs at least one core, got {cores}")
@@ -81,7 +81,7 @@ class ProcessorSharingCPU:
     def execute(self, work: float) -> SimFuture:
         """Submit ``work`` units; returns a future that succeeds with the
         elapsed simulated duration when the task finishes."""
-        if work < 0:
+        if not work >= 0:
             raise SimulationError(f"work must be non-negative, got {work}")
         future = SimFuture(self.sim, label="cpu-task")
         if work <= _WORK_EPSILON:
@@ -120,14 +120,6 @@ class ProcessorSharingCPU:
         """Number of tasks currently sharing the CPU."""
         return len(self._tasks)
 
-    @property
-    def per_task_rate(self) -> float:
-        """Current progress rate of each task, in work units per second."""
-        n = len(self._tasks)
-        if n == 0:
-            return self.speed
-        return self.speed * min(1.0, self.cores / n)
-
     def utilization_integral(self) -> float:
         """Busy integral up to *now* (advance bookkeeping first)."""
         self._advance()
@@ -151,7 +143,7 @@ class ProcessorSharingCPU:
         Work already completed is accounted at the old rate; in-flight
         tasks continue at the new rate from *now*.
         """
-        if speed <= 0:
+        if not speed > 0:
             raise SimulationError(f"CPU speed must be positive, got {speed}")
         shortest = self._advance()
         self.speed = speed

@@ -36,16 +36,12 @@ from repro.winner.hierarchy import (
 from repro.winner.protocol import LoadReport, LoadReportDelta, decode_report
 from repro.winner.node_manager import NodeManager
 from repro.winner.system_manager import HostRecord, SystemManager
-from repro.winner.batch import BatchJob, BatchQueue, JobState
 from repro.winner.federation import MetaManager, MetaStrategy
 
 __all__ = [
-    "BatchJob",
-    "BatchQueue",
     "Ewma",
     "HierarchicalWinner",
     "HostRecord",
-    "JobState",
     "LoadReport",
     "LoadReportDelta",
     "LoadSample",

@@ -65,12 +65,6 @@ class MetaManager:
     def sites(self) -> list[str]:
         return sorted(self._site_managers)
 
-    def site_manager(self, site: str) -> "SystemManager":
-        try:
-            return self._site_managers[site]
-        except KeyError:
-            raise ConfigurationError(f"unknown site {site!r}") from None
-
     # -- collection ----------------------------------------------------------------
 
     def start(self) -> "MetaManager":

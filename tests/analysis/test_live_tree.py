@@ -29,7 +29,7 @@ DEFAULT_TREE = [
     REPO_ROOT / "examples",
 ]
 #: inline ignore directives in the default tree may only go down.
-MAX_DIRECTIVES = 30
+MAX_DIRECTIVES = 29
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,6 @@
 """Tests for the scale harness drivers: accounting, and the determinism
-of ``scale_run`` across reruns and the kernel profiler (the property the
-optimizations must not break)."""
-
-import pytest
+of ``scale_run`` across reruns (the property the optimizations must not
+break)."""
 
 from repro.bench.scalebench import (
     cluster_capacity,
@@ -26,23 +24,14 @@ def test_scale_run_accounting_closes():
     assert result.events_scheduled > result.arrivals
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        {},  # the reference itself re-runs identically
-        {"profiled": True},  # kernel profiler installed
-    ],
-    ids=["rerun", "profiled"],
-)
-def test_thousand_host_run_is_bit_identical(overrides):
-    """Same seed => same completion fingerprint for a 1k-host run, with
-    and without the kernel profiler installed."""
+def test_thousand_host_run_is_bit_identical():
+    """Same seed => same completion fingerprint for a 1k-host run."""
     kwargs = dict(
         num_hosts=1_000, num_clients=10_000,
         arrival_rate=0.5 * cluster_capacity(1_000), duration=1.0, seed=11,
     )
     reference = scale_run(**kwargs)
-    variant = scale_run(**{**kwargs, **overrides})
+    variant = scale_run(**kwargs)
     assert variant.fingerprint == reference.fingerprint
     assert variant.arrivals == reference.arrivals
     assert variant.completions == reference.completions

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.network import Network
 from repro.sim import Simulator
 
 
@@ -108,6 +109,14 @@ def test_unbound_port_drops():
     net.send(cluster.host(0), 1, cluster.host(1).name, 999, payload="x", size=1)
     sim.run()
     assert net.messages_dropped == 1
+
+
+def test_nan_network_parameters_rejected():
+    sim, cluster = make_cluster()
+    with pytest.raises(SimulationError):
+        Network(sim, latency=float("nan"))
+    with pytest.raises(SimulationError):
+        cluster.network.set_latency_surge(factor=float("nan"))
 
 
 def test_double_bind_rejected():

@@ -193,7 +193,7 @@ def _recovery_runtime():
 
     # calls is shrunk for speed: the recovery episode's duration does not
     # depend on the stream length, only on the crash/recover machinery.
-    runtime, _, _, final = _quick_cell(
+    runtime, _, final = _quick_cell(
         calls=12, call_work=0.05, failures=1, seed=17
     )
     assert final == 12.0  # state survived the crash

@@ -1,6 +1,7 @@
 """``python -m repro.obs`` subcommands, exercised through ``cli.main``."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,11 @@ def _snapshot_file(tmp_path, name, entries):
 def _gauge(name, value, **labels):
     return {"name": name, "kind": "gauge", "labels": labels, "value": value}
 
+
+RECOVERY_BASELINE = (
+    Path(__file__).resolve().parents[2]
+    / "benchmarks" / "results" / "BENCH_recovery.json"
+)
 
 BASELINE = [
     _gauge("bench_runtime_seconds", 2.0, failures="1"),
@@ -138,24 +144,17 @@ def test_critical_path_unknown_root_exits_2(tmp_path, capsys):
 # -- live-scenario smoke (small workloads) ----------------------------------------
 
 
-def test_profile_smoke_writes_exports(tmp_path, capsys):
-    folded = tmp_path / "prof.folded"
-    chrome = tmp_path / "prof.trace.json"
-    summary = tmp_path / "prof.json"
-    rc = main([
-        "profile", "--calls", "3", "--work", "0.01", "--failures", "0",
-        "--report-only",
-        "--folded", str(folded), "--chrome", str(chrome),
-        "--json", str(summary), "--weight", "events",
-    ])
-    assert rc == 0
-    assert "events/s" in capsys.readouterr().out
-    assert folded.read_text().splitlines()  # non-empty folded stacks
-    trace = json.loads(chrome.read_text())
-    assert trace["traceEvents"]
-    payload = json.loads(summary.read_text())
-    assert payload["events"] > 0
-    assert payload["process_steps"] > 0
+def test_check_regenerates_the_pinned_recovery_cell(tmp_path, capsys):
+    """Without ``--current`` the gate reruns the quick recovery cell; its
+    simulated results match the pinned ``BENCH_recovery.json`` exactly."""
+    out = tmp_path / "deltas.json"
+    assert main([
+        "check", "--baseline", str(RECOVERY_BASELINE), "--json", str(out),
+    ]) == 0
+    assert "quick scenario" in capsys.readouterr().out
+    deltas = json.loads(out.read_text())
+    assert len(deltas) == 4
+    assert all(d["change"] == 0.0 for d in deltas)
 
 
 def test_critical_path_live_recovery_smoke(capsys):

@@ -121,7 +121,7 @@ def test_export_slo_metrics_publishes_gauges():
 
 
 def test_slo_report_counts():
-    report = slo_report([_gauge("sim_events_per_sec", 5000.0)])
+    report = slo_report([_gauge("ft_recovery_seconds", 0.5)])
     assert report["checked"] == len(DEFAULT_SLOS)
     assert report["failed"] == 0
     assert report["skipped"] == len(DEFAULT_SLOS) - 1
@@ -174,20 +174,20 @@ def test_improvement_and_noise_pass():
 
 
 def test_higher_better_metric_regresses_downwards():
-    baseline = [_gauge("sim_events_per_sec", 10000.0)]
+    baseline = [_gauge("bench_wall_events_per_sec", 10000.0)]
     (delta,) = compare_snapshots(
-        [_gauge("sim_events_per_sec", 4000.0)], baseline
+        [_gauge("bench_wall_events_per_sec", 4000.0)], baseline
     )
     assert delta.direction == "higher"
     assert delta.regressed
 
 
 def test_wall_clock_metrics_get_loose_tolerance():
-    baseline = [_gauge("sim_events_per_sec", 10000.0)]
+    baseline = [_gauge("bench_wall_events_per_sec", 10000.0)]
     # 30% down: far beyond the 5% simulated tolerance, inside the 50%
     # wall-clock lane — host throughput jitters across machines.
     (delta,) = compare_snapshots(
-        [_gauge("sim_events_per_sec", 7000.0)], baseline
+        [_gauge("bench_wall_events_per_sec", 7000.0)], baseline
     )
     assert delta.tolerance == 0.5
     assert not delta.regressed

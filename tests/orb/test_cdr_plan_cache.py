@@ -460,12 +460,12 @@ def declared_typecodes(*namespaces) -> list:
 def test_every_live_idl_type_plan_matches_reference(seed):
     from repro.ft import checkpointable, factory
     from repro.opt import worker
-    from repro.services import checkpoint, events, trader
+    from repro.services import checkpoint, trader
     from repro.services.naming import idl as naming_idl
     from repro.winner import service
 
     typecodes = declared_typecodes(
-        naming_idl.ns, checkpoint.ns, trader.ns, events.ns,
+        naming_idl.ns, checkpoint.ns, trader.ns,
         checkpointable.ns, factory.ns, service.idl, worker.worker_idl, NS,
     )
     names = {typecode.name for typecode in typecodes}

@@ -33,8 +33,9 @@ def test_same_time_events_fire_in_schedule_order():
 
 def test_negative_delay_rejected():
     sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.schedule(-0.1, lambda: None)
+    for delay in (-0.1, float("nan")):
+        with pytest.raises(SimulationError):
+            sim.schedule(delay, lambda: None)
 
 
 def test_cancel_prevents_callback():

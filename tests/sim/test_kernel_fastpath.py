@@ -123,29 +123,6 @@ def test_same_instant_events_scheduled_by_a_batch_keep_fifo_order():
     assert order == ["first", "second", "nested"]
 
 
-def test_profiled_run_is_behaviourally_identical():
-    from repro.obs.profile import SimProfiler
-
-    def workload(sim, log):
-        for i in range(30):
-            sim.schedule(0.1 * (i % 11) + 0.01 * i, lambda i=i: log.append(i))
-
-    plain: list = []
-    sim = Simulator(seed=5)
-    workload(sim, plain)
-    sim.run()
-
-    profiled: list = []
-    sim_prof = Simulator(seed=5)
-    SimProfiler(sim_prof).install()
-    workload(sim_prof, profiled)
-    sim_prof.run()
-
-    assert plain == profiled
-    assert sim.now == sim_prof.now
-    assert sim_prof.profiler.events == 30
-
-
 def test_backwards_heap_time_still_raises():
     sim = Simulator()
     sim.schedule(1.0, lambda: None)

@@ -86,8 +86,9 @@ def test_zero_work_completes_immediately():
 
 def test_negative_work_rejected():
     _, cpu = make_cpu()
-    with pytest.raises(SimulationError):
-        cpu.execute(-1.0)
+    for work in (-1.0, float("nan")):
+        with pytest.raises(SimulationError):
+            cpu.execute(work)
 
 
 def test_invalid_construction():
