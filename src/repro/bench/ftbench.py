@@ -553,53 +553,64 @@ def replicated_store_compare(
     return rows
 
 
+def recovery_cell(
+    failures: int,
+    calls: int = 40,
+    call_work: float = 0.05,
+    **runtime_kwargs,
+) -> tuple[Runtime, float, float]:
+    """One failure-injection cell: a checkpointed accumulator stream of
+    ``calls`` calls whose current host crashes ``failures`` times.
+
+    Returns ``(runtime, elapsed, final_total)``.  ``runtime_kwargs``
+    forward to :class:`RuntimeConfig` (e.g. ``seed``, or the resolve
+    fast-path knobs for an optimized-mode recovery column)."""
+    runtime = _runtime(num_hosts=7, **runtime_kwargs)
+    ior = runtime.orb(1).poa.activate(AccumulatorImpl())
+    proxy = runtime.ft_proxy(
+        ns.BenchAccumulatorStub, ior, key="acc", type_name="BenchAccumulator"
+    )
+    # Crash the service's *current* host at evenly spaced times.  ws00
+    # runs the client and the infrastructure; a real operator's fault
+    # injection would not take down the coordinator, so a service that
+    # recovered onto ws00 is spared.
+    def crash_current():
+        host = proxy.ior.host
+        if host != "ws00":
+            runtime.cluster.host(host).crash()
+
+    span = calls * call_work * 1.6
+    for index in range(failures):
+        at = runtime.sim.now + span * (index + 1) / (failures + 1)
+        runtime.sim.schedule_at(at, crash_current)
+
+    def client():
+        start = runtime.sim.now
+        for _ in range(calls):
+            yield proxy.add(1.0, call_work)
+        final = yield proxy.total()
+        return runtime.sim.now - start, final
+
+    elapsed, final = runtime.run(client())
+    return runtime, elapsed, final
+
+
 def recovery_bench(
     failure_counts: Sequence[int] = (0, 1, 2),
     calls: int = 40,
     call_work: float = 0.05,
-    capture: Optional[list] = None,
     **runtime_kwargs,
 ) -> list[AblationRow]:
     """Failure injection: runtime, recovery count and state correctness.
 
     The correct final total is ``calls`` regardless of crashes — checkpoint
     restore plus call retry must never lose or duplicate an update.
-    ``runtime_kwargs`` forward to :class:`RuntimeConfig` (e.g. the resolve
-    fast-path knobs for an optimized-mode recovery column).  ``capture``
-    (a list) receives each cell's finished :class:`Runtime`, so callers
-    can post-analyze the traces — the critical-path validation against
-    the pinned recovery golden rides on this."""
+    ``runtime_kwargs`` forward to :func:`recovery_cell`."""
     rows = []
     for failures in failure_counts:
-        runtime = _runtime(num_hosts=7, **runtime_kwargs)
-        if capture is not None:
-            capture.append(runtime)
-        ior = runtime.orb(1).poa.activate(AccumulatorImpl())
-        proxy = runtime.ft_proxy(
-            ns.BenchAccumulatorStub, ior, key="acc", type_name="BenchAccumulator"
+        runtime, elapsed, final = recovery_cell(
+            failures, calls, call_work, **runtime_kwargs
         )
-        # Crash the service's *current* host at evenly spaced times.  ws00
-        # runs the client and the infrastructure; a real operator's fault
-        # injection would not take down the coordinator, so a service that
-        # recovered onto ws00 is spared.
-        def crash_current():
-            host = proxy.ior.host
-            if host != "ws00":
-                runtime.cluster.host(host).crash()
-
-        span = calls * call_work * 1.6
-        for index in range(failures):
-            at = runtime.sim.now + span * (index + 1) / (failures + 1)
-            runtime.sim.schedule_at(at, crash_current)
-
-        def client():
-            start = runtime.sim.now
-            for _ in range(calls):
-                yield proxy.add(1.0, call_work)
-            final = yield proxy.total()
-            return runtime.sim.now - start, final
-
-        elapsed, final = runtime.run(client())
         coordinator = runtime.coordinator(0)
         rows.append(
             AblationRow(

@@ -117,7 +117,6 @@ class Host:
             raise HostDownError(f"degrade factor must be in (0, 1], got {factor}")
         self._degrade_factor = factor
         self.cpu.set_speed(self.base_speed * factor)
-        self.sim.trace.emit("host", "degraded", host=self.name, factor=factor)
         self.sim.obs.metrics.gauge(
             "host_degrade_factor", host=self.name
         ).set(factor)
@@ -132,7 +131,6 @@ class Host:
             return
         self._degrade_factor = 1.0
         self.cpu.set_speed(self.base_speed)
-        self.sim.trace.emit("host", "degradation healed", host=self.name)
         self.sim.obs.metrics.gauge(
             "host_degrade_factor", host=self.name
         ).set(1.0)
@@ -151,7 +149,6 @@ class Host:
             return
         self._up = False
         self.crash_count += 1
-        self.sim.trace.emit("host", "crashed", host=self.name)
         self.sim.obs.metrics.counter(
             "host_crashes_total", host=self.name
         ).inc()
@@ -172,9 +169,6 @@ class Host:
             # A reboot clears whatever was slowing the machine down.
             self._degrade_factor = 1.0
             self.cpu.set_speed(self.base_speed)
-        self.sim.trace.emit(
-            "host", "restarted", host=self.name, incarnation=self.incarnation
-        )
         self.sim.obs.metrics.counter(
             "host_restarts_total", host=self.name
         ).inc()

@@ -62,9 +62,6 @@ class BackgroundLoad:
         if self._running:
             return self
         self._running = True
-        self.host.sim.trace.emit(
-            "load", f"background load on {self.host.name}", intensity=self.intensity
-        )
         for i in range(self.intensity):
             process = self.host.spawn(self._burn(), name=f"bgload{i}")
             self._processes.append(process)
@@ -78,7 +75,6 @@ class BackgroundLoad:
         processes, self._processes = self._processes, []
         for process in processes:
             process.kill()
-        self.host.sim.trace.emit("load", f"background load off {self.host.name}")
 
     def _burn(self):
         try:

@@ -278,12 +278,6 @@ class Network:
                     "network_drop_listener_errors_total",
                     listener=type(exc).__name__,
                 ).inc()
-                self.sim.trace.emit(
-                    "network",
-                    "drop listener raised (isolated)",
-                    error=type(exc).__name__,
-                    dst=datagram.dst_host,
-                )
 
     def _deliver(self, datagram: Datagram) -> None:
         dst = self._hosts[datagram.dst_host]

@@ -88,7 +88,6 @@ class CircuitBreaker:
         self._state = state
         if state == HALF_OPEN:
             self._probes_inflight = 0
-        self.sim.trace.emit("breaker", "transition", host=self.host, to=state)
         metrics = self.sim.obs.metrics
         metrics.counter(
             "ft_breaker_transitions_total", host=self.host, to=state

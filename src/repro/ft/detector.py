@@ -93,9 +93,6 @@ class FailureDetector:
                             # so a later down phase is re-reported.
                             self._suspect_flags.discard(key)
                             self.recovered_targets += 1
-                            sim.trace.emit(
-                                "ft", "detector cleared suspicion", key=key
-                            )
                         continue
                     self._misses[key] = self._misses.get(key, 0) + 1
                     if (

@@ -73,13 +73,6 @@ def _migrate_locked(proxy, naming, target_host: str):
     orb.sim.obs.metrics.histogram(
         "ft_migration_seconds", service=ft.key
     ).observe(orb.sim.now - started)
-    orb.sim.trace.emit(
-        "ft",
-        "migrated",
-        service=ft.key,
-        src=old_ior.host,
-        dst=new_ior.host,
-    )
     return new_ior
 
 

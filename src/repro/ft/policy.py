@@ -67,7 +67,7 @@ class FtPolicy:
     #: concurrent probes allowed while half-open.
     breaker_half_open_max: int = 1
     #: "raise" propagates a failed checkpoint to the caller; "ignore"
-    #: logs and continues (the call already succeeded); "degraded"
+    #: drops it and continues (the call already succeeded); "degraded"
     #: buffers the checkpoint client-side and flushes when the store
     #: answers again.
     on_checkpoint_failure: str = "raise"

@@ -288,12 +288,6 @@ class _FtProxyBase:
                 span.mark_error(exc)
                 outer.try_fail(exc)
                 return
-            self._orb.sim.trace.emit(
-                "ft",
-                "checkpoint failed (ignored)",
-                service=ft.key,
-                error=type(exc).__name__,
-            )
         outer.try_succeed(result)
 
     def _take_checkpoint(self):
@@ -381,7 +375,7 @@ class _FtProxyBase:
         """Background half of a pipelined checkpoint.  Never lets an
         exception escape (the call it belongs to was already acknowledged):
         degraded mode buffers, raise mode parks the error for the next
-        call, ignore mode traces."""
+        call, ignore mode drops it."""
         if self._ft.policy.on_checkpoint_failure == "degraded":
             yield from self._store_or_buffer(shipment)
             return
@@ -394,12 +388,6 @@ class _FtProxyBase:
         ft = self._ft
         if ft.policy.on_checkpoint_failure == "raise":
             ft._pipeline_error = exc
-        self._orb.sim.trace.emit(
-            "ft",
-            "checkpoint failed (pipelined)",
-            service=ft.key,
-            error=type(exc).__name__,
-        )
 
     def _store(self, shipment: Shipment):
         """Ship one prepared checkpoint to the store (sink: delta base =
@@ -429,7 +417,6 @@ class _FtProxyBase:
         outage would invert the fault-tolerance guarantee)."""
         ft = self._ft
         obs = self._orb.sim.obs
-        was_degraded = ft.degraded
         try:
             while ft.buffered_checkpoints:
                 pending_version, pending_state = ft.buffered_checkpoints[0]
@@ -441,25 +428,13 @@ class _FtProxyBase:
                 ).inc()
             yield from self._store(shipment)
         # analysis: ignore[EXC003]: buffering IS the degraded-mode handling — the flush loop retries on the next checkpoint
-        except SystemException as exc:
+        except SystemException:
             ft.buffered_checkpoints.append((shipment.version, shipment.state))
             del ft.buffered_checkpoints[: -ft.policy.checkpoint_buffer_limit]
             ft.checkpoints_buffered += 1
             obs.metrics.counter(
                 "ft_checkpoints_buffered_total", service=ft.key
             ).inc()
-            self._orb.sim.trace.emit(
-                "ft",
-                "checkpoint buffered (store unreachable)",
-                service=ft.key,
-                version=shipment.version,
-                error=type(exc).__name__,
-            )
-        else:
-            if was_degraded:
-                self._orb.sim.trace.emit(
-                    "ft", "checkpoint buffer drained", service=ft.key
-                )
         obs.metrics.gauge(
             "ft_checkpoint_buffer_depth", service=ft.key
         ).set(len(ft.buffered_checkpoints))

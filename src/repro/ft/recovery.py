@@ -133,12 +133,6 @@ class RecoveryCoordinator:
         started = sim.now
         context = proxy._ft
         dead_ior = proxy.ior
-        sim.trace.emit(
-            "ft",
-            "recovering",
-            service=context.key,
-            dead_host=dead_ior.host,
-        )
         with sim.obs.tracer.span(
             "ft:recover",
             host=self.orb.host.name,
@@ -222,13 +216,6 @@ class RecoveryCoordinator:
             sim.obs.metrics.histogram(
                 "ft_recovery_seconds", service=context.key
             ).observe(elapsed)
-            sim.trace.emit(
-                "ft",
-                "recovered",
-                service=context.key,
-                new_host=new_ior.host,
-                seconds=elapsed,
-            )
             return new_ior
         self.failed_recoveries += 1
         sim.obs.metrics.counter(
@@ -261,7 +248,6 @@ class RecoveryCoordinator:
         sim = self.orb.sim
         policy = self.policy
         rng = sim.rng("ft-backoff")
-        last_error: Optional[BaseException] = None
         delay = 0.0
         for attempt in range(policy.max_recover_attempts):
             if attempt:
@@ -278,11 +264,10 @@ class RecoveryCoordinator:
                 ior for ior in factories if ior.host not in exclude_hosts
             ]
             for factory_ior in preferred or list(factories):
-                member_ior, error = yield from self._create_on(
+                member_ior, _ = yield from self._create_on(
                     factory_ior, "create_member", context.type_name, group_id
                 )
                 if member_ior is None:
-                    last_error = error or last_error
                     continue
                 if seed_state is not None:
                     try:
@@ -290,27 +275,14 @@ class RecoveryCoordinator:
                             member_ior, RESTORE_FROM, (seed_state,)
                         )
                     except RECOVERABLE as exc:
-                        last_error = exc
                         self._blame(member_ior.host, exc)
                         continue
                 self.replica_provisions += 1
                 sim.obs.metrics.counter(
                     "ft_replica_provisions_total", group=group_id
                 ).inc()
-                sim.trace.emit(
-                    "ft",
-                    "replica member provisioned",
-                    group=group_id,
-                    host=member_ior.host,
-                )
                 return member_ior
         self.replica_provision_failures += 1
-        sim.trace.emit(
-            "ft",
-            "replica provisioning failed",
-            group=group_id,
-            error=type(last_error).__name__ if last_error else None,
-        )
         return None
 
     # -- steps -------------------------------------------------------------------

@@ -163,13 +163,6 @@ class ReplicatedServant(Servant):
                 sim.obs.metrics.counter(
                     "ft_duplicates_suppressed_total", group=self.group_id
                 ).inc()
-                sim.trace.emit(
-                    "ft",
-                    "duplicate request suppressed",
-                    group=self.group_id,
-                    request=request_key,
-                    operation=operation,
-                )
                 return self._replies[request_key]
             inflight = self._inflight.get(request_key)
             if inflight is not None:
@@ -379,13 +372,6 @@ class ReplicaGroup:
         sim = self._orb.sim
         proxy = self._proxy
         origin = proxy.ior
-        sim.trace.emit(
-            "ft",
-            "provisioning replica group",
-            group=self.group_id,
-            mode=self.mode,
-            factor=self._policy.replication_factor,
-        )
         try:
             seed = yield self._capture(origin)
         # analysis: ignore[EXC003]: Seeding the new replica group from the origin object is best-effort: an origin that is already dead simply means the members start from fresh state, and provisioning then retires the origin from the naming group anyway.
@@ -421,12 +407,6 @@ class ReplicaGroup:
         sim.obs.metrics.gauge(
             "ft_replica_group_size", group=self.group_id
         ).set(len(self.members))
-        sim.trace.emit(
-            "ft",
-            "replica group provisioned",
-            group=self.group_id,
-            hosts=[member.ior.host for member in self.members],
-        )
 
     # -- failure detector -------------------------------------------------------------
 
@@ -453,22 +433,20 @@ class ReplicaGroup:
         yield self._proxy._ft_lock.acquire()
         try:
             if self.members and self.members[0].ior == ior:
-                yield from self._handle_dead_lead("detector suspicion")
+                yield from self._handle_dead_lead()
         except RecoveryError:
-            self._orb.sim.trace.emit(
-                "ft", "proactive promotion failed", group=self.group_id
-            )
+            pass  # the next call through the proxy recovers the lead
         finally:
             self._proxy._ft_lock.release()
 
-    def _handle_dead_lead(self, reason: str):
+    def _handle_dead_lead(self):
         raise NotImplementedError
         yield  # pragma: no cover
 
     # -- membership -------------------------------------------------------------------
 
     # analysis: atomic: retirement record + breaker + connection-cache invalidation form one indivisible step
-    def _retire(self, member: _Member, reason: str) -> None:
+    def _retire(self, member: _Member) -> None:
         """Remove ``member`` and invalidate every cache naming its dead
         incarnation, so no post-promotion call can reach it."""
         sim = self._orb.sim
@@ -488,13 +466,6 @@ class ReplicaGroup:
         sim.obs.metrics.gauge(
             "ft_replica_group_size", group=self.group_id
         ).set(len(self.members))
-        sim.trace.emit(
-            "ft",
-            "replica retired",
-            group=self.group_id,
-            host=member.ior.host,
-            reason=reason,
-        )
 
     def _capture_seed(self):
         """Generator: payload to seed a replacement member with."""
@@ -517,9 +488,6 @@ class ReplicaGroup:
             )
             if member_ior is None:
                 self.replacement_failures += 1
-                self._orb.sim.trace.emit(
-                    "ft", "replica replacement failed", group=self.group_id
-                )
                 return
             acked = (
                 self.shipper.last_digest
@@ -643,9 +611,7 @@ class WarmPassiveGroup(ReplicaGroup):
                         f"{operation}: {step} still failing after"
                         f" {attempts - 1} failovers"
                     ) from exc
-                yield from self._promote(
-                    primary, f"{step} failed: {type(exc).__name__}"
-                )
+                yield from self._promote(primary)
                 continue
             yield from self._ship(payload)
             return result
@@ -696,7 +662,7 @@ class WarmPassiveGroup(ReplicaGroup):
                 )
             # analysis: ignore[EXC003]: a dead standby reduces redundancy, not correctness — retired and backfilled in the background
             except RECOVERABLE:
-                self._retire(member, "state ship failed")
+                self._retire(member)
                 self._schedule_replacement()
                 continue
             member.acked_digest = shipment.digest
@@ -709,11 +675,11 @@ class WarmPassiveGroup(ReplicaGroup):
 
     # -- failover ----------------------------------------------------------------------
 
-    def _handle_dead_lead(self, reason: str):
+    def _handle_dead_lead(self):
         if self.members:
-            yield from self._promote(self.members[0], reason)
+            yield from self._promote(self.members[0])
 
-    def _promote(self, dead: _Member, reason: str):
+    def _promote(self, dead: _Member):
         """Generator: fail over to a standby — no checkpoint-store round
         trip; at most one state sync when the standby missed a ship."""
         sim = self._orb.sim
@@ -723,7 +689,7 @@ class WarmPassiveGroup(ReplicaGroup):
         # and its digest are fixed for the whole promotion.
         newest, digest = self.shipper.newest(), self.shipper.last_digest
         if dead in self.members:
-            self._retire(dead, reason)
+            self._retire(dead)
         candidate = self._pick_candidate()
         while True:
             if candidate is None:
@@ -752,7 +718,7 @@ class WarmPassiveGroup(ReplicaGroup):
                     candidate.acked_digest = digest
                 # analysis: ignore[EXC003]: the chosen standby is dead too — retired, and the loop picks the next candidate
                 except RECOVERABLE:
-                    self._retire(candidate, "promotion sync failed")
+                    self._retire(candidate)
                     candidate = self._pick_candidate()
                     continue
             break
@@ -775,14 +741,6 @@ class WarmPassiveGroup(ReplicaGroup):
         sim.obs.metrics.histogram(
             "ft_failover_seconds", group=self.group_id
         ).observe(elapsed)
-        sim.trace.emit(
-            "ft",
-            "standby promoted",
-            group=self.group_id,
-            new_primary=candidate.ior.host,
-            reason=reason,
-            seconds=elapsed,
-        )
         self._schedule_replacement()
 
     def _pick_candidate(self) -> Optional[_Member]:
@@ -892,7 +850,7 @@ class ActiveGroup(ReplicaGroup):
                     continue
                 if isinstance(payload, RECOVERABLE):
                     if member in self.members:
-                        self._retire(member, "vote: no reply")
+                        self._retire(member)
                 elif hard_error is None:
                     hard_error = payload
             yield from self._rebind_lead()
@@ -954,7 +912,7 @@ class ActiveGroup(ReplicaGroup):
                 if member not in self.members or member in winners:
                     continue
                 if kind == "err" and isinstance(payload, RECOVERABLE):
-                    self._retire(member, "vote: no reply")
+                    self._retire(member)
                     continue
                 # Divergent reply: the replica computed something else —
                 # resync its state (and reply cache) from a winner.
@@ -973,14 +931,14 @@ class ActiveGroup(ReplicaGroup):
             (winner for winner in winners if winner in self.members), None
         )
         if source is None:
-            self._retire(member, "divergent with no sync source")
+            self._retire(member)
             return
         try:
             payload = yield self._capture(source.ior)
             yield self._invoke(member.ior, "restore_from", (payload,))
         # analysis: ignore[EXC003]: an unreachable divergent replica is retired — replacement restores redundancy
         except RECOVERABLE:
-            self._retire(member, "divergence resync failed")
+            self._retire(member)
             return
         self.resyncs += 1
 
@@ -1013,9 +971,9 @@ class ActiveGroup(ReplicaGroup):
             return payload
         return self.shipper.newest()
 
-    def _handle_dead_lead(self, reason: str):
+    def _handle_dead_lead(self):
         dead = self.members[0]
-        self._retire(dead, reason)
+        self._retire(dead)
         yield from self._rebind_lead()
         yield from self._replace_now()
 

@@ -5,14 +5,14 @@ samples, checkpoint overhead (Table 1), recovery latency — so the runtime
 carries a first-class observability layer instead of ad-hoc counters:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
-  simulated-time-windowed histograms, labelled by host/operation/service;
+  histograms, labelled by host/operation/service;
 * :class:`~repro.obs.trace.Tracer` — span-based distributed tracing with
   cross-process context propagation over a GIOP service context;
-* :mod:`repro.obs.exporters` — JSONL, Chrome ``trace_event`` and
-  Prometheus text renderings of both.
+* :mod:`repro.obs.exporters` — Chrome ``trace_event`` and Prometheus text
+  renderings of the two.
 
 Access is through ``sim.obs`` (created lazily per simulation), so every
-layer shares one registry and one tracer.
+layer shares one registry and one tracer — the only record of a run.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class Observability:
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.metrics = MetricsRegistry(clock=lambda: sim.now)
+        self.metrics = MetricsRegistry()
         self.tracer = Tracer(sim)
 
     # -- export conveniences ---------------------------------------------------
@@ -57,11 +57,6 @@ class Observability:
         from repro.obs.exporters import write_chrome_trace
 
         return write_chrome_trace(path, self.tracer)
-
-    def export_spans_jsonl(self, path) -> "object":
-        from repro.obs.exporters import write_spans_jsonl
-
-        return write_spans_jsonl(path, self.tracer)
 
     def export_prometheus(self, path) -> "object":
         from repro.obs.exporters import write_prometheus

@@ -1,8 +1,9 @@
 """``python -m repro.obs`` — critical-path and SLO/regression CLI.
 
 Two subcommands, both built on a short deterministic fault-tolerance
-scenario (the ``bench_recovery`` cell: a checkpointed accumulator stream
-with optional mid-run host crashes, ``num_hosts=7``, ``seed=17``):
+scenario (:func:`repro.bench.ftbench.recovery_cell`, the ``bench_recovery``
+cell: a checkpointed accumulator stream with optional mid-run host
+crashes, ``num_hosts=7``, ``seed=17``):
 
 * ``critical-path`` — reconstruct the causal span tree of the scenario's
   recovery episode (or last client request) and print the segment
@@ -10,8 +11,7 @@ with optional mid-run host crashes, ``num_hosts=7``, ``seed=17``):
 * ``check`` — the regression gate: compare a metrics snapshot (freshly
   generated, or ``--current FILE``) against a pinned
   ``benchmarks/results/BENCH_*.json`` baseline and exit non-zero on
-  regression beyond tolerance (``--report-only`` downgrades to exit 0,
-  the CI bootstrap mode).
+  regression beyond tolerance.
 """
 
 from __future__ import annotations
@@ -21,50 +21,6 @@ import json
 import sys
 from pathlib import Path
 from typing import Optional
-
-
-# -- the quick scenario ----------------------------------------------------------
-
-
-def _quick_cell(
-    calls: int,
-    call_work: float,
-    failures: int,
-    seed: int,
-):
-    """One ``bench_recovery`` cell; returns (runtime, elapsed, final).
-
-    Mirrors :func:`repro.bench.ftbench.recovery_bench` exactly (same
-    runtime shape, crash schedule and client), so the simulated results
-    line up with the pinned ``BENCH_recovery.json`` golden.
-    """
-    from repro.bench.ftbench import AccumulatorImpl, _runtime, ns
-
-    runtime = _runtime(num_hosts=7, seed=seed)
-    ior = runtime.orb(1).poa.activate(AccumulatorImpl())
-    proxy = runtime.ft_proxy(
-        ns.BenchAccumulatorStub, ior, key="acc", type_name="BenchAccumulator"
-    )
-
-    def crash_current():
-        host = proxy.ior.host
-        if host != "ws00":
-            runtime.cluster.host(host).crash()
-
-    span = calls * call_work * 1.6
-    for index in range(failures):
-        at = runtime.sim.now + span * (index + 1) / (failures + 1)
-        runtime.sim.schedule_at(at, crash_current)
-
-    def client():
-        start = runtime.sim.now
-        for _ in range(calls):
-            yield proxy.add(1.0, call_work)
-        final = yield proxy.total()
-        return runtime.sim.now - start, final
-
-    elapsed, final = runtime.run(client())
-    return runtime, elapsed, final
 
 
 def _write(path: str, text: str) -> None:
@@ -78,34 +34,22 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_critical_path(args) -> int:
+    from repro.bench.ftbench import recovery_cell
     from repro.obs import critical_path as cp
 
-    if args.spans:
-        from repro.obs.exporters import parse_jsonl
-
-        records = parse_jsonl(Path(args.spans).read_text())
-        if not records:
-            print(f"error: {args.spans} holds no spans", file=sys.stderr)
-            return 2
-        trace_id = args.trace or records[-1]["trace_id"]
-        spans = [r for r in records if r["trace_id"] == trace_id]
-        try:
-            path = cp.analyze(spans, root=args.root)
-        except cp.CriticalPathError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        failures = max(1, args.failures) if args.target == "recovery" else 0
-        runtime, _, _ = _quick_cell(args.calls, args.work, failures, args.seed)
-        tracer = runtime.obs.tracer
-        try:
-            if args.target == "recovery":
-                path = cp.recovery_path(tracer)
-            else:
-                path = cp.request_path(tracer, operation="add")
-        except cp.CriticalPathError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    failures = max(1, args.failures) if args.target == "recovery" else 0
+    runtime, _, _ = recovery_cell(
+        failures, args.calls, args.work, seed=args.seed
+    )
+    tracer = runtime.obs.tracer
+    try:
+        if args.target == "recovery":
+            path = cp.recovery_path(tracer)
+        else:
+            path = cp.request_path(tracer, operation="add")
+    except cp.CriticalPathError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(path.format())
     if args.json:
         _write(args.json, json.dumps(path.to_dict(), indent=2) + "\n")
@@ -117,12 +61,13 @@ def _cmd_critical_path(args) -> int:
 
 def _generate_current(args) -> list[dict]:
     """A fresh snapshot in BENCH_recovery shape from the quick scenario."""
+    from repro.bench.ftbench import recovery_cell
     from repro.obs import MetricsRegistry
 
     registry = MetricsRegistry()
     for failures in (0, 1):
-        runtime, elapsed, final = _quick_cell(
-            args.calls, args.work, failures, args.seed
+        runtime, elapsed, final = recovery_cell(
+            failures, args.calls, args.work, seed=args.seed
         )
         labels = {"failures": str(failures)}
         coordinator = runtime.coordinator(0)
@@ -176,9 +121,6 @@ def _cmd_check(args) -> int:
             args.json,
             json.dumps([d.to_dict() for d in deltas], indent=2) + "\n",
         )
-    if bad and args.report_only:
-        print("report-only mode: regressions reported, exit 0")
-        return 0
     return 1 if bad else 0
 
 
@@ -213,14 +155,6 @@ def main(argv: Optional[list] = None) -> int:
                    "last client request")
     p.add_argument("--failures", type=int, default=1,
                    help="host crashes to inject (default 1)")
-    p.add_argument("--spans", metavar="JSONL",
-                   help="analyze an exported span file instead of running "
-                   "the scenario (assumed complete: eviction counters are "
-                   "not recorded in JSONL)")
-    p.add_argument("--trace", metavar="ID",
-                   help="trace id inside --spans (default: last)")
-    p.add_argument("--root", metavar="NAME",
-                   help="root span name inside --spans (e.g. ft:recover)")
     p.add_argument("--json", metavar="PATH", help="write the analyzed path")
     p.set_defaults(func=_cmd_critical_path)
 
@@ -241,8 +175,6 @@ def main(argv: Optional[list] = None) -> int:
     p.add_argument("--wall-tolerance", type=float, default=0.5,
                    help="relative tolerance for wall-clock metrics "
                    "(default 0.5)")
-    p.add_argument("--report-only", action="store_true",
-                   help="report regressions but exit 0 (CI bootstrap mode)")
     p.add_argument("--verbose", action="store_true",
                    help="print every gated metric, not just regressions")
     p.add_argument("--json", metavar="PATH", help="write the delta rows")

@@ -1,9 +1,7 @@
 """Render metrics and spans as standard artifact formats.
 
-Three exporters, all keyed to *simulated* time:
+Two exporters, both keyed to *simulated* time:
 
-* **JSONL** — one JSON object per line (spans or metric snapshots); the
-  universal "pipe it into anything" format;
 * **Chrome ``trace_event``** — a JSON document loadable in
   ``chrome://tracing`` / Perfetto; spans become complete (``"ph": "X"``)
   events with microsecond timestamps, grouped by host (pid) and process
@@ -21,31 +19,6 @@ from typing import Any, Iterable, Optional, TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Span, Tracer
-
-# -- JSONL ---------------------------------------------------------------------
-
-
-def spans_to_jsonl(spans: Iterable["Span"]) -> str:
-    """One JSON object per span, newline-separated."""
-    return "".join(json.dumps(span.to_dict()) + "\n" for span in spans)
-
-
-def parse_jsonl(text: str) -> list[dict]:
-    """Parse a JSONL document back into dicts (round-trip check)."""
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
-
-
-def write_spans_jsonl(path: str | Path, tracer: "Tracer") -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(spans_to_jsonl(tracer.spans))
-    return path
-
-
-def metrics_to_jsonl(registry: "MetricsRegistry") -> str:
-    return "".join(
-        json.dumps(entry) + "\n" for entry in registry.snapshot()
-    )
 
 
 # -- Chrome trace_event -----------------------------------------------------------

@@ -1,10 +1,9 @@
-"""The metrics registry: counters, gauges and simulated-time histograms.
+"""The metrics registry: counters, gauges and histograms.
 
 Components register named, labelled instruments here instead of hand-rolling
 ad-hoc counters.  All instruments are cheap (a dict lookup plus an integer
-or float update per event); histograms keep a bounded sample reservoir
-stamped with *simulated* time so percentiles can be computed over a sliding
-window of the run, not wall time.
+or float update per event); histograms keep a bounded reservoir of the
+newest samples for their percentiles.
 
 The registry itself is serialization-friendly: :meth:`MetricsRegistry.snapshot`
 returns plain dicts, and the exporters in :mod:`repro.obs.exporters` render
@@ -14,10 +13,13 @@ the same data as Prometheus text or JSON artifacts.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator
 
 #: label sets are stored as sorted tuples of (key, value) pairs.
 LabelKey = tuple[tuple[str, str], ...]
+
+#: samples a histogram retains for its percentiles (newest win).
+HISTOGRAM_SAMPLES = 4096
 
 
 def _label_key(labels: dict[str, Any]) -> LabelKey:
@@ -74,37 +76,22 @@ class Gauge(Instrument):
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def value_repr(self) -> float:
         return self.value
 
 
 class Histogram(Instrument):
-    """Latency/size distribution with simulated-time windowed percentiles.
+    """Latency/size distribution.
 
-    Keeps a bounded reservoir of ``(time, value)`` samples (newest win when
-    ``max_samples`` is exceeded) plus cumulative count/sum that are never
-    dropped.  ``window`` restricts percentile queries to samples observed in
-    the last ``window`` simulated seconds; ``None`` uses every retained
-    sample.
+    Keeps the newest :data:`HISTOGRAM_SAMPLES` values for percentiles plus
+    cumulative count/sum/min/max that are never dropped.
     """
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        labels: LabelKey,
-        clock: Callable[[], float],
-        window: Optional[float] = None,
-        max_samples: int = 4096,
-    ) -> None:
+    def __init__(self, name: str, labels: LabelKey) -> None:
         super().__init__(name, labels)
-        self._clock = clock
-        self.window = window
-        self._samples: deque[tuple[float, float]] = deque(maxlen=max_samples)
+        self._samples: deque[float] = deque(maxlen=HISTOGRAM_SAMPLES)
         self.count = 0
         self.sum = 0.0
         self.min = float("inf")
@@ -116,20 +103,14 @@ class Histogram(Instrument):
         self.sum += value
         self.min = min(self.min, value)
         self.max = max(self.max, value)
-        self._samples.append((self._clock(), value))
-
-    def _windowed(self) -> list[float]:
-        if self.window is None:
-            return [v for _, v in self._samples]
-        horizon = self._clock() - self.window
-        return [v for t, v in self._samples if t >= horizon]
+        self._samples.append(value)
 
     def percentile(self, p: float) -> float:
-        """The ``p``-th percentile (0..100) over the current window.
+        """The ``p``-th percentile (0..100) over the retained samples.
 
-        Nearest-rank on the sorted window; 0.0 when the window is empty.
+        Nearest-rank on the sorted samples; 0.0 when there are none.
         """
-        values = sorted(self._windowed())
+        values = sorted(self._samples)
         if not values:
             return 0.0
         if p <= 0:
@@ -160,15 +141,9 @@ class Histogram(Instrument):
 
 
 class MetricsRegistry:
-    """Get-or-create store of all instruments of one simulation.
+    """Get-or-create store of all instruments of one simulation."""
 
-    :param clock: returns the current (simulated) time; histograms stamp
-        samples with it.  Defaults to a constant 0.0 clock so the registry
-        also works standalone (e.g. in benchmark reporting scripts).
-    """
-
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self._clock = clock or (lambda: 0.0)
+    def __init__(self) -> None:
         self._instruments: dict[tuple[str, LabelKey], Instrument] = {}
         #: instrument kind by name, to reject name/kind conflicts.
         self._kinds: dict[str, str] = {}
@@ -179,9 +154,7 @@ class MetricsRegistry:
 
     # -- instrument accessors -------------------------------------------------
 
-    def _get(
-        self, cls: type, name: str, labels: dict[str, Any], **kwargs
-    ) -> Instrument:
+    def _get(self, cls: type, name: str, labels: dict[str, Any]) -> Instrument:
         call_key = (cls, name, *labels.items())
         memoisable = True
         for value in labels.values():
@@ -200,7 +173,7 @@ class MetricsRegistry:
                 raise ValueError(
                     f"metric {name!r} is already registered as a {known}"
                 )
-            instrument = cls(name, key[1], **kwargs)
+            instrument = cls(name, key[1])
             self._instruments[key] = instrument
             self._kinds[name] = cls.kind
         if memoisable:
@@ -213,21 +186,8 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: Any) -> Gauge:
         return self._get(Gauge, name, labels)  # type: ignore[return-value]
 
-    def histogram(
-        self,
-        name: str,
-        window: Optional[float] = None,
-        max_samples: int = 4096,
-        **labels: Any,
-    ) -> Histogram:
-        return self._get(  # type: ignore[return-value]
-            Histogram,
-            name,
-            labels,
-            clock=self._clock,
-            window=window,
-            max_samples=max_samples,
-        )
+    def histogram(self, name: str, **labels: Any) -> Histogram:
+        return self._get(Histogram, name, labels)  # type: ignore[return-value]
 
     # -- introspection ---------------------------------------------------------
 

@@ -6,9 +6,9 @@ Two related facilities, both operating on the *snapshot form* shared by
 ``{"name", "kind", "labels", "value"}`` dicts:
 
 * **SLO evaluation** — an :class:`SloSpec` names a metric (optionally a
-  summary field like ``p99`` and a label subset), bounds it
-  (``max_value`` / ``min_value``), and :func:`evaluate_slos` turns a
-  snapshot into pass/fail :class:`SloResult` rows.  The runtime report
+  summary field like ``p99`` and a label subset), caps it
+  (``max_value``), and :func:`evaluate_slos` turns a snapshot into
+  pass/fail :class:`SloResult` rows.  The runtime report
   and the chaos campaign surface these, and
   :func:`export_slo_metrics` republishes them as ``slo_ok`` /
   ``slo_value`` gauges so the Prometheus exporter carries the verdicts.
@@ -20,12 +20,15 @@ Two related facilities, both operating on the *snapshot form* shared by
   (host throughput) get a much looser tolerance than simulated results,
   which are bit-deterministic and regress only when behaviour changes.
 
+A NaN fails both: every bound is written so that an unordered comparison
+(``not value <= bound``) counts against the value.
+
 ``python -m repro.obs check`` wraps the gate for CI.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
 Snapshot = Sequence[dict]
@@ -43,24 +46,14 @@ class SloSpec:
 
     name: str
     metric: str
+    #: upper bound on the worst (largest) matching series.
+    max_value: float
     #: summary field for histogram values (``p99``, ``max``, ...);
     #: ignored for scalar metrics.
     summary_field: str = "p99"
     #: label subset the series must match (empty = every series).
     labels: tuple = ()
-    max_value: Optional[float] = None
-    min_value: Optional[float] = None
-    #: how to fold multiple matching series into one value; the default
-    #: picks the worst case for the configured bound.
-    aggregate: str = "worst"
-    #: whether a missing metric fails the SLO (default: skipped).
-    required: bool = False
     description: str = ""
-
-    def with_labels(self, **labels: Any) -> "SloSpec":
-        return replace(
-            self, labels=tuple(sorted((k, str(v)) for k, v in labels.items()))
-        )
 
 
 @dataclass
@@ -101,7 +94,12 @@ def _labels_match(series_labels: dict, wanted: tuple) -> bool:
 def evaluate_slos(
     snapshot: Snapshot, specs: Iterable[SloSpec]
 ) -> list[SloResult]:
-    """Check every spec against a metrics snapshot."""
+    """Check every spec against a metrics snapshot.
+
+    A missing metric is skipped (and passes); otherwise the largest
+    matching series is held to ``max_value``, and a NaN in any of them
+    fails the spec.
+    """
     results = []
     for spec in specs:
         values = [
@@ -116,27 +114,18 @@ def evaluate_slos(
             results.append(SloResult(
                 spec,
                 None,
-                ok=not spec.required,
+                ok=True,
                 skipped=True,
                 detail=f"metric {spec.metric!r} not in snapshot",
             ))
             continue
-        if spec.aggregate == "worst":
-            value = max(values) if spec.max_value is not None else min(values)
-        elif spec.aggregate == "sum":
-            value = sum(values)
-        elif spec.aggregate == "mean":
-            value = sum(values) / len(values)
-        else:
-            raise ValueError(f"unknown SLO aggregate {spec.aggregate!r}")
-        ok = True
-        detail = ""
-        if spec.max_value is not None and value > spec.max_value:
-            ok = False
-            detail = f"{value:.6g} > max {spec.max_value:.6g}"
-        if spec.min_value is not None and value < spec.min_value:
-            ok = False
-            detail = f"{value:.6g} < min {spec.min_value:.6g}"
+        value = max(values)
+        for v in values:
+            if v != v:  # NaN: max() would skip it unless it came first
+                value = v
+                break
+        ok = value <= spec.max_value
+        detail = "" if ok else f"{value:.6g} > max {spec.max_value:.6g}"
         results.append(SloResult(spec, value, ok=ok, detail=detail))
     return results
 
@@ -317,7 +306,11 @@ def compare_snapshots(
         )
         scale = max(abs(base_value), 1e-12)
         change = (cur_value - base_value) / scale
-        worse = change > limit if direction == "lower" else change < -limit
+        worse = (
+            not change <= limit
+            if direction == "lower"
+            else not change >= -limit
+        )
         deltas.append(MetricDelta(
             metric=name,
             labels=dict(labels),

@@ -131,21 +131,6 @@ class Span:
         end = self.end if self.end is not None else self.tracer.sim.now
         return end - self.start
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "start": self.start,
-            "end": self.end,
-            "status": self.status,
-            "error": self.error,
-            "host": self.host,
-            "process": self.process,
-            "attrs": dict(self.attrs),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "open" if self.is_open else f"{self.duration:.6f}s"
         return f"<Span {self.name} trace={self.trace_id} [{state}]>"

@@ -30,7 +30,7 @@ from repro.orb.core import Orb, OrbConfig, POA, Servant
 from repro.orb.dii import Request
 from repro.orb.stubs import ObjectStub
 from repro.orb.idl import compile_idl
-from repro.orb.interceptors import RequestInfo, RequestInterceptor, TracingInterceptor
+from repro.orb.interceptors import RequestInfo, RequestInterceptor
 from repro.orb.forwarding import ForwardingAgent, LocationForward, make_forwarding_servant
 from repro.orb.url import parse_corbaloc, parse_corbaname, resolve_corbaname
 
@@ -48,7 +48,6 @@ __all__ = [
     "RequestInfo",
     "RequestInterceptor",
     "Servant",
-    "TracingInterceptor",
     "compile_idl",
     "decode_any",
     "encode_any",

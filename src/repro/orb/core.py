@@ -807,7 +807,6 @@ class Orb:
             try:
                 message = giop.decode_message(bytes(datagram.payload))
             except MARSHAL:
-                self.sim.trace.emit("orb", f"{self.name}: undecodable datagram")
                 continue
             if isinstance(message, giop.RequestMessage):
                 process = self.host.spawn(
@@ -984,11 +983,6 @@ class Orb:
             raise
         # analysis: ignore[EXC002]: CORBA-mandated mapping — a servant bug becomes an UNKNOWN reply
         except Exception as exc:  # noqa: BLE001 - servant bug -> UNKNOWN
-            self.sim.trace.emit(
-                "orb",
-                f"{self.name}: servant raised {type(exc).__name__}",
-                operation=message.operation,
-            )
             status = giop.ReplyStatus.SYSTEM_EXCEPTION
             reply_body = giop.encode_system_exception(
                 UNKNOWN(f"servant raised {type(exc).__name__}: {exc}")

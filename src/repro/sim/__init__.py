@@ -17,7 +17,6 @@ from repro.sim.resources import ProcessorSharingCPU
 from repro.sim.channels import Channel
 from repro.sim.sync import Lock
 from repro.sim.randomness import stable_hash, rng_stream
-from repro.sim.tracing import Trace, TraceRecord
 
 __all__ = [
     "Channel",
@@ -27,8 +26,6 @@ __all__ = [
     "ScheduledEvent",
     "SimFuture",
     "Simulator",
-    "Trace",
-    "TraceRecord",
     "all_of",
     "any_of",
     "rng_stream",

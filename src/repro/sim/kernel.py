@@ -1,8 +1,8 @@
 """The event-heap driver of the simulation.
 
 A :class:`Simulator` owns simulated time, an event heap with deterministic
-FIFO tie-breaking, seeded random streams, and the trace log.  All other
-kernel objects (processes, CPUs, channels) schedule work through it.
+FIFO tie-breaking, and seeded random streams.  All other kernel objects
+(processes, CPUs, channels) schedule work through it.
 
 The dispatch loop is the hottest code in the repository — every simulated
 network packet, CPU completion and process wake-up passes through it — so
@@ -33,7 +33,6 @@ from repro.errors import SimulationError
 from repro.sim.events import _PENDING, SimFuture, all_of, any_of
 from repro.sim.process import Process
 from repro.sim.randomness import rng_stream
-from repro.sim.tracing import Trace
 
 #: compaction threshold: rebuild the heap once at least this many entries
 #: are cancelled *and* they make up at least half of the heap.
@@ -104,7 +103,6 @@ class Simulator:
         #: hot dispatch loop never maintains a live-event counter.
         self._cancelled_in_heap = 0
         self._rngs: dict[tuple[str, ...], np.random.Generator] = {}
-        self.trace = Trace(self)
         #: live processes; finished ones are compacted out periodically so
         #: long request streams do not accumulate dead Process objects.
         self.processes: list[Any] = []

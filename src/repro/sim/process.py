@@ -169,15 +169,9 @@ class Process(SimFuture):
     # -- completion -------------------------------------------------------------
 
     def _finish_success(self, value: Any) -> None:
-        trace = self.sim.trace
-        if trace.enabled:
-            trace.emit("process", f"{self.name} finished")
         self.succeed(value)
 
     def _finish_failure(self, exc: BaseException, unhandled: bool) -> None:
-        trace = self.sim.trace
-        if trace.enabled:
-            trace.emit("process", f"{self.name} failed", error=type(exc).__name__)
         had_watchers = bool(self._callbacks)
         self.fail(exc)
         if unhandled and not had_watchers:

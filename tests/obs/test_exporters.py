@@ -1,17 +1,11 @@
-"""Exporter round-trips: JSONL, Chrome trace_event, Prometheus text."""
+"""Exporter round-trips: Chrome trace_event, Prometheus text."""
 
 import json
 
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.obs.exporters import (
-    chrome_trace,
-    metrics_to_jsonl,
-    parse_jsonl,
-    prometheus_text,
-    spans_to_jsonl,
-)
+from repro.obs.exporters import chrome_trace, prometheus_text
 from repro.sim import Simulator
 
 
@@ -28,22 +22,6 @@ def _sample_spans(sim):
         with tracer.span("serve:call", host="ws01"):
             sim.now = 0.75
     return list(tracer.spans)
-
-
-def test_spans_jsonl_round_trip(sim):
-    spans = _sample_spans(sim)
-    parsed = parse_jsonl(spans_to_jsonl(spans))
-    assert parsed == [span.to_dict() for span in spans]
-    assert parsed[0]["name"] == "serve:call"
-    assert parsed[0]["trace_id"] == parsed[1]["trace_id"]
-
-
-def test_metrics_jsonl_round_trip(sim):
-    metrics = sim.obs.metrics
-    metrics.counter("requests_total", host="ws00").inc(3)
-    metrics.histogram("latency", host="ws00").observe(0.5)
-    parsed = parse_jsonl(metrics_to_jsonl(metrics))
-    assert parsed == metrics.snapshot()
 
 
 def test_chrome_trace_document_shape(sim):

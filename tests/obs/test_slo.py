@@ -1,5 +1,7 @@
 """SLO evaluation and the snapshot regression gate."""
 
+import math
+
 import pytest
 
 from repro.obs import MetricsRegistry
@@ -35,23 +37,9 @@ def test_max_bound_pass_and_fail():
     (bad,) = evaluate_slos([_gauge("m", 2.0)], [spec])
     assert not bad.ok
     assert "> max" in bad.detail
-
-
-def test_min_bound():
-    spec = SloSpec(name="s", metric="m", min_value=100.0)
-    (bad,) = evaluate_slos([_gauge("m", 7.0)], [spec])
-    assert not bad.ok
-    assert "< min" in bad.detail
-
-
-def test_missing_metric_skipped_unless_required():
-    optional = SloSpec(name="s", metric="absent", max_value=1.0)
-    (result,) = evaluate_slos([], [optional])
-    assert result.skipped and result.ok and result.value is None
-    required = SloSpec(name="s", metric="absent", max_value=1.0,
-                       required=True)
-    (result,) = evaluate_slos([], [required])
-    assert result.skipped and not result.ok
+    (nan,) = evaluate_slos([_gauge("m", math.nan)], [spec])
+    assert not nan.ok
+    assert "nan > max" in nan.detail
 
 
 def test_histogram_summary_field():
@@ -69,8 +57,8 @@ def test_label_subset_narrows_series():
         _gauge("m", 1.0, operation="resolve", host="ws00"),
         _gauge("m", 9.0, operation="add"),
     ]
-    spec = SloSpec(name="s", metric="m", max_value=5.0).with_labels(
-        operation="resolve"
+    spec = SloSpec(
+        name="s", metric="m", max_value=5.0, labels=(("operation", "resolve"),)
     )
     (result,) = evaluate_slos(snapshot, [spec])
     assert result.ok and result.value == 1.0
@@ -82,30 +70,16 @@ def test_worst_aggregate_matches_bound_direction():
         snapshot, [SloSpec(name="s", metric="m", max_value=10.0)]
     )
     assert capped.value == 3.0  # worst for a max bound is the largest
-    (floored,) = evaluate_slos(
-        snapshot, [SloSpec(name="s", metric="m", min_value=0.5)]
-    )
-    assert floored.value == 1.0  # worst for a min bound is the smallest
-
-
-def test_sum_and_mean_aggregates():
-    snapshot = [_gauge("m", 1.0, h="a"), _gauge("m", 3.0, h="b")]
-    (summed,) = evaluate_slos(
-        snapshot,
-        [SloSpec(name="s", metric="m", max_value=10.0, aggregate="sum")],
-    )
-    assert summed.value == 4.0
-    (meaned,) = evaluate_slos(
-        snapshot,
-        [SloSpec(name="s", metric="m", max_value=10.0, aggregate="mean")],
-    )
-    assert meaned.value == 2.0
-    with pytest.raises(ValueError):
-        evaluate_slos(
-            snapshot,
-            [SloSpec(name="s", metric="m", max_value=1.0,
-                     aggregate="median")],
-        )
+    # A NaN series is the worst case wherever it sits: max() alone would
+    # drop it unless it came first.
+    (recovery,) = [s for s in DEFAULT_SLOS if s.name == "recovery-time-max"]
+    for maxima in ((0.1, math.nan), (math.nan, 0.1)):
+        snapshot = [
+            _histogram("ft_recovery_seconds", {"max": value}, service=str(i))
+            for i, value in enumerate(maxima)
+        ]
+        (result,) = evaluate_slos(snapshot, [recovery])
+        assert not result.ok and math.isnan(result.value)
 
 
 def test_export_slo_metrics_publishes_gauges():
@@ -160,6 +134,10 @@ def test_regression_beyond_tolerance_flagged():
     assert delta.change == pytest.approx(0.2)
     assert regressions([delta]) == [delta]
     assert "REGRESSED" in format_deltas([delta])
+    (nan,) = compare_snapshots(
+        [_gauge("bench_runtime_seconds", math.nan, failures="1")], baseline
+    )
+    assert nan.regressed
 
 
 def test_improvement_and_noise_pass():
@@ -180,6 +158,10 @@ def test_higher_better_metric_regresses_downwards():
     )
     assert delta.direction == "higher"
     assert delta.regressed
+    (nan,) = compare_snapshots(
+        [_gauge("bench_wall_events_per_sec", math.nan)], baseline
+    )
+    assert nan.regressed
 
 
 def test_wall_clock_metrics_get_loose_tolerance():

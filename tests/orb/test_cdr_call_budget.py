@@ -9,7 +9,7 @@ back under every CDR primitive, kernel event or CPU change, puts NumPy's
 reduction wrappers back into the optimizer's hot loop, or marshals a
 captured state again instead of forwarding its image.  Each gate is the
 shipped value plus 5 %, except the worker solve's (1 %: the NumPy form was
-only 2 % above).
+only 2 % above) and the null invocation's (565.68 rounded up).
 """
 
 import numpy as np
@@ -98,8 +98,9 @@ def test_null_call_budget(count_calls):
     reads_counted = 50
     calls = count_calls(lambda: runtime.run(reads(reads_counted))) / reads_counted
     # 992.6 before the kernel, CDR and CPU call stacks were flattened
-    # (four frames per event, four per primitive, three scans per change)
-    assert calls <= 596
+    # (four frames per event, four per primitive, three scans per change);
+    # 567.68 while each histogram observation also read a clock
+    assert calls <= 566
 
 
 def test_worker_solve_call_budget(count_calls):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import COMM_FAILURE
 from repro.orb import compile_idl
-from repro.orb.interceptors import RequestInfo, RequestInterceptor, TracingInterceptor
+from repro.orb.interceptors import RequestInfo, RequestInterceptor
 
 ns = compile_idl(
     """
@@ -128,20 +128,6 @@ def test_multiple_interceptors_all_fire(world):
 
     world.run(client())
     assert len(first.events) == len(second.events) == 2
-
-
-def test_tracing_interceptor_writes_trace(world):
-    client_orb, _, stub = setup(world)
-    client_orb.add_request_interceptor(TracingInterceptor(world.sim))
-    world.sim.trace.enable({"giop"})
-
-    def client():
-        yield stub.ok(1.0)
-
-    world.run(client())
-    messages = [record.message for record in world.sim.trace.by_category("giop")]
-    assert "send_request ok" in messages
-    assert "receive_reply ok" in messages
 
 
 def test_default_interceptor_hooks_are_noops():

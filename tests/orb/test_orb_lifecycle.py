@@ -60,25 +60,6 @@ def test_server_resumes_after_orb_restart_on_same_host(world):
     assert world.run(client()) == 3.0
 
 
-def test_trace_category_filter(world):
-    world.sim.trace.enable({"host"})
-    world.sim.trace.emit("host", "visible")
-    world.sim.trace.emit("orb", "filtered out")
-    assert [record.message for record in world.sim.trace] == ["visible"]
-    world.sim.trace.disable()
-    world.sim.trace.emit("host", "after disable")
-    assert len(world.sim.trace) == 1
-    world.sim.trace.clear()
-    assert len(world.sim.trace) == 0
-
-
-def test_trace_record_str_format(world):
-    world.sim.trace.enable()
-    world.sim.trace.emit("ft", "recovered", host="ws02")
-    text = str(world.sim.trace.records[0])
-    assert "ft" in text and "recovered" in text and "host=ws02" in text
-
-
 def test_requests_counters(world):
     server_orb = world.orb(1)
     ior = server_orb.poa.activate(LImpl())
