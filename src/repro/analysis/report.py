@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.analysis.cache import CacheStats
 from repro.analysis.findings import AnalysisResult
@@ -85,7 +85,3 @@ def render_catalog(catalog: dict[str, dict[str, str]]) -> str:
             lines.append(f"  {code}  {description}")
     return "\n".join(lines)
 
-
-def render_findings_table(findings: Sequence) -> str:
-    """Compact one-line-per-finding view (used by the example script)."""
-    return "\n".join(finding.render() for finding in findings)

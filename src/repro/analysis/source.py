@@ -186,12 +186,6 @@ class Project:
 
         return CallGraph(self)
 
-    def by_relpath(self, relpath: str) -> Optional[SourceFile]:
-        for source in self.files:
-            if source.relpath == relpath or source.relpath.endswith(f"/{relpath}"):
-                return source
-        return None
-
     def config_findings(self) -> list[Finding]:
         """Findings about the analysis inputs themselves: unparseable
         files and malformed directives (code ``ANA001``)."""

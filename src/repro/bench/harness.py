@@ -158,7 +158,6 @@ def table1_sweep(
     manager_iterations: int = 10,
     seed: int = 7,
     settings: Optional[WorkerSettings] = None,
-    checkpoint_interval: int = 1,
     checkpoint_processing_work: Optional[float] = None,
     ft_variants: Optional[Mapping[str, Mapping]] = None,
 ) -> list[Table1Row]:
@@ -184,7 +183,6 @@ def table1_sweep(
                 settings=settings,
                 manager_iterations=manager_iterations,
             )
-            scenario.checkpoint_interval = checkpoint_interval
             if checkpoint_processing_work is not None:
                 scenario.checkpoint_processing_work = checkpoint_processing_work
             for attr, value in dict(overrides).items():

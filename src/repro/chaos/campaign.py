@@ -42,6 +42,7 @@ from repro.cluster.failures import FailurePlan
 from repro.core import Runtime, RuntimeConfig
 from repro.errors import SystemException
 from repro.ft import FtPolicy
+from repro.ft.recovery import FACTORY_GROUP
 from repro.obs.slo import DEFAULT_SLOS, evaluate_slos, export_slo_metrics
 from repro.opt import (
     DecomposedRosenbrock,
@@ -54,6 +55,21 @@ from repro.orb.core import OrbConfig
 from repro.services.naming.names import to_name
 from repro.sim import all_of
 
+#: hosts per cell: ws00 runs the services, ws01..ws04 the workloads.
+NUM_HOSTS = 6
+#: CPU work of one accumulator call (simulated seconds on a speed-1 host).
+CALL_WORK = 0.02
+#: dimension of the concurrent Rosenbrock optimization (two workers).
+OPT_DIM = 8
+#: the policy's per-recovery deadline (simulated seconds).
+RECOVERY_DEADLINE = 6.0
+#: ORB request timeout, so a partitioned or wedged host surfaces as TIMEOUT.
+REQUEST_TIMEOUT = 0.8
+#: Winner warm-up before the faults start (simulated seconds).
+SETTLE = 1.0
+#: replicas of the accumulator group in the replication modes.
+REPLICATION_FACTOR = 3
+
 
 @dataclass
 class CampaignConfig:
@@ -62,18 +78,11 @@ class CampaignConfig:
     seeds: Sequence[int] = (11, 12, 13, 14, 15)
     #: scenario names to run; empty = the whole catalogue.
     scenarios: Sequence[str] = ()
-    num_hosts: int = 6
     #: length of the fault window (simulated seconds).
     horizon: float = 4.0
     acc_calls: int = 24
-    call_work: float = 0.02
-    with_optimizer: bool = True
-    opt_dim: int = 8
     manager_iterations: int = 3
     worker_iterations: int = 400
-    recovery_deadline: float = 6.0
-    request_timeout: float = 0.8
-    settle: float = 1.0
     #: checkpoint fast-path knobs under chaos: "sync" is the paper path;
     #: "pipelined" (and deltas) must satisfy the same invariants.
     checkpoint_mode: str = "sync"
@@ -86,7 +95,6 @@ class CampaignConfig:
     #: optimizer proxies always stay on the checkpoint path, so every
     #: cell exercises both designs side by side.
     ft_mode: str = "checkpoint"
-    replication_factor: int = 3
     #: SLO gating: failures are always *recorded* per cell (and exported
     #: as ``slo_ok`` gauges); with ``enforce_slos`` they also count as
     #: invariant violations and fail the campaign.
@@ -111,14 +119,12 @@ class CampaignConfig:
         return FtPolicy(
             backoff="decorrelated-jitter",
             retry_backoff=0.05,
-            backoff_multiplier=3.0,
             backoff_cap=0.8,
-            recovery_deadline=self.recovery_deadline,
+            recovery_deadline=RECOVERY_DEADLINE,
             max_recover_attempts=10,
             max_call_retries=6,
             breaker_failure_threshold=2,
             breaker_reset_timeout=1.0,
-            breaker_half_open_max=1,
             on_checkpoint_failure="degraded",
             checkpoint_buffer_limit=16,
             checkpoint_mode=self.checkpoint_mode,
@@ -135,9 +141,8 @@ class CampaignConfig:
         return replace(
             policy,
             ft_mode=self.ft_mode,
-            replication_factor=self.replication_factor,
+            replication_factor=REPLICATION_FACTOR,
             detector_interval=0.25,
-            detector_suspect_after=2,
         )
 
 
@@ -230,7 +235,7 @@ def run_scenario(
     policy = config.policy()
     runtime = Runtime(
         RuntimeConfig(
-            num_hosts=config.num_hosts,
+            num_hosts=NUM_HOSTS,
             seed=seed,
             winner_interval=0.25,
             auto_heal_delay=0.5,
@@ -238,20 +243,16 @@ def run_scenario(
             breakers=True,
             recovery_policy=policy,
             resolve_cache=config.resolve_cache,
-            orb=OrbConfig(request_timeout=config.request_timeout),
+            orb=OrbConfig(request_timeout=REQUEST_TIMEOUT),
         )
     ).start()
     sim = runtime.sim
 
-    worker_hosts = [
-        runtime.cluster.host(i).name
-        for i in range(1, min(5, config.num_hosts))
-    ]
+    worker_hosts = [runtime.cluster.host(i).name for i in range(1, 5)]
     report = ScenarioReport(
         scenario=scenario.name,
         seed=seed,
         expects=dict(scenario.expects),
-        opt_enabled=config.with_optimizer,
         recovery_deadline=policy.recovery_deadline,
         ft_mode=config.ft_mode,
     )
@@ -273,24 +274,18 @@ def run_scenario(
     )
     contexts = [acc_proxy._ft]
 
-    problem = None
     opt_references = []
-    if config.with_optimizer:
-        problem = DecomposedRosenbrock(config.opt_dim, 2)
-        settings = WorkerSettings(
-            real_iteration_cap=48, work_per_eval_per_dim=2e-5
-        )
-        runtime.register_type(
-            "RosenbrockWorker",
-            lambda: RosenbrockWorkerServant(problem, settings),
-        )
-        runtime.run(
-            runtime.deploy_group(
-                "workers.service", "RosenbrockWorker", worker_hosts
-            )
-        )
+    problem = DecomposedRosenbrock(OPT_DIM, 2)
+    settings = WorkerSettings(real_iteration_cap=48, work_per_eval_per_dim=2e-5)
+    runtime.register_type(
+        "RosenbrockWorker",
+        lambda: RosenbrockWorkerServant(problem, settings),
+    )
+    runtime.run(
+        runtime.deploy_group("workers.service", "RosenbrockWorker", worker_hosts)
+    )
 
-    runtime.settle(config.settle)
+    runtime.settle(SETTLE)
 
     # Replication modes provision their group BEFORE the faults start, so
     # the scenarios can aim at the actual primary / standbys.
@@ -334,7 +329,7 @@ def run_scenario(
         # chance to flush into the recovered store.
         while calls < config.acc_calls or sim.now < drain_until:
             try:
-                yield acc_proxy.add(1.0, config.call_work)
+                yield acc_proxy.add(1.0, CALL_WORK)
                 ok += 1
             # analysis: ignore[EXC002]: chaos client counts every failure type into the error histogram
             except Exception as exc:
@@ -355,7 +350,6 @@ def run_scenario(
 
     def opt_client():
         naming = runtime.naming_stub(0)
-        assert problem is not None
         try:
             for worker_id in range(problem.num_workers):
                 ior = yield naming.resolve(to_name("workers.service"))
@@ -383,9 +377,10 @@ def run_scenario(
             opt_out.update(error=f"{type(exc).__name__}: {exc}")
 
     def drive():
-        procs = [sim.spawn(acc_client(), name="chaos-acc-client")]
-        if config.with_optimizer:
-            procs.append(sim.spawn(opt_client(), name="chaos-opt-client"))
+        procs = [
+            sim.spawn(acc_client(), name="chaos-acc-client"),
+            sim.spawn(opt_client(), name="chaos-opt-client"),
+        ]
         yield all_of(sim, procs)
         # Shutdown drain, in two steps.  First settle any pipelined
         # persists still in flight (a failed one lands in the degraded
@@ -601,11 +596,6 @@ class AblationReport:
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
-    @property
-    def wasted_attempts(self) -> int:
-        """Recovery attempts beyond the one per successful recovery."""
-        return self.attempts_total - self.recoveries
-
 
 def breaker_ablation(
     seed: int = 7, calls: int = 40, call_work: float = 0.02
@@ -653,7 +643,7 @@ def breaker_ablation(
         # ws00, and a servant recovered there could no longer be killed.
         def drop_service_factory():
             naming = runtime.naming_stub(0)
-            group = to_name(runtime.config.factory_group)
+            group = to_name(FACTORY_GROUP)
             iors = yield naming.resolve_all(group)
             for ior in iors:
                 if ior.host == runtime.cluster.host(0).name:

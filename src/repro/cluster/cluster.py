@@ -52,7 +52,7 @@ class ClusterConfig:
                 f"cores has {len(self.cores)} entries for {self.num_hosts} hosts"
             )
         for i in range(self.num_hosts):
-            if self.speed_of(i) <= 0:
+            if not self.speed_of(i) > 0:
                 raise ConfigurationError(f"host {i} has non-positive speed")
             if self.cores_of(i) < 1:
                 raise ConfigurationError(f"host {i} has no cores")
@@ -99,9 +99,6 @@ class Cluster:
             if host.name == key:
                 return host
         raise ConfigurationError(f"no host named {key!r}")
-
-    def up_hosts(self) -> list[Host]:
-        return [h for h in self.hosts if h.up]
 
     def host_names(self) -> list[str]:
         return [h.name for h in self.hosts]

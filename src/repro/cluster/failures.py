@@ -94,65 +94,6 @@ class FailureInjector:
         for plan in plans:
             self.schedule(plan)
 
-    def random_plans(
-        self,
-        count: int,
-        horizon: float,
-        restart_after: Optional[float] = None,
-        stream: str = "failures",
-        hosts: Optional[Sequence[str]] = None,
-        allow_reuse: bool = False,
-    ) -> list[FailurePlan]:
-        """Draw ``count`` crash times uniformly over ``(0, horizon)``,
-        reproducibly from the simulator's seed.
-
-        Without ``allow_reuse`` every crash lands on a distinct host.  With
-        it, a host may crash repeatedly — but never with overlapping down
-        windows: a candidate whose window intersects an already-drawn plan
-        for the same host is redrawn (bounded; raises
-        :class:`ConfigurationError` when the horizon cannot fit the
-        schedule).
-        """
-        candidates = list(hosts) if hosts is not None else self.cluster.host_names()
-        for name in candidates:
-            self.cluster.host(name)  # validate
-        if not allow_reuse and count > len(candidates):
-            raise ConfigurationError(
-                f"cannot crash {count} distinct hosts of {len(candidates)}"
-            )
-        if allow_reuse and restart_after is None and count > len(candidates):
-            raise ConfigurationError(
-                "reusing hosts requires restart_after (a host that never "
-                "restarts cannot crash twice)"
-            )
-        rng = self.cluster.sim.rng(stream)
-        if not allow_reuse:
-            chosen = rng.choice(len(candidates), size=count, replace=False)
-            times = sorted(rng.uniform(0.0, horizon, size=count))
-            return [
-                FailurePlan(candidates[int(h)], float(t), restart_after)
-                for h, t in zip(chosen, times)
-            ]
-        plans: list[FailurePlan] = []
-        attempts = 0
-        while len(plans) < count:
-            attempts += 1
-            if attempts > count * 64:
-                raise ConfigurationError(
-                    f"could not place {count} non-overlapping crash windows "
-                    f"over horizon {horizon}"
-                )
-            plan = FailurePlan(
-                candidates[int(rng.integers(len(candidates)))],
-                float(rng.uniform(0.0, horizon)),
-                restart_after,
-            )
-            if any(plan.overlaps(existing) for existing in plans):
-                continue
-            plans.append(plan)
-        plans.sort(key=lambda p: p.crash_at)
-        return plans
-
     # -- chaos injectors -------------------------------------------------------
 
     def _record(self, kind: str, **details) -> None:
@@ -176,18 +117,6 @@ class FailureInjector:
         if heal_after is not None:
             sim.schedule_at(at + heal_after, lambda: network.unpartition(a, b))
         self._record("partition", a=a, b=b, at=at, heal_after=heal_after)
-
-    def schedule_partition_island(
-        self,
-        host: str,
-        at: float,
-        heal_after: Optional[float] = None,
-    ) -> None:
-        """Cut ``host`` off from every other host (and heal later)."""
-        self.cluster.host(host)
-        for other in self.cluster.host_names():
-            if other != host:
-                self.schedule_partition(host, other, at, heal_after)
 
     def schedule_latency_spike(
         self,

@@ -62,9 +62,6 @@ class WideAreaNetwork(Network):
     def sites(self) -> list[str]:
         return sorted(set(self._sites.values()))
 
-    def hosts_of_site(self, site: str) -> list[str]:
-        return sorted(h for h, s in self._sites.items() if s == site)
-
     def delay(self, src: str, dst: str, size: int) -> float:
         if src == dst:
             return self.local_latency

@@ -37,25 +37,17 @@ class RuntimeConfig:
     service_host: int = 0
 
     #: send field-masked delta load reports instead of a full report per
-    #: sampling tick (full report every winner_report_full_interval and
-    #: after a node-manager restart).  Off = the paper's protocol.
+    #: sampling tick (deadband and full-report interval: the NodeManager
+    #: defaults).  Off = the paper's protocol.
     winner_delta_reports: bool = False
-    #: minimum absolute CPU-utilization movement before the field travels
-    #: in a delta report.
-    winner_report_deadband: float = 0.02
-    #: deltas between consecutive full reports (bounds collector drift).
-    winner_report_full_interval: int = 8
 
     # naming -----------------------------------------------------------------
     naming_strategy: str = "winner"
     #: memoize resolve selections until the Winner ranking epoch advances,
     #: the TTL expires, a breaker trips or the replica set churns (the
-    #: resolve fast path).  Off = the paper's always-fresh behaviour.
+    #: resolve fast path; TTL and top-k: the ResolveCache defaults).
+    #: Off = the paper's always-fresh behaviour.
     resolve_cache: bool = False
-    #: wall-clock bound on a cached selection's lifetime (seconds).
-    resolve_cache_ttl: float = 1.0
-    #: how many ranked replicas a cache entry round-robins across.
-    resolve_cache_top_k: int = 3
     #: CPU work charged per candidate scored on a resolve cache miss
     #: (0 = scoring is free, the paper's idealization).
     resolve_scoring_work: float = 0.0
@@ -63,8 +55,6 @@ class RuntimeConfig:
     # fault tolerance ----------------------------------------------------------
     checkpoint_backend: str = "memory"  # or "disk"
     checkpoint_processing_work: float = 0.015
-    factory_group: str = "factories.service"
-    start_factories: bool = True
     #: automatically re-join restarted hosts (fresh ORB, node manager,
     #: factory) after this delay; None disables.
     auto_heal_delay: Optional[float] = 1.0
@@ -77,10 +67,6 @@ class RuntimeConfig:
     #: explicit policy is given; None = FtPolicy() defaults.  The breaker
     #: thresholds in this policy parameterize the shared registry.
     recovery_policy: Optional["FtPolicy"] = None
-
-    # observability -------------------------------------------------------------
-    #: attach the tracing/metrics request interceptor to every ORB.
-    observability: bool = True
 
     # orb ---------------------------------------------------------------------
     orb: OrbConfig = field(default_factory=OrbConfig)
@@ -100,17 +86,7 @@ class RuntimeConfig:
             raise ConfigurationError(
                 f"service_host {self.service_host} outside 0..{self.num_hosts - 1}"
             )
-        if self.winner_interval <= 0:
+        if not self.winner_interval > 0:
             raise ConfigurationError("winner_interval must be positive")
-        if self.resolve_cache_ttl <= 0:
-            raise ConfigurationError("resolve_cache_ttl must be positive")
-        if self.resolve_cache_top_k < 1:
-            raise ConfigurationError("resolve_cache_top_k must be >= 1")
-        if self.resolve_scoring_work < 0:
+        if not self.resolve_scoring_work >= 0:
             raise ConfigurationError("resolve_scoring_work must be >= 0")
-        if self.winner_report_deadband < 0:
-            raise ConfigurationError("winner_report_deadband must be >= 0")
-        if self.winner_report_full_interval < 1:
-            raise ConfigurationError(
-                "winner_report_full_interval must be >= 1"
-            )

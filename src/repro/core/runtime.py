@@ -15,6 +15,8 @@ from repro.ft import (
     RecoveryCoordinator,
     make_ft_proxy,
 )
+from repro.ft.recovery import FACTORY_GROUP
+from repro.obs.interceptor import ObservabilityInterceptor
 from repro.orb import Orb, cdr
 from repro.orb.ior import IOR
 from repro.services.checkpoint import (
@@ -72,7 +74,6 @@ class Runtime:
             self.sim,
             failure_threshold=policy.breaker_failure_threshold,
             reset_timeout=policy.breaker_reset_timeout,
-            half_open_max=policy.breaker_half_open_max,
         )
         self._orbs: dict[str, Orb] = {}
         self._node_managers: dict[str, NodeManager] = {}
@@ -85,7 +86,6 @@ class Runtime:
         #: every ReplicatedServant any factory activated (survives host
         #: heals) — the chaos no-stale-primary invariant audits these.
         self._replica_members: list = []
-        self._loads: list[BackgroundLoad] = []
         self.system_manager: Optional[SystemManager] = None
         self.winner_servant = None
         self.winner_ior: Optional[IOR] = None
@@ -144,17 +144,13 @@ class Runtime:
         )
         self.store_ior = self.orb(service_host.name).poa.activate(self.store_servant)
 
-        if config.start_factories:
-            for host in self.cluster:
-                self._start_factory(host)
+        for host in self.cluster:
+            self._start_factory(host)
         return self
 
     def _make_orb(self, host) -> Orb:
         orb = Orb(host, self.network, config=self.config.orb)
-        if self.config.observability:
-            from repro.obs.interceptor import ObservabilityInterceptor
-
-            orb.add_request_interceptor(ObservabilityInterceptor(orb))
+        orb.add_request_interceptor(ObservabilityInterceptor(orb))
         return orb
 
     def _make_strategy(self):
@@ -188,8 +184,6 @@ class Runtime:
             self.sim,
             manager=manager,
             breakers=self.breakers if self.config.breakers else None,
-            ttl=self.config.resolve_cache_ttl,
-            top_k=self.config.resolve_cache_top_k,
         )
 
     def _start_node_manager(self, host) -> None:
@@ -200,8 +194,6 @@ class Runtime:
             manager_host=manager_host,
             interval=self.config.winner_interval,
             delta_reports=self.config.winner_delta_reports,
-            deadband=self.config.winner_report_deadband,
-            full_interval=self.config.winner_report_full_interval,
         )
         self._node_managers[host.name] = nm.start()
 
@@ -219,9 +211,7 @@ class Runtime:
 
             naming = self.naming_stub(host.name)
             try:
-                yield naming.bind_service(
-                    to_name(self.config.factory_group), factory_ior
-                )
+                yield naming.bind_service(to_name(FACTORY_GROUP), factory_ior)
             # analysis: ignore[EXC003]: naming unreachable during bind — the host re-binds when healed
             except (naming_idl.AlreadyBound, SystemException):
                 pass
@@ -243,8 +233,7 @@ class Runtime:
             return
         self._orbs[host.name] = self._make_orb(host)
         self._start_node_manager(host)
-        if self.config.start_factories:
-            self._start_factory(host)
+        self._start_factory(host)
 
     # -- accessors ---------------------------------------------------------------
 
@@ -270,14 +259,6 @@ class Runtime:
         assert self.store_ior is not None
         return self.orb(host).stub(self.store_ior, CheckpointStoreStub)
 
-    def winner_stub(self, host: int | str = 0):
-        """A CORBA stub to the Winner system manager (Fig. 1's query path
-        for components not co-located with it)."""
-        from repro.winner.service import SystemManagerStub
-
-        assert self.winner_ior is not None
-        return self.orb(host).stub(self.winner_ior, SystemManagerStub)
-
     def coordinator(self, host: int | str = 0) -> RecoveryCoordinator:
         name = host if isinstance(host, str) else self.cluster.host(host).name
         if name not in self._coordinators:
@@ -286,7 +267,6 @@ class Runtime:
                 orb,
                 self.naming_stub(name),
                 self.store_stub(name),
-                factory_group=self.config.factory_group,
                 policy=self.config.recovery_policy,
                 breakers=self.breakers if self.config.breakers else None,
             )
@@ -360,13 +340,7 @@ class Runtime:
             host_obj = self.cluster.host(host)
             load = BackgroundLoad(host_obj, intensity=intensity).start()
             loads.append(load)
-        self._loads.extend(loads)
         return loads
-
-    def stop_background_load(self) -> None:
-        for load in self._loads:
-            load.stop()
-        self._loads.clear()
 
     # -- execution --------------------------------------------------------------------------
 

@@ -43,6 +43,8 @@ from repro.services.naming.names import to_name
 
 WORKER_GROUP = "workers.service"
 WORKER_TYPE = "RosenbrockWorker"
+#: simulated seconds Winner reports accumulate before the manager starts.
+WARMUP = 4.0
 
 
 @dataclass
@@ -54,17 +56,12 @@ class Scenario:
     #: size of the worker-replica host pool (hosts ws01..wsNN).
     pool_size: int = 6
     background_hosts: int = 0
-    background_intensity: int = 1
     naming_strategy: str = "winner"
     fault_tolerant: bool = False
-    checkpoint_interval: int = 1
     checkpoint_processing_work: float = 0.015
-    checkpoint_backend: str = "memory"
     #: checkpoint fast-path knobs (sync + full states = paper behaviour).
     checkpoint_mode: str = "sync"
     checkpoint_deltas: bool = False
-    checkpoint_pipeline_depth: int = 1
-    checkpoint_full_interval: int = 8
     worker_iterations: int = 20_000
     manager_iterations: int = 18
     manager_points: Optional[int] = None
@@ -75,13 +72,11 @@ class Scenario:
     speeds: float | Sequence[float] = 1.0
     cores: int | Sequence[int] = 1
     seed: int = 0
-    warmup: float = 4.0
     use_dii: bool = True
     failures: Sequence[FailurePlan] = ()
     winner_interval: float = 1.0
     #: resolve fast-path knobs (all off = paper behaviour).
     resolve_cache: bool = False
-    resolve_cache_ttl: float = 1.0
     resolve_scoring_work: float = 0.0
     winner_delta_reports: bool = False
     connection_reuse: bool = False
@@ -107,10 +102,8 @@ class Scenario:
                 seed=self.seed,
                 naming_strategy=self.naming_strategy,
                 checkpoint_processing_work=self.checkpoint_processing_work,
-                checkpoint_backend=self.checkpoint_backend,
                 winner_interval=self.winner_interval,
                 resolve_cache=self.resolve_cache,
-                resolve_cache_ttl=self.resolve_cache_ttl,
                 resolve_scoring_work=self.resolve_scoring_work,
                 winner_delta_reports=self.winner_delta_reports,
                 orb=OrbConfig(
@@ -138,10 +131,9 @@ class Scenario:
                 loaded.append(pool[i])
             else:
                 overflow.append(self.pool_size + 1 + (i - len(pool)))
-        runtime.background_load(loaded + [h for h in overflow if h < self.num_hosts],
-                                intensity=self.background_intensity)
+        runtime.background_load(loaded + [h for h in overflow if h < self.num_hosts])
 
-        runtime.settle(self.warmup)
+        runtime.settle(WARMUP)
         runtime.failures.schedule_all(list(self.failures))
 
         outcome: dict = {}
@@ -161,15 +153,8 @@ class Scenario:
                         type_name=WORKER_TYPE,
                         group_name=WORKER_GROUP,
                         policy=FtPolicy(
-                            checkpoint_interval=self.checkpoint_interval,
                             checkpoint_mode=self.checkpoint_mode,
                             checkpoint_deltas=self.checkpoint_deltas,
-                            checkpoint_pipeline_depth=(
-                                self.checkpoint_pipeline_depth
-                            ),
-                            checkpoint_full_interval=(
-                                self.checkpoint_full_interval
-                            ),
                         ),
                     )
                 else:

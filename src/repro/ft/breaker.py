@@ -24,7 +24,7 @@ simulated clock, so breaker behaviour is deterministic per seed.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, TYPE_CHECKING
+from typing import Iterable, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -212,13 +212,6 @@ class HostBreakerRegistry:
 
     def record_failure(self, host: str) -> None:
         self.breaker(host).record_failure()
-
-    def filter_available(self, hosts: Sequence[str]) -> list[str]:
-        """Hosts whose breakers admit traffic.  Falls back to the full
-        list when *every* breaker is open — failing the whole selection
-        closed would turn a blacklist into an outage."""
-        allowed = [h for h in hosts if self.available(h)]
-        return allowed if allowed else list(hosts)
 
     def snapshot(self) -> list[dict]:
         return [b.snapshot() for _, b in sorted(self._breakers.items())]

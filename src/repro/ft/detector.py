@@ -66,9 +66,6 @@ class FailureDetector:
         self._misses.pop(key, None)
         self._suspect_flags.discard(key)
 
-    def is_suspected(self, key: str) -> bool:
-        return key in self._suspect_flags
-
     def stop(self) -> None:
         if self._process is not None:
             self._process.kill()

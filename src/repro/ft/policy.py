@@ -16,6 +16,13 @@ CHECKPOINT_FAILURE_MODES = ("raise", "ignore", "degraded")
 #: recognised checkpoint execution modes.
 CHECKPOINT_MODES = ("sync", "pipelined")
 
+#: multiplier for decorrelated jitter (next pause ~ U[base, prev * mult]).
+BACKOFF_MULTIPLIER = 3.0
+
+#: in delta mode, a full snapshot ships every k-th checkpoint so the
+#: server-side restore chain stays bounded (at most k records).
+CHECKPOINT_FULL_INTERVAL = 8
+
 #: recognised fault-tolerance modes.  "checkpoint" is the paper's
 #: checkpoint/restart design; the replication modes are the first-class
 #: alternatives the paper argued against on resource grounds (§2).
@@ -34,7 +41,7 @@ class FtPolicy:
     storage outages livelock the original fixed-pause retry loop — is
     governed by the adaptive knobs: exponential backoff with decorrelated
     jitter (AWS-architecture-blog flavour: each pause is drawn uniformly
-    from ``[base, prev * backoff_multiplier]``, capped), a per-call
+    from ``[base, prev * BACKOFF_MULTIPLIER]``, capped), a per-call
     recovery deadline, circuit-breaker thresholds consulted by the
     recovery coordinator, and a "degraded" checkpoint mode that buffers
     checkpoints client-side while the storage service is down.
@@ -53,8 +60,6 @@ class FtPolicy:
     #: "decorrelated-jitter" — exponential backoff with decorrelated
     #: jitter, capped at ``backoff_cap``.
     backoff: str = "fixed"
-    #: multiplier for decorrelated jitter (next ~ U[base, prev * mult]).
-    backoff_multiplier: float = 3.0
     #: upper bound on a single backoff pause.
     backoff_cap: float = 8.0
     #: wall-clock (simulated) budget for one recovery; ``None`` = no
@@ -64,8 +69,6 @@ class FtPolicy:
     breaker_failure_threshold: int = 3
     #: seconds an open breaker waits before letting a probe through.
     breaker_reset_timeout: float = 5.0
-    #: concurrent probes allowed while half-open.
-    breaker_half_open_max: int = 1
     #: "raise" propagates a failed checkpoint to the caller; "ignore"
     #: drops it and continues (the call already succeeded); "degraded"
     #: buffers the checkpoint client-side and flushes when the store
@@ -85,11 +88,9 @@ class FtPolicy:
     #: stalls until fewer than this many stores are outstanding.
     checkpoint_pipeline_depth: int = 1
     #: ship recursive dict deltas against the previous checkpoint (with
-    #: a content-hash skip for unchanged state) instead of full states.
+    #: a content-hash skip for unchanged state) instead of full states;
+    #: every ``CHECKPOINT_FULL_INTERVAL``-th checkpoint is still full.
     checkpoint_deltas: bool = False
-    #: in delta mode, ship a full snapshot every k-th checkpoint so the
-    #: server-side restore chain stays bounded (at most k records).
-    checkpoint_full_interval: int = 8
     #: fault-tolerance design: "checkpoint" (paper's checkpoint/restart),
     #: "warm-passive" (primary executes, ships state to standbys, fast
     #: promotion without a store round-trip) or "active" (all replicas
@@ -98,15 +99,10 @@ class FtPolicy:
     #: replicas per group in the replication modes (primary + standbys
     #: for warm-passive; voters for active).
     replication_factor: int = 2
-    #: matching replies required for an active-mode vote; ``None`` means
-    #: a strict majority of ``replication_factor``.
-    vote_quorum: Optional[int] = None
     #: locate-ping interval of the per-group FailureDetector watching the
     #: warm-passive primary; 0 disables proactive detection (failover then
     #: triggers only on a failed call).
     detector_interval: float = 0.0
-    #: consecutive missed locate-pings before the detector suspects.
-    detector_suspect_after: int = 2
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval < 1:
@@ -115,24 +111,20 @@ class FtPolicy:
             raise ConfigurationError("max_call_retries must be >= 0")
         if self.max_recover_attempts < 1:
             raise ConfigurationError("max_recover_attempts must be >= 1")
-        if self.retry_backoff < 0:
+        if not self.retry_backoff >= 0:
             raise ConfigurationError("retry_backoff must be >= 0")
         if self.backoff not in BACKOFF_MODES:
             raise ConfigurationError(
                 f"backoff must be one of {BACKOFF_MODES}, got {self.backoff!r}"
             )
-        if self.backoff_multiplier < 1.0:
-            raise ConfigurationError("backoff_multiplier must be >= 1")
-        if self.backoff_cap <= 0:
+        if not self.backoff_cap > 0:
             raise ConfigurationError("backoff_cap must be positive")
-        if self.recovery_deadline is not None and self.recovery_deadline <= 0:
+        if self.recovery_deadline is not None and not self.recovery_deadline > 0:
             raise ConfigurationError("recovery_deadline must be positive")
         if self.breaker_failure_threshold < 1:
             raise ConfigurationError("breaker_failure_threshold must be >= 1")
-        if self.breaker_reset_timeout <= 0:
+        if not self.breaker_reset_timeout > 0:
             raise ConfigurationError("breaker_reset_timeout must be positive")
-        if self.breaker_half_open_max < 1:
-            raise ConfigurationError("breaker_half_open_max must be >= 1")
         if self.on_checkpoint_failure not in CHECKPOINT_FAILURE_MODES:
             raise ConfigurationError(
                 "on_checkpoint_failure must be one of "
@@ -147,8 +139,6 @@ class FtPolicy:
             )
         if self.checkpoint_pipeline_depth < 1:
             raise ConfigurationError("checkpoint_pipeline_depth must be >= 1")
-        if self.checkpoint_full_interval < 1:
-            raise ConfigurationError("checkpoint_full_interval must be >= 1")
         if self.ft_mode not in FT_MODES:
             raise ConfigurationError(
                 f"ft_mode must be one of {FT_MODES}, got {self.ft_mode!r}"
@@ -157,20 +147,11 @@ class FtPolicy:
             raise ConfigurationError(
                 "replication_factor must be >= 2 in replication modes"
             )
-        if self.vote_quorum is not None:
-            if not 1 <= self.vote_quorum <= self.replication_factor:
-                raise ConfigurationError(
-                    "vote_quorum must be within 1..replication_factor"
-                )
-        if self.detector_interval < 0:
+        if not self.detector_interval >= 0:
             raise ConfigurationError("detector_interval must be >= 0")
-        if self.detector_suspect_after < 1:
-            raise ConfigurationError("detector_suspect_after must be >= 1")
 
     def effective_quorum(self) -> int:
-        """Matching replies an active-mode vote needs (default: majority)."""
-        if self.vote_quorum is not None:
-            return self.vote_quorum
+        """Matching replies an active-mode vote needs: a strict majority."""
         return self.replication_factor // 2 + 1
 
     def backoff_delay(self, previous: float, rng) -> float:
@@ -188,5 +169,5 @@ class FtPolicy:
         prev = max(base, previous)
         return min(
             self.backoff_cap,
-            float(rng.uniform(base, prev * self.backoff_multiplier)),
+            float(rng.uniform(base, prev * BACKOFF_MULTIPLIER)),
         )

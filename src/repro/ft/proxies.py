@@ -34,7 +34,7 @@ step 3 is what Table 1 measures) splits step 3 in two:
 - ``checkpoint_deltas=True`` — consecutive states are diffed; only the
   changed entries ship (``store_delta``), with a content-hash skip when
   nothing changed at all and a full snapshot every
-  ``checkpoint_full_interval``-th checkpoint to bound the restore chain.
+  ``CHECKPOINT_FULL_INTERVAL``-th checkpoint to bound the restore chain.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.errors import RecoveryError, SystemException
 from repro.ft.checkpointable import CAPTURE_CHECKPOINT, CHECKPOINT_OPERATIONS
-from repro.ft.policy import FtPolicy
+from repro.ft.policy import CHECKPOINT_FULL_INTERVAL, FtPolicy
 from repro.ft.recovery import RECOVERABLE, RecoveryCoordinator
 from repro.ft.shipping import Shipment, StateShipper
 from repro.orb.stubs import ObjectStub
@@ -149,7 +149,7 @@ class _FtProxyBase:
             depth=policy.checkpoint_pipeline_depth,
             digests=policy.checkpoint_deltas,
             deltas=policy.checkpoint_deltas,
-            full_interval=policy.checkpoint_full_interval,
+            full_interval=CHECKPOINT_FULL_INTERVAL,
             on_count=export,
         )
         if policy.ft_mode != "checkpoint" and ft.group is None:

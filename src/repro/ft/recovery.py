@@ -54,6 +54,9 @@ HOST_BLAMING = (COMM_FAILURE, OBJECT_NOT_EXIST, TIMEOUT)
 
 RESTORE_FROM = CheckpointableStub.__operations__["restore_from"]
 
+#: the naming-service group every host's object factory is bound under.
+FACTORY_GROUP = "factories.service"
+
 
 class RecoveryCoordinator:
     """Client-side orchestration of checkpoint/restart recovery."""
@@ -63,7 +66,7 @@ class RecoveryCoordinator:
         orb: "Orb",
         naming,  # LoadDistributingNamingContextStub
         store,  # CheckpointStoreStub
-        factory_group: str = "factories.service",
+        factory_group: str = FACTORY_GROUP,
         policy: Optional[FtPolicy] = None,
         breakers: Optional[HostBreakerRegistry] = None,
     ) -> None:

@@ -418,7 +418,6 @@ class ReplicaGroup:
             self._detector = FailureDetector(
                 self._orb,
                 interval=policy.detector_interval,
-                suspect_after=policy.detector_suspect_after,
             )
         self._detector.watch(
             self.group_id, self.members[0].ior, self._on_lead_suspect

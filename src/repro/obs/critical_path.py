@@ -48,7 +48,7 @@ class EvictedSpansError(CriticalPathError):
 
 
 class SpanView:
-    """Uniform read-only view over a live ``Span`` or a dict of its fields."""
+    """Read-only view of a finished ``Span`` (an open one ends at its start)."""
 
     __slots__ = ("name", "trace_id", "span_id", "parent_id", "start", "end",
                  "host", "process", "status", "attrs")
@@ -67,15 +67,7 @@ class SpanView:
         self.attrs = attrs
 
     @classmethod
-    def of(cls, span: "Span | dict") -> "SpanView":
-        if isinstance(span, dict):
-            return cls(
-                span["name"], span["trace_id"], span["span_id"],
-                span.get("parent_id"), span["start"],
-                span.get("end", span["start"]),
-                span.get("host", ""), span.get("process", ""),
-                span.get("status", "ok"), span.get("attrs", {}) or {},
-            )
+    def of(cls, span: "Span") -> "SpanView":
         return cls(
             span.name, span.trace_id, span.span_id, span.parent_id,
             span.start, span.end if span.end is not None else span.start,
@@ -262,7 +254,7 @@ class CriticalPath:
 
 
 def analyze(
-    spans: Iterable["Span | dict"],
+    spans: Iterable["Span"],
     root: Optional[str] = None,
 ) -> CriticalPath:
     """Critical path of one trace's spans.

@@ -60,21 +60,24 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.network import Network
 
 
+#: CPU work (seconds on a speed-1 host) per marshal/unmarshal step.
+MARSHAL_FIXED_WORK = 50e-6
+#: additional CPU work per payload byte.
+MARSHAL_PER_BYTE_WORK = 5e-9
+#: server-side fixed dispatch work per request (demux, POA lookup).
+DISPATCH_FIXED_WORK = 100e-6
+#: timeout for LocateRequest pings and connection handshakes (these must
+#: always terminate).
+LOCATE_TIMEOUT = 0.05
+
+
 @dataclass
 class OrbConfig:
-    """Cost model and policy knobs of one ORB instance."""
+    """Policy switches of one ORB instance."""
 
-    #: CPU work (seconds on a speed-1 host) per marshal/unmarshal step.
-    marshal_fixed_work: float = 50e-6
-    #: additional CPU work per payload byte.
-    marshal_per_byte_work: float = 5e-9
-    #: server-side fixed dispatch work per request (demux, POA lookup).
-    dispatch_fixed_work: float = 100e-6
     #: optional round-trip timeout for invocations (None = wait forever,
     #: matching the era's default ORB behaviour).
     request_timeout: Optional[float] = None
-    #: timeout for LocateRequest pings (these must always terminate).
-    locate_timeout: float = 0.05
     #: round trips paid to set up a connection before a request may travel
     #: (ConnectMessage/Ack exchanges).  0 = connectionless datagrams, the
     #: baseline model — and the default, so existing runs are unchanged.
@@ -83,8 +86,6 @@ class OrbConfig:
     #: reuse them across requests instead of paying the handshake each
     #: time; off = every request pays ``connection_handshake_rtts``.
     connection_reuse: bool = False
-    #: LRU capacity of the connection cache.
-    connection_cache_size: int = 32
 
 
 class Servant:
@@ -242,9 +243,7 @@ class Orb:
         self.requests_cancelled = 0
         #: client-side connection cache (None unless reuse is enabled).
         self.connections: Optional[ConnectionCache] = (
-            ConnectionCache(self.sim, capacity=self.config.connection_cache_size)
-            if self.config.connection_reuse
-            else None
+            ConnectionCache(self.sim) if self.config.connection_reuse else None
         )
         #: ConnectMessage/Ack exchanges this ORB initiated.
         self.handshakes_sent = 0
@@ -400,8 +399,7 @@ class Orb:
         return outer
 
     def _marshal_work(self, nbytes: int) -> float:
-        cfg = self.config
-        return cfg.marshal_fixed_work + cfg.marshal_per_byte_work * nbytes
+        return MARSHAL_FIXED_WORK + MARSHAL_PER_BYTE_WORK * nbytes
 
     def _encode_args(self, info: OpInfo, args: tuple) -> bytes:
         stream = CdrOutputStream()
@@ -704,7 +702,7 @@ class Orb:
 
     def _handshake(self, target: IOR):
         """Pay the connection-setup cost: one ConnectMessage/Ack exchange
-        per configured round trip, each bounded by ``locate_timeout``."""
+        per configured round trip, each bounded by ``LOCATE_TIMEOUT``."""
         for _ in range(self.config.connection_handshake_rtts):
             request_id = next(self._request_ids)
             raw = giop.encode_message(
@@ -718,7 +716,7 @@ class Orb:
                 self.host, self.port, target.host, target.port, raw, len(raw)
             )
             winner = yield self.sim.any_of(
-                [inner, self.sim.timeout(self.config.locate_timeout)]
+                [inner, self.sim.timeout(LOCATE_TIMEOUT)]
             )
             if winner[0] == 1:
                 self._pending.pop(request_id, None)
@@ -753,7 +751,7 @@ class Orb:
             outer.try_succeed(False)
             return
         winner = yield self.sim.any_of(
-            [inner, self.sim.timeout(self.config.locate_timeout)]
+            [inner, self.sim.timeout(LOCATE_TIMEOUT)]
         )
         if winner[0] == 1:
             self._pending.pop(request_id, None)
@@ -894,10 +892,9 @@ class Orb:
         )
 
     def _serve(self, message: giop.RequestMessage, wire_size: int):
-        cfg = self.config
         dispatch_started = self.sim.now
         yield self.host.execute(
-            cfg.dispatch_fixed_work + cfg.marshal_per_byte_work * wire_size
+            DISPATCH_FIXED_WORK + MARSHAL_PER_BYTE_WORK * wire_size
         )
         self.requests_served += 1
 

@@ -16,7 +16,7 @@ Beyond the paper, the store speaks *deltas*: ``store_delta`` ships only
 what changed against a base version the server already holds, and ``load``
 reconstructs the current state by replaying the delta chain on top of the
 last full snapshot.  Clients bound the chain by shipping a periodic full
-snapshot (:class:`~repro.ft.policy.FtPolicy.checkpoint_full_interval`); a
+snapshot (every :data:`~repro.ft.policy.CHECKPOINT_FULL_INTERVAL`-th); a
 delta whose base is not the server's latest record raises
 :class:`BadDeltaBase` and the client falls back to a full store.
 """

@@ -80,13 +80,6 @@ def test_table1_sweep_rows_and_overhead():
     assert rows[0].overhead_percent > rows[1].overhead_percent
 
 
-def test_table1_checkpoint_interval_parameter():
-    kwargs = dict(iterations=(5_000,), manager_iterations=4, settings=TINY)
-    every_call = table1_sweep(checkpoint_interval=1, **kwargs)[0]
-    sparse = table1_sweep(checkpoint_interval=10, **kwargs)[0]
-    assert sparse.runtime_with_proxy < every_call.runtime_with_proxy
-
-
 def test_format_table_alignment():
     text = format_table(
         ["name", "value"],

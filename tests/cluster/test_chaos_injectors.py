@@ -50,49 +50,6 @@ def test_restart_landing_inside_other_window_rejected():
     assert not plan_a.overlaps(FailurePlan("ws02", 1.0, restart_after=5.0))
 
 
-# -- random plans --------------------------------------------------------------
-
-
-def test_random_plans_with_reuse_never_overlap():
-    _, _, injector = make_injector(n=3)
-    plans = injector.random_plans(
-        8, horizon=40.0, restart_after=1.0, allow_reuse=True,
-        hosts=["ws01", "ws02"],
-    )
-    assert len(plans) == 8
-    assert {p.host for p in plans} <= {"ws01", "ws02"}
-    for i, a in enumerate(plans):
-        for b in plans[i + 1:]:
-            assert not a.overlaps(b)
-    injector.schedule_all(plans)  # the schedule-time check agrees
-
-
-def test_random_plans_with_reuse_reproducible():
-    def draw():
-        _, _, injector = make_injector(seed=9)
-        return injector.random_plans(
-            5, horizon=30.0, restart_after=1.5, allow_reuse=True
-        )
-
-    assert draw() == draw()
-
-
-def test_random_plans_reuse_requires_restart():
-    _, _, injector = make_injector(n=2)
-    with pytest.raises(ConfigurationError):
-        injector.random_plans(5, horizon=10.0, allow_reuse=True)
-
-
-def test_random_plans_impossible_schedule_rejected():
-    _, _, injector = make_injector(n=2)
-    with pytest.raises(ConfigurationError):
-        # 50 one-second windows cannot fit 2 hosts in a 3 s horizon.
-        injector.random_plans(
-            50, horizon=3.0, restart_after=1.0, allow_reuse=True,
-            hosts=["ws01"],
-        )
-
-
 # -- latency surge -------------------------------------------------------------
 
 
@@ -266,13 +223,3 @@ def test_chaos_events_are_recorded():
         "flapping",
         "store-outage",
     ]
-
-
-def test_partition_island_cuts_host_from_everyone():
-    sim, cluster, injector = make_injector(n=4)
-    injector.schedule_partition_island("ws01", at=1.0, heal_after=1.0)
-    counts = {}
-    sim.schedule_at(1.5, lambda: counts.update(during=cluster.network.partition_count()))
-    sim.schedule_at(2.5, lambda: counts.update(after=cluster.network.partition_count()))
-    sim.run()
-    assert counts == {"during": 3, "after": 0}

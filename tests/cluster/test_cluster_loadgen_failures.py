@@ -51,13 +51,6 @@ def test_config_validation():
         Cluster(Simulator(), ClusterConfig(num_hosts=2, speeds=[1.0, -1.0]))
 
 
-def test_up_hosts_tracks_crashes():
-    sim = Simulator()
-    cluster = Cluster(sim, ClusterConfig(num_hosts=3))
-    cluster.host(1).crash()
-    assert [h.name for h in cluster.up_hosts()] == ["ws00", "ws02"]
-
-
 # -- background load ------------------------------------------------------------
 
 
@@ -153,23 +146,3 @@ def test_failure_plan_validation():
         injector.schedule(FailurePlan("ws00", crash_at=1.0, restart_after=0.0))
     with pytest.raises(ConfigurationError):
         injector.schedule(FailurePlan("nope", crash_at=1.0))
-
-
-def test_random_plans_are_reproducible():
-    def plans(seed):
-        sim = Simulator(seed=seed)
-        cluster = Cluster(sim, ClusterConfig(num_hosts=5))
-        return FailureInjector(cluster).random_plans(3, horizon=100.0)
-
-    assert plans(1) == plans(1)
-    assert plans(1) != plans(2)
-
-
-def test_random_plans_use_distinct_hosts():
-    sim = Simulator()
-    cluster = Cluster(sim, ClusterConfig(num_hosts=4))
-    injector = FailureInjector(cluster)
-    ps = injector.random_plans(4, horizon=10.0)
-    assert len({p.host for p in ps}) == 4
-    with pytest.raises(ConfigurationError):
-        injector.random_plans(5, horizon=10.0)

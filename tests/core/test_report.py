@@ -93,7 +93,6 @@ def test_scenario_result_report_accessor():
         manager_iterations=3,
         worker_settings=WorkerSettings(real_iteration_cap=16),
         seed=2,
-        warmup=1.0,
     ).run()
     report = result.report()
     assert report["operations"]["solve"]["calls"] == result.result.worker_calls

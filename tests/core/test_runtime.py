@@ -1,6 +1,7 @@
 """Tests for the Runtime facade."""
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from repro.core import Runtime, RuntimeConfig
 from repro.errors import ConfigurationError
 from repro.orb import OrbConfig, compile_idl
 from repro.services.naming.names import to_name
+from repro.winner.service import SystemManagerStub
 
 ping_ns = compile_idl("interface Ping { string where(); };", name="runtime-ping")
 
@@ -28,6 +30,12 @@ def test_config_validation():
         RuntimeConfig(service_host=99).validate()
     with pytest.raises(ConfigurationError):
         RuntimeConfig(winner_interval=0).validate()
+    with pytest.raises(ConfigurationError):
+        RuntimeConfig(winner_interval=math.nan).validate()
+    with pytest.raises(ConfigurationError):
+        RuntimeConfig(resolve_scoring_work=math.nan).validate()
+    with pytest.raises(ConfigurationError):
+        Runtime(RuntimeConfig(num_hosts=3, speeds=[1.0, math.nan, 1.0]))
 
 
 def test_two_runtimes_share_no_orb_switch():
@@ -41,7 +49,7 @@ def test_two_runtimes_share_no_orb_switch():
     Runtime(RuntimeConfig(num_hosts=3, seed=1)).start().settle()
     Runtime(
         RuntimeConfig(
-            num_hosts=4, seed=2, observability=False, resolve_cache=True,
+            num_hosts=4, seed=2, resolve_cache=True,
             orb=OrbConfig(connection_reuse=True),
         )
     ).start().settle()
@@ -125,7 +133,8 @@ def test_background_load_and_stop():
     assert all(load.running for load in loads)
     runtime.settle()
     assert runtime.cluster.host(1).cpu.utilization_integral() > 1.0
-    runtime.stop_background_load()
+    for load in loads:
+        load.stop()
     assert all(not load.running for load in loads)
 
 
@@ -160,7 +169,8 @@ def test_winner_corba_face_available():
     runtime.settle(3.0)
 
     def client():
-        stub = runtime.winner_stub(2)  # remote host queries via CORBA
+        # a remote host queries the system manager through the ORB
+        stub = runtime.orb(2).stub(runtime.winner_ior, SystemManagerStub)
         alive = yield stub.alive_hosts()
         best = yield stub.best_host([], [])
         return alive, best

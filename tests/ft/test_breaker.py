@@ -2,12 +2,18 @@
 (decorrelated-jitter backoff, recovery deadlines, breaker-guarded
 recovery)."""
 
+import math
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import ConfigurationError, RecoveryError
 from repro.ft import FtPolicy, HostBreakerRegistry, RecoveryCoordinator
 from repro.ft.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from repro.ft.recovery import FACTORY_GROUP
+from repro.services.naming import BreakerAwareStrategy
 from repro.services.naming.names import to_name
+from repro.services.naming.strategies import SelectionStrategy
 from repro.sim import Simulator
 
 
@@ -115,13 +121,19 @@ def test_breaker_metrics_match_object_counters():
 
 
 def test_registry_filters_open_hosts_but_fails_open():
+    class Offered(SelectionStrategy):
+        def choose(self, group_name, candidates):
+            return [c.host for c in candidates]
+
     sim = Simulator(seed=2)
     registry = HostBreakerRegistry(sim, failure_threshold=1, reset_timeout=10.0)
+    strategy = BreakerAwareStrategy(Offered(), registry)
+    candidates = [SimpleNamespace(host="ws01"), SimpleNamespace(host="ws02")]
     registry.record_failure("ws01")
-    assert registry.filter_available(["ws01", "ws02"]) == ["ws02"]
+    assert strategy.choose("g", candidates) == ["ws02"]
     # every host open: the blacklist degrades to normal selection
     registry.record_failure("ws02")
-    assert registry.filter_available(["ws01", "ws02"]) == ["ws01", "ws02"]
+    assert strategy.choose("g", candidates) == ["ws01", "ws02"]
     assert registry.available("ws03")  # unknown hosts are closed breakers
 
 
@@ -143,7 +155,6 @@ def test_decorrelated_jitter_bounds_and_determinism():
     policy = FtPolicy(
         backoff="decorrelated-jitter",
         retry_backoff=0.2,
-        backoff_multiplier=3.0,
         backoff_cap=2.0,
     )
 
@@ -168,8 +179,6 @@ def test_policy_validates_adaptive_knobs():
     with pytest.raises(ConfigurationError):
         FtPolicy(backoff="exponential")
     with pytest.raises(ConfigurationError):
-        FtPolicy(backoff_multiplier=0.5)
-    with pytest.raises(ConfigurationError):
         FtPolicy(recovery_deadline=0.0)
     with pytest.raises(ConfigurationError):
         FtPolicy(breaker_failure_threshold=0)
@@ -177,6 +186,15 @@ def test_policy_validates_adaptive_knobs():
         FtPolicy(on_checkpoint_failure="buffer")
     with pytest.raises(ConfigurationError):
         FtPolicy(checkpoint_buffer_limit=0)
+    for knob in (
+        "retry_backoff",
+        "backoff_cap",
+        "recovery_deadline",
+        "breaker_reset_timeout",
+        "detector_interval",
+    ):
+        with pytest.raises(ConfigurationError):
+            FtPolicy(**{knob: math.nan})
 
 
 # -- recovery integration ------------------------------------------------------
@@ -239,7 +257,7 @@ def test_recovery_skips_hosts_with_open_breakers(make_ft_world):
 
     def drop_factories_on(hosts):
         naming = world.runtime.naming_stub(0)
-        group = to_name(world.runtime.config.factory_group)
+        group = to_name(FACTORY_GROUP)
         iors = yield naming.resolve_all(group)
         for factory_ior in iors:
             if factory_ior.host in hosts:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import COMM_FAILURE
 from repro.ft import FtPolicy
+from repro.ft.policy import CHECKPOINT_FULL_INTERVAL
 
 from tests.ft.conftest import CounterImpl, counter_ns
 
@@ -269,18 +270,16 @@ def test_unchanged_state_skips_store(ft_world):
 
 
 def test_full_interval_bounds_restore_chain(ft_world):
-    proxy = padded_proxy(
-        ft_world, FtPolicy(checkpoint_deltas=True, checkpoint_full_interval=3)
-    )
+    proxy = padded_proxy(ft_world, FtPolicy(checkpoint_deltas=True))
 
     def client():
-        for _ in range(9):
+        for _ in range(3 * CHECKPOINT_FULL_INTERVAL):
             yield proxy.increment(1)
 
     ft_world.run(client())
-    assert proxy._ft.shipper.fulls == 3  # versions 1, 4, 7
+    assert proxy._ft.shipper.fulls == 3  # versions 1, 9, 17
     backend = ft_world.runtime.store_servant.backend
-    assert len(backend.read_chain("padded-1")) <= 3
+    assert len(backend.read_chain("padded-1")) <= CHECKPOINT_FULL_INTERVAL
 
 
 def test_lost_base_falls_back_to_full_store(ft_world):

@@ -105,7 +105,6 @@ def test_detector_suspicion_promotes_warm_passive_standby(ft_world):
         ft_world,
         "warm-passive",
         detector_interval=interval,
-        detector_suspect_after=suspect_after,
     )
     group = provision(ft_world, proxy)
 

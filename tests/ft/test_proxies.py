@@ -5,6 +5,7 @@ import pytest
 from repro.errors import COMM_FAILURE, RecoveryError
 from repro.ft import FtContext, FtPolicy, make_ft_proxy
 from repro.ft.proxies import _FtProxyBase
+from repro.ft.recovery import FACTORY_GROUP
 from repro.orb.stubs import ObjectStub
 
 from tests.ft.conftest import CounterImpl, counter_ns
@@ -187,7 +188,7 @@ def test_failure_of_every_factory_gives_recovery_error(make_ft_world):
         naming = world.runtime.naming_stub(0)
         from repro.services.naming.names import to_name
 
-        group = to_name(world.runtime.config.factory_group)
+        group = to_name(FACTORY_GROUP)
         factories = yield naming.resolve_all(group)
         for factory_ior in factories:
             if factory_ior.host == "ws00":

@@ -240,9 +240,3 @@ def test_ft_mode_is_validated():
 def test_effective_quorum_defaults_to_majority():
     assert FtPolicy(ft_mode="active", replication_factor=3).effective_quorum() == 2
     assert FtPolicy(ft_mode="active", replication_factor=4).effective_quorum() == 3
-    assert (
-        FtPolicy(
-            ft_mode="active", replication_factor=4, vote_quorum=2
-        ).effective_quorum()
-        == 2
-    )

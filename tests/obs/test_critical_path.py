@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import critical_path as cp
-from repro.obs.trace import Tracer
+from repro.obs.trace import Span, TraceContext, Tracer
 from repro.sim import Simulator
 
 #: pinned bench_recovery golden: recovery time with one injected failure
@@ -11,17 +11,13 @@ from repro.sim import Simulator
 RECOVERY_GOLDEN = 0.016166990000000325
 
 
-def _span(name, span_id, parent, start, end, attrs=None, host=""):
-    return {
-        "name": name,
-        "trace_id": "t1",
-        "span_id": span_id,
-        "parent_id": parent,
-        "start": start,
-        "end": end,
-        "host": host,
-        "attrs": attrs or {},
-    }
+def _span(name, span_id, parent, start, end, attrs=None, host="", trace_id="t1"):
+    span = Span(
+        None, name, TraceContext(trace_id, span_id), parent, start,
+        host=host, attrs=attrs,
+    )
+    span.end = end
+    return span
 
 
 def _nested_trace():
@@ -147,7 +143,7 @@ def test_empty_trace_refused():
 
 def test_mixed_traces_refused():
     a = _span("call:add", "1", None, 0.0, 1.0)
-    b = dict(_span("call:add", "2", None, 0.0, 1.0), trace_id="t2")
+    b = _span("call:add", "2", None, 0.0, 1.0, trace_id="t2")
     with pytest.raises(cp.CriticalPathError, match="different traces"):
         cp.analyze([a, b])
 

@@ -4,6 +4,7 @@ failure-driven invalidation."""
 
 from repro.errors import COMM_FAILURE, TRANSIENT
 from repro.orb import Orb, OrbConfig, compile_idl
+from repro.orb.transport import ConnectionCache
 
 ns = compile_idl(
     """
@@ -25,15 +26,11 @@ class JobImpl(ns.JobSkeleton):
         return x * 10
 
 
-def client_orb(world, rtts=2, reuse=True, cache_size=32):
+def client_orb(world, rtts=2, reuse=True):
     return Orb(
         world.host(0),
         world.network,
-        config=OrbConfig(
-            connection_handshake_rtts=rtts,
-            connection_reuse=reuse,
-            connection_cache_size=cache_size,
-        ),
+        config=OrbConfig(connection_handshake_rtts=rtts, connection_reuse=reuse),
     )
 
 
@@ -122,7 +119,8 @@ def test_crash_invalidates_cached_connection(world):
 
 def test_lru_eviction_bounds_the_cache(world):
     big = type(world)(num_hosts=5)
-    orb = client_orb(big, rtts=2, reuse=True, cache_size=2)
+    orb = client_orb(big, rtts=2, reuse=True)
+    orb.connections = ConnectionCache(big.sim, capacity=2)
     stubs = [
         orb.stub(serve(big, host_index=index), ns.JobStub)
         for index in (1, 2, 3)

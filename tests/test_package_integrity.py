@@ -2,6 +2,7 @@
 is reached from a root, and the declared public APIs exist."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -177,3 +178,24 @@ def test_every_module_is_reached_from_a_root():
             reached.add(module)
             work.append(_edges(MODULE_FILES[module], module, bindings))
     assert sorted(set(MODULE_FILES) - reached) == []
+
+
+# -- configuration surface ---------------------------------------------------------
+
+#: settable fields of the five config objects together; this number only
+#: goes down (a value no experiment sets becomes a named constant or the
+#: component's own default instead of a field).
+MAX_CONFIG_FIELDS = 74
+
+
+def test_config_surface_only_shrinks():
+    from repro.chaos.campaign import CampaignConfig
+    from repro.core import RuntimeConfig, Scenario
+    from repro.ft import FtPolicy
+    from repro.orb import OrbConfig
+
+    counts = {
+        cls.__name__: len(dataclasses.fields(cls))
+        for cls in (RuntimeConfig, OrbConfig, Scenario, FtPolicy, CampaignConfig)
+    }
+    assert sum(counts.values()) <= MAX_CONFIG_FIELDS, counts

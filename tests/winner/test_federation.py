@@ -60,7 +60,6 @@ def test_site_queries():
     assert network.same_site("ws00", "ws02")
     assert not network.same_site("ws02", "ws03")
     assert network.sites() == ["eu", "us"]
-    assert network.hosts_of_site("us") == ["ws03", "ws04", "ws05"]
 
 
 def test_unassigned_host_rejected():
