@@ -48,7 +48,6 @@ class SimFuture:
         "_callbacks",
         "label",
         "abandoned",
-        "_abandon_callbacks",
     )
 
     def __init__(self, sim: "Simulator", label: str = "") -> None:
@@ -63,30 +62,15 @@ class SimFuture:
         self.label = label
         #: set when the (sole) process waiting on this future was killed;
         #: single-consumer resources (locks, channel receives) check it to
-        #: avoid handing a resource to a dead process, and producers (CPU
-        #: tasks) use the callback to stop work nobody is waiting for.
+        #: avoid handing a resource to a dead process.
         self.abandoned = False
-        self._abandon_callbacks: list[Callable[[], None]] | None = None
-
-    def on_abandoned(self, callback: Callable[[], None]) -> None:
-        """Run ``callback()`` if the waiting process is ever killed."""
-        if self.abandoned:
-            callback()
-        elif self._abandon_callbacks is None:
-            self._abandon_callbacks = [callback]
-        else:
-            self._abandon_callbacks.append(callback)
 
     def mark_abandoned(self) -> None:
-        """Flag this future as abandoned and notify producers. Idempotent;
-        a no-op once the future has resolved."""
-        if self.abandoned or self._state is not _PENDING:
-            return
-        self.abandoned = True
-        callbacks, self._abandon_callbacks = self._abandon_callbacks, None
-        if callbacks:
-            for callback in callbacks:
-                callback()
+        """Flag this future as abandoned: its waiting process was killed.
+        A no-op once the future has resolved.  A producer whose future
+        stands for work (a CPU task) overrides this to stop that work."""
+        if self._state is _PENDING:
+            self.abandoned = True
 
     # -- state ------------------------------------------------------------
 
