@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -52,8 +53,8 @@ class ClusterConfig:
                 f"cores has {len(self.cores)} entries for {self.num_hosts} hosts"
             )
         for i in range(self.num_hosts):
-            if not self.speed_of(i) > 0:
-                raise ConfigurationError(f"host {i} has non-positive speed")
+            if not 0 < self.speed_of(i) < math.inf:
+                raise ConfigurationError(f"host {i} has a non-positive or infinite speed")
             if self.cores_of(i) < 1:
                 raise ConfigurationError(f"host {i} has no cores")
 

@@ -34,8 +34,9 @@ def test_config_validation():
         RuntimeConfig(winner_interval=math.nan).validate()
     with pytest.raises(ConfigurationError):
         RuntimeConfig(resolve_scoring_work=math.nan).validate()
-    with pytest.raises(ConfigurationError):
-        Runtime(RuntimeConfig(num_hosts=3, speeds=[1.0, math.nan, 1.0]))
+    for speed in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError):
+            Runtime(RuntimeConfig(num_hosts=3, speeds=[1.0, speed, 1.0]))
 
 
 def test_two_runtimes_share_no_orb_switch():
