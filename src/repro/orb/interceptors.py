@@ -66,3 +66,8 @@ class RequestInterceptor:
 
     def send_reply(self, info: RequestInfo) -> None:
         """Before the reply datagram leaves the server."""
+
+    def abort_reply(self, info: RequestInfo) -> None:
+        """After a dispatch that passed ``receive_request`` ended without
+        a reply: its host crashed, the client cancelled it, or it raised
+        past the reply mapping.  ``info.exception`` says which."""

@@ -102,9 +102,9 @@ GOLDEN = [
     (
         "EXC002",
         "src/repro/orb/core.py",
-        "Orb._serve",
+        "_Serve._answer",
         "except clause catches Exception without re-raising; narrow it or justify with an ignore directive",
-        "9192e864ea5eefcb",
+        "d42a15cdcd0ff877",
     ),
     (
         "EXC002",
@@ -200,9 +200,9 @@ GOLDEN = [
     (
         "EXC003",
         "src/repro/orb/core.py",
-        "Orb._serve",
+        "_Serve._answer",
         "recoverable failure (SystemException) is swallowed here; propagate it, route it to recovery, or document why dropping it is safe",
-        "dba9102d2aa87f93",
+        "528ace1a25e8b158",
     ),
     (
         "RACE002",

@@ -240,3 +240,36 @@ def test_drop_listener_exception_is_isolated_and_counted():
         "network_drop_listener_errors_total", listener="RuntimeError"
     )
     assert counter.value_repr() == 1
+
+
+class Recorder:
+    """A listening endpoint: records what delivery hands it, and when."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.got = []
+        self.closed = False
+
+    def put(self, datagram):
+        self.got.append((datagram.payload, self.sim.now, self.sim._seq))
+
+    def close(self):
+        self.closed = True
+
+
+def test_listen_hands_each_datagram_to_the_endpoint_in_its_delivery_event():
+    sim, cluster = make_cluster(latency=1e-3, bandwidth=1e6)
+    net = cluster.network
+    a, b = cluster.host(0), cluster.host(1)
+    endpoint = Recorder(sim)
+    net.listen(b, 5000, endpoint)
+    net.send(a, 1234, b.name, 5000, payload="hi", size=1000)
+    scheduled = sim._seq
+    sim.run()
+    # no event between the delivery and the endpoint
+    assert endpoint.got == [("hi", pytest.approx(2e-3), scheduled)]
+    with pytest.raises(SimulationError):
+        net.listen(b, 5000, Recorder(sim))
+    net.unbind(b.name, 5000)
+    assert endpoint.closed
+    assert not net.is_bound(b.name, 5000)

@@ -319,3 +319,124 @@ def test_process_list_is_compacted_in_amortised_constant_time():
     # finished processes do not pile up, and survivors keep their order
     assert len(sim.processes) <= 2 * len(live) + 512
     assert [p for p in sim.processes if p.is_pending] == live
+
+
+# -- the wake rule ------------------------------------------------------------------
+
+
+def test_waiter_resumes_in_place_when_a_kernel_event_resolves_its_future():
+    """A success inside an event callback resumes the waiter right there:
+    before the callback goes on, and without scheduling anything."""
+    sim = Simulator()
+    fut = sim.future()
+    order = []
+
+    def waiter():
+        order.append(("resumed", (yield fut), sim._seq))
+
+    def resolve():
+        order.append(("resolving", sim._seq))
+        fut.succeed("v")
+        order.append(("resolved", sim._seq))
+
+    sim.spawn(waiter())
+    sim.schedule(1.0, resolve)
+    sim.run()
+    seq = order[0][1]
+    assert order == [("resolving", seq), ("resumed", "v", seq), ("resolved", seq)]
+
+
+def test_waiter_hops_once_when_another_step_resolves_its_future():
+    """Resolved from inside a process step, the waiter resumes one event
+    later: the resolving step runs to its end first."""
+    sim = Simulator()
+    fut = sim.future()
+    order = []
+
+    def waiter():
+        order.append(("resumed", (yield fut), sim._seq))
+
+    def resolver():
+        yield sim.timeout(1.0)
+        order.append(("resolving", sim._seq))
+        fut.succeed("v")
+        order.append(("resolved", sim._seq))
+
+    sim.spawn(waiter())
+    sim.spawn(resolver())
+    sim.run()
+    seq = order[0][1]
+    # the wakeup is the one event scheduled by the resolution
+    assert order == [
+        ("resolving", seq),
+        ("resolved", seq + 1),
+        ("resumed", "v", seq + 1),
+    ]
+
+
+def test_waiter_hops_once_on_failure_even_from_a_kernel_event():
+    """A failure never resumes in place: a crash's kills and listeners
+    all run before any waiter sees one of its failures."""
+    sim = Simulator()
+    fut = sim.future()
+    order = []
+
+    def waiter():
+        try:
+            yield fut
+        except ValueError as exc:
+            order.append(("caught", str(exc), sim._seq))
+
+    def fail():
+        order.append(("failing", sim._seq))
+        fut.fail(ValueError("boom"))
+        order.append(("failed", sim._seq))
+
+    sim.spawn(waiter())
+    sim.schedule(1.0, fail)
+    sim.run()
+    seq = order[0][1]
+    assert order == [
+        ("failing", seq),
+        ("failed", seq + 1),
+        ("caught", "boom", seq + 1),
+    ]
+
+
+def test_kill_between_resolution_and_resume_wins():
+    sim = Simulator()
+    fut = sim.future()
+    outcome = []
+
+    def waiter():
+        try:
+            outcome.append((yield fut))
+        except ProcessKilled:
+            outcome.append("killed")
+
+    def resolver():
+        yield sim.timeout(1.0)
+        fut.succeed("v")  # the waiter's wakeup is now on its way ...
+        victim.kill()  # ... and this kill, issued before it runs, wins
+
+    victim = sim.spawn(waiter())
+    sim.spawn(resolver())
+    sim.run()
+    assert outcome == ["killed"]
+
+
+def test_killed_waiter_leaves_no_callback_on_its_future():
+    sim = Simulator()
+    fut = sim.future()
+
+    def waiter():
+        yield fut
+
+    victim = sim.spawn(waiter())
+    sim.run()
+    victim.kill()
+    sim.run()
+    assert fut._callbacks == []
+    fut.succeed("late")
+    sim.run()
+    assert victim.failed and isinstance(victim.exception, ProcessKilled)
