@@ -7,12 +7,13 @@ dispatch, checkpoint fetch, recovery — all sharing one trace id.
 Context propagation is two-layered:
 
 * **within a simulation**: the active :class:`TraceContext` is stored on the
-  currently running :class:`~repro.sim.process.Process`; spawned processes
-  inherit their spawner's context, so an FT proxy's root span automatically
-  covers every ORB invocation it issues;
+  currently running :class:`~repro.sim.process.Process` or
+  :class:`~repro.sim.process.Activity`; each inherits its creator's
+  context, so an FT proxy's root span automatically covers every ORB
+  invocation it issues;
 * **across the wire**: :class:`repro.obs.interceptor.ObservabilityInterceptor`
   encodes the context into a GIOP service-context entry on each request and
-  restores it in the server's dispatch process.
+  restores it in the server's dispatch activity.
 
 Finished spans accumulate in a bounded ring (oldest dropped, counted) and
 are rendered by :mod:`repro.obs.exporters`.

@@ -7,18 +7,21 @@ event heap with deterministic tie-breaking.
 
 Everything above this layer — the simulated network, the ORB, the Winner
 resource manager, the optimization workloads — expresses waiting and
-computing by yielding :class:`SimFuture` objects from generator processes.
+computing by yielding :class:`SimFuture` objects from generator processes,
+except the ORB's invocations and dispatches, which are :class:`Activity`
+objects: futures stepped by bound methods under the same wake rule.
 """
 
 from repro.sim.events import SimFuture, all_of, any_of
 from repro.sim.kernel import ScheduledEvent, Simulator
-from repro.sim.process import Process
+from repro.sim.process import Activity, Process
 from repro.sim.resources import ProcessorSharingCPU
 from repro.sim.channels import Channel
 from repro.sim.sync import Lock
 from repro.sim.randomness import stable_hash, rng_stream
 
 __all__ = [
+    "Activity",
     "Channel",
     "Lock",
     "Process",

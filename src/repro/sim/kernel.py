@@ -108,15 +108,16 @@ class Simulator:
         self.processes: list[Any] = []
         #: list length at which ``_register_process`` next compacts
         self._compact_processes_at = _PROCESS_COMPACT_MIN
-        #: the process whose generator is being stepped right now (None
-        #: between steps); trace-context inheritance at spawn and the
-        #: observability tracer's "current span" both key off it.
+        #: the process or activity being stepped right now (None between
+        #: steps, i.e. in a kernel event callback, where the wake rule
+        #: resumes waiters in place); trace-context inheritance at spawn
+        #: and the observability tracer's "current span" both key off it.
         self.current_process: Optional[Any] = None
         #: trace context used when no process is running (driver code).
         self.ambient_trace_context: Optional[Any] = None
         self._obs: Optional[Any] = None
-        #: (name, exception) pairs of processes that died from an uncaught,
-        #: non-kill exception while nobody was watching them.
+        #: (name, exception) pairs of processes and activities that died from
+        #: an uncaught, non-kill exception while nobody was watching them.
         self.unhandled_failures: list[tuple[str, BaseException]] = []
 
     # -- scheduling ---------------------------------------------------------
