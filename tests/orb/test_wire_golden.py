@@ -16,6 +16,7 @@ from repro.orb import typecodes as tc
 from repro.orb.cdr import CdrOutputStream, encode_any
 from repro.orb.ior import IOR
 from repro.services.checkpoint import CheckpointStoreStub
+from tests.orb.test_giop import ONE_OF_EACH
 
 
 def hexdump(data: bytes) -> str:
@@ -118,6 +119,89 @@ def test_request_service_context_golden():
     decoded = giop.decode_message(raw)
     assert decoded.service_contexts == ((0x54524358, b"1:2"),)
     assert decoded.body == b""
+
+
+#: every GIOP message kind of ``tests/orb/test_giop.py::ONE_OF_EACH``, field
+#: by field; the prefix is magic "sGIO", version 1.0 and the kind octet.
+ONE_OF_EACH_HEX = [
+    (
+        "7347494f" "0100" "00" "00"              # prefix REQUEST, pad to 8
+        "0000002a" "01" "000000"                 # id 42, response expected, pad
+        "0000000b" + hexdump(b"Calc:000001") + "00"  # object key, pad
+        "00000006" + hexdump(b"solve") + "00" "0000"  # operation, pad
+        "00000003"                               # target incarnation
+        "00000005" + hexdump(b"ws00") + "00" "000000"  # reply host, pad
+        "00004e21"                               # reply port 20001
+        "00000001" "00000007"                    # one context, id 7
+        "00000003" + hexdump(b"ctx") + "00"      # its data, pad
+        "00000003" "010203"                      # body
+    ),
+    (
+        "7347494f" "0100" "01" "00"              # prefix REPLY, pad
+        "0000002a" "00" "000000"                 # id 42, NO_EXCEPTION, pad
+        "00000008" "0000000000000000"            # body
+    ),
+    "7347494f" "0100" "02" "00" "0000002a",      # CANCEL_REQUEST 42
+    (
+        "7347494f" "0100" "03" "00" "0000002a"   # LOCATE_REQUEST 42
+        "0000000b" + hexdump(b"Calc:000001") + "00"  # object key, pad
+        "00000003"                               # target incarnation
+        "00000005" + hexdump(b"ws00") + "00" "000000"  # reply host, pad
+        "00004e21"                               # reply port
+    ),
+    "7347494f" "0100" "04" "00" "0000002a" "01",  # LOCATE_REPLY OBJECT_HERE
+    (
+        "7347494f" "0100" "08" "00" "0000002a"   # CONNECT 42
+        "00000005" + hexdump(b"ws00") + "00" "000000"  # reply host, pad
+        "00004e21"                               # reply port
+    ),
+    "7347494f" "0100" "09" "00" "0000002a",      # CONNECT_ACK 42
+    (
+        "7347494f" "0100" "07" "00" "0000002a"   # RESET 42
+        "0000000a" + hexdump(b"peer gone") + "00"  # reason
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "index", range(len(ONE_OF_EACH)), ids=lambda i: type(ONE_OF_EACH[i]).__name__
+)
+def test_every_message_kind_golden(index):
+    message = ONE_OF_EACH[index]
+    raw = giop.encode_message(message)
+    assert hexdump(raw) == ONE_OF_EACH_HEX[index]
+    assert giop.decode_message(raw) == message
+
+
+def test_request_pads_golden():
+    """A oneway request whose key, operation and context data are of odd
+    length, with two service contexts: every pad a Request can carry."""
+    message = giop.RequestMessage(
+        request_id=0x01020304,
+        response_expected=False,
+        object_key=b"Acc:00001",
+        operation="solve",
+        target_incarnation=5,
+        reply_host="ws1",
+        reply_port=20003,
+        body=b"\x01\x02\x03",
+        service_contexts=((0x54524358, b"1:2"), (7, b"abcde")),
+    )
+    raw = giop.encode_message(message)
+    assert hexdump(raw) == (
+        "7347494f" "0100" "00" "00"              # prefix REQUEST, pad to 8
+        "01020304" "00" "000000"                 # id, oneway, pad 3
+        "00000009" + hexdump(b"Acc:00001") + "000000"  # object key, pad 3
+        "00000006" + hexdump(b"solve") + "00" "0000"  # operation, pad 2
+        "00000005"                               # target incarnation
+        "00000004" + hexdump(b"ws1") + "00"      # reply host, no pad
+        "00004e23"                               # reply port 20003
+        "00000002"                               # two contexts
+        "54524358" "00000003" + hexdump(b"1:2") + "00"  # 'TRCX', pad 1
+        "00000007" "00000005" + hexdump(b"abcde") + "000000"  # id 7, pad 3
+        "00000003" "010203"                      # body
+    )
+    assert giop.decode_message(raw) == message
 
 
 def test_any_encoding_golden_for_int():
