@@ -165,14 +165,12 @@ class MetricsRegistry:
             instrument = self._by_call.get(call_key)
             if instrument is not None:
                 return instrument
+        known = self._kinds.get(name)
+        if known is not None and known != cls.kind:
+            raise ValueError(f"metric {name!r} is already registered as a {known}")
         key = (name, _label_key(labels))
         instrument = self._instruments.get(key)
         if instrument is None:
-            known = self._kinds.get(name)
-            if known is not None and known != cls.kind:
-                raise ValueError(
-                    f"metric {name!r} is already registered as a {known}"
-                )
             instrument = cls(name, key[1])
             self._instruments[key] = instrument
             self._kinds[name] = cls.kind

@@ -43,6 +43,20 @@ def test_name_kind_conflict_rejected():
         registry.gauge("latency", host="ws00")
 
 
+def test_name_kind_conflict_rejected_on_an_existing_label_set():
+    """The same name and labels asked for as another kind: the registry
+    must not hand back the instrument of the first kind."""
+    registry = MetricsRegistry()
+    counter = registry.counter("x", a="1")
+    for conflicting in (registry.histogram, registry.gauge):
+        with pytest.raises(ValueError, match="already registered as a counter"):
+            conflicting("x", a="1")
+        with pytest.raises(ValueError, match="already registered as a counter"):
+            conflicting("x", a=1)  # a label value that is not str
+    assert registry.counter("x", a="1") is counter
+    assert len(registry) == 1
+
+
 def test_percentiles_nearest_rank():
     registry = MetricsRegistry()
     histogram = registry.histogram("latency_seconds")
