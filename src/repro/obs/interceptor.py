@@ -13,8 +13,10 @@ portable-interceptor hooks, without touching application code:
   service walking a federation, a factory creating an object) stay
   causally linked; the span ends at the reply, or with an error when the
   dispatch dies without one;
-* **metrics** — per-operation request/reply counters and wire-size
-  histograms in the simulation's metrics registry.
+* **metrics** — per-operation counters of the requests sent and served,
+  in the simulation's metrics registry.  Each is looked up once, at the
+  operation's first request through this ORB, and kept: a warm call
+  increments two counters it already holds.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.obs.trace import TRACE_CONTEXT_SERVICE_ID, TraceContext
 from repro.orb.interceptors import RequestInfo, RequestInterceptor
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.metrics import Counter
     from repro.obs.trace import Span
     from repro.orb.core import Orb
 
@@ -37,6 +40,10 @@ class ObservabilityInterceptor(RequestInterceptor):
         self._obs = orb.sim.obs
         #: open client-side spans by request id (ids are unique per ORB).
         self._client_spans: dict[int, "Span"] = {}
+        #: per operation, bound at its first request: the sent and served
+        #: counters.
+        self._sent: dict[str, "Counter"] = {}
+        self._served: dict[str, "Counter"] = {}
 
     # -- client side ------------------------------------------------------------
 
@@ -53,11 +60,14 @@ class ObservabilityInterceptor(RequestInterceptor):
         info.service_contexts.append(
             (TRACE_CONTEXT_SERVICE_ID, span.context.encode())
         )
-        self._obs.metrics.counter(
-            "orb_requests_sent_total",
-            host=self._orb.host.name,
-            operation=info.operation,
-        ).inc()
+        sent = self._sent.get(info.operation)
+        if sent is None:
+            sent = self._sent[info.operation] = self._obs.metrics.counter(
+                "orb_requests_sent_total",
+                host=self._orb.host.name,
+                operation=info.operation,
+            )
+        sent.inc()
         if not info.response_expected:
             span.set_attr("oneway", True)
             span.finish()
@@ -95,11 +105,14 @@ class ObservabilityInterceptor(RequestInterceptor):
         # Make the dispatch causally visible to nested servant calls: the
         # hook runs inside the ORB's per-request dispatch.
         tracer.set_current(span.context)
-        self._obs.metrics.counter(
-            "orb_requests_served_total",
-            host=self._orb.host.name,
-            operation=info.operation,
-        ).inc()
+        served = self._served.get(info.operation)
+        if served is None:
+            served = self._served[info.operation] = self._obs.metrics.counter(
+                "orb_requests_served_total",
+                host=self._orb.host.name,
+                operation=info.operation,
+            )
+        served.inc()
 
     def send_reply(self, info: RequestInfo) -> None:
         tracer = self._obs.tracer

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Iterator, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,12 +33,26 @@ if TYPE_CHECKING:  # pragma: no cover
 TRACE_CONTEXT_SERVICE_ID = 0x54524358
 
 
-@dataclass(frozen=True)
 class TraceContext:
-    """The propagated part of a span: (trace id, span id)."""
+    """The propagated part of a span: (trace id, span id).  A value: equal
+    ids are an equal context, and no code changes one once it is built."""
 
-    trace_id: str
-    span_id: str
+    __slots__ = ("trace_id", "span_id")
+
+    def __init__(self, trace_id: str, span_id: str) -> None:
+        self.trace_id = trace_id
+        self.span_id = span_id
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceContext):
+            return NotImplemented
+        return self.trace_id == other.trace_id and self.span_id == other.span_id
+
+    def __hash__(self) -> int:
+        return hash((self.trace_id, self.span_id))
+
+    def __repr__(self) -> str:
+        return f"TraceContext(trace_id={self.trace_id!r}, span_id={self.span_id!r})"
 
     def encode(self) -> bytes:
         """Wire form for the GIOP service context."""

@@ -65,6 +65,7 @@ from repro.sim.process import Activity, Process
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.host import Host
     from repro.cluster.network import Network
+    from repro.obs.metrics import Counter, Histogram
 
 
 #: CPU work (seconds on a speed-1 host) per marshal/unmarshal step.
@@ -194,17 +195,31 @@ class _Endpoint:
 
 
 class CallStats:
+    """Aggregated client-side statistics of one operation of one ORB, and
+    the two instruments its calls feed: the call-latency histogram, bound
+    at the first recorded call, and the failures counter, bound at the
+    first failure."""
 
-    """Aggregated client-side statistics of one operation."""
+    __slots__ = (
+        "operation",
+        "calls",
+        "failures",
+        "total_latency",
+        "max_latency",
+        "_orb",
+        "_latency_seconds",
+        "_failures_total",
+    )
 
-    __slots__ = ("operation", "calls", "failures", "total_latency", "max_latency")
-
-    def __init__(self, operation: str) -> None:
+    def __init__(self, operation: str, orb: "Orb") -> None:
         self.operation = operation
         self.calls = 0
         self.failures = 0
         self.total_latency = 0.0
         self.max_latency = 0.0
+        self._orb = orb
+        self._latency_seconds: Optional[Histogram] = None
+        self._failures_total: Optional[Counter] = None
 
     def record(self, latency: float, failed: bool) -> None:
         self.calls += 1
@@ -212,6 +227,23 @@ class CallStats:
             self.failures += 1
         self.total_latency += latency
         self.max_latency = max(self.max_latency, latency)
+        histogram = self._latency_seconds
+        if histogram is None:
+            histogram = self._latency_seconds = self._orb.sim.obs.metrics.histogram(
+                "orb_call_latency_seconds",
+                operation=self.operation,
+                host=self._orb.host.name,
+            )
+        histogram.observe(latency)
+        if failed:
+            counter = self._failures_total
+            if counter is None:
+                counter = self._failures_total = self._orb.sim.obs.metrics.counter(
+                    "orb_call_failures_total",
+                    operation=self.operation,
+                    host=self._orb.host.name,
+                )
+            counter.inc()
 
     @property
     def mean_latency(self) -> float:
@@ -260,6 +292,9 @@ class Orb:
         #: per-operation client-side statistics (the instrumentation an
         #: ORB's interceptors would provide): operation -> CallStats.
         self.call_stats: dict[str, CallStats] = {}
+        #: per-operation server-side dispatch-time histograms, each bound
+        #: at the operation's first reply.
+        self._dispatch_seconds: dict[str, Histogram] = {}
         #: portable-interceptor-style request interceptors.
         self.interceptors: list = []
         #: in-flight server dispatches by (client host, client port,
@@ -709,7 +744,7 @@ class _Call(Activity):
         self.started = orb.sim.now
         stats = orb.call_stats.get(info.name)
         if stats is None:
-            stats = orb.call_stats[info.name] = CallStats(info.name)
+            stats = orb.call_stats[info.name] = CallStats(info.name, orb)
         self.stats = stats
         self.target: Optional[IOR] = None
         self.sends = 0
@@ -726,23 +761,7 @@ class _Call(Activity):
         # Whoever holds the call's future after it resolved (a DII request,
         # a vote round) holds the call: let its payloads go now.
         self.body = self.raw = self.reply = None
-        orb = self.orb
-        operation = self.info.name
-        latency = orb.sim.now - self.started
-        failed = self._state is _FAILED
-        self.stats.record(latency, failed)
-        metrics = orb.sim.obs.metrics
-        metrics.histogram(
-            "orb_call_latency_seconds",
-            operation=operation,
-            host=orb.host.name,
-        ).observe(latency)
-        if failed:
-            metrics.counter(
-                "orb_call_failures_total",
-                operation=operation,
-                host=orb.host.name,
-            ).inc()
+        self.stats.record(self.orb.sim.now - self.started, self._state is _FAILED)
 
     # -- steps ------------------------------------------------------------------
 
@@ -1139,11 +1158,16 @@ class _Serve(Activity):
     def _reply(self, status: giop.ReplyStatus, body: bytes) -> None:
         orb = self.orb
         message = self.message
-        orb.sim.obs.metrics.histogram(
-            "orb_dispatch_seconds",
-            operation=message.operation,
-            host=orb.host.name,
-        ).observe(orb.sim.now - self.started)
+        histogram = orb._dispatch_seconds.get(message.operation)
+        if histogram is None:
+            histogram = orb._dispatch_seconds[message.operation] = (
+                orb.sim.obs.metrics.histogram(
+                    "orb_dispatch_seconds",
+                    operation=message.operation,
+                    host=orb.host.name,
+                )
+            )
+        histogram.observe(orb.sim.now - self.started)
         if not message.response_expected:
             orb._inflight_serves.pop(self.key, None)
             self.message = None

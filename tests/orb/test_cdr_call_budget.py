@@ -9,7 +9,7 @@ back under every CDR primitive, kernel event or CPU change, puts NumPy's
 reduction wrappers back into the optimizer's hot loop, or marshals a
 captured state again instead of forwarding its image.  Each gate is the
 shipped value plus 5 %, except the worker solve's (1 %: the NumPy form was
-only 2 % above) and the null invocation's (565.68 rounded up).
+only 2 % above) and the null invocation's (the shipped value rounded up).
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ import pytest
 from repro.core import Runtime, RuntimeConfig
 from repro.ft import FtPolicy
 from repro.ft.checkpointable import CHECKPOINTABLE_IDL
+from repro.obs.metrics import MetricsRegistry
 from repro.orb import cdr, compile_idl
 from repro.opt import DecomposedRosenbrock
 from repro.orb.cdr import decode_any, encode_any
@@ -118,8 +119,30 @@ def test_null_call_budget(count_calls):
     # 567.68 while each histogram observation also read a clock; 565.68
     # while each CPU charge scanned the task table and re-armed the
     # completion; 537.66 with one attained-service clock; 434.44 with the
-    # call and the dispatch as activities instead of spawned processes
-    assert calls <= 445
+    # call and the dispatch as activities instead of spawned processes;
+    # 342.44 with slotted GIOP messages, request infos and trace contexts,
+    # Request/Reply codecs built from struct runs and each instrument
+    # bound once per ORB and operation
+    assert calls <= 343
+
+
+def test_null_call_binds_its_instruments_once(monkeypatch):
+    """A warm ``total()`` looks up no instrument: the interceptor's sent and
+    served counters, the call-latency histogram and the dispatch-time
+    histogram are bound once per ORB and operation, at its first call."""
+    runtime, reads = warm_null_calls()
+    looked_up = []
+    real = MetricsRegistry._get
+
+    def counting(self, cls, name, labels):
+        looked_up.append(name)
+        return real(self, cls, name, labels)
+
+    monkeypatch.setattr(MetricsRegistry, "_get", counting)
+    runtime.run(reads(50))
+    # One Winner load-report round falls into the window; its series are
+    # the only instruments anything looks up.
+    assert [name for name in looked_up if not name.startswith("winner_")] == []
 
 
 def test_null_call_events():
