@@ -47,12 +47,6 @@ CHECKPOINT_OPERATIONS = frozenset({"get_checkpoint", "restore_from"})
 class IdlOperation:
     name: str
     nparams: int
-    #: method name a proxy must define (attribute accessors are exposed
-    #: as ``get_x``/``set_x`` on stubs and proxies).
-    proxy_name: str
-    #: method name a servant must define ("" = skeleton provides a
-    #: default, e.g. attribute accessors backed by getattr/setattr).
-    servant_name: str
 
 
 @dataclass
@@ -89,32 +83,8 @@ def _operations_of(node: idlast.InterfaceDecl, iface: IdlInterface) -> None:
     for member in node.body:
         if isinstance(member, idlast.OperationDecl):
             iface.own_operations.append(
-                IdlOperation(
-                    name=member.name,
-                    nparams=len(member.params),
-                    proxy_name=member.name,
-                    servant_name=member.name,
-                )
+                IdlOperation(name=member.name, nparams=len(member.params))
             )
-        elif isinstance(member, idlast.AttributeDecl):
-            for attr_name in member.names:
-                iface.own_operations.append(
-                    IdlOperation(
-                        name=f"_get_{attr_name}",
-                        nparams=0,
-                        proxy_name=f"get_{attr_name}",
-                        servant_name="",
-                    )
-                )
-                if not member.readonly:
-                    iface.own_operations.append(
-                        IdlOperation(
-                            name=f"_set_{attr_name}",
-                            nparams=1,
-                            proxy_name=f"set_{attr_name}",
-                            servant_name="",
-                        )
-                    )
 
 
 def _walk_interfaces(body: list, doc: IdlDocument) -> None:
@@ -212,15 +182,13 @@ class IdlConformanceChecker(Checker):
                     continue
                 methods = _methods_with_inherited(node, class_index)
                 for op in iface.all_operations(registry):
-                    if not op.servant_name:
-                        continue  # skeleton supplies attribute accessors
-                    method = methods.get(op.servant_name)
+                    method = methods.get(op.name)
                     if method is None:
                         findings.append(
                             self.finding(
                                 "IDL001",
                                 f"servant {node.name} does not implement "
-                                f"{iface.name}.{op.servant_name} — the "
+                                f"{iface.name}.{op.name} — the "
                                 "skeleton default raises NO_IMPLEMENT at "
                                 "runtime",
                                 source,
@@ -234,12 +202,12 @@ class IdlConformanceChecker(Checker):
                         findings.append(
                             self.finding(
                                 "IDL002",
-                                f"servant {node.name}.{op.servant_name} "
+                                f"servant {node.name}.{op.name} "
                                 f"{problem}; the IDL declares "
                                 f"{op.nparams} parameter(s)",
                                 source,
                                 method,
-                                context=f"{node.name}.{op.servant_name}",
+                                context=f"{node.name}.{op.name}",
                             )
                         )
         return findings
@@ -264,12 +232,12 @@ class IdlConformanceChecker(Checker):
                 for op in iface.all_operations(registry):
                     if op.name in CHECKPOINT_OPERATIONS:
                         continue
-                    if op.proxy_name not in methods:
+                    if op.name not in methods:
                         findings.append(
                             self.finding(
                                 "IDL003",
                                 f"FT proxy {node.name} does not intercept "
-                                f"{iface.name}.{op.proxy_name}; the call "
+                                f"{iface.name}.{op.name}; the call "
                                 "would bypass recovery and checkpointing",
                                 source,
                                 node,
@@ -403,15 +371,9 @@ def check_proxy_coverage(
     produced = checker or IdlConformanceChecker()
     findings: list[Finding] = []
     stub_classes = set(stub_cls.__mro__)
-    for op_name in stub_cls.__operations__:
-        if op_name in CHECKPOINT_OPERATIONS:
+    for method in stub_cls.__operations__:
+        if method in CHECKPOINT_OPERATIONS:
             continue
-        if op_name.startswith("_get_"):
-            method = f"get_{op_name[5:]}"
-        elif op_name.startswith("_set_"):
-            method = f"set_{op_name[5:]}"
-        else:
-            method = op_name
         intercepted = any(
             method in cls.__dict__
             for cls in proxy_cls.__mro__

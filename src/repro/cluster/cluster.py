@@ -100,6 +100,3 @@ class Cluster:
             if host.name == key:
                 return host
         raise ConfigurationError(f"no host named {key!r}")
-
-    def host_names(self) -> list[str]:
-        return [h.name for h in self.hosts]

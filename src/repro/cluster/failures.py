@@ -34,9 +34,9 @@ class FailurePlan:
     restart_after: Optional[float] = None
 
     def validate(self) -> None:
-        if self.crash_at < 0:
+        if not self.crash_at >= 0:
             raise ConfigurationError("crash_at must be non-negative")
-        if self.restart_after is not None and self.restart_after <= 0:
+        if self.restart_after is not None and not self.restart_after > 0:
             raise ConfigurationError("restart_after must be positive")
 
     @property
@@ -109,7 +109,7 @@ class FailureInjector:
         """Partition hosts ``a`` and ``b`` at ``at``; heal ``heal_after``
         seconds later (None = never heals by itself)."""
         self.cluster.host(a), self.cluster.host(b)  # validate
-        if heal_after is not None and heal_after <= 0:
+        if heal_after is not None and not heal_after > 0:
             raise ConfigurationError("heal_after must be positive")
         network = self.cluster.network
         sim = self.cluster.sim
@@ -127,7 +127,7 @@ class FailureInjector:
         jitter: float = 0.0,
     ) -> None:
         """Surge every path's latency for ``duration`` seconds."""
-        if duration <= 0:
+        if not duration > 0:
             raise ConfigurationError("duration must be positive")
         network = self.cluster.network
         sim = self.cluster.sim
@@ -153,7 +153,7 @@ class FailureInjector:
     ) -> None:
         """Drop each matching datagram with probability ``rate`` for
         ``duration`` seconds (see :meth:`Network.set_loss_rate`)."""
-        if duration <= 0:
+        if not duration > 0:
             raise ConfigurationError("duration must be positive")
         network = self.cluster.network
         sim = self.cluster.sim
@@ -174,7 +174,7 @@ class FailureInjector:
         """Degrade ``host`` to ``factor`` of its nominal CPU rate at
         ``at``; restore after ``duration`` (None = stays degraded)."""
         host_obj = self.cluster.host(host)
-        if duration is not None and duration <= 0:
+        if duration is not None and not duration > 0:
             raise ConfigurationError("duration must be positive")
         sim = self.cluster.sim
         sim.schedule_at(at, lambda: host_obj.degrade(factor))
@@ -197,7 +197,7 @@ class FailureInjector:
         host_obj = self.cluster.host(host)
         if cycles < 1:
             raise ConfigurationError("cycles must be >= 1")
-        if down_time <= 0 or up_time <= 0:
+        if not down_time > 0 or not up_time > 0:
             raise ConfigurationError("down_time and up_time must be positive")
         sim = self.cluster.sim
         t = at
@@ -217,7 +217,7 @@ class FailureInjector:
     def schedule_store_outage(self, store, at: float, duration: float) -> None:
         """Take a checkpoint store servant offline for ``duration`` seconds
         (it raises ``TRANSIENT`` on every request while down)."""
-        if duration <= 0:
+        if not duration > 0:
             raise ConfigurationError("duration must be positive")
         if not hasattr(store, "set_available"):
             raise ConfigurationError(

@@ -176,7 +176,7 @@ class OpenLoopPopulation:
     ) -> None:
         if num_clients < 1:
             raise ConfigurationError(f"need at least one client, got {num_clients}")
-        if arrival_rate <= 0:
+        if not arrival_rate > 0:
             raise ConfigurationError(f"arrival rate must be > 0, got {arrival_rate}")
         self.sim = sim
         self.name = name

@@ -111,17 +111,8 @@ class Network:
     #: operator-facing alias of :meth:`heal`.
     unpartition = heal
 
-    def heal_all(self) -> None:
-        self._partitions.clear()
-
-    #: operator-facing alias of :meth:`heal_all`.
-    clear_partitions = heal_all
-
     def is_partitioned(self, a: str, b: str) -> bool:
         return frozenset((a, b)) in self._partitions
-
-    def partition_count(self) -> int:
-        return len(self._partitions)
 
     # -- ports ---------------------------------------------------------------
 

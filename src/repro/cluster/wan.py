@@ -38,7 +38,7 @@ class WideAreaNetwork(Network):
         super().__init__(
             sim, latency=latency, bandwidth=bandwidth, local_latency=local_latency
         )
-        if wan_latency < latency or wan_bandwidth <= 0:
+        if not wan_latency >= latency or not wan_bandwidth > 0:
             raise SimulationError("WAN must be slower than the LAN")
         self.wan_latency = wan_latency
         self.wan_bandwidth = wan_bandwidth
@@ -58,9 +58,6 @@ class WideAreaNetwork(Network):
 
     def same_site(self, a: str, b: str) -> bool:
         return self.site_of(a) == self.site_of(b)
-
-    def sites(self) -> list[str]:
-        return sorted(set(self._sites.values()))
 
     def delay(self, src: str, dst: str, size: int) -> float:
         if src == dst:

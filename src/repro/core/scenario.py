@@ -210,14 +210,6 @@ class ScenarioResult:
     recoveries: int
     runtime_obj: Runtime
 
-    @property
-    def label(self) -> str:
-        strategy = "CORBA/Winner" if self.scenario.naming_strategy == "winner" else "CORBA"
-        return (
-            f"{strategy} {self.scenario.dimension}/{self.scenario.num_workers} "
-            f"bg={self.scenario.background_hosts}"
-        )
-
     def report(self) -> dict:
         """Full deployment debrief (host utilization, network, ORB stats,
         FT activity) for this scenario's runtime."""

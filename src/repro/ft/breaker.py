@@ -152,11 +152,6 @@ class CircuitBreaker:
         self.opens += 1
         self._transition(OPEN)
 
-    def reset(self) -> None:
-        """Force-close (operator action / tests)."""
-        self._consecutive_failures = 0
-        self._transition(CLOSED)
-
     def snapshot(self) -> dict:
         return {
             "host": self.host,

@@ -61,11 +61,6 @@ class FailureDetector:
         if self._process is None or self._process.is_done:
             self._process = self.orb.host.spawn(self._run(), name="ft-detector")
 
-    def unwatch(self, key: str) -> None:
-        self._targets.pop(key, None)
-        self._misses.pop(key, None)
-        self._suspect_flags.discard(key)
-
     def stop(self) -> None:
         if self._process is not None:
             self._process.kill()

@@ -498,13 +498,7 @@ def make_ft_proxy(stub_class: type, name: Optional[str] = None) -> type:
             f"Fault-tolerant invocation of ``{operation}"
             f"({', '.join(info.param_names)})``."
         )
-        # Attribute accessors live under their stub method names.
-        if operation.startswith("_get_"):
-            namespace[f"get_{operation[5:]}"] = wrapped
-        elif operation.startswith("_set_"):
-            namespace[f"set_{operation[5:]}"] = wrapped
-        else:
-            namespace[operation] = wrapped
+        namespace[operation] = wrapped
     namespace["__init__"] = _FtProxyBase.__init__
     proxy_name = name or stub_class.__name__.replace("Stub", "") + "FtProxy"
     return type(proxy_name, (_FtProxyBase, stub_class), namespace)

@@ -53,7 +53,7 @@ class Counter(Instrument):
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
+        if not amount >= 0:
             raise ValueError(f"counter {self.name} cannot decrease")
         self.value += amount
 

@@ -18,7 +18,7 @@ implementation of the Complex Box algorithm." (§4)
 * :mod:`repro.opt.manager` — the manager driving workers through DII.
 """
 
-from repro.opt.problems import rastrigin, rosenbrock, sphere
+from repro.opt.problems import rosenbrock
 from repro.opt.complex_box import ComplexBoxResult, complex_box, complex_box_engine
 from repro.opt.decomposition import DecomposedRosenbrock, WorkerProblem
 from repro.opt.worker import (
@@ -42,8 +42,6 @@ __all__ = [
     "WorkerSettings",
     "complex_box",
     "complex_box_engine",
-    "rastrigin",
     "rosenbrock",
-    "sphere",
     "worker_idl",
 ]

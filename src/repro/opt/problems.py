@@ -4,7 +4,7 @@ The Rosenbrock function is the paper's benchmark: "The well known
 Rosenbrock test function is widely used for benchmarking optimization
 algorithms because of its special mathematical properties" — a narrow
 curved valley that makes progress slow, which is what makes runtimes long
-enough to measure.  Sphere and Rastrigin are included for the examples.
+enough to measure.
 """
 
 from __future__ import annotations
@@ -80,18 +80,6 @@ def rosenbrock(x) -> float:
         terms.append(100.0 * (rise * rise) + fall * fall)
         a = b
     return _pairwise_sum(terms)
-
-
-def sphere(x: np.ndarray) -> float:
-    """``f(x) = sum x_i^2``; global minimum 0 at the origin."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.sum(x * x))
-
-
-def rastrigin(x: np.ndarray) -> float:
-    """Highly multimodal; global minimum 0 at the origin."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
 
 
 #: conventional search box for the Rosenbrock experiments.

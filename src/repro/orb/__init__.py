@@ -6,8 +6,9 @@ The subset implemented is the one the paper's runtime support relies on:
   big-endian Common Data Representation with alignment, typed values, a
   self-describing ``any``, and a fast path for numeric arrays.  Message
   sizes are real and drive the simulated network's transfer times.
-* **IORs** (:mod:`repro.orb.ior`) — interoperable object references with a
-  stringified ``IOR:`` form, carrying host, port, object key, repository id.
+* **IORs** (:mod:`repro.orb.ior`) — interoperable object references
+  carrying host, port, object key, repository id and incarnation; they
+  travel only as CDR, in replies and through the naming service.
 * **An IDL compiler** (:mod:`repro.orb.idl`) — lexer, recursive-descent
   parser and code generator producing Python stubs and skeletons from OMG
   IDL source, the way ``omniidl`` produced C++ stubs for the paper.
@@ -32,7 +33,6 @@ from repro.orb.stubs import ObjectStub
 from repro.orb.idl import compile_idl
 from repro.orb.interceptors import RequestInfo, RequestInterceptor
 from repro.orb.forwarding import ForwardingAgent, LocationForward, make_forwarding_servant
-from repro.orb.url import parse_corbaloc, parse_corbaname, resolve_corbaname
 
 __all__ = [
     "CdrInputStream",
@@ -52,8 +52,5 @@ __all__ = [
     "decode_any",
     "encode_any",
     "make_forwarding_servant",
-    "parse_corbaloc",
-    "parse_corbaname",
-    "resolve_corbaname",
     "typecodes",
 ]

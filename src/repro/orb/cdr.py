@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import struct as _struct
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 import numpy as np
 
@@ -168,11 +168,10 @@ def _primitive_reader(kind: TCKind) -> Callable[["CdrInputStream"], Any]:
 _WRITERS = {kind: _primitive_writer(kind) for kind in _PRIMITIVE_FORMATS}
 _READERS = {kind: _primitive_reader(kind) for kind in _PRIMITIVE_FORMATS}
 
-#: struct/enum/union classes registered by generated IDL code, keyed by
-#: type name, so decoding can rebuild the user-visible Python objects.
+#: struct/enum classes registered by generated IDL code, keyed by type
+#: name, so decoding can rebuild the user-visible Python objects.
 _STRUCT_REGISTRY: dict[str, type] = {}
 _ENUM_REGISTRY: dict[str, type] = {}
-_UNION_REGISTRY: dict[str, type] = {}
 
 
 def register_struct_class(name: str, cls: type) -> None:
@@ -181,33 +180,6 @@ def register_struct_class(name: str, cls: type) -> None:
 
 def register_enum_class(name: str, cls: type) -> None:
     _ENUM_REGISTRY[name] = cls
-
-
-def register_union_class(name: str, cls: type) -> None:
-    _UNION_REGISTRY[name] = cls
-
-
-class GenericUnion:
-    """Decoded union whose Python class is not registered locally."""
-
-    def __init__(self, __tc_name__: str, discriminator, value) -> None:
-        self.__tc_name__ = __tc_name__
-        self.discriminator = discriminator
-        self.value = value
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GenericUnion)
-            and self.__tc_name__ == other.__tc_name__
-            and self.discriminator == other.discriminator
-            and self.value == other.value
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"{self.__tc_name__}(discriminator={self.discriminator!r}, "
-            f"value={self.value!r})"
-        )
 
 
 class GenericStruct:
@@ -323,17 +295,11 @@ class CdrOutputStream:
         if kind is TCKind.SEQUENCE:
             self._write_sequence(tc, value)
             return
-        if kind is TCKind.ARRAY:
-            self._write_array(tc, value)
-            return
         if kind in (TCKind.STRUCT, TCKind.EXCEPTION):
             self._write_struct(tc, value)
             return
         if kind is TCKind.ENUM:
             self._write_enum(tc, value)
-            return
-        if kind is TCKind.UNION:
-            self._write_union(tc, value)
             return
         if kind is TCKind.OBJREF:
             self.write_ior(value)
@@ -372,16 +338,6 @@ class CdrOutputStream:
         for item in items:
             self.write_value(tc.content, item)
 
-    def _write_array(self, tc: TypeCode, value: Any) -> None:
-        assert tc.content is not None
-        items = list(value)
-        if len(items) != tc.length:
-            raise CdrError(
-                f"array of length {tc.length} got {len(items)} elements"
-            )
-        for item in items:
-            self.write_value(tc.content, item)
-
     def _write_struct(self, tc: TypeCode, value: Any) -> None:
         for name, field_tc in tc.fields:
             if isinstance(value, dict):
@@ -413,25 +369,6 @@ class CdrOutputStream:
             raise CdrError(f"enum {tc.name} index {index} out of range")
         self.write_ulong(index)
 
-    def _write_union(self, tc: TypeCode, value: Any) -> None:
-        try:
-            discriminator = value.discriminator
-            member = value.value
-        except AttributeError:
-            raise CdrError(
-                f"union {tc.name} value needs .discriminator/.value, "
-                f"got {value!r}"
-            ) from None
-        case_index = _union_case_index(tc, discriminator)
-        if case_index is None:
-            raise CdrError(
-                f"discriminator {discriminator!r} matches no case of union "
-                f"{tc.name} and there is no default"
-            )
-        assert tc.content is not None
-        self.write_value(tc.content, discriminator)
-        self.write_value(tc.fields[case_index][1], member)
-
     # -- any -------------------------------------------------------------------
 
     def write_typecode(self, tc: TypeCode) -> None:
@@ -442,10 +379,6 @@ class CdrOutputStream:
         if kind is TCKind.SEQUENCE:
             assert tc.content is not None
             self.write_typecode(tc.content)
-        elif kind is TCKind.ARRAY:
-            assert tc.content is not None
-            self.write_typecode(tc.content)
-            self.write_ulong(tc.length)
         elif kind in (TCKind.STRUCT, TCKind.EXCEPTION):
             self.write_string(tc.name)
             self.write_ulong(len(tc.fields))
@@ -459,16 +392,6 @@ class CdrOutputStream:
                 self.write_string(member)
         elif kind is TCKind.OBJREF:
             self.write_string(tc.name)
-        elif kind is TCKind.UNION:
-            self.write_string(tc.name)
-            assert tc.content is not None
-            self.write_typecode(tc.content)
-            self.write_long(tc.default_index)
-            self.write_ulong(len(tc.fields))
-            for (field_name, field_tc), label in zip(tc.fields, tc.labels):
-                self.write_any(label)
-                self.write_string(field_name)
-                self.write_typecode(field_tc)
 
     #: exact Python type -> lane writing that value as an ``any`` (the
     #: table is filled in below, with the lanes)
@@ -592,15 +515,10 @@ class CdrInputStream:
             return self.read_octets()
         if kind is TCKind.SEQUENCE:
             return self._read_sequence(tc)
-        if kind is TCKind.ARRAY:
-            assert tc.content is not None
-            return [self.read_value(tc.content) for _ in range(tc.length)]
         if kind in (TCKind.STRUCT, TCKind.EXCEPTION):
             return self._read_struct(tc)
         if kind is TCKind.ENUM:
             return self._read_enum(tc)
-        if kind is TCKind.UNION:
-            return self._read_union(tc)
         if kind is TCKind.OBJREF:
             return self.read_ior()
         if kind is TCKind.ANY:
@@ -636,21 +554,6 @@ class CdrInputStream:
             return cls(index)
         return tc.members[index]
 
-    def _read_union(self, tc: TypeCode) -> Any:
-        assert tc.content is not None
-        discriminator = self.read_value(tc.content)
-        case_index = _union_case_index(tc, discriminator)
-        if case_index is None:
-            raise CdrError(
-                f"wire discriminator {discriminator!r} matches no case of "
-                f"union {tc.name}"
-            )
-        value = self.read_value(tc.fields[case_index][1])
-        cls = _UNION_REGISTRY.get(tc.name)
-        if cls is not None:
-            return cls(discriminator, value)
-        return GenericUnion(tc.name, discriminator, value)
-
     # -- any ----------------------------------------------------------------------
 
     def read_typecode(self, depth: int = 0) -> TypeCode:
@@ -679,15 +582,6 @@ class CdrInputStream:
             return _INFERRED_SEQUENCES.get(content) or TypeCode(
                 kind, content=content
             )
-        if kind is TCKind.ARRAY:
-            content = self.read_typecode(depth)
-            length = self.read_ulong()
-            if not _min_encoded_size(content):
-                # Elements with bytes run into the end of the buffer;
-                # elements without are bounded here, where the length
-                # comes off the wire.
-                _count_checker(content)(self, length)
-            return TypeCode(kind, content=content, length=length)
         if kind in (TCKind.STRUCT, TCKind.EXCEPTION):
             name = self.read_string()
             count = self.read_ulong()
@@ -708,27 +602,8 @@ class CdrInputStream:
             count = self.read_ulong()
             members = tuple(self.read_string() for _ in range(count))
             return TypeCode(kind, name=name, members=members)
-        if kind is TCKind.OBJREF:
-            return TypeCode(kind, name=self.read_string())
-        # UNION is the only kind left.
-        name = self.read_string()
-        discriminator = self.read_typecode(depth)
-        default_index = self.read_long()
-        count = self.read_ulong()
-        labels = []
-        fields = []
-        for _ in range(count):
-            labels.append(self.read_any())
-            field_name = self.read_string()
-            fields.append((field_name, self.read_typecode(depth)))
-        return TypeCode(
-            kind,
-            name=name,
-            content=discriminator,
-            fields=tuple(fields),
-            labels=tuple(labels),
-            default_index=default_index,
-        )
+        # OBJREF is the only kind left.
+        return TypeCode(kind, name=self.read_string())
 
     #: kind octet -> lane reading an ``any`` that starts with it (the
     #: table is filled in below, with the lanes)
@@ -772,19 +647,6 @@ class ReferenceInputStream(CdrInputStream):
 
     read_value = CdrInputStream._read_value_slow
     _any_lanes: dict = {}
-
-
-def _union_case_index(tc: TypeCode, discriminator: Any) -> Optional[int]:
-    """The case index a discriminator selects (explicit label before the
-    default branch), or None."""
-    for index, label in enumerate(tc.labels):
-        if index == tc.default_index:
-            continue
-        if label == discriminator:
-            return index
-    if tc.default_index >= 0:
-        return tc.default_index
-    return None
 
 
 # -- dynamic typing for any -------------------------------------------------------
@@ -835,7 +697,7 @@ _RESERVED_STRUCTS: dict[str, TypeCode] = {
 #: together they stay inside the default recursion limit.
 _MAX_ANY_DEPTH = 64
 _MAX_TYPECODE_DEPTH = 32
-#: Most decode steps accepted for a sequence/array whose elements occupy
+#: Most decode steps accepted for a sequence whose elements occupy
 #: no bytes (NULL/VOID content): nothing in the buffer bounds such a count.
 _MAX_ZERO_WIDTH_STEPS = 1024
 
@@ -858,23 +720,14 @@ def _min_encoded_size(tc: TypeCode) -> int:
         return 5  # length + NUL
     if kind is TCKind.OBJREF:
         return 22  # two strings, port, key length, incarnation
-    if kind is TCKind.ARRAY:
-        assert tc.content is not None
-        return tc.length * _min_encoded_size(tc.content)
     if kind in (TCKind.STRUCT, TCKind.EXCEPTION):
         return sum(_min_encoded_size(field_tc) for _, field_tc in tc.fields)
-    if kind is TCKind.UNION:
-        assert tc.content is not None
-        return _min_encoded_size(tc.content)
     return 0  # NULL, VOID
 
 
 def _zero_width_steps(tc: TypeCode) -> int:
-    """Decode steps one value of a zero-width ``tc`` costs: arrays
-    multiply, so nesting must not get round the cap."""
-    if tc.kind is TCKind.ARRAY:
-        assert tc.content is not None
-        return tc.length * _zero_width_steps(tc.content)
+    """Decode steps one value of a zero-width ``tc`` costs (a struct
+    decodes each of its fields)."""
     return 1 + sum(_zero_width_steps(field_tc) for _, field_tc in tc.fields)
 
 
@@ -1182,20 +1035,6 @@ def _compile_encoder(tc: TypeCode) -> Callable[[CdrOutputStream, Any], None]:
                 _item_plan(stream, item)
 
         return write_seq
-    if kind is TCKind.ARRAY:
-        assert tc.content is not None
-        item_plan = encoder_plan(tc.content)
-
-        def write_array(stream, value, _item_plan=item_plan, _length=tc.length):
-            items = list(value)
-            if len(items) != _length:
-                raise CdrError(
-                    f"array of length {_length} got {len(items)} elements"
-                )
-            for item in items:
-                _item_plan(stream, item)
-
-        return write_array
     if kind in (TCKind.STRUCT, TCKind.EXCEPTION):
         field_plans = tuple(
             (name, encoder_plan(field_tc)) for name, field_tc in tc.fields
@@ -1223,19 +1062,11 @@ def _compile_encoder(tc: TypeCode) -> Callable[[CdrOutputStream, Any], None]:
         return write_struct
     if kind is TCKind.ENUM:
         return lambda stream, value, _tc=tc: stream._write_enum(_tc, value)
-    if kind is TCKind.UNION:
-        # Case selection depends on the runtime discriminator; the member
-        # write below re-enters write_value and hits the member's plan.
-        return lambda stream, value, _tc=tc: stream._write_union(_tc, value)
     if kind is TCKind.OBJREF:
         return CdrOutputStream.write_ior
     if kind is TCKind.ANY:
         return CdrOutputStream.write_any
-
-    def write_unsupported(stream, value, _kind=kind):
-        raise CdrError(f"cannot encode TypeCode kind {_kind.name}")
-
-    return write_unsupported
+    raise CdrError(f"cannot encode TypeCode kind {kind.name}")
 
 
 def _compile_decoder(tc: TypeCode) -> Callable[[CdrInputStream], Any]:
@@ -1277,14 +1108,6 @@ def _compile_decoder(tc: TypeCode) -> Callable[[CdrInputStream], Any]:
             return [_item_plan(stream) for _ in range(count)]
 
         return read_seq
-    if kind is TCKind.ARRAY:
-        assert tc.content is not None
-        item_plan = decoder_plan(tc.content)
-
-        def read_array(stream, _item_plan=item_plan, _length=tc.length):
-            return [_item_plan(stream) for _ in range(_length)]
-
-        return read_array
     if kind in (TCKind.STRUCT, TCKind.EXCEPTION):
         field_plans = tuple(
             (name, decoder_plan(field_tc)) for name, field_tc in tc.fields
@@ -1302,17 +1125,11 @@ def _compile_decoder(tc: TypeCode) -> Callable[[CdrInputStream], Any]:
         return read_struct
     if kind is TCKind.ENUM:
         return lambda stream, _tc=tc: stream._read_enum(_tc)
-    if kind is TCKind.UNION:
-        return lambda stream, _tc=tc: stream._read_union(_tc)
     if kind is TCKind.OBJREF:
         return CdrInputStream.read_ior
     if kind is TCKind.ANY:
         return _read_any_image if tc == TC_ANY_IMAGE else CdrInputStream.read_any
-
-    def read_unsupported(stream, _kind=kind):
-        raise CdrError(f"cannot decode TypeCode kind {_kind.name}")
-
-    return read_unsupported
+    raise CdrError(f"cannot decode TypeCode kind {kind.name}")
 
 
 # -- any images -----------------------------------------------------------------------

@@ -361,15 +361,6 @@ class Orb:
 
     # -- object references ---------------------------------------------------------
 
-    def object_to_string(self, ior: IOR) -> str:
-        return ior.to_string()
-
-    def string_to_object(self, text: str) -> IOR:
-        """Parse a stringified IOR or a ``corbaloc:`` URL."""
-        from repro.orb.url import string_to_object
-
-        return string_to_object(self, text)
-
     def stub(self, ior: IOR, stub_class: type = ObjectStub) -> Any:
         """Narrow an IOR to a typed stub instance.
 

@@ -132,13 +132,6 @@ class Request:
 
     # -- retry support (used by request proxies) ------------------------------------
 
-    def _reset_for_retry(self, new_target: Optional[IOR] = None) -> None:
-        """Forget the previous attempt so the request can be re-sent,
-        optionally at a different target (after recovery)."""
-        self._future = None
-        if new_target is not None:
-            self._target = new_target
-
     # -- internals ---------------------------------------------------------------------
 
     def _ensure_unsent(self) -> None:

@@ -62,10 +62,6 @@ class ForwardingAgent:
         if ior not in self._replicas:
             self._replicas.append(ior)
 
-    def remove_replica(self, ior: IOR) -> None:
-        if ior in self._replicas:
-            self._replicas.remove(ior)
-
     @property
     def replica_count(self) -> int:
         return len(self._replicas)

@@ -13,11 +13,11 @@ package is that compiler for our ORB:
   executes it into an importable namespace.
 
 Supported IDL: modules, interfaces (with multiple inheritance), operations
-(``in`` parameters, ``raises``, ``oneway``), attributes, structs, enums,
-discriminated unions (including multi-label and default cases), typedefs,
-``sequence<T>``, fixed-size arrays, exceptions, ``const``, basic types,
-``string``, ``any``, ``Object``.  Not supported (rejected with a clear
-error): ``out`` / ``inout`` parameters, fixed-point and wide types.
+(``in`` parameters, ``raises``, ``oneway``), structs, enums, typedefs,
+``sequence<T>``, exceptions, basic types, ``string``, ``any``, ``Object``:
+what the paper's services declare.  Everything else is rejected with a
+syntax or semantic error: attributes, unions, arrays, ``const``, ``out`` /
+``inout`` parameters, fixed-point and wide types.
 
 Usage::
 

@@ -28,7 +28,6 @@ from repro.orb import typecodes as _tc
 from repro.orb.cdr import (
     register_struct_class as _reg_struct,
     register_enum_class as _reg_enum,
-    register_union_class as _reg_union,
 )
 from repro.orb.stubs import (
     ObjectStub as _ObjectStub,
@@ -60,14 +59,12 @@ _BASIC_TC = {
 
 @dataclass
 class _Symbol:
-    kind: str  # struct|enum|enum-member|union|typedef|exception|interface|const
+    kind: str  # struct|enum|enum-member|typedef|exception|interface
     fq: tuple[str, ...]
     pyname: str
     tc_expr: str = ""
     repo_id: str = ""
     forward: bool = False
-    #: constant value (const declarations and enum members).
-    value: object = None
 
 
 def _safe(name: str) -> str:
@@ -132,13 +129,11 @@ class _CodeGenerator:
                 ) from None
         if isinstance(type_ref, ast.SequenceType):
             return f"_tc.sequence({self._tc_expr(type_ref.element)})"
-        if isinstance(type_ref, ast.ArrayType):
-            return f"_tc.array({self._tc_expr(type_ref.element)}, {type_ref.length})"
         assert isinstance(type_ref, ast.ScopedName)
         symbol = self._resolve(type_ref)
         if symbol.kind == "interface":
             return f"_tc.objref({symbol.repo_id!r})"
-        if symbol.kind in ("const", "enum-member"):
+        if symbol.kind == "enum-member":
             raise IdlSemanticError(f"{type_ref} is a constant, not a type")
         if symbol.kind == "exception":
             raise IdlSemanticError(
@@ -180,16 +175,12 @@ class _CodeGenerator:
                 self._scope.pop()
         elif isinstance(node, ast.StructDecl):
             self._visit_struct(node)
-        elif isinstance(node, ast.UnionDecl):
-            self._visit_union(node)
         elif isinstance(node, ast.EnumDecl):
             self._visit_enum(node)
         elif isinstance(node, ast.TypedefDecl):
             self._visit_typedef(node)
         elif isinstance(node, ast.ExceptionDecl):
             self._visit_exception(node)
-        elif isinstance(node, ast.ConstDecl):
-            self._visit_const(node)
         elif isinstance(node, ast.InterfaceDecl):
             self._visit_interface(node)
         else:
@@ -261,84 +252,11 @@ class _CodeGenerator:
         self._emit(f"_reg_enum({tc_name!r}, {pyname})")
         self._declare(_Symbol("enum", fq, pyname, tc_expr=tc_var))
         # IDL enum members live in the *enclosing* scope.
-        for index, member in enumerate(node.members):
+        for member in node.members:
             self._declare(
-                _Symbol(
-                    "enum-member",
-                    self._fq(member),
-                    pyname=f"{pyname}.{_safe(member)}",
-                    value=index,
-                )
+                _Symbol("enum-member", self._fq(member), f"{pyname}.{_safe(member)}")
             )
         self._exports.append(pyname)
-
-    # -- unions -----------------------------------------------------------------------
-
-    def _visit_union(self, node: ast.UnionDecl) -> None:
-        fq = self._fq(node.name)
-        pyname = self._pyname(fq)
-        tc_name = "::".join(fq)
-        discriminator_expr = self._tc_expr(node.discriminator)
-
-        case_exprs: list[str] = []
-        default_index = -1
-        for case in node.cases:
-            tc_expr = self._tc_expr(case.type)
-            field = _safe(case.name)
-            if case.is_default:
-                if default_index >= 0:
-                    raise IdlSemanticError(
-                        f"union {tc_name} has multiple default cases"
-                    )
-                default_index = len(case_exprs)
-                case_exprs.append(f"(None, {field!r}, {tc_expr})")
-            for label in case.labels:
-                value = self._resolve_label(tc_name, label)
-                case_exprs.append(f"({value!r}, {field!r}, {tc_expr})")
-
-        tc_var = f"_TC_{pyname}"
-        self._emit()
-        self._emit(
-            f"{tc_var} = _tc.union({tc_name!r}, {discriminator_expr}, "
-            f"({', '.join(case_exprs)},), default_index={default_index})"
-        )
-        self._emit()
-        self._emit(f"class {pyname}:")
-        self._emit(f'    """IDL union ``{tc_name}``."""')
-        self._emit("    __slots__ = ('discriminator', 'value')")
-        self._emit(f"    __tc__ = {tc_var}")
-        self._emit("    def __init__(self, discriminator, value):")
-        self._emit("        self.discriminator = discriminator")
-        self._emit("        self.value = value")
-        self._emit("    def __eq__(self, other):")
-        self._emit(
-            "        return (isinstance(other, type(self)) and"
-        )
-        self._emit(
-            "                self.discriminator == other.discriminator and"
-        )
-        self._emit("                self.value == other.value)")
-        self._emit("    def __repr__(self):")
-        self._emit(
-            f"        return f'{pyname}({{self.discriminator!r}}, {{self.value!r}})'"
-        )
-        self._emit(f"_reg_union({tc_name!r}, {pyname})")
-        self._declare(_Symbol("union", fq, pyname, tc_expr=tc_var))
-        self._exports.append(pyname)
-
-    def _resolve_label(self, union_name: str, label):
-        if isinstance(label, (bool, int)):
-            return label
-        assert isinstance(label, ast.ScopedName)
-        symbol = self._resolve(label)
-        if symbol.kind == "enum-member":
-            return symbol.value
-        if symbol.kind == "const" and isinstance(symbol.value, (bool, int)):
-            return symbol.value
-        raise IdlSemanticError(
-            f"union {union_name}: case label {label} is not an enum member "
-            "or integer/boolean constant"
-        )
 
     # -- typedefs -------------------------------------------------------------------------
 
@@ -378,16 +296,6 @@ class _CodeGenerator:
         self._declare(
             _Symbol("exception", fq, pyname, tc_expr=tc_var, repo_id=repo_id)
         )
-        self._exports.append(pyname)
-
-    # -- consts -----------------------------------------------------------------------------
-
-    def _visit_const(self, node: ast.ConstDecl) -> None:
-        fq = self._fq(node.name)
-        pyname = self._pyname(fq)
-        self._emit()
-        self._emit(f"{pyname} = {node.value!r}  # const {'::'.join(fq)}")
-        self._declare(_Symbol("const", fq, pyname, value=node.value))
         self._exports.append(pyname)
 
     # -- interfaces ----------------------------------------------------------------------------
@@ -432,18 +340,15 @@ class _CodeGenerator:
 
         # Nested type declarations first (they may be used by operations).
         operations: list[ast.OperationDecl] = []
-        attributes: list[ast.AttributeDecl] = []
         self._scope.append(node.name)
         try:
             for child in node.body:
                 if isinstance(child, ast.OperationDecl):
                     operations.append(child)
-                elif isinstance(child, ast.AttributeDecl):
-                    attributes.append(child)
                 else:
                     self._visit(child)
             op_entries, method_sources = self._build_operations(
-                node.name, operations, attributes
+                node.name, operations
             )
         finally:
             self._scope.pop()
@@ -481,7 +386,6 @@ class _CodeGenerator:
         self,
         interface_name: str,
         operations: list[ast.OperationDecl],
-        attributes: list[ast.AttributeDecl],
     ) -> tuple[list[str], dict[str, list[str]]]:
         entries: list[str] = []
         methods: dict[str, list[str]] = {"stub": [], "skel": []}
@@ -532,29 +436,6 @@ class _CodeGenerator:
                 f"        raise _NO_IMPLEMENT({interface_name + '.' + op.name!r})"
             )
 
-        for attr in attributes:
-            tc_expr = self._tc_expr(attr.type)
-            for name in attr.names:
-                safe_name = _safe(name)
-                add_op(f"_get_{name}", [], tc_expr, (), False)
-                methods["stub"].append(
-                    f"    def get_{safe_name}(self):\n"
-                    f"        return self._invoke({'_get_' + name!r}, ())"
-                )
-                methods["skel"].append(
-                    f"    def _get_{safe_name}(self):\n"
-                    f"        return getattr(self, {name!r})"
-                )
-                if not attr.readonly:
-                    add_op(f"_set_{name}", [("value", tc_expr)], "_tc.TC_VOID", (), False)
-                    methods["stub"].append(
-                        f"    def set_{safe_name}(self, value):\n"
-                        f"        return self._invoke({'_set_' + name!r}, (value,))"
-                    )
-                    methods["skel"].append(
-                        f"    def _set_{safe_name}(self, value):\n"
-                        f"        setattr(self, {name!r}, value)"
-                    )
         return entries, methods
 
     def _require_exception(self, scoped: ast.ScopedName) -> _Symbol:

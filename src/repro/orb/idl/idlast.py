@@ -34,15 +34,7 @@ class SequenceType:
     element: "TypeRef"
 
 
-@dataclass(frozen=True)
-class ArrayType:
-    """Fixed-length array declarator, e.g. ``double m[4]``."""
-
-    element: "TypeRef"
-    length: int
-
-
-TypeRef = Union[BasicType, ScopedName, SequenceType, ArrayType]
+TypeRef = Union[BasicType, ScopedName, SequenceType]
 
 
 # -- declarations -------------------------------------------------------------
@@ -62,13 +54,6 @@ class OperationDecl:
     params: List[ParamDecl]
     raises: List[ScopedName] = field(default_factory=list)
     oneway: bool = False
-
-
-@dataclass
-class AttributeDecl:
-    readonly: bool
-    type: TypeRef
-    names: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -93,31 +78,6 @@ class TypedefDecl:
 class ExceptionDecl:
     name: str
     members: List[Tuple[TypeRef, str]] = field(default_factory=list)
-
-
-@dataclass
-class ConstDecl:
-    type: TypeRef
-    name: str
-    value: object
-
-
-@dataclass
-class UnionCase:
-    """One member of a union; ``labels`` holds the case labels (ints,
-    bools, or ScopedNames naming enum members); empty = the default."""
-
-    labels: List[object]
-    is_default: bool
-    type: TypeRef
-    name: str
-
-
-@dataclass
-class UnionDecl:
-    name: str
-    discriminator: TypeRef
-    cases: List[UnionCase] = field(default_factory=list)
 
 
 @dataclass
@@ -148,5 +108,4 @@ Declaration = Union[
     EnumDecl,
     TypedefDecl,
     ExceptionDecl,
-    ConstDecl,
 ]

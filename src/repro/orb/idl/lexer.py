@@ -15,14 +15,11 @@ from repro.errors import IdlSyntaxError
 
 KEYWORDS = frozenset(
     """
-    module interface struct enum typedef exception const attribute readonly
-    oneway in out inout raises void boolean octet short long unsigned float
-    double string sequence any Object TRUE FALSE union switch case default
+    module interface struct enum typedef exception oneway in out inout raises
+    void boolean octet short long unsigned float double string sequence any
+    Object
     """.split()
 )
-
-#: multi-character punctuation first so the regex prefers it.
-_PUNCTUATION = ("::", "{", "}", "(", ")", "<", ">", ",", ";", ":", "=", "[", "]")
 
 _TOKEN_RE = re.compile(
     r"""
@@ -30,11 +27,8 @@ _TOKEN_RE = re.compile(
   | (?P<line_comment>//[^\n]*)
   | (?P<block_comment>/\*.*?\*/)
   | (?P<preproc>\#[^\n]*)
-  | (?P<float>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
-  | (?P<int>0[xX][0-9a-fA-F]+|\d+)
-  | (?P<string>"(?:[^"\\]|\\.)*")
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>::|[{}()<>,;:=\[\]])
+  | (?P<punct>::|[{}()<>,;:])
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -42,7 +36,7 @@ _TOKEN_RE = re.compile(
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # 'ident', 'keyword', 'int', 'float', 'string', 'punct', 'eof'
+    kind: str  # 'ident', 'keyword', 'punct', 'eof'
     value: str
     line: int
     column: int
@@ -72,8 +66,6 @@ def tokenize(source: str) -> list[Token]:
         elif kind == "ident":
             token_kind = "keyword" if text in KEYWORDS else "ident"
             tokens.append(Token(token_kind, text, line, column))
-        elif kind == "string":
-            tokens.append(Token("string", _unescape(text[1:-1]), line, column))
         else:
             tokens.append(Token(kind, text, line, column))
         newlines = text.count("\n")
@@ -84,11 +76,3 @@ def tokenize(source: str) -> list[Token]:
     tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
-
-def _unescape(body: str) -> str:
-    return (
-        body.replace(r"\\", "\\")
-        .replace(r"\"", '"')
-        .replace(r"\n", "\n")
-        .replace(r"\t", "\t")
-    )

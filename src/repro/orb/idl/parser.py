@@ -74,16 +74,12 @@ class _Parser:
     def _parse_type_dcl(self):
         if self._check("keyword", "struct"):
             return self._parse_struct()
-        if self._check("keyword", "union"):
-            return self._parse_union()
         if self._check("keyword", "enum"):
             return self._parse_enum()
         if self._check("keyword", "typedef"):
             return self._parse_typedef()
         if self._check("keyword", "exception"):
             return self._parse_exception()
-        if self._check("keyword", "const"):
-            return self._parse_const()
         got = self._current.value or self._current.kind
         raise self._error(f"expected a declaration, got {got!r}")
 
@@ -119,22 +115,9 @@ class _Parser:
     def _parse_export(self):
         if self._check("keyword", "struct") or self._check("keyword", "enum") \
                 or self._check("keyword", "typedef") \
-                or self._check("keyword", "exception") \
-                or self._check("keyword", "const"):
+                or self._check("keyword", "exception"):
             return self._parse_type_dcl()
-        if self._check("keyword", "readonly") or self._check("keyword", "attribute"):
-            return self._parse_attribute()
         return self._parse_operation()
-
-    def _parse_attribute(self) -> ast.AttributeDecl:
-        readonly = self._accept("keyword", "readonly") is not None
-        self._expect("keyword", "attribute")
-        type_ref = self._parse_type()
-        names = [self._expect_ident()]
-        while self._accept("punct", ","):
-            names.append(self._expect_ident())
-        self._expect("punct", ";")
-        return ast.AttributeDecl(readonly, type_ref, names)
 
     def _parse_operation(self) -> ast.OperationDecl:
         oneway = self._accept("keyword", "oneway") is not None
@@ -202,26 +185,11 @@ class _Parser:
         while not self._check("punct", "}"):
             type_ref = self._parse_type()
             while True:
-                name = self._expect_ident()
-                members.append((self._maybe_array(type_ref), name))
+                members.append((type_ref, self._expect_ident()))
                 if not self._accept("punct", ","):
                     break
             self._expect("punct", ";")
         return members
-
-    def _maybe_array(self, element: ast.TypeRef) -> ast.TypeRef:
-        """Apply a trailing fixed-size array declarator, if present."""
-        if not self._accept("punct", "["):
-            return element
-        token = self._current
-        if token.kind != "int":
-            raise self._error("expected an array length")
-        self._advance()
-        length = int(token.value, 0)
-        if length <= 0:
-            raise self._error("array length must be positive")
-        self._expect("punct", "]")
-        return ast.ArrayType(element, length)
 
     def _parse_enum(self) -> ast.EnumDecl:
         self._expect("keyword", "enum")
@@ -238,88 +206,8 @@ class _Parser:
         self._expect("keyword", "typedef")
         type_ref = self._parse_type()
         name = self._expect_ident()
-        type_ref = self._maybe_array(type_ref)
         self._expect("punct", ";")
         return ast.TypedefDecl(type_ref, name)
-
-    def _parse_union(self) -> ast.UnionDecl:
-        self._expect("keyword", "union")
-        name = self._expect_ident()
-        self._expect("keyword", "switch")
-        self._expect("punct", "(")
-        discriminator = self._parse_type()
-        self._expect("punct", ")")
-        self._expect("punct", "{")
-        cases: list[ast.UnionCase] = []
-        seen_default = False
-        while not self._check("punct", "}"):
-            labels: list[object] = []
-            is_default = False
-            while True:
-                if self._accept("keyword", "case"):
-                    labels.append(self._parse_case_label())
-                    self._expect("punct", ":")
-                elif self._accept("keyword", "default"):
-                    if seen_default:
-                        raise self._error("union has multiple default cases")
-                    is_default = True
-                    seen_default = True
-                    self._expect("punct", ":")
-                else:
-                    break
-            if not labels and not is_default:
-                raise self._error("expected 'case' or 'default' in union body")
-            type_ref = self._parse_type()
-            member_name = self._expect_ident()
-            type_ref = self._maybe_array(type_ref)
-            self._expect("punct", ";")
-            cases.append(ast.UnionCase(labels, is_default, type_ref, member_name))
-        self._expect("punct", "}")
-        self._expect("punct", ";")
-        if not cases:
-            raise self._error(f"union {name!r} has no cases")
-        return ast.UnionDecl(name, discriminator, cases)
-
-    def _parse_case_label(self):
-        token = self._current
-        if token.kind == "int":
-            self._advance()
-            return int(token.value, 0)
-        if token.kind == "keyword" and token.value in ("TRUE", "FALSE"):
-            self._advance()
-            return token.value == "TRUE"
-        if token.kind == "ident" or (token.kind == "punct" and token.value == "::"):
-            return self._parse_scoped_name()
-        raise self._error(
-            f"expected a case label, got {token.value or token.kind!r}"
-        )
-
-    def _parse_const(self) -> ast.ConstDecl:
-        self._expect("keyword", "const")
-        type_ref = self._parse_type()
-        name = self._expect_ident()
-        self._expect("punct", "=")
-        value = self._parse_const_value()
-        self._expect("punct", ";")
-        return ast.ConstDecl(type_ref, name, value)
-
-    def _parse_const_value(self):
-        token = self._current
-        if token.kind == "int":
-            self._advance()
-            return int(token.value, 0)
-        if token.kind == "float":
-            self._advance()
-            return float(token.value)
-        if token.kind == "string":
-            self._advance()
-            return token.value
-        if token.kind == "keyword" and token.value in ("TRUE", "FALSE"):
-            self._advance()
-            return token.value == "TRUE"
-        raise self._error(
-            f"expected a literal constant, got {token.value or token.kind!r}"
-        )
 
     # -- types -----------------------------------------------------------------
 

@@ -6,17 +6,16 @@ repository id.  ``incarnation`` distinguishes re-activations after a host
 restart so stale references fail cleanly with ``OBJECT_NOT_EXIST`` instead
 of hitting an unrelated object.
 
-The stringified form (``IOR:`` + hex of the CDR encoding) round-trips
-through :meth:`IOR.to_string` / :meth:`IOR.from_string`, like
-``ORB::object_to_string`` in CORBA.
+References travel only inside CDR (``CdrOutputStream.write_ior`` /
+``CdrInputStream.read_ior``): servers hand them to clients in replies and
+through the naming service.  There is no stringified ``IOR:`` form and no
+``corbaloc``/``corbaname`` URL; nothing in the runtime reads a reference
+from a string.
 """
 
 from __future__ import annotations
 
-import binascii
 from dataclasses import dataclass
-
-from repro.errors import INV_OBJREF
 
 
 @dataclass(frozen=True)
@@ -28,30 +27,6 @@ class IOR:
     port: int
     object_key: bytes
     incarnation: int = 0
-
-    def to_string(self) -> str:
-        """Stringified reference: ``IOR:`` + hex-encoded CDR body."""
-        from repro.orb.cdr import CdrOutputStream
-
-        stream = CdrOutputStream()
-        stream.write_ior(self)
-        return "IOR:" + binascii.hexlify(stream.getvalue()).decode("ascii")
-
-    @classmethod
-    def from_string(cls, text: str) -> "IOR":
-        from repro.orb.cdr import CdrInputStream
-
-        if not text.startswith("IOR:"):
-            raise INV_OBJREF(f"not a stringified IOR: {text[:16]!r}...")
-        try:
-            body = binascii.unhexlify(text[4:])
-        except (binascii.Error, ValueError) as exc:
-            raise INV_OBJREF(f"bad IOR hex payload: {exc}") from exc
-        stream = CdrInputStream(body)
-        ior = stream.read_ior()
-        if stream.remaining():
-            raise INV_OBJREF("trailing bytes after IOR body")
-        return ior
 
     def __str__(self) -> str:
         key = self.object_key.decode("latin-1", "replace")

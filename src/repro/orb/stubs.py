@@ -95,13 +95,6 @@ class ObjectStub:
     def ior(self) -> IOR:
         return self._ior
 
-    def _is_a(self, repo_id: str) -> bool:
-        """Local interface check against the reference's type id."""
-        return self._ior.type_id == repo_id or repo_id == ObjectStub.__repo_id__
-
-    def _is_equivalent(self, other: "ObjectStub") -> bool:
-        return isinstance(other, ObjectStub) and self._ior == other._ior
-
     def _rebind(self, ior: IOR) -> None:
         """Point this stub at a different object (used by recovery)."""
         self._ior = ior
@@ -130,11 +123,6 @@ class ObjectStub:
         return Request(
             self._orb, self._ior, self._op_info(operation), args, reference=self
         )
-
-    def _non_existent(self) -> "SimFuture":
-        """CORBA ``_non_existent`` ping via LocateRequest; resolves to a
-        bool (True = object is gone/unreachable)."""
-        return self._orb.locate(self._ior)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self._ior}>"

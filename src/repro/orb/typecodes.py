@@ -33,14 +33,12 @@ class TCKind(enum.IntEnum):
     DOUBLE = 11
     STRING = 12
     SEQUENCE = 13
-    ARRAY = 14
     STRUCT = 15
     ENUM = 16
     EXCEPTION = 17
     ANY = 18
     OBJREF = 19
     OCTETS = 20  # sequence<octet> fast path (bytes)
-    UNION = 21
 
 
 _INTEGER_BOUNDS = {
@@ -60,7 +58,7 @@ class TypeCode:
 
     ``name``/``fields``/``members`` are populated per kind:
 
-    * SEQUENCE/ARRAY: ``content`` (element TypeCode), ARRAY also ``length``;
+    * SEQUENCE: ``content`` (element TypeCode);
     * STRUCT/EXCEPTION: ``name`` (repository id suffix) and ``fields`` as
       ``(field_name, TypeCode)`` pairs;
     * ENUM: ``name`` and ``members`` (value names in declaration order);
@@ -74,45 +72,17 @@ class TypeCode:
     kind: TCKind
     name: str = ""
     content: Optional["TypeCode"] = None
-    length: int = 0
     fields: Tuple[Tuple[str, "TypeCode"], ...] = ()
     members: Tuple[str, ...] = ()
-    #: UNION only: one case-label value per entry in ``fields``; the entry
-    #: at ``default_index`` (if >= 0) is the default branch.
-    labels: Tuple = ()
-    default_index: int = -1
 
     def __post_init__(self) -> None:
-        if self.kind in (TCKind.SEQUENCE, TCKind.ARRAY) and self.content is None:
-            raise CdrError(f"{self.kind.name} TypeCode requires a content type")
-        if self.kind is TCKind.ARRAY and self.length <= 0:
-            raise CdrError("ARRAY TypeCode requires a positive length")
-        if self.kind in (TCKind.STRUCT, TCKind.EXCEPTION, TCKind.UNION) and not self.name:
+        if self.kind is TCKind.SEQUENCE and self.content is None:
+            raise CdrError("SEQUENCE TypeCode requires a content type")
+        if self.kind in (TCKind.STRUCT, TCKind.EXCEPTION) and not self.name:
             raise CdrError(f"{self.kind.name} TypeCode requires a name")
         if self.kind is TCKind.ENUM and not self.members:
             raise CdrError("ENUM TypeCode requires members")
-        if self.kind is TCKind.UNION:
-            if self.content is None:
-                raise CdrError("UNION TypeCode requires a discriminator type")
-            if len(self.labels) != len(self.fields):
-                raise CdrError("UNION needs one label per case")
-            if not -1 <= self.default_index < len(self.fields):
-                raise CdrError("UNION default_index out of range")
-        try:
-            digest = hash(
-                (
-                    self.kind,
-                    self.name,
-                    self.content,
-                    self.length,
-                    self.fields,
-                    self.members,
-                    self.labels,
-                    self.default_index,
-                )
-            )
-        except TypeError as exc:
-            raise CdrError(f"{self.kind.name} TypeCode is not hashable: {exc}") from exc
+        digest = hash((self.kind, self.name, self.content, self.fields, self.members))
         object.__setattr__(self, "_hash", digest)
 
     def __hash__(self) -> int:
@@ -130,9 +100,7 @@ class TypeCode:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.kind is TCKind.SEQUENCE:
             return f"sequence<{self.content!r}>"
-        if self.kind is TCKind.ARRAY:
-            return f"{self.content!r}[{self.length}]"
-        if self.kind in (TCKind.STRUCT, TCKind.EXCEPTION, TCKind.ENUM, TCKind.UNION):
+        if self.kind in (TCKind.STRUCT, TCKind.EXCEPTION, TCKind.ENUM):
             return f"{self.kind.name.lower()} {self.name}"
         if self.kind is TCKind.OBJREF:
             return f"Object<{self.name or '*'}>"
@@ -192,11 +160,6 @@ def sequence(content: TypeCode) -> TypeCode:
     return TypeCode(TCKind.SEQUENCE, content=content)
 
 
-def array(content: TypeCode, length: int) -> TypeCode:
-    """Fixed-length ``content[length]``."""
-    return TypeCode(TCKind.ARRAY, content=content, length=length)
-
-
 def struct(name: str, fields: Sequence[tuple[str, TypeCode]]) -> TypeCode:
     return TypeCode(TCKind.STRUCT, name=name, fields=tuple(fields))
 
@@ -207,23 +170,6 @@ def exception(name: str, fields: Sequence[tuple[str, TypeCode]] = ()) -> TypeCod
 
 def enum_tc(name: str, members: Sequence[str]) -> TypeCode:
     return TypeCode(TCKind.ENUM, name=name, members=tuple(members))
-
-
-def union(
-    name: str,
-    discriminator: TypeCode,
-    cases: Sequence[tuple[object, str, TypeCode]],
-    default_index: int = -1,
-) -> TypeCode:
-    """Discriminated union: ``cases`` are (label, field_name, type)."""
-    return TypeCode(
-        TCKind.UNION,
-        name=name,
-        content=discriminator,
-        fields=tuple((field_name, tc) for _, field_name, tc in cases),
-        labels=tuple(label for label, _, _ in cases),
-        default_index=default_index,
-    )
 
 
 def objref(repo_id: str = "") -> TypeCode:

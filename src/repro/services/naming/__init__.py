@@ -15,14 +15,15 @@ implementation." (§2)
   a name may hold a *service group* of replica references and ``resolve``
   transparently picks one with a pluggable strategy;
 * :mod:`repro.services.naming.strategies` — first-bound, round-robin,
-  random and Winner-backed selection strategies.
+  random and Winner-backed selection strategies;
+* :mod:`repro.services.naming.sharded` — the ORB-free sharded directory
+  the scale harness resolves through.
 """
 
 from repro.services.naming.names import (
     Name,
     NameComponent,
     name_from_string,
-    name_to_string,
 )
 from repro.services.naming import idl
 from repro.services.naming.context import NamingContextServant
@@ -37,12 +38,7 @@ from repro.services.naming.strategies import (
     SelectionStrategy,
     WinnerStrategy,
 )
-from repro.services.naming.sharded import (
-    ShardedNameRouter,
-    ShardedServiceDirectory,
-    shard_index,
-    shard_key,
-)
+from repro.services.naming.sharded import ShardedServiceDirectory
 
 __all__ = [
     "BreakerAwareStrategy",
@@ -56,12 +52,8 @@ __all__ = [
     "ResolveCacheStats",
     "RoundRobinStrategy",
     "SelectionStrategy",
-    "ShardedNameRouter",
     "ShardedServiceDirectory",
     "WinnerStrategy",
     "idl",
     "name_from_string",
-    "name_to_string",
-    "shard_index",
-    "shard_key",
 ]

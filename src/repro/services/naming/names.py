@@ -66,17 +66,3 @@ def name_from_string(text: str) -> Name:
         components.append(NameComponent(id_part, kind_part))
     return components
 
-
-def name_to_string(name: Sequence[NameComponent]) -> str:
-    if not name:
-        raise NamingError("empty name")
-    parts = []
-    for component in name:
-        if "/" in component.id or "." in component.id or "/" in component.kind:
-            raise NamingError(
-                f"component {component!r} is not representable as a string"
-            )
-        parts.append(
-            f"{component.id}.{component.kind}" if component.kind else component.id
-        )
-    return "/".join(parts)

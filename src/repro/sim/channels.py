@@ -63,12 +63,6 @@ class Channel:
             self._getters.append(future)
         return future
 
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking receive: ``(True, item)`` or ``(False, None)``."""
-        if self._items:
-            return True, self._items.popleft()
-        return False, None
-
     def close(self) -> None:
         """Close the channel; waiting and future receivers get
         :class:`ChannelClosed`. Buffered items are discarded."""

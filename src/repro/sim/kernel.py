@@ -77,10 +77,6 @@ class ScheduledEvent:
         if sim is not None:
             sim._note_cancel()
 
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-
 class Simulator:
     """Deterministic discrete-event simulator.
 

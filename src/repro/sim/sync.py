@@ -37,14 +37,6 @@ class Lock:
         self.acquisitions = 0
         self.waits = 0
 
-    @property
-    def held(self) -> bool:
-        return self._held
-
-    @property
-    def waiting(self) -> int:
-        return len(self._waiters)
-
     def acquire(self) -> SimFuture:
         """A future that succeeds once the lock is held by the caller."""
         future = SimFuture(self.sim, label=f"lock:{self.name}")

@@ -62,9 +62,6 @@ class MetaManager:
     def register_site(self, site: str, manager: "SystemManager") -> None:
         self._site_managers[site] = manager
 
-    def sites(self) -> list[str]:
-        return sorted(self._site_managers)
-
     # -- collection ----------------------------------------------------------------
 
     def start(self) -> "MetaManager":

@@ -17,6 +17,10 @@ module applies that shape *within* a cluster:
 * :class:`HierarchicalWinner` builds the tree, refreshes it on a fixed
   period, and answers ``best_host()`` by descending the best-summary path.
 
+The scale harness (``bench/scalebench.py``, ``benchmarks/e2e``) places a
+request on the leaf board of the site its service resolved to; the
+descent from the root is its fallback when that site has no live host.
+
 Placement feedback (the system manager's burst-spreading trick) lives at
 the leaves: a placement charges the chosen host's pending count until the
 next sampling sweep observes the work it caused.  Between refreshes a
@@ -195,9 +199,6 @@ class HierarchicalWinner:
                     alpha=alpha,
                 )
             )
-        self._leaf_of_host: dict[str, SiteLoadManager] = {
-            host.name: leaf for leaf in self.leaves for host in leaf.hosts
-        }
         # Group bottom-up until one root remains.
         level: list[Union[RegionNode, SiteLoadManager]] = list(self.leaves)
         depth = 0
@@ -216,16 +217,6 @@ class HierarchicalWinner:
         self.depth = depth
         self._tick_event: Optional["ScheduledEvent"] = None
         self.running = False
-
-    @property
-    def host_count(self) -> int:
-        return sum(len(leaf) for leaf in self.leaves)
-
-    def leaf_for(self, host_name: str) -> SiteLoadManager:
-        try:
-            return self._leaf_of_host[host_name]
-        except KeyError:
-            raise ConfigurationError(f"unknown host {host_name!r}") from None
 
     # -- refresh driver ------------------------------------------------------
 
@@ -259,11 +250,8 @@ class HierarchicalWinner:
     def best_host(self) -> Optional[str]:
         return self.root.best_host()
 
-    def summary(self) -> SiteSummary:
-        return self.root.summary()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<HierarchicalWinner hosts={self.host_count} "
+            f"<HierarchicalWinner hosts={sum(map(len, self.leaves))} "
             f"sites={len(self.leaves)} depth={self.depth}>"
         )

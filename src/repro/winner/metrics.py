@@ -110,19 +110,12 @@ class Ewma:
         """Current estimate (0.0 before any update)."""
         return 0.0 if self._value is None else self._value
 
-    @property
-    def initialized(self) -> bool:
-        return self._value is not None
-
     def update(self, observation: float) -> float:
         if self._value is None:
             self._value = float(observation)
         else:
             self._value += self.alpha * (float(observation) - self._value)
         return self._value
-
-    def reset(self) -> None:
-        self._value = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Ewma alpha={self.alpha} value={self.value:.4f}>"

@@ -196,6 +196,26 @@ def test_unavailable_store_raises_transient():
         store._check_available()
 
 
+@pytest.mark.parametrize("length", [0.0, -1.0, float("nan")])
+def test_fault_windows_need_a_positive_length(length):
+    _, _, injector = make_injector()
+    schedules = [
+        lambda: injector.schedule_partition("ws00", "ws01", at=1.0, heal_after=length),
+        lambda: injector.schedule_latency_spike(at=1.0, duration=length),
+        lambda: injector.schedule_loss_burst(at=1.0, duration=length, rate=0.5),
+        lambda: injector.schedule_gray_host("ws00", at=1.0, duration=length),
+        lambda: injector.schedule_flapping("ws00", 1.0, 2, length, 1.0),
+        lambda: injector.schedule_flapping("ws00", 1.0, 2, 1.0, length),
+        lambda: injector.schedule_store_outage(
+            CheckpointStoreServant(), at=1.0, duration=length
+        ),
+    ]
+    for schedule in schedules:
+        with pytest.raises(ConfigurationError):
+            schedule()
+    assert injector.chaos_events == []
+
+
 def test_store_outage_requires_outage_support():
     _, _, injector = make_injector()
     with pytest.raises(ConfigurationError):

@@ -140,9 +140,13 @@ def test_failure_plan_validation():
     sim = Simulator()
     cluster = Cluster(sim, ClusterConfig(num_hosts=1))
     injector = FailureInjector(cluster)
-    with pytest.raises(ConfigurationError):
-        injector.schedule(FailurePlan("ws00", crash_at=-1.0))
-    with pytest.raises(ConfigurationError):
-        injector.schedule(FailurePlan("ws00", crash_at=1.0, restart_after=0.0))
+    for crash_at in (-1.0, float("nan")):
+        with pytest.raises(ConfigurationError):
+            injector.schedule(FailurePlan("ws00", crash_at=crash_at))
+    for restart_after in (0.0, float("nan")):
+        with pytest.raises(ConfigurationError):
+            injector.schedule(
+                FailurePlan("ws00", crash_at=1.0, restart_after=restart_after)
+            )
     with pytest.raises(ConfigurationError):
         injector.schedule(FailurePlan("nope", crash_at=1.0))

@@ -112,9 +112,10 @@ def test_configuration_validation():
     with pytest.raises(ConfigurationError):
         OpenLoopPopulation(sim, num_clients=0, arrival_rate=1.0,
                            place=lambda c: None)
-    with pytest.raises(ConfigurationError):
-        OpenLoopPopulation(sim, num_clients=1, arrival_rate=0.0,
-                           place=lambda c: None)
+    for rate in (0.0, float("nan")):
+        with pytest.raises(ConfigurationError):
+            OpenLoopPopulation(sim, num_clients=1, arrival_rate=rate,
+                               place=lambda c: None)
 
 
 def test_latency_histogram_quantiles_and_bounds():

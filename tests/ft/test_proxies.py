@@ -203,20 +203,6 @@ def test_failure_of_every_factory_gives_recovery_error(make_ft_world):
     assert world.run(client()) == "unrecoverable"
 
 
-def test_attribute_accessors_are_wrapped():
-    attr_ns_src = """
-    interface Holder {
-        attribute double level;
-    };
-    """
-    from repro.orb import compile_idl
-
-    ns = compile_idl(attr_ns_src, name="ft-attr")
-    Proxy = make_ft_proxy(ns.HolderStub)
-    assert "get_level" in Proxy.__dict__
-    assert "set_level" in Proxy.__dict__
-
-
 def test_checkpoint_failure_policy_raise_vs_ignore(make_ft_world):
     world = make_ft_world(num_hosts=4)
     # Crash the store's host after deployment to make checkpoints fail.

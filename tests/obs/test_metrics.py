@@ -23,8 +23,10 @@ def test_counter_get_or_create_by_name_and_labels():
 
 def test_counter_rejects_decrease():
     registry = MetricsRegistry()
-    with pytest.raises(ValueError):
-        registry.counter("n").inc(-1)
+    for amount in (-1, float("nan")):
+        with pytest.raises(ValueError):
+            registry.counter("n").inc(amount)
+    assert registry.counter("n").value == 0.0
 
 
 def test_gauge_moves_both_ways():

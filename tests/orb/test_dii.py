@@ -121,19 +121,6 @@ def test_request_failure_surfaces_in_response(world):
     assert world.run(client()) is True
 
 
-def test_reset_for_retry_allows_resend(world):
-    _, stub = setup(world)
-
-    def client():
-        request = stub._create_request("quick", (3,)).send_deferred()
-        first = yield request.get_response()
-        request._reset_for_retry()
-        second = yield request.send_deferred().get_response()
-        return (first, second)
-
-    assert world.run(client()) == (30, 30)
-
-
 def test_request_repr_states(world):
     _, stub = setup(world)
     request = stub._create_request("quick", (1,))

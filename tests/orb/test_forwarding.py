@@ -169,8 +169,6 @@ def test_forwarding_agent_replica_management(world):
     agent.add_replica(ior)
     agent.add_replica(ior)  # duplicate ignored
     assert agent.replica_count == 1
-    agent.remove_replica(ior)
-    assert agent.replica_count == 0
 
 
 def test_forward_does_not_leak_to_user_exception_registry(world):

@@ -187,14 +187,6 @@ def test_narrowing_type_checked(world):
         world.orb(0).stub(ior, other.OtherStub)
 
 
-def test_string_to_object_roundtrip(world):
-    server_orb = world.orb(1)
-    ior = server_orb.poa.activate(CalcImpl())
-    text = server_orb.object_to_string(ior)
-    recovered = world.orb(0).string_to_object(text)
-    assert recovered == ior
-
-
 def test_wrong_argument_count_rejected_locally(world):
     _, _, stub = setup_pair(world)
     with pytest.raises(MARSHAL):
@@ -301,27 +293,3 @@ def test_large_payload_pays_bandwidth(world):
     big_time = timed((big, 2.0))
     # 4 MB request + 4 MB reply at 10 MB/s ~ 0.8 s of transfer.
     assert big_time > small_time + 0.5
-
-
-def test_attribute_get_set_roundtrip(world):
-    attr_ns = compile_idl(
-        "interface Holder { attribute double level; };", name="attr-test"
-    )
-
-    class HolderImpl(attr_ns.HolderSkeleton):
-        def __init__(self):
-            self.level = 1.0
-
-    server_orb = world.orb(1)
-    impl = HolderImpl()
-    ior = server_orb.poa.activate(impl)
-    stub = world.orb(0).stub(ior, attr_ns.HolderStub)
-
-    def client():
-        before = yield stub.get_level()
-        yield stub.set_level(9.5)
-        after = yield stub.get_level()
-        return (before, after)
-
-    assert world.run(client()) == (1.0, 9.5)
-    assert impl.level == 9.5

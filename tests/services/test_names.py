@@ -3,23 +3,17 @@
 import pytest
 
 from repro.errors import NamingError
-from repro.services.naming import (
-    NameComponent,
-    name_from_string,
-    name_to_string,
-)
+from repro.services.naming import NameComponent, name_from_string
 from repro.services.naming.names import to_name
 
 
 def test_simple_name_roundtrip():
     name = name_from_string("services/worker.obj")
     assert name == [NameComponent("services"), NameComponent("worker", "obj")]
-    assert name_to_string(name) == "services/worker.obj"
 
 
 def test_component_without_kind():
     assert name_from_string("plain") == [NameComponent("plain", "")]
-    assert name_to_string([NameComponent("plain")]) == "plain"
 
 
 def test_empty_strings_rejected():
@@ -29,13 +23,6 @@ def test_empty_strings_rejected():
         name_from_string("a//b")
     with pytest.raises(NamingError):
         name_from_string(".kindonly")
-    with pytest.raises(NamingError):
-        name_to_string([])
-
-
-def test_unrepresentable_component_rejected():
-    with pytest.raises(NamingError):
-        name_to_string([NameComponent("a.b", "")])
 
 
 def test_component_equality_and_hash():

@@ -55,14 +55,6 @@ def test_fifo_ordering_of_waiting_receivers():
     assert results == [("first", "a"), ("second", "b")]
 
 
-def test_try_get():
-    sim = Simulator()
-    chan = Channel(sim)
-    assert chan.try_get() == (False, None)
-    chan.put(9)
-    assert chan.try_get() == (True, 9)
-
-
 def test_close_fails_waiting_getters():
     sim = Simulator()
     chan = Channel(sim)

@@ -11,9 +11,10 @@ def test_uncontended_acquire_is_immediate():
     lock = Lock(sim)
     future = lock.acquire()
     assert future.succeeded
-    assert lock.held
+    second = lock.acquire()
+    assert not second.succeeded  # held: the next acquire waits
     lock.release()
-    assert not lock.held
+    assert second.succeeded
 
 
 def test_release_unheld_raises():
@@ -89,7 +90,7 @@ def test_killed_waiter_is_skipped():
     sim.schedule(1.0, victim.kill)
     sim.run()
     assert got == ["survivor"]
-    assert not lock.held
+    assert lock.acquire().succeeded  # released, no waiter left behind
 
 
 def test_contention_counters():

@@ -4,6 +4,7 @@ is reached from a root, and the declared public APIs exist."""
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -199,3 +200,27 @@ def test_config_surface_only_shrinks():
         for cls in (RuntimeConfig, OrbConfig, Scenario, FtPolicy, CampaignConfig)
     }
     assert sum(counts.values()) <= MAX_CONFIG_FIELDS, counts
+
+
+# -- per-function reachability -----------------------------------------------------
+
+#: functions no root enters that stay on purpose (``ALLOWLIST`` in
+#: ``benchmarks/reach.py``); this number only goes down (a function a root
+#: stops entering is deleted, or given a root, not listed).
+MAX_UNREACHED_ALLOWED = 203
+
+
+def test_reach_allowlist_names_live_functions_and_only_shrinks():
+    """Every allowlist entry names a ``def`` under ``src/repro`` and gives a
+    reason from the closed set.  This reads the list only; the census that
+    runs every root is ``python benchmarks/reach.py`` (the CI ``reach``
+    job)."""
+    spec = importlib.util.spec_from_file_location(
+        "reach", REPO_ROOT / "benchmarks" / "reach.py"
+    )
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    defined = {key for key, _ in reach.functions().values()}
+    assert sorted(set(reach.ALLOWLIST) - defined) == []
+    assert set(reach.ALLOWLIST.values()) <= set(reach.REASONS)
+    assert len(reach.ALLOWLIST) <= MAX_UNREACHED_ALLOWED

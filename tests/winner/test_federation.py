@@ -59,7 +59,6 @@ def test_site_queries():
     assert network.site_of("ws04") == "us"
     assert network.same_site("ws00", "ws02")
     assert not network.same_site("ws02", "ws03")
-    assert network.sites() == ["eu", "us"]
 
 
 def test_unassigned_host_rejected():
@@ -75,6 +74,11 @@ def test_unassigned_host_rejected():
 def test_wan_must_be_slower_than_lan():
     with pytest.raises(SimulationError):
         WideAreaNetwork(Simulator(), latency=1e-3, wan_latency=1e-4)
+    with pytest.raises(SimulationError):
+        WideAreaNetwork(Simulator(), wan_latency=float("nan"))
+    for bandwidth in (0.0, float("nan")):
+        with pytest.raises(SimulationError):
+            WideAreaNetwork(Simulator(), wan_bandwidth=bandwidth)
 
 
 # -- meta manager ------------------------------------------------------------------

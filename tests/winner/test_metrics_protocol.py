@@ -15,7 +15,6 @@ from repro.winner import Ewma, LoadReport, LoadReportDelta, decode_report
 
 def test_ewma_first_update_sets_value():
     ewma = Ewma(alpha=0.5)
-    assert not ewma.initialized
     assert ewma.value == 0.0
     ewma.update(10.0)
     assert ewma.value == 10.0
@@ -48,13 +47,6 @@ def test_ewma_invalid_alpha():
         Ewma(alpha=0.0)
     with pytest.raises(ConfigurationError):
         Ewma(alpha=1.5)
-
-
-def test_ewma_reset():
-    ewma = Ewma()
-    ewma.update(5.0)
-    ewma.reset()
-    assert not ewma.initialized
 
 
 @settings(max_examples=50, deadline=None)
