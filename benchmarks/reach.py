@@ -337,15 +337,16 @@ ALLOWLIST: dict[str, str] = {
     "repro.winner.system_manager:SystemManager.stop": "failure",
 }
 
-#: Written into each export's ``src/``; runs first in every interpreter
-#: the root starts and records the code objects of ``src/repro`` it enters.
+#: Written into each export's ``src/`` after two lines that set
+#: ``_prefix`` (the export's ``src/repro/``) and ``_out`` (where to dump);
+#: runs first in every interpreter the root starts and records the code
+#: objects of ``src/repro`` it enters.
 _HOOK = '''\
 import atexit
 import os
 import sys
 import threading
 
-_prefix = os.environ["REACH_PACKAGE"]
 _seen = set()
 _codes = []
 
@@ -359,15 +360,17 @@ def _trace(frame, event, arg):
 
 @atexit.register
 def _dump():
+    import tempfile
+
     sys.settrace(None)
     rows = sorted({
         f"{code.co_filename}\\t{code.co_firstlineno}\\t{code.co_name}"
         for code in _codes
         if code.co_filename.startswith(_prefix)
     })
-    out = os.path.join(os.environ["REACH_OUT"], f"{os.getpid()}.tsv")
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write("\\n".join(rows))
+    handle, _ = tempfile.mkstemp(suffix=".tsv", dir=_out)
+    with os.fdopen(handle, "w", encoding="utf-8") as dump:
+        dump.write("\\n".join(rows))
 
 
 sys.settrace(_trace)
@@ -438,15 +441,12 @@ def run_root(name: str, commands: list[list[str]]) -> tuple[set[tuple[str, int, 
         tree, out = Path(scratch) / "tree", Path(scratch) / "out"
         export(tree)
         out.mkdir()
-        (tree / "src" / "sitecustomize.py").write_text(_HOOK, encoding="utf-8")
         package = tree / "src" / "repro"
-        environment = dict(
-            os.environ,
-            PYTHONPATH=str(tree / "src"),
-            PYTHONHASHSEED="0",
-            REACH_PACKAGE=str(package) + os.sep,
-            REACH_OUT=str(out),
+        (tree / "src" / "sitecustomize.py").write_text(
+            f"_prefix = {str(package) + os.sep!r}\n_out = {str(out)!r}\n" + _HOOK,
+            encoding="utf-8",
         )
+        environment = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
         codes = [
             subprocess.run(
                 [sys.executable, *command], cwd=tree, env=environment,
