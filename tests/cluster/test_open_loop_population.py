@@ -61,6 +61,44 @@ def test_no_process_objects_leak_per_request():
     assert population.in_flight == 0
 
 
+def test_seeded_population_golden():
+    """A 10⁵-client population on 20 hosts at about 88 % CPU load for ten
+    simulated seconds, every 97th client dropped: the completion
+    fingerprint, the counts, the drain instant and every latency-snapshot
+    field as literals (floats as ``float.hex``)."""
+    sim = Simulator(seed=35)
+    hosts = _cluster(sim)
+    round_robin = _round_robin(hosts)
+
+    def place(client):
+        return None if client % 97 == 0 else round_robin(client)
+
+    population = OpenLoopPopulation(
+        sim, num_clients=100_000, arrival_rate=700.0,
+        place=place, request_work=0.1,
+    ).start()
+    sim.run(until=10.0)
+    population.stop()
+    sim.run()
+    stats = population.stats()
+    assert stats["fingerprint"] == 1757688592
+    assert (stats["arrivals"], stats["completions"]) == (6972, 6893)
+    assert (stats["dropped"], stats["failures"], stats["in_flight"]) == (79, 0, 0)
+    assert sim.now.hex() == "0x1.418aa142f8faep+3"
+    assert stats["throughput"].hex() == "0x1.58a6666666666p+9"
+    assert stats["empirical_rate"].hex() == "0x1.5c9999999999ap+9"
+    latency = stats["latency"]
+    assert latency["count"] == 6893
+    assert {key: value.hex() for key, value in latency.items() if key != "count"} == {
+        "mean": "0x1.b95de22506e03p-5",
+        "min": "0x1.9999999999900p-5",
+        "max": "0x1.59db2e0397740p-4",
+        "p50": "0x1.ccab8602d2696p-5",
+        "p95": "0x1.33281b6744ae1p-4",
+        "p99": "0x1.62b2f0cd55b56p-4",
+    }
+
+
 def test_stop_cancels_the_arrival_loop():
     sim = Simulator(seed=1)
     hosts = _cluster(sim)
