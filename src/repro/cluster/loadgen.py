@@ -12,11 +12,12 @@ experiments do would mean 10⁶ live generators — :class:`OpenLoopPopulation`
 instead models the population the way a telephone-traffic engineer would:
 requests arrive as an aggregate Poisson stream at a configured rate
 (open-loop — arrivals do not wait for completions, so overload behaves like
-overload), each arrival is attributed to a uniformly drawn client id, and
-per-client state is two numpy counters.  No simulation process is created
-per request: the arrival loop is one self-rescheduling kernel event and
-each request is one CPU-task future plus a completion callback, so memory
-is O(clients) in small integers and O(in-flight) in futures.
+overload), and each arrival is attributed to a uniformly drawn client id.
+A client is that id and nothing more: the population keeps O(1) state
+whatever its size.  No simulation process is created per request: the
+arrival loop is one self-rescheduling kernel event and each request is one
+CPU-task future plus a completion callback, so memory is O(in-flight) in
+futures.
 """
 
 from __future__ import annotations
@@ -155,8 +156,8 @@ class OpenLoopPopulation:
     :param sim: the simulator (arrival draws come from
         ``sim.rng("loadgen", name)``, so two populations with different
         names have independent, reproducible streams).
-    :param num_clients: population size; per-client state is one issued
-        and one completed counter (uint32), nothing else.
+    :param num_clients: population size; a client is the id drawn for an
+        arrival, so the population keeps no per-client state.
     :param arrival_rate: aggregate λ in requests per simulated second.
     :param place: placement hook — called with the arriving client's id,
         returns the :class:`Host` to run the request on, or ``None`` to
@@ -189,9 +190,6 @@ class OpenLoopPopulation:
         self.running = False
         self.started_at = 0.0
         self.stopped_at = 0.0
-        #: per-client counters — the *whole* per-client state.
-        self.issued = np.zeros(num_clients, dtype=np.uint32)
-        self.completed = np.zeros(num_clients, dtype=np.uint32)
         self.arrivals = 0
         self.dropped = 0
         self.failures = 0
@@ -232,7 +230,6 @@ class OpenLoopPopulation:
         self._schedule_arrival()
         client = int(self._rng.integers(self.num_clients))
         self.arrivals += 1
-        self.issued[client] += 1
         host = self.place(client)
         if host is None:
             self.dropped += 1
@@ -248,7 +245,6 @@ class OpenLoopPopulation:
             self.failures += 1
             return
         now = self.sim.now
-        self.completed[client] += 1
         self.latency.record(now - started)
         self.fingerprint = zlib.crc32(
             f"{client},{now!r}".encode("ascii"), self.fingerprint
@@ -279,7 +275,6 @@ class OpenLoopPopulation:
             "dropped": self.dropped,
             "failures": self.failures,
             "in_flight": self.in_flight,
-            "active_clients": int(np.count_nonzero(self.issued)),
             "latency": self.latency.snapshot(),
             "fingerprint": self.fingerprint,
         }

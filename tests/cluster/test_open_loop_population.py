@@ -1,6 +1,9 @@
 """Tests for the open-loop client population and its bounded-memory
 accounting (satellite of the scale harness)."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,14 +54,49 @@ def test_no_process_objects_leak_per_request():
     sim.run(until=10.0)
     population.stop()
     sim.run()
-    # ~5000 requests flowed through; none of them was a Process, and the
-    # per-client state is exactly two uint32 arrays.
+    # ~5000 requests flowed through; none of them was a Process, and every
+    # arrival that was placed has completed or failed.
     assert population.completions > 3_000
     assert sim.processes == []
-    assert population.issued.dtype == np.uint32
-    assert int(population.issued.sum()) == population.arrivals
-    assert int(population.completed.sum()) == population.completions
     assert population.in_flight == 0
+    assert population.completions == (
+        population.arrivals - population.dropped - population.failures
+    )
+
+
+def test_a_million_clients_cost_no_per_client_memory():
+    """Building a 10⁶-client population and serving 1 000 arrivals
+    allocates a few kilobytes net: a client is the id drawn for it."""
+    sim = Simulator(seed=1)
+    hosts = _cluster(sim)
+
+    def serve(num_clients, arrivals):
+        round_robin = _round_robin(hosts)
+
+        def place(client):
+            if population.arrivals == arrivals:
+                population.stop()
+            return round_robin(client)
+
+        population = OpenLoopPopulation(
+            sim, num_clients=num_clients, arrival_rate=1000.0,
+            place=place, request_work=0.02,
+        ).start()
+        sim.run()
+        return population
+
+    serve(10, 10)  # import and warm everything a run touches once
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        population = serve(1_000_000, 1_000)
+        gc.collect()
+        allocated = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (population.arrivals, population.completions) == (1_000, 1_000)
+    assert allocated < 64 * 1024
 
 
 def test_seeded_population_golden():
