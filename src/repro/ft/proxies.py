@@ -51,6 +51,7 @@ from repro.ft.shipping import Shipment, StateShipper
 from repro.orb.stubs import ObjectStub
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.metrics import Counter, Histogram
     from repro.sim.events import SimFuture
 
 #: shipper counter → the obs series the checkpoint path exports it as.
@@ -134,12 +135,25 @@ class _FtProxyBase:
         self._ft_lock = Lock(orb.sim, name=f"ft:{ft.key}")
         policy = ft.policy
         metrics, key = orb.sim.obs.metrics, ft.key
+        #: this proxy's call and checkpoint series, each bound at its first
+        #: use.
+        self._ft_calls_total: Optional["Counter"] = None
+        self._ft_checkpoints_total: Optional["Counter"] = None
+        self._ft_checkpoint_seconds: Optional["Histogram"] = None
+        shipping: dict[tuple, "Counter"] = {}
 
         def export(counter: str, amount: int, **labels) -> None:
-            # Closes over the registry and the key only: a reference back to
-            # the proxy or its context would tie the whole runtime into a
-            # cycle that only the cyclic collector frees.
-            metrics.counter(_SHIP_SERIES[counter], service=key, **labels).inc(amount)
+            # Closes over the registry, the key and its own series only: a
+            # reference back to the proxy or its context would tie the
+            # whole runtime into a cycle that only the cyclic collector
+            # frees.
+            series_key = (counter, *labels.items())
+            series = shipping.get(series_key)
+            if series is None:
+                series = shipping[series_key] = metrics.counter(
+                    _SHIP_SERIES[counter], service=key, **labels
+                )
+            series.inc(amount)
 
         # The paper path (no deltas) leaves all marshalling to the stub
         # layer: no digest, no skip, every checkpoint a full store.
@@ -214,7 +228,7 @@ class _FtProxyBase:
                 span.set_attr("mode", policy.ft_mode)
                 result = yield from ft.group.call(operation, args)
                 ft.calls += 1
-                obs.metrics.counter("ft_calls_total", service=ft.key).inc()
+                self._count_call()
                 outer.try_succeed(result)
                 return
             if ft._pipeline_error is not None:
@@ -265,9 +279,8 @@ class _FtProxyBase:
         """
         ft = self._ft
         policy = ft.policy
-        obs = self._orb.sim.obs
         ft.calls += 1
-        obs.metrics.counter("ft_calls_total", service=ft.key).inc()
+        self._count_call()
         ft._calls_since_checkpoint += 1
         if (
             ft.store is None
@@ -318,10 +331,37 @@ class _FtProxyBase:
                 yield from self._store(shipment)
         ft.checkpoints_taken += 1
         ft._calls_since_checkpoint = 0
-        obs.metrics.counter("ft_checkpoints_total", service=ft.key).inc()
-        obs.metrics.histogram(
-            "ft_checkpoint_seconds", service=ft.key
-        ).observe(self._orb.sim.now - started)
+        self._count_checkpoint()
+        self._observe_checkpoint(started)
+
+    def _count_call(self) -> None:
+        counter = self._ft_calls_total
+        if counter is None:
+            counter = self._ft_calls_total = self._orb.sim.obs.metrics.counter(
+                "ft_calls_total", service=self._ft.key
+            )
+        counter.inc()
+
+    def _count_checkpoint(self) -> None:
+        counter = self._ft_checkpoints_total
+        if counter is None:
+            counter = self._ft_checkpoints_total = (
+                self._orb.sim.obs.metrics.counter(
+                    "ft_checkpoints_total", service=self._ft.key
+                )
+            )
+        counter.inc()
+
+    def _observe_checkpoint(self, started: float) -> None:
+        """Record one checkpoint's duration, from ``started`` to now."""
+        histogram = self._ft_checkpoint_seconds
+        if histogram is None:
+            histogram = self._ft_checkpoint_seconds = (
+                self._orb.sim.obs.metrics.histogram(
+                    "ft_checkpoint_seconds", service=self._ft.key
+                )
+            )
+        histogram.observe(self._orb.sim.now - started)
 
     def _capture(self) -> "SimFuture":
         """``get_checkpoint`` on the current target; resolves to the state's
@@ -361,15 +401,13 @@ class _FtProxyBase:
 
         def settled():
             gauge.set(len(shipper.inflight))
-            obs.metrics.histogram(
-                "ft_checkpoint_seconds", service=ft.key
-            ).observe(orb.sim.now - started)
+            self._observe_checkpoint(started)
 
         shipper.enqueue(shipment, self._persist_pipelined, settled)
         # analysis: atomic-end(pipelined-capture)
         gauge.set(len(shipper.inflight))
         ft.checkpoints_taken += 1
-        obs.metrics.counter("ft_checkpoints_total", service=ft.key).inc()
+        self._count_checkpoint()
 
     def _persist_pipelined(self, shipment: Shipment):
         """Background half of a pipelined checkpoint.  Never lets an

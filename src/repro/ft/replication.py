@@ -52,6 +52,7 @@ from repro.orb.core import Servant
 from repro.services.checkpoint import BadDeltaBase, apply_delta, state_digest
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.metrics import Counter, Histogram
     from repro.orb.ior import IOR
     from repro.sim.events import SimFuture
 
@@ -328,6 +329,9 @@ class ReplicaGroup:
         self.vote_rounds = 0
         self.divergences = 0
         self.resyncs = 0
+        #: per-request series, each bound at its first use.
+        self._ships_total: Optional["Counter"] = None
+        self._vote_quorum_seconds: Optional["Histogram"] = None
 
     # -- identity and plumbing ------------------------------------------------------
 
@@ -665,9 +669,12 @@ class WarmPassiveGroup(ReplicaGroup):
                 self._schedule_replacement()
                 continue
             member.acked_digest = shipment.digest
-        self._orb.sim.obs.metrics.counter(
-            "ft_state_ships_total", group=self.group_id
-        ).inc()
+        ships = self._ships_total
+        if ships is None:
+            ships = self._ships_total = self._orb.sim.obs.metrics.counter(
+                "ft_state_ships_total", group=self.group_id
+            )
+        ships.inc()
 
     def drain(self):
         yield from self.shipper.drain()
@@ -859,10 +866,12 @@ class ActiveGroup(ReplicaGroup):
                 raise hard_error
             return None
         self.votes += 1
-        elapsed = sim.now - started
-        sim.obs.metrics.histogram(
-            "ft_vote_quorum_seconds", group=self.group_id
-        ).observe(elapsed)
+        quorum_seconds = self._vote_quorum_seconds
+        if quorum_seconds is None:
+            quorum_seconds = self._vote_quorum_seconds = sim.obs.metrics.histogram(
+                "ft_vote_quorum_seconds", group=self.group_id
+            )
+        quorum_seconds.observe(sim.now - started)
         # Stragglers settle in the background: the finisher retires dead
         # members, resyncs divergent ones and backfills — after the
         # caller has already resumed with the quorum value.

@@ -22,6 +22,7 @@ from repro.winner.protocol import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.host import Host
     from repro.cluster.network import Network
+    from repro.obs.metrics import Counter, Gauge
     from repro.sim.process import Process
 
 #: source port node managers send from.
@@ -75,6 +76,10 @@ class NodeManager:
         self.delta_reports_sent = 0
         self.reports_coalesced = 0
         self.report_bytes_sent = 0
+        #: this host's series, each bound at its first use.
+        self._cpu_gauge: Optional["Gauge"] = None
+        self._run_queue_gauge: Optional["Gauge"] = None
+        self._sent_total: Optional["Counter"] = None
 
     @property
     def running(self) -> bool:
@@ -119,13 +124,17 @@ class NodeManager:
             speed=self.host.speed,
             cores=self.host.cores,
         )
-        metrics = self.host.sim.obs.metrics
-        metrics.gauge(
-            "winner_cpu_utilization", host=sample.host
-        ).set(sample.cpu_utilization)
-        metrics.gauge(
-            "winner_run_queue", host=sample.host
-        ).set(float(sample.run_queue))
+        cpu_gauge = self._cpu_gauge
+        if cpu_gauge is None:
+            metrics = self.host.sim.obs.metrics
+            cpu_gauge = self._cpu_gauge = metrics.gauge(
+                "winner_cpu_utilization", host=sample.host
+            )
+            self._run_queue_gauge = metrics.gauge(
+                "winner_run_queue", host=sample.host
+            )
+        cpu_gauge.set(sample.cpu_utilization)
+        self._run_queue_gauge.set(float(sample.run_queue))
         return sample
 
     def send_report(self) -> None:
@@ -148,9 +157,12 @@ class NodeManager:
         raw = self._encode_report(sample)
         self._last_send_time = sim.now
         self.report_bytes_sent += len(raw)
-        sim.obs.metrics.counter(
-            "winner_reports_sent_total", host=self.host.name
-        ).inc()
+        sent_total = self._sent_total
+        if sent_total is None:
+            sent_total = self._sent_total = sim.obs.metrics.counter(
+                "winner_reports_sent_total", host=self.host.name
+            )
+        sent_total.inc()
         self.network.send(
             self.host,
             NODE_MANAGER_PORT,

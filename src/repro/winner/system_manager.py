@@ -28,6 +28,7 @@ from repro.winner.protocol import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.host import Host
     from repro.cluster.network import Network
+    from repro.obs.metrics import Counter, Gauge
     from repro.orb.ior import IOR
     from repro.sim.process import Process
 
@@ -98,6 +99,11 @@ class SystemManager:
         #: instead of re-scoring every candidate per best_host call.
         self._ranked: list[str] = []
         self._ranked_dirty = False
+        #: per-host report series, each bound at the host's first report
+        #: of its kind.
+        self._received_total: dict[str, "Counter"] = {}
+        self._delta_received_total: dict[str, "Counter"] = {}
+        self._score_gauge: dict[str, "Gauge"] = {}
 
     # -- collection ------------------------------------------------------------
 
@@ -127,13 +133,15 @@ class SystemManager:
         record.speed = report.speed
         record.cores = report.cores
         self._ingest(record, report.cpu_utilization, report.run_queue)
-        metrics = self.host.sim.obs.metrics
-        metrics.counter(
-            "winner_reports_received_total", host=report.host
-        ).inc()
-        metrics.gauge(
-            "winner_host_score", host=report.host
-        ).set(record.cached_score)
+        received = self._received_total.get(report.host)
+        if received is None:
+            received = self._received_total[report.host] = (
+                self.host.sim.obs.metrics.counter(
+                    "winner_reports_received_total", host=report.host
+                )
+            )
+        received.inc()
+        self._set_score(record)
 
     def _apply_delta(self, delta: LoadReportDelta) -> None:
         record = self.records.get(delta.host)
@@ -161,13 +169,23 @@ class SystemManager:
         )
         self._ingest(record, cpu, run_queue)
         self.delta_reports_received += 1
-        metrics = self.host.sim.obs.metrics
-        metrics.counter(
-            "winner_delta_reports_received_total", host=delta.host
-        ).inc()
-        metrics.gauge(
-            "winner_host_score", host=delta.host
-        ).set(record.cached_score)
+        received = self._delta_received_total.get(delta.host)
+        if received is None:
+            received = self._delta_received_total[delta.host] = (
+                self.host.sim.obs.metrics.counter(
+                    "winner_delta_reports_received_total", host=delta.host
+                )
+            )
+        received.inc()
+        self._set_score(record)
+
+    def _set_score(self, record: HostRecord) -> None:
+        gauge = self._score_gauge.get(record.host)
+        if gauge is None:
+            gauge = self._score_gauge[record.host] = self.host.sim.obs.metrics.gauge(
+                "winner_host_score", host=record.host
+            )
+        gauge.set(record.cached_score)
 
     def _ingest(self, record: HostRecord, cpu: float, run_queue: int) -> None:
         """Feed one report's raw values into a record and re-score it."""

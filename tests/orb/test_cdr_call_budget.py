@@ -126,11 +126,8 @@ def test_null_call_budget(count_calls):
     assert calls <= 343
 
 
-def test_null_call_binds_its_instruments_once(monkeypatch):
-    """A warm ``total()`` looks up no instrument: the interceptor's sent and
-    served counters, the call-latency histogram and the dispatch-time
-    histogram are bound once per ORB and operation, at its first call."""
-    runtime, reads = warm_null_calls()
+def record_lookups(monkeypatch) -> list:
+    """Names of the instruments looked up in any registry from now on."""
     looked_up = []
     real = MetricsRegistry._get
 
@@ -139,10 +136,20 @@ def test_null_call_binds_its_instruments_once(monkeypatch):
         return real(self, cls, name, labels)
 
     monkeypatch.setattr(MetricsRegistry, "_get", counting)
+    return looked_up
+
+
+def test_null_call_binds_its_instruments_once(monkeypatch):
+    """A warm ``total()`` looks up no instrument: the interceptor's sent and
+    served counters, the call-latency histogram and the dispatch-time
+    histogram are bound once per ORB and operation, at its first call, and
+    the Winner load-report round that falls into the window feeds series
+    each node manager and the system manager bound at their first
+    report."""
+    runtime, reads = warm_null_calls()
+    looked_up = record_lookups(monkeypatch)
     runtime.run(reads(50))
-    # One Winner load-report round falls into the window; its series are
-    # the only instruments anything looks up.
-    assert [name for name in looked_up if not name.startswith("winner_")] == []
+    assert looked_up == []
 
 
 def test_null_call_events():
@@ -274,3 +281,28 @@ def test_sync_checkpoint_call_encodes_its_state_at_most_three_times(monkeypatch)
     )
     runtime.settle(3.0)
     assert state_encodes(monkeypatch, runtime, proxy) <= 3
+
+
+def test_warm_sync_checkpoint_call_binds_its_instruments_once(monkeypatch):
+    """A warm ``add`` through a synchronous checkpointing proxy — the call,
+    the state fetch, the store round trip and the Winner report rounds
+    under them — looks up no instrument."""
+    runtime = ft_runtime()
+    proxy = runtime.ft_proxy(
+        accumulator_ns.BudgetAccumulatorStub,
+        runtime.orb(1).poa.activate(BudgetAccumulator()),
+        key="acc",
+        type_name="BudgetAccumulator",
+        policy=FtPolicy(),
+    )
+    runtime.settle(3.0)
+
+    def calls(count):
+        for _ in range(count):
+            yield proxy.add(1.0)
+
+    runtime.run(calls(3))
+    looked_up = record_lookups(monkeypatch)
+    runtime.run(calls(20))
+    assert proxy._ft.checkpoints_taken == 23
+    assert looked_up == []
