@@ -9,8 +9,6 @@ an idle cluster, because it places workers on the fast machines.
 Cluster: ws00 (services/manager) plus a pool mixing slow 1.0x
 uniprocessors, 2.0x machines, and a 2-core 1.5x multiprocessor."""
 
-import pytest
-
 from repro.bench import format_table
 from repro.core import Scenario
 from repro.opt import WorkerSettings

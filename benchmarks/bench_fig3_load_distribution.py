@@ -10,7 +10,7 @@ remain (≈40 % best-case reduction) and is never slower; the advantage
 diminishes as background load covers the cluster.
 """
 
-from repro.bench import fig3_curves, fig3_sweep, format_table, write_json
+from repro.bench import fig3_curves, fig3_sweep, format_table
 
 
 def test_fig3_load_distribution(benchmark, save_result):

@@ -11,8 +11,6 @@ bench varies the decomposition width on the 100-dim Rosenbrock workload:
   workers barely helps — quantifying what DII buys the application.
 """
 
-import pytest
-
 from repro.bench import format_table
 from repro.core import Scenario
 from repro.opt import WorkerSettings

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from repro.core import Scenario, ScenarioResult
+from repro.core import Scenario
 from repro.opt import WorkerSettings
 
 #: the paper's two workload configurations: (dimension, workers, pool size).

@@ -38,7 +38,6 @@ from repro.chaos.scenarios import (
     get_scenario,
     scenario_names,
 )
-from repro.cluster.failures import FailurePlan
 from repro.core import Runtime, RuntimeConfig
 from repro.errors import SystemException
 from repro.ft import FtPolicy

@@ -13,7 +13,7 @@ bit-identically from its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import ConfigurationError

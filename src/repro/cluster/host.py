@@ -11,7 +11,7 @@ is what brings services back.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Callable, Generator, Sequence, TYPE_CHECKING
 
 import numpy as np
 

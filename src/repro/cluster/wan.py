@@ -10,7 +10,7 @@ site uses LAN latency/bandwidth, traffic between sites pays WAN costs
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.cluster.network import Network

@@ -24,7 +24,7 @@ simulated clock, so breaker behaviour is deterministic per seed.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, TYPE_CHECKING
+from typing import Iterable, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator

@@ -20,7 +20,6 @@ from repro.ft.factory import ObjectFactoryStub
 from repro.ft.recovery import RESTORE_FROM
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.orb.core import Orb
     from repro.sim.process import Process
     from repro.winner.system_manager import SystemManager
 

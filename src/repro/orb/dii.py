@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, TYPE_CHECKING
 
-from repro.errors import BAD_OPERATION, SystemException
+from repro.errors import BAD_OPERATION
 from repro.orb.ior import IOR
 from repro.orb.stubs import OpInfo
 

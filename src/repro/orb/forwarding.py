@@ -20,7 +20,7 @@ approach fairly:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.errors import ReproError, TRANSIENT
 from repro.orb.ior import IOR

@@ -14,7 +14,6 @@ from __future__ import annotations
 import keyword
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Optional
 
 from repro.errors import IdlSemanticError
 from repro.orb.idl import idlast as ast

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import IdlSyntaxError
 from repro.orb.idl import idlast as ast

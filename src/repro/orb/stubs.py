@@ -14,8 +14,8 @@ classes defined here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import BAD_OPERATION
 from repro.orb.ior import IOR

@@ -10,7 +10,7 @@ proof-of-concept service does.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.errors import CdrError

@@ -7,8 +7,6 @@ processes), exactly like a federated CORBA naming graph."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.orb.ior import IOR
 from repro.services.naming import idl
 from repro.services.naming.names import Name, NameComponent

@@ -7,7 +7,7 @@ here may not contain ``/`` or ``.``)."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Union
+from typing import List, Sequence, Union
 
 from repro.errors import NamingError
 

@@ -27,14 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, TYPE_CHECKING
 
-from repro.errors import ServiceError
 from repro.orb.ior import IOR
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
     from repro.sim import Simulator
-    from repro.winner.service import SystemManagerStub
     from repro.winner.system_manager import SystemManager
 
 

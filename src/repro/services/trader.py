@@ -17,7 +17,7 @@ integration avoids.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, TYPE_CHECKING
+from typing import Sequence, TYPE_CHECKING
 
 from repro.orb.idl import compile_idl
 from repro.orb.ior import IOR

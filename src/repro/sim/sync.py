@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.sim.events import SimFuture

@@ -1,7 +1,5 @@
 """Sanity tests for the FT ablation drivers (small parameters)."""
 
-import pytest
-
 from repro.bench.ftbench import (
     checkpoint_interval_sweep,
     migration_bench,

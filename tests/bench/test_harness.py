@@ -3,11 +3,8 @@
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.bench import (
     Fig3Point,
-    Table1Row,
     fig3_curves,
     fig3_sweep,
     format_table,

@@ -7,7 +7,6 @@ import pytest
 
 from repro.chaos import (
     CampaignConfig,
-    SCENARIOS,
     export_campaign_metrics,
     get_scenario,
     run_campaign,

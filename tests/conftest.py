@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
-from repro.orb import Orb, OrbConfig
+from repro.orb import Orb
 from repro.sim import Simulator
 
 

@@ -1,7 +1,5 @@
 """Tests for the runtime report."""
 
-import pytest
-
 from repro.core import Runtime, RuntimeConfig
 from repro.core.report import format_runtime_report, runtime_report
 from repro.orb import compile_idl

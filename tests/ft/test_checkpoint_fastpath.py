@@ -2,8 +2,6 @@
 the unchanged-state skip, and their composition with degraded buffering
 and recovery."""
 
-import pytest
-
 from repro.errors import COMM_FAILURE
 from repro.ft import FtPolicy
 from repro.ft.policy import CHECKPOINT_FULL_INTERVAL

@@ -9,7 +9,7 @@ identically on the static-stub path and the DII (``FtRequest``) path.
 
 import pytest
 
-from repro.errors import TRANSIENT, RecoveryError
+from repro.errors import TRANSIENT
 from repro.ft import FtPolicy
 from repro.ft.request_proxy import FtRequest
 

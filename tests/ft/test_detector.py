@@ -1,7 +1,5 @@
 """Tests for the locate-ping failure detector."""
 
-import pytest
-
 from repro.ft import FailureDetector
 
 from tests.ft.conftest import CounterImpl

@@ -1,7 +1,5 @@
 """Tests for the per-host object factories."""
 
-import pytest
-
 from repro.ft import ObjectFactoryServant, ObjectFactoryStub, UnknownType
 from repro.errors import OBJECT_NOT_EXIST
 

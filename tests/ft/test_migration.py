@@ -1,7 +1,5 @@
 """Tests for load-triggered migration (§3's migration remark)."""
 
-import pytest
-
 from repro.cluster import BackgroundLoad
 from repro.errors import RecoveryError
 from repro.ft import MigrationPolicy, migrate_service

@@ -3,12 +3,11 @@
 import pytest
 
 from repro.errors import COMM_FAILURE, RecoveryError
-from repro.ft import FtContext, FtPolicy, make_ft_proxy
+from repro.ft import FtPolicy, make_ft_proxy
 from repro.ft.proxies import _FtProxyBase
 from repro.ft.recovery import FACTORY_GROUP
-from repro.orb.stubs import ObjectStub
 
-from tests.ft.conftest import CounterImpl, counter_ns
+from tests.ft.conftest import counter_ns
 
 
 def test_make_ft_proxy_derives_from_stub():

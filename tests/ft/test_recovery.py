@@ -1,12 +1,8 @@
 """Tests for the recovery coordinator (re-resolve, re-create, restore)."""
 
-import pytest
-
 from repro.errors import RecoveryError
 from repro.ft import FtPolicy
 from repro.services.naming.names import to_name
-
-from tests.ft.conftest import counter_ns
 
 
 def test_recovery_restores_latest_checkpoint(ft_world):

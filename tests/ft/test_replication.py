@@ -6,8 +6,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.ft import FtPolicy
 
-from tests.ft.conftest import counter_ns
-
 
 def replicated_proxy(ft_world, mode, replicas=3, **policy_kwargs):
     ft_world.settle(3.0)

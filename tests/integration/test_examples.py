@@ -5,7 +5,6 @@ stdout captured; its internal assertions double as correctness checks.
 """
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

@@ -8,8 +8,6 @@ host.  This test walks exactly that path and asserts each interaction
 actually happened.
 """
 
-import pytest
-
 from repro.cluster import BackgroundLoad
 from repro.core import Runtime, RuntimeConfig
 from repro.orb import compile_idl

@@ -11,7 +11,6 @@ that diagram on the real classes and the real message flow.
 import pytest
 
 from repro.ft import FtRequest, make_ft_proxy
-from repro.ft.proxies import _FtProxyBase
 from repro.orb.dii import Request
 from repro.orb.stubs import ObjectStub
 

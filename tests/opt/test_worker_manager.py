@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.core import Runtime, RuntimeConfig
-from repro.ft import FtPolicy
 from repro.opt import (
     DecomposedRosenbrock,
     DistributedRosenbrockOptimizer,

@@ -1,7 +1,5 @@
 """Tests for the ORB's client-side call statistics."""
 
-import pytest
-
 from repro.errors import COMM_FAILURE
 from repro.orb import compile_idl
 

@@ -1,7 +1,5 @@
 """Tests for GIOP CancelRequest: timed-out requests stop burning server CPU."""
 
-import pytest
-
 from repro.errors import TIMEOUT
 from repro.orb import Orb, OrbConfig, compile_idl
 from repro.orb import giop

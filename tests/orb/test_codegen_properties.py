@@ -10,7 +10,6 @@ import keyword
 import string
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import BAD_OPERATION, COMM_FAILURE
 from repro.orb import compile_idl
-from repro.orb.dii import Request
 
 ns = compile_idl(
     """

@@ -1,14 +1,10 @@
 """Tests for GIOP location forwarding and the ORB-locator alternative."""
 
-import pytest
-
 from repro.cluster import BackgroundLoad
 from repro.errors import TRANSIENT
-from repro.orb import Orb, compile_idl
+from repro.orb import compile_idl
 from repro.orb.forwarding import (
-    ForwardingAgent,
     LocationForward,
-    MAX_FORWARDS,
     make_forwarding_servant,
 )
 from repro.winner import NodeManager, SystemManager

@@ -1,7 +1,5 @@
 """Tests for request interceptors."""
 
-import pytest
-
 from repro.errors import COMM_FAILURE
 from repro.orb import compile_idl
 from repro.orb.interceptors import RequestInfo, RequestInterceptor

@@ -12,7 +12,7 @@ from repro.errors import (
     OBJECT_NOT_EXIST,
     UNKNOWN,
 )
-from repro.orb import Orb, compile_idl
+from repro.orb import compile_idl
 from repro.orb.ior import IOR
 
 CALC_IDL = """

@@ -1,7 +1,5 @@
 """Tests for ORB lifecycle edge cases and trace filtering."""
 
-import pytest
-
 from repro.errors import COMM_FAILURE
 from repro.orb import Orb, compile_idl
 

@@ -1,8 +1,6 @@
 """Tests for delta checkpoints in the storage service and the servant's
 cost-model accounting (availability re-checks, bytes on success only)."""
 
-import pytest
-
 from repro.errors import TRANSIENT
 from repro.services.checkpoint import (
     BadDeltaBase,

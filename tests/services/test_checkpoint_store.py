@@ -1,7 +1,6 @@
 """Tests for the checkpoint storage service."""
 
 import numpy as np
-import pytest
 
 from repro.services.checkpoint import (
     CheckpointStoreServant,

@@ -1,8 +1,6 @@
 """Tests for the load-distributing naming context and selection strategies
 — the paper's §2 contribution, including the Fig. 1 architecture."""
 
-import pytest
-
 from repro.cluster import BackgroundLoad
 from repro.orb import compile_idl
 from repro.services.naming import (

@@ -1,7 +1,5 @@
 """Tests for the standard CosNaming context servant over the ORB."""
 
-import pytest
-
 from repro.orb import compile_idl
 from repro.services.naming import NamingContextServant, idl, name_from_string
 

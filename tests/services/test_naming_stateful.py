@@ -12,7 +12,6 @@ is covered elsewhere."""
 
 import inspect
 
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (

@@ -3,8 +3,6 @@ matrix, round-robin within the cached top-k, the resolve_all defensive
 copy, and resolution under churn (a replica host dying between ranking
 and invocation)."""
 
-import pytest
-
 from repro.errors import COMM_FAILURE, TRANSIENT
 from repro.orb import compile_idl
 from repro.services.naming import (

@@ -1,7 +1,5 @@
 """Tests for the trader-service baseline (§2 design alternative)."""
 
-import pytest
-
 from repro.cluster import BackgroundLoad
 from repro.orb import compile_idl
 from repro.services.trader import (

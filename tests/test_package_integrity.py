@@ -224,3 +224,99 @@ def test_reach_allowlist_names_live_functions_and_only_shrinks():
     assert sorted(set(reach.ALLOWLIST) - defined) == []
     assert set(reach.ALLOWLIST.values()) <= set(reach.REASONS)
     assert len(reach.ALLOWLIST) <= MAX_UNREACHED_ALLOWED
+
+
+# -- unused imports ----------------------------------------------------------------
+
+#: what the check scans; CI's ``ruff check`` (rule ``F401``) covers the same
+#: ground, this check runs wherever the tests do.
+IMPORT_TREES = ("src", "tests", "benchmarks")
+#: analyzer test inputs that break rules on purpose.
+IMPORT_EXCLUDED = REPO_ROOT / "tests" / "analysis" / "fixtures"
+
+
+def _module_imports(node: ast.AST):
+    """Import statements outside any function or class body (inside a
+    module-level ``if``/``try`` too)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.expr)
+        ):
+            yield from _module_imports(child)
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """Every name ``node`` mentions, reading string literals in annotations
+    (``Optional["Host"]``) as the expressions they stand for."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names.add(child.id)
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            try:
+                names |= _names_read(ast.parse(child.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names a module reads, its annotations' strings and ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            used |= _names_read(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used |= _names_read(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _names_read(node.annotation)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(getattr(target, "id", None) == "__all__" for target in targets):
+                used |= {
+                    child.value
+                    for child in ast.walk(node.value)
+                    if isinstance(child, ast.Constant) and isinstance(child.value, str)
+                }
+    return used
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """``path:line: name`` for each module-level import nothing reads.  A
+    package ``__init__`` re-exports a name through ``__all__`` or the
+    ``import x as x`` form; an import kept for its side effect carries
+    ``# noqa: F401`` and a reason."""
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+    lines = source.splitlines()
+    used = _used_names(tree)
+    unused = []
+    for statement in _module_imports(tree):
+        if isinstance(statement, ast.ImportFrom) and statement.module == "__future__":
+            continue
+        for alias in statement.names:
+            bound = alias.asname or alias.name.partition(".")[0]
+            if alias.name == "*" or bound in used:
+                continue
+            if path.name == "__init__.py" and alias.asname == alias.name:
+                continue
+            if any(
+                "noqa: F401" in lines[line - 1]
+                for line in (statement.lineno, alias.lineno)
+            ):
+                continue
+            unused.append(f"{path.relative_to(REPO_ROOT)}:{alias.lineno}: {bound}")
+    return unused
+
+
+def test_no_unused_module_imports():
+    unused = [
+        finding
+        for tree in IMPORT_TREES
+        for path in sorted((REPO_ROOT / tree).rglob("*.py"))
+        if IMPORT_EXCLUDED not in path.parents
+        for finding in _unused_imports(path)
+    ]
+    assert unused == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import BackgroundLoad, Cluster, ClusterConfig, Host
+from repro.cluster import BackgroundLoad, Host
 from repro.cluster.wan import WideAreaNetwork
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim import Simulator
