@@ -8,17 +8,15 @@ network (so every report goes through the collector's decoder) and driven
 through a scripted sequence of placements by every caller of the system
 manager's placement: ``WinnerStrategy.choose`` with a local manager,
 ``TraderServant.lookup_one``, ``ForwardingAgent.select``,
-``MetaManager.best_host(candidates, prefer_site)`` and ``best_site(prefer)``,
-plus ``MetaManager.refresh`` and ``score(h, run_queue_discount=1.0,
-placement_discount=1)`` (what the migration policy asks about a service's
-own host).  Placements expire with time, one host goes stale, one report
+``MetaManager.best_host(candidates, prefer_site)``, plus ``score(h,
+run_queue_discount=1.0, placement_discount=1)`` (what the migration policy
+asks about a service's own host).  Placements expire with time, one host goes stale, one report
 arrives out of order, and some candidate lists have no live host.
 
 Per step the golden (``manager_golden_steps.py``, literals only) pins the
 answer — replica ``host:port``, host name or ``float.hex`` of a score —,
 ``float.hex`` of the simulated clock, and, as the entries the step changed,
-``float.hex`` of every host's ``cached_score`` and every field of each
-``SiteSummary`` the meta manager holds.
+``float.hex`` of every host's ``cached_score``.
 
 Re-record (only when a change is *meant* to move a placement)::
 
@@ -70,8 +68,7 @@ def _round(loads: dict[int, tuple[float, int]]) -> tuple:
 SCRIPT: list[tuple] = [
     _round({0: (0.10, 0), 1: (0.55, 1), 2: (0.05, 0), 3: (0.80, 2),
             4: (0.20, 0), 5: (0.00, 0), 6: (0.90, 3), 7: (0.35, 1)}),
-    ("refresh",),
-    ("site", "eu"), ("site", "us"), ("site", None),
+    ("meta", None, "eu"), ("meta", None, "us"), ("meta", None, None),
     ("strategy", STRATEGY_REPLICAS), ("strategy", STRATEGY_REPLICAS),
     ("strategy", STRATEGY_REPLICAS),
     ("trader", "svc"), ("trader", "svc"),
@@ -83,7 +80,7 @@ SCRIPT: list[tuple] = [
     ("delta", 5, None, None),
     ("strategy", STRATEGY_REPLICAS), ("strategy", STRATEGY_REPLICAS),
     ("trader", "svc"), ("forward",),
-    ("refresh",), ("site", "eu"), ("meta", None, "us"),
+    ("meta", None, "eu"), ("meta", None, "us"),
     ("advance", 1.2),
     _round({0: (0.30, 1), 1: (0.70, 2), 3: (0.40, 1),
             4: (0.10, 0), 5: (0.60, 2), 6: (0.25, 0), 7: (0.50, 1)}),
@@ -94,7 +91,7 @@ SCRIPT: list[tuple] = [
             4: (0.45, 1), 5: (0.30, 1), 6: (0.05, 0), 7: (0.70, 2)}),
     ("strategy", STRATEGY_REPLICAS), ("strategy", STRATEGY_REPLICAS),
     ("forward",), ("trader", "svc"),
-    ("refresh",), ("site", "eu"), ("site", "us"),
+    ("meta", None, "eu"), ("meta", None, "us"),
     ("advance", 1.2),
     _round({0: (0.50, 2), 1: (0.20, 0), 3: (0.35, 1),
             4: (0.95, 4), 5: (0.85, 3), 6: (0.90, 4), 7: (0.99, 5)}),
@@ -102,7 +99,7 @@ SCRIPT: list[tuple] = [
     ("strategy", STALE_REPLICAS), ("trader", "stale"),
     ("meta", ["ws02"], "eu"), ("meta", ["ws02", "ws07"], "eu"),
     ("score", "ws02", 0.0, 0), ("score", "ws02", 1.0, 1),
-    ("refresh",), ("site", "us"), ("site", "eu"), ("site", None),
+    ("meta", None, "us"), ("meta", None, "eu"), ("meta", None, None),
     ("meta", None, "us"), ("meta", None, "us"), ("meta", None, None),
     ("stale_report", 1, 0.0, 0),
     ("score", "ws01", 0.0, 0), ("score", "ws04", 1.0, 1), ("score", "ws07", 1.0, 3),
@@ -110,7 +107,7 @@ SCRIPT: list[tuple] = [
     _round({0: (0.60, 2), 1: (0.40, 1), 3: (0.10, 0),
             4: (0.30, 1), 5: (0.20, 0), 6: (0.40, 1), 7: (0.60, 2)}),
     ("delta", 4, 0.1, 0), ("delta", 7, None, None),
-    ("refresh",), ("site", "eu"), ("site", "us"),
+    ("meta", None, "eu"), ("meta", None, "us"),
     ("meta", ["ws03", "ws05"], "us"), ("strategy", STRATEGY_REPLICAS),
     ("trader", "svc"), ("forward",), ("score", "ws03", 1.0, 1),
 ]
@@ -133,7 +130,7 @@ class World:
             "eu": SystemManager(self.hosts[0], self.network),
             "us": SystemManager(self.hosts[4], self.network),
         }
-        self.meta = MetaManager(self.hosts[0], self.network, poll_interval=1.0)
+        self.meta = MetaManager(self.hosts[0], self.network)
         for site, manager in self.managers.items():
             self.meta.register_site(site, manager)
         eu = self.managers["eu"]
@@ -191,10 +188,6 @@ class World:
             self.deliver()
         elif kind == "advance":
             self.sim.run(until=self.sim.now + action[1])
-        elif kind == "refresh":
-            self.meta.refresh()
-        elif kind == "site":
-            return self.meta.best_site(prefer=action[1])
         elif kind == "meta":
             return self.meta.best_host(action[1], prefer_site=action[2])
         elif kind == "score":
@@ -224,12 +217,6 @@ class World:
         for manager in self.managers.values():
             for name, record in sorted(manager.records.items()):
                 out[name] = record.cached_score.hex()
-        for site, summary in sorted(self.meta.summaries.items()):
-            out[f"{site}.alive_hosts"] = str(summary.alive_hosts)
-            out[f"{site}.best_host"] = str(summary.best_host)
-            out[f"{site}.best_score"] = summary.best_score.hex()
-            out[f"{site}.total_idle_capacity"] = summary.total_idle_capacity.hex()
-            out[f"{site}.updated_at"] = summary.updated_at.hex()
         return out
 
 
@@ -256,9 +243,7 @@ def test_managers_answer_and_score_as_recorded():
     # the script really exercises what it says it does
     answers = {kind: [a for k, a, _ in STEPS if k == kind] for kind, _, _ in STEPS}
     assert len(set(answers["strategy"])) > 2 and len(set(answers["meta"])) > 2
-    assert None in answers["meta"] and "us" in answers["site"]
-    final = steps[-1][2]
-    assert final["eu.alive_hosts"] == "3" and final["us.alive_hosts"] == "4"
+    assert None in answers["meta"] and set(answers["meta"]) & set(HOSTS[4:])
 
 
 def _record() -> None:
