@@ -52,7 +52,7 @@ for port_offset, (site, indices) in enumerate(SITES.items()):
             interval=0.5,
         ).start()
     managers[site] = manager
-meta = MetaManager(hosts[0], network, poll_interval=1.0, wan_penalty=1.5)
+meta = MetaManager(hosts[0], network, wan_penalty=1.5)
 for site, manager in managers.items():
     meta.register_site(site, manager)
 
@@ -84,8 +84,6 @@ def deploy():
 
 
 sim.run_until_done(sim.spawn(deploy()))
-sim.run(until=4.0)
-meta.start()
 sim.run(until=6.0)
 
 

@@ -91,7 +91,7 @@ def _run_cell(
 
     orbs = [Orb(host, network) for host in hosts]
     if policy == "federated":
-        meta = MetaManager(hosts[0], network, poll_interval=1.0, wan_penalty=1.5)
+        meta = MetaManager(hosts[0], network, wan_penalty=1.5)
         for site, manager in managers.items():
             meta.register_site(site, manager)
         strategy = MetaStrategy(meta, home_site="eu")
@@ -114,7 +114,6 @@ def _run_cell(
     sim.run_until_done(sim.spawn(deploy()))
     sim.run(until=4.0)
     if policy == "federated":
-        strategy._meta.start()
         sim.run(until=5.0)
 
     remote = {"count": 0}
