@@ -5,14 +5,14 @@ suppress one with a justification, and render the reports.
 `python -m repro.analysis` wraps exactly this API (plus the cache and
 CI plumbing); here we drive it programmatically:
 
-1. run all four checker families over an in-memory snippet that breaks
-   the determinism and exception-safety rules;
+1. run every checker family over an in-memory snippet that breaks the
+   determinism and exception-safety rules;
 2. inspect the `Finding` objects (code, line, message, fingerprint);
 3. show an inline `# analysis: ignore[...]` directive doing its job;
 4. prove an atomicity violation: a declared-atomic region with a yield
    point inside it;
-5. render the human and JSON reports, then run the real gate over the
-   live tree.
+5. render the human and JSON reports, then run the real gate over one
+   package of the live tree.
 
 Run:  PYTHONPATH=src python examples/analysis_report.py
 """
@@ -75,12 +75,12 @@ print("\n== report rendering ==")
 print(render_text(result))
 print(render_json(result, strict=True)[:200] + "...")
 
-# 5. The real gate, exactly as CI and tests/analysis/test_live_tree.py
-#    run it: the live tree must be strict-clean, every suppression an
-#    inline directive that still silences a finding.
+# 5. The real gate over one package of the live tree (CI runs it over the
+#    whole tree): it must be strict-clean, every suppression an inline
+#    directive that still silences a finding.
 repo_root = Path(__file__).resolve().parents[1]
-live = analyze_paths([repo_root / "src" / "repro"], root=repo_root)
-print("\n== live tree ==")
+live = analyze_paths([repo_root / "src" / "repro" / "ft"], root=repo_root)
+print("\n== live tree: src/repro/ft ==")
 print(
     f"  files={live.files_checked} actionable={len(live.findings)} "
     f"suppressed={len(live.suppressed)}"

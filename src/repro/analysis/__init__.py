@@ -6,19 +6,13 @@ every commit:
 * **determinism** — simulated code must be a pure function of its seed
   (no wall clock, no process-global entropy, no hash-salted iteration
   order leaking into results);
-* **IDL conformance** — servants implement exactly what the IDL declares,
-  and every FT proxy intercepts every operation of its interface (the
-  paper's core proxy contract);
 * **atomicity** — declared-atomic critical sections contain no cooperative
-  yield points, and lock acquisition orders are cycle-free;
+  yield points;
 * **exception safety** — no bare/overbroad handlers, no silently swallowed
   recoverable communication failures;
 * **race inference** (v2) — lockset analysis over the project call graph:
   shared ``self.<field>`` state must be guarded consistently, never span a
   yield point mid-update, and locks must be released on every path;
-* **typestate lifecycles** (v2) — protocol objects (circuit breakers,
-  pipelined checkpoints, connection-cache entries) must always reach their
-  closing sink;
 * **config-flag hygiene** (v2) — fast-path flags default off, every flag is
   consulted, every report counter is observable.
 
@@ -41,8 +35,6 @@ from repro.analysis.checkers import (
     ConfigFlagChecker,
     DeterminismChecker,
     ExceptionSafetyChecker,
-    IdlConformanceChecker,
-    LifecycleChecker,
     RaceChecker,
 )
 from repro.analysis.cli import analyze_paths, run
@@ -59,8 +51,6 @@ __all__ = [
     "DeterminismChecker",
     "ExceptionSafetyChecker",
     "Finding",
-    "IdlConformanceChecker",
-    "LifecycleChecker",
     "Project",
     "RaceChecker",
     "Severity",
@@ -77,7 +67,6 @@ def analyze_source(
     text: str,
     filename: str = "<snippet>.py",
     checkers: Optional[Sequence[Checker]] = None,
-    semantic: bool = False,
 ) -> AnalysisResult:
     """Run the checkers over an in-memory snippet (no filesystem needed).
 
@@ -86,7 +75,7 @@ def analyze_source(
     """
     root = Path(".").resolve()
     source = SourceFile.from_text(text, root / filename, root)
-    project = Project(root=root, files=[source], semantic=semantic)
+    project = Project(root=root, files=[source])
     if checkers is None:
         checkers = [checker_cls(scope=()) for checker_cls in ALL_CHECKERS]
     return run_checkers(project, list(checkers))

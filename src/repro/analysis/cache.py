@@ -5,8 +5,7 @@ always on a tree where little changed.  This module makes the gate
 incremental with two content-addressed tiers, coarsest first:
 
 * **full-run** — one key over the sorted ``(relpath, sha256(text))`` set,
-  the checker-code signature, the semantic flag and the ``--select``
-  expression.  A hit skips parsing entirely: the stored findings (already
+  the checker-code signature and the ``--select`` expression.  A hit skips parsing entirely: the stored findings (already
   classified against inline suppressions, which live in the hashed file
   contents) are replayed as they are;
 * **per-file** — ``check_file`` output keyed by one file's content hash,
@@ -156,17 +155,15 @@ class AnalysisCache:
 
     # -- full-run tier ------------------------------------------------------------
 
-    def _full_key(self, semantic: bool, select: Optional[Sequence[str]]) -> str:
+    def _full_key(self, select: Optional[Sequence[str]]) -> str:
         select_part = ",".join(sorted(select)) if select else ""
-        return self._key(
-            "full", self._file_set_digest(), str(semantic), select_part
-        )
+        return self._key("full", self._file_set_digest(), select_part)
 
     def load_full(
-        self, semantic: bool, select: Optional[Sequence[str]]
+        self, select: Optional[Sequence[str]]
     ) -> Optional[tuple[list[Finding], list[Finding]]]:
         """``(kept, inline_suppressed)`` for an identical previous run."""
-        payload = self._load(self._full_key(semantic, select))
+        payload = self._load(self._full_key(select))
         if payload is None:
             return None
         self.stats.full_hit = True
@@ -178,13 +175,12 @@ class AnalysisCache:
 
     def store_full(
         self,
-        semantic: bool,
         select: Optional[Sequence[str]],
         kept: Sequence[Finding],
         suppressed: Sequence[Finding],
     ) -> None:
         self._store(
-            self._full_key(semantic, select),
+            self._full_key(select),
             {
                 "findings": [f.to_dict() for f in kept],
                 "suppressed": [f.to_dict() for f in suppressed],

@@ -4,17 +4,13 @@ from repro.analysis.checkers.atomicity import AtomicityChecker
 from repro.analysis.checkers.confflags import ConfigFlagChecker
 from repro.analysis.checkers.determinism import DeterminismChecker
 from repro.analysis.checkers.exceptions import ExceptionSafetyChecker
-from repro.analysis.checkers.idlconf import IdlConformanceChecker
-from repro.analysis.checkers.lifecycle import LifecycleChecker
 from repro.analysis.checkers.races import RaceChecker
 
 #: registration order is report order.
 ALL_CHECKERS = (
     DeterminismChecker,
-    IdlConformanceChecker,
     AtomicityChecker,
     RaceChecker,
-    LifecycleChecker,
     ConfigFlagChecker,
     ExceptionSafetyChecker,
 )
@@ -25,7 +21,5 @@ __all__ = [
     "ConfigFlagChecker",
     "DeterminismChecker",
     "ExceptionSafetyChecker",
-    "IdlConformanceChecker",
-    "LifecycleChecker",
     "RaceChecker",
 ]

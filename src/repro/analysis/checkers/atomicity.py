@@ -20,9 +20,10 @@ Codes:
 
 ATM001  yield point inside a declared-atomic function/region;
 ATM002  call to a may-yield function inside a declared-atomic scope;
-ATM003  lock acquisition-order cycle (two code paths take the same locks
-        in opposite orders — a deadlock waiting for the right schedule);
 ATM004  malformed atomicity annotation (unmatched markers, no function).
+
+The race family (RACE) exempts the declared-atomic scopes this family
+proves yield-free.
 
 Call resolution is deliberately *confident-only*: ``self.m()`` resolves
 through the enclosing class and its project-visible bases, bare names
@@ -51,7 +52,6 @@ class AtomicityChecker(Checker):
     codes = {
         "ATM001": "yield point inside a declared-atomic scope",
         "ATM002": "call to a may-yield function inside a declared-atomic scope",
-        "ATM003": "lock acquisition-order cycle",
         "ATM004": "malformed atomicity annotation",
     }
     default_scope = ("src/repro/",)
@@ -61,7 +61,6 @@ class AtomicityChecker(Checker):
         findings: list[Finding] = []
         for source in self.scoped_files(project):
             findings.extend(self._check_markers(source, graph))
-        findings.extend(self._check_lock_order(project, graph))
         return findings
 
     # -- declared-atomic functions and regions ----------------------------------
@@ -222,97 +221,3 @@ class AtomicityChecker(Checker):
                     )
                     break
         return findings
-
-    # -- lock-order cycles ---------------------------------------------------------
-
-    def _check_lock_order(
-        self, project: Project, graph: CallGraph
-    ) -> list[Finding]:
-        acquired = graph.transitive_locks()
-        # edge (held -> wanted) -> one witness (source, line, qualname)
-        edges: dict[tuple[str, str], tuple[SourceFile, int, str]] = {}
-        for fn in graph.functions:
-            if not self.applies_to(fn.source):
-                continue
-            held: list[str] = []
-            for event in fn.events:
-                if event.kind == "acquire":
-                    for holder in held:
-                        if holder != event.name:
-                            edges.setdefault(
-                                (holder, event.name),
-                                (fn.source, event.line, fn.qualname),
-                            )
-                    held.append(event.name)
-                elif event.kind == "release":
-                    if event.name in held:
-                        held.remove(event.name)
-                elif event.kind == "call" and held and event.call is not None:
-                    for target in graph.resolve(fn, event.call):
-                        for wanted in acquired[id(target)]:
-                            for holder in held:
-                                if holder != wanted:
-                                    edges.setdefault(
-                                        (holder, wanted),
-                                        (fn.source, event.line, fn.qualname),
-                                    )
-        return self._report_cycles(edges)
-
-    def _report_cycles(
-        self,
-        edges: dict[tuple[str, str], tuple[SourceFile, int, str]],
-    ) -> list[Finding]:
-        graph: dict[str, set[str]] = {}
-        for held, wanted in edges:
-            graph.setdefault(held, set()).add(wanted)
-            graph.setdefault(wanted, set())
-        findings: list[Finding] = []
-        reported: set[frozenset[str]] = set()
-        for start in sorted(graph):
-            cycle = self._find_cycle(graph, start)
-            if not cycle:
-                continue
-            key = frozenset(cycle)
-            if key in reported:
-                continue
-            reported.add(key)
-            closing = (cycle[-1], cycle[0])
-            witness = edges.get(closing)
-            if witness is None:
-                for i in range(len(cycle) - 1):
-                    witness = edges.get((cycle[i], cycle[i + 1]))
-                    if witness:
-                        break
-            if witness is None:
-                continue
-            source, line, qualname = witness
-            order = " -> ".join([*cycle, cycle[0]])
-            findings.append(
-                self.finding(
-                    "ATM003",
-                    f"lock acquisition-order cycle: {order}; acquiring in "
-                    "opposite orders on two code paths can deadlock",
-                    source,
-                    line,
-                    context=qualname,
-                )
-            )
-        return findings
-
-    @staticmethod
-    def _find_cycle(
-        graph: dict[str, set[str]], start: str
-    ) -> Optional[list[str]]:
-        """A simple cycle through ``start``, as an ordered lock list."""
-        stack: list[tuple[str, list[str]]] = [(start, [start])]
-        seen: set[str] = set()
-        while stack:
-            node, path = stack.pop()
-            for succ in sorted(graph.get(node, ())):
-                if succ == start:
-                    return path
-                if succ in seen or succ in path:
-                    continue
-                stack.append((succ, path + [succ]))
-            seen.add(node)
-        return None

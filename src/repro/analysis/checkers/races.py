@@ -56,6 +56,9 @@ from repro.analysis.source import Project
 #: constructors that run before the object escapes to other processes.
 CONSTRUCTION_METHODS = frozenset({"__init__", "__post_init__", "__new__"})
 
+#: ids of declared-atomic functions, and the atomic regions of each file.
+AtomicScopes = tuple[set[int], dict[str, list[tuple[int, int]]]]
+
 
 @dataclass
 class FieldAccess:
@@ -93,17 +96,27 @@ class RaceChecker(Checker):
 
     def check_project(self, project: Project) -> Iterable[Finding]:
         graph = project.call_graph
-        accesses, fn_events = self._collect_accesses(project, graph)
+        atomic = self._atomic_scopes(project, graph)
+        accesses, fn_events = self._collect_accesses(graph, atomic)
         findings: list[Finding] = []
         findings.extend(self._check_locksets(accesses))
-        findings.extend(self._check_stale_windows(project, graph, fn_events))
+        findings.extend(self._check_stale_windows(graph, fn_events, atomic))
         findings.extend(self._check_release_paths(project, graph))
         return findings
+
+    def _atomic_scopes(self, project: Project, graph: CallGraph) -> AtomicScopes:
+        """ids of declared-atomic functions, and atomic regions per file."""
+        atomic_fns: set[int] = set()
+        regions: dict[str, list[tuple[int, int]]] = {}
+        for source in self.scoped_files(project):
+            atomic_fns |= atomic_function_ids(source, graph.functions)
+            regions[source.relpath] = atomic_regions(source)
+        return atomic_fns, regions
 
     # -- access collection + caller-context lock inference -----------------------
 
     def _collect_accesses(
-        self, project: Project, graph: CallGraph
+        self, graph: CallGraph, atomic: AtomicScopes
     ) -> tuple[
         dict[tuple[str, str, str], list[FieldAccess]],
         dict[int, list[AccessEvent]],
@@ -114,14 +127,8 @@ class RaceChecker(Checker):
         in-scope functions' event streams (keyed by ``id(fn)``), which
         the stale-window pass reads too.
         """
-        atomic_fns: set[int] = set()
-        regions: dict[str, list[tuple[int, int]]] = {}
+        atomic_fns, regions = atomic
         scoped = [fn for fn in graph.functions if self.applies_to(fn.source)]
-        for source in self.scoped_files(project):
-            atomic_fns |= atomic_function_ids(
-                source, [fn for fn in scoped if fn.source is source]
-            )
-            regions[source.relpath] = atomic_regions(source)
         fn_events = {id(fn): fn.events for fn in scoped}
 
         held_in = self._caller_context_locks(graph, fn_events)
@@ -278,22 +285,12 @@ class RaceChecker(Checker):
 
     def _check_stale_windows(
         self,
-        project: Project,
         graph: CallGraph,
         fn_events: dict[int, list[AccessEvent]],
+        atomic: AtomicScopes,
     ) -> list[Finding]:
         findings: list[Finding] = []
-        atomic_fns: set[int] = set()
-        regions: dict[str, list[tuple[int, int]]] = {}
-        for source in self.scoped_files(project):
-            local = [
-                fn
-                for fn in graph.functions
-                if fn.source is source
-            ]
-            atomic_fns |= atomic_function_ids(source, local)
-            regions[source.relpath] = atomic_regions(source)
-
+        atomic_fns, regions = atomic
         for fn in graph.functions:
             events = fn_events.get(id(fn))
             if (

@@ -41,8 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Project-specific static analysis: determinism lint, IDL "
-            "conformance, yield-point/atomicity races, exception safety."
+            "Project-specific static analysis: determinism lint, "
+            "atomicity, races, config flags, exception safety."
         ),
     )
     parser.add_argument(
@@ -83,12 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         default=None,
         metavar="CODES",
-        help="comma-separated finding codes or prefixes (e.g. DET,IDL003)",
-    )
-    parser.add_argument(
-        "--no-semantic",
-        action="store_true",
-        help="skip checks that compile the IDL toolchain (pure-AST mode)",
+        help="comma-separated finding codes or prefixes (e.g. DET,RACE004)",
     )
     parser.add_argument(
         "--list-checkers",
@@ -127,7 +122,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             if extra_tree.is_dir():
                 paths.append(extra_tree)
 
-    semantic = not args.no_semantic
     select = _parse_select(args.select)
     file_paths = discover_python_files(paths, root)
 
@@ -143,7 +137,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             }
         )
 
-    cached = cache.load_full(semantic, select) if cache is not None else None
+    cached = cache.load_full(select) if cache is not None else None
     if cached is not None:
         # Identical tree + checkers: replay without parsing.
         findings, suppressed = cached
@@ -154,12 +148,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             checkers_run=tuple(checker.name for checker in checkers),
         )
     else:
-        project = Project.from_files(file_paths, root=root, semantic=semantic)
+        project = Project.from_files(file_paths, root=root)
         result = run_checkers(project, checkers, select=select, cache=cache)
         if cache is not None:
-            cache.store_full(
-                semantic, select, result.findings, result.suppressed
-            )
+            cache.store_full(select, result.findings, result.suppressed)
 
     print(render_text(result, verbose=args.verbose))
     if cache is not None:
@@ -191,11 +183,9 @@ def _parse_select(select: Optional[str]) -> Optional[list[str]]:
 
 
 def analyze_paths(
-    paths: Sequence[Path],
-    root: Optional[Path] = None,
-    semantic: bool = True,
+    paths: Sequence[Path], root: Optional[Path] = None
 ) -> AnalysisResult:
     """Programmatic entry point: run every checker over ``paths``."""
-    project = Project.from_paths(paths, root=root, semantic=semantic)
+    project = Project.from_paths(paths, root=root)
     checkers = [checker_cls() for checker_cls in ALL_CHECKERS]
     return run_checkers(project, checkers)

@@ -2,8 +2,7 @@
 
 Checkers are pluggable: subclass :class:`Checker`, declare the finding
 codes you emit, implement ``check_file`` (per-module findings) and/or
-``check_project`` (cross-module findings such as IDL conformance or lock
-ordering), and list the class in :data:`repro.analysis.checkers.ALL_CHECKERS`.
+``check_project`` (cross-module findings such as lockset races), and list the class in :data:`repro.analysis.checkers.ALL_CHECKERS`.
 
 The runner applies, in order: path scoping (each checker sees only the
 files its ``default_scope`` selects, unless constructed with an explicit

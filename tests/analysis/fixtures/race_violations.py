@@ -28,6 +28,7 @@ class Table:
         self.counter = 0
         self.epoch = 0
         self.pending = 0
+        self.backlog = 0
 
     # RACE001: counter is guarded by _lock here...
     def bump(self):
@@ -69,3 +70,16 @@ class Table:
     # RACE004: ...and without any lock here, bypassing the exclusion.
     def reset(self):
         self.pending = 0  # MARK:RACE004
+
+    # backlog is written under _lock here, and the drain is handed to the
+    # scheduler while the lock is held...
+    def schedule_drain(self):
+        with self._lock:
+            self.backlog += 1
+            self.sim.spawn(self._drain())
+
+    # RACE004: ...but the scheduler runs _drain after the with-block has
+    # released the lock, so the spawner's lockset does not protect it.
+    def _drain(self):
+        yield None
+        self.backlog = 0  # MARK:spawned-RACE004

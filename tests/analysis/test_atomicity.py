@@ -1,5 +1,4 @@
-"""Atomicity analysis: declared-atomic scopes, scheduler handoff, and
-lock-order cycles."""
+"""Atomicity analysis: declared-atomic scopes and scheduler handoff."""
 
 from __future__ import annotations
 
@@ -40,25 +39,6 @@ def test_witness_chain_names_the_generator():
         f for f in analyze_source(text).findings if f.code == "ATM002"
     ]
     assert atm002 and "_may_yield" in atm002[0].message
-
-
-def test_lock_order_cycle_is_detected_and_reordering_fixes_it():
-    text = load_fixture("lock_order.py")
-    assert any(f.code == "ATM003" for f in analyze_source(text).findings)
-
-    # Reorder `backward` to take the locks in the same order as `forward`:
-    # the cycle must disappear.
-    consistent = text.replace(
-        "with shared.journal_lock:  # MARK:outer-backward",
-        "with shared.table_lock:  # MARK:outer-backward",
-    ).replace(
-        "with shared.table_lock:  # MARK:inner-backward",
-        "with shared.journal_lock:  # MARK:inner-backward",
-    )
-    assert consistent != text
-    assert not any(
-        f.code == "ATM003" for f in analyze_source(consistent).findings
-    )
 
 
 def test_unmatched_region_markers_are_atm004():

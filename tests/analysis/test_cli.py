@@ -77,7 +77,7 @@ def test_select_narrows_to_the_named_family(tmp_path):
     )
     assert rc == 1
     assert {f["code"] for f in payload["findings"]} == {"RACE004"}
-    rc, payload = _run_json([*base, "--select", "LIF"], tmp_path / "lif.json")
+    rc, payload = _run_json([*base, "--select", "CFG"], tmp_path / "cfg.json")
     assert rc == 0
     assert payload["findings"] == []
 

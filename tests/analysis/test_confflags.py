@@ -38,7 +38,7 @@ def _project_findings(files: dict[str, str]):
         SourceFile.from_text(text, root / name, root)
         for name, text in sorted(files.items())
     ]
-    project = Project(root=root, files=sources, semantic=False)
+    project = Project(root=root, files=sources)
     return run_checkers(project, [ConfigFlagChecker(scope=())]).findings
 
 

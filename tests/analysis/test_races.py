@@ -55,6 +55,15 @@ def test_unprotected_write_is_race004():
     assert ("RACE004", line_of(text, "MARK:RACE004")) in _race_codes(text)
 
 
+def test_a_call_spawned_under_a_lock_runs_without_it():
+    """spawn(self._drain()) only hands the generator to the scheduler; it
+    runs after the spawner's with-block released the lock, so its write
+    is RACE004, not protected by the caller's lockset."""
+    text = load_fixture("race_violations.py")
+    spawned = line_of(text, "MARK:spawned-RACE004")
+    assert ("RACE004", spawned) in _race_codes(text)
+
+
 def test_caller_context_locks_protect_helpers():
     """A helper only ever called with the lock held inherits that lockset,
     so its writes are not RACE004."""
