@@ -1,7 +1,7 @@
 """Finding and severity types shared by every checker.
 
 A :class:`Finding` is one defect report: a stable code (``DET001``,
-``IDL003``, ...), the file/line it anchors to, and a *fingerprint* that
+``RACE004``, ...), the file/line it anchors to, and a *fingerprint* that
 identifies the finding across unrelated line drift — the fingerprint hashes
 the code, path, enclosing definition and message, but **not** the line
 number, so re-formatting a file does not change it.

@@ -82,4 +82,5 @@ class SystemManagerServant(SystemManagerSkeleton):
         ]
 
     def alive_hosts(self):
-        return self.manager.alive_hosts()
+        manager = self.manager
+        return [name for name in sorted(manager.records) if manager.is_alive(name)]
