@@ -72,8 +72,7 @@ class ConfigFlagChecker(Checker):
         scoped: list[SourceFile],
     ) -> Optional[tuple[SourceFile, ast.ClassDef]]:
         for source in scoped:
-            assert source.tree is not None
-            for node in ast.walk(source.tree):
+            for node in source.nodes:
                 if isinstance(node, ast.ClassDef) and node.name == CONFIG_CLASS:
                     return source, node
         return None
@@ -171,8 +170,7 @@ class ConfigFlagChecker(Checker):
         scoped: list[SourceFile],
     ) -> Optional[tuple[SourceFile, ast.FunctionDef]]:
         for source in scoped:
-            assert source.tree is not None
-            for node in ast.walk(source.tree):
+            for node in source.nodes:
                 if (
                     isinstance(node, ast.FunctionDef)
                     and node.name == REPORT_FUNCTION
@@ -301,9 +299,8 @@ class ConfigFlagChecker(Checker):
         """``(section, key, line)`` reads in the report module's *other*
         functions, via ``var = report["section"]`` / ``var['key']`` and
         ``report.get("section")`` / ``var.get('key')`` tracking."""
-        assert source.tree is not None
         consumed: set[tuple[str, str, int]] = set()
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(node, ast.FunctionDef) or node is report_fn:
                 continue
             sections: dict[str, str] = {}

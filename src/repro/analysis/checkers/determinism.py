@@ -123,13 +123,12 @@ class DeterminismChecker(Checker):
         assert source.tree is not None
         findings: list[Finding] = []
         parents: dict[ast.AST, ast.AST] = {}
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             for child in ast.iter_child_nodes(node):
                 parents[child] = node
-        for node in ast.walk(source.tree):
             if isinstance(node, ast.Call):
                 findings.extend(self._check_call(source, node))
-            findings.extend(self._check_sort_key(source, node))
+                findings.extend(self._check_sort_key(source, node))
         findings.extend(self._check_clock_references(source, parents))
         findings.extend(self._check_set_iteration(source, parents))
         return findings
@@ -210,7 +209,7 @@ class DeterminismChecker(Checker):
         justified ``# analysis: ignore[DET001]`` directive a direct call
         would.
         """
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(node, (ast.Attribute, ast.Name)):
                 continue
             parent = parents.get(node)
@@ -281,7 +280,7 @@ class DeterminismChecker(Checker):
     ) -> Iterable[Finding]:
         assert source.tree is not None
         findings: list[Finding] = []
-        set_vars = self._single_assignment_sets(source.tree)
+        set_vars = self._single_assignment_sets(source.nodes)
 
         def is_set_valued(node: ast.expr) -> bool:
             if _is_set_expr(node):
@@ -301,7 +300,7 @@ class DeterminismChecker(Checker):
                 )
             )
 
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if isinstance(node, ast.For) and is_set_valued(node.iter):
                 flag(node, "for loop")
             elif isinstance(node, (ast.ListComp, ast.DictComp, ast.GeneratorExp)):
@@ -330,7 +329,7 @@ class DeterminismChecker(Checker):
         return findings
 
     @staticmethod
-    def _single_assignment_sets(tree: ast.Module) -> set[str]:
+    def _single_assignment_sets(nodes: list[ast.AST]) -> set[str]:
         """Names assigned exactly once, to a set expression."""
         assigned_sets: dict[str, int] = {}
         assignment_counts: dict[str, int] = {}
@@ -340,7 +339,7 @@ class DeterminismChecker(Checker):
             if is_set:
                 assigned_sets[name] = assigned_sets.get(name, 0) + 1
 
-        for node in ast.walk(tree):
+        for node in nodes:
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
                 if isinstance(target, ast.Name):

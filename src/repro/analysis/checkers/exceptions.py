@@ -166,7 +166,7 @@ class ExceptionSafetyChecker(Checker):
             source.relpath.endswith(path) for path in DESIGNATED_HANDLER_FILES
         )
         raise_names_of = self._scope_raise_names(source.tree)
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:
