@@ -5,8 +5,8 @@ portable-interceptor hooks, without touching application code:
 
 * **client side** — opens a ``call:<op>`` span per outgoing request
   (parented under the invoking process's current context) and injects the
-  span's :class:`~repro.obs.trace.TraceContext` into the request's GIOP
-  service-context list;
+  wire form of its :class:`~repro.obs.trace.TraceContext`, written from
+  the span's ids, into the request's GIOP service-context list;
 * **server side** — extracts the propagated context from the incoming
   request, opens a ``serve:<op>`` span under it and installs it as the
   dispatch's current context, so servant-issued nested calls (the naming
@@ -15,8 +15,9 @@ portable-interceptor hooks, without touching application code:
   dispatch dies without one;
 * **metrics** — per-operation counters of the requests sent and served,
   in the simulation's metrics registry.  Each is looked up once, at the
-  operation's first request through this ORB, and kept: a warm call
-  increments two counters it already holds.
+  operation's first request through this ORB, and kept with the span
+  name that operation's spans share: a warm call increments two counters
+  it already holds and builds no name.
 """
 
 from __future__ import annotations
@@ -32,6 +33,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.orb.core import Orb
 
 
+class _Bound:
+    """One operation's side of this ORB, bound at its first request: the
+    name of its spans and its requests counter."""
+
+    __slots__ = ("span_name", "requests")
+
+    def __init__(self, span_name: str, requests: "Counter") -> None:
+        self.span_name = span_name
+        self.requests = requests
+
+
 class ObservabilityInterceptor(RequestInterceptor):
     """Traces and meters every request through one ORB."""
 
@@ -40,34 +52,35 @@ class ObservabilityInterceptor(RequestInterceptor):
         self._obs = orb.sim.obs
         #: open client-side spans by request id (ids are unique per ORB).
         self._client_spans: dict[int, "Span"] = {}
-        #: per operation, bound at its first request: the sent and served
-        #: counters.
-        self._sent: dict[str, "Counter"] = {}
-        self._served: dict[str, "Counter"] = {}
+        #: per operation, bound at its first request: the client side's
+        #: and the server side's span name and counter.
+        self._sent: dict[str, _Bound] = {}
+        self._served: dict[str, _Bound] = {}
 
     # -- client side ------------------------------------------------------------
 
     def send_request(self, info: RequestInfo) -> None:
-        tracer = self._obs.tracer
-        span = tracer.start_span(
-            f"call:{info.operation}",
+        operation = info.operation
+        sent = self._sent.get(operation)
+        if sent is None:
+            sent = self._sent[operation] = _Bound(
+                f"call:{operation}",
+                self._obs.metrics.counter(
+                    "orb_requests_sent_total",
+                    host=self._orb.host.name,
+                    operation=operation,
+                ),
+            )
+        span = self._obs.tracer.start_span(
+            sent.span_name,
             host=self._orb.host.name,
             kind="client",
             request_id=info.request_id,
             target=info.target.host if info.target is not None else "",
         )
         span.attrs.update(info.attrs)
-        info.service_contexts.append(
-            (TRACE_CONTEXT_SERVICE_ID, span.context.encode())
-        )
-        sent = self._sent.get(info.operation)
-        if sent is None:
-            sent = self._sent[info.operation] = self._obs.metrics.counter(
-                "orb_requests_sent_total",
-                host=self._orb.host.name,
-                operation=info.operation,
-            )
-        sent.inc()
+        info.service_contexts.append((TRACE_CONTEXT_SERVICE_ID, span.encode_context()))
+        sent.requests.inc()
         if not info.response_expected:
             span.set_attr("oneway", True)
             span.finish()
@@ -90,6 +103,17 @@ class ObservabilityInterceptor(RequestInterceptor):
     # -- server side ---------------------------------------------------------------
 
     def receive_request(self, info: RequestInfo) -> None:
+        operation = info.operation
+        served = self._served.get(operation)
+        if served is None:
+            served = self._served[operation] = _Bound(
+                f"serve:{operation}",
+                self._obs.metrics.counter(
+                    "orb_requests_served_total",
+                    host=self._orb.host.name,
+                    operation=operation,
+                ),
+            )
         tracer = self._obs.tracer
         parent = None
         for context_id, data in info.service_contexts:
@@ -97,27 +121,21 @@ class ObservabilityInterceptor(RequestInterceptor):
                 parent = TraceContext.decode(bytes(data))
                 break
         span = tracer.start_span(
-            f"serve:{info.operation}",
+            served.span_name,
             parent=parent,
             host=self._orb.host.name,
             kind="server",
         )
         # Make the dispatch causally visible to nested servant calls: the
         # hook runs inside the ORB's per-request dispatch.
-        tracer.set_current(span.context)
-        served = self._served.get(info.operation)
-        if served is None:
-            served = self._served[info.operation] = self._obs.metrics.counter(
-                "orb_requests_served_total",
-                host=self._orb.host.name,
-                operation=info.operation,
-            )
-        served.inc()
+        tracer.set_current(TraceContext(span.trace_id, span.span_id))
+        served.requests.inc()
 
     def send_reply(self, info: RequestInfo) -> None:
         tracer = self._obs.tracer
         span = tracer.open_span(tracer.current)
-        if span is not None and span.name == f"serve:{info.operation}":
+        served = self._served.get(info.operation)
+        if span is not None and served is not None and span.name == served.span_name:
             span.set_attr("reply_bytes", info.body_size)
             span.attrs.update(info.attrs)
             span.finish()
@@ -126,7 +144,8 @@ class ObservabilityInterceptor(RequestInterceptor):
     def abort_reply(self, info: RequestInfo) -> None:
         tracer = self._obs.tracer
         span = tracer.open_span(tracer.current)
-        if span is not None and span.name == f"serve:{info.operation}":
+        served = self._served.get(info.operation)
+        if span is not None and served is not None and span.name == served.span_name:
             span.mark_error(info.exception or "aborted")
             span.finish()
             tracer.set_current(None)

@@ -22,6 +22,7 @@ are rendered by :mod:`repro.obs.exporters`.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional, TYPE_CHECKING
@@ -31,6 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: GIOP service-context id carrying an encoded TraceContext ("TRCX").
 TRACE_CONTEXT_SERVICE_ID = 0x54524358
+
+#: The only wire form :meth:`TraceContext.decode` accepts: the tracer's
+#: own, two non-empty lower-case hex ids of at most 32 digits.
+_WIRE_FORM = re.compile(r"([0-9a-f]{1,32}):([0-9a-f]{1,32})")
 
 
 class TraceContext:
@@ -60,23 +65,33 @@ class TraceContext:
 
     @classmethod
     def decode(cls, data: bytes) -> Optional["TraceContext"]:
-        """Parse the wire form; None when the blob is malformed."""
+        """Parse the wire form; None for anything but the tracer's own
+        form, so a peer's blob is never kept for the life of the ring."""
         try:
-            trace_id, span_id = data.decode("ascii").split(":", 1)
-        except (UnicodeDecodeError, ValueError):
+            match = _WIRE_FORM.fullmatch(data.decode("ascii"))
+        except UnicodeDecodeError:
             return None
-        if not trace_id or not span_id:
+        if match is None:
             return None
-        return cls(trace_id, span_id)
+        return cls(match[1], match[2])
 
 
 class Span:
-    """One timed operation within a trace."""
+    """One timed operation within a trace.
+
+    A finished span is what the ring retains, so it holds each fact once:
+    its two ids as strings of its own (a parent open in the same tracer
+    lends its strings to the child), a name and a process name its makers
+    bound once, and the attrs dict :meth:`Tracer.start_span` handed it.
+    It keeps no :class:`TraceContext`; one is built only where a context
+    is propagated.
+    """
 
     __slots__ = (
         "tracer",
         "name",
-        "context",
+        "trace_id",
+        "span_id",
         "parent_id",
         "start",
         "end",
@@ -91,7 +106,8 @@ class Span:
         self,
         tracer: "Tracer",
         name: str,
-        context: TraceContext,
+        trace_id: str,
+        span_id: str,
         parent_id: Optional[str],
         start: float,
         host: str = "",
@@ -100,7 +116,8 @@ class Span:
     ) -> None:
         self.tracer = tracer
         self.name = name
-        self.context = context
+        self.trace_id = trace_id
+        self.span_id = span_id
         self.parent_id = parent_id
         self.start = start
         self.end: Optional[float] = None
@@ -108,7 +125,10 @@ class Span:
         self.error: Optional[str] = None
         self.host = host
         self.process = process
-        self.attrs: dict[str, Any] = dict(attrs) if attrs else {}
+        self.attrs: dict[str, Any] = attrs if attrs is not None else {}
+
+    #: the wire form of this span's context, written from its ids
+    encode_context = TraceContext.encode
 
     # -- mutation ----------------------------------------------------------
 
@@ -129,12 +149,9 @@ class Span:
     # -- introspection ------------------------------------------------------
 
     @property
-    def trace_id(self) -> str:
-        return self.context.trace_id
-
-    @property
-    def span_id(self) -> str:
-        return self.context.span_id
+    def context(self) -> TraceContext:
+        """This span's ids as a context to propagate, built on each use."""
+        return TraceContext(self.trace_id, self.span_id)
 
     @property
     def is_open(self) -> bool:
@@ -201,28 +218,34 @@ class Tracer:
         """Open a span.  ``parent="current"`` links under the active
         context; ``parent=None`` starts a fresh trace; an explicit
         :class:`TraceContext` links under a remote parent."""
-        if parent == "current":
+        if type(parent) is str:  # "current"
             parent = self.current
+        elif parent is not None:
+            # A remote parent still open here (the client span of a call
+            # inside this simulation) lends its own id strings, so the
+            # child keeps no decoded copies.
+            parent = self._open.get((parent.trace_id, parent.span_id), parent)
         if parent is not None:
             trace_id = parent.trace_id
             parent_id: Optional[str] = parent.span_id
         else:
             trace_id = f"{next(self._trace_ids):012x}"
             parent_id = None
-        context = TraceContext(trace_id, f"{next(self._span_ids):08x}")
+        span_id = f"{next(self._span_ids):08x}"
         process = self.sim.current_process
         span = Span(
             self,
             name,
-            context,
+            trace_id,
+            span_id,
             parent_id,
-            start=self.sim.now,
-            host=host,
-            process=process.name if process is not None else "",
-            attrs=attrs,
+            self.sim.now,
+            host,
+            process.name if process is not None else "",
+            attrs,
         )
         if self.enabled:
-            self._open[(context.trace_id, context.span_id)] = span
+            self._open[(trace_id, span_id)] = span
         return span
 
     def _finish(self, span: Span) -> None:
@@ -293,11 +316,6 @@ class Tracer:
         for span in self.spans:
             seen.setdefault(span.trace_id, None)
         return list(seen)
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self._open.clear()
-        self.dropped = 0
 
     def __len__(self) -> int:
         return len(self.spans)

@@ -195,13 +195,14 @@ class _Endpoint:
 
 
 class CallStats:
-    """Aggregated client-side statistics of one operation of one ORB, and
-    the two instruments its calls feed: the call-latency histogram, bound
-    at the first recorded call, and the failures counter, bound at the
-    first failure."""
+    """Aggregated client-side statistics of one operation of one ORB, the
+    two instruments its calls feed — the call-latency histogram, bound at
+    the first recorded call, and the failures counter, bound at the first
+    failure — and the name its call activities share."""
 
     __slots__ = (
         "operation",
+        "process_name",
         "calls",
         "failures",
         "total_latency",
@@ -213,6 +214,7 @@ class CallStats:
 
     def __init__(self, operation: str, orb: "Orb") -> None:
         self.operation = operation
+        self.process_name = f"{orb.host.name}/call:{operation}"
         self.calls = 0
         self.failures = 0
         self.total_latency = 0.0
@@ -292,9 +294,8 @@ class Orb:
         #: per-operation client-side statistics (the instrumentation an
         #: ORB's interceptors would provide): operation -> CallStats.
         self.call_stats: dict[str, CallStats] = {}
-        #: per-operation server-side dispatch-time histograms, each bound
-        #: at the operation's first reply.
-        self._dispatch_seconds: dict[str, Histogram] = {}
+        #: per-operation server-side records: operation -> _Dispatch.
+        self._dispatches: dict[str, _Dispatch] = {}
         #: portable-interceptor-style request interceptors.
         self.interceptors: list = []
         #: in-flight server dispatches by (client host, client port,
@@ -726,16 +727,16 @@ class _Call(Activity):
         reference: Any,
         extra_contexts: tuple,
     ) -> None:
-        super().__init__(orb.host, f"call:{info.name}", f"call:{info.name}@{ior.host}")
+        stats = orb.call_stats.get(info.name)
+        if stats is None:
+            stats = orb.call_stats[info.name] = CallStats(info.name, orb)
+        super().__init__(orb.host, stats.process_name, f"call:{info.name}@{ior.host}")
         self.orb = orb
         self.ior = ior
         self.info = info
         self.reference = reference
         self.extra_contexts = extra_contexts
         self.started = orb.sim.now
-        stats = orb.call_stats.get(info.name)
-        if stats is None:
-            stats = orb.call_stats[info.name] = CallStats(info.name, orb)
         self.stats = stats
         self.target: Optional[IOR] = None
         self.sends = 0
@@ -991,6 +992,18 @@ class _Call(Activity):
             self._outcome(exc)
 
 
+class _Dispatch:
+    """What the dispatches of one operation on one ORB share: their
+    activity name, bound at the first request, and the dispatch-time
+    histogram, bound at the first reply."""
+
+    __slots__ = ("process_name", "seconds")
+
+    def __init__(self, process_name: str) -> None:
+        self.process_name = process_name
+        self.seconds: Optional[Histogram] = None
+
+
 class _Serve(Activity):
     """One incoming request: the dispatch charge, the upcall, the reply
     charge and the send.  A servant that returns a generator runs as a
@@ -1001,6 +1014,7 @@ class _Serve(Activity):
     __slots__ = (
         "orb",
         "message",
+        "dispatch",
         "key",
         "started",
         "info",
@@ -1012,9 +1026,16 @@ class _Serve(Activity):
     )
 
     def __init__(self, orb: Orb, message: giop.RequestMessage, wire_size: int) -> None:
-        super().__init__(orb.host, f"{orb.name}:serve:{message.operation}")
+        operation = message.operation
+        dispatch = orb._dispatches.get(operation)
+        if dispatch is None:
+            dispatch = orb._dispatches[operation] = _Dispatch(
+                f"{orb.host.name}/{orb.name}:serve:{operation}"
+            )
+        super().__init__(orb.host, dispatch.process_name)
         self.orb = orb
         self.message = message
+        self.dispatch = dispatch
         self.started = orb.sim.now
         self.info: Optional[OpInfo] = None
         self.servant: Optional[Process] = None
@@ -1149,14 +1170,13 @@ class _Serve(Activity):
     def _reply(self, status: giop.ReplyStatus, body: bytes) -> None:
         orb = self.orb
         message = self.message
-        histogram = orb._dispatch_seconds.get(message.operation)
+        dispatch = self.dispatch
+        histogram = dispatch.seconds
         if histogram is None:
-            histogram = orb._dispatch_seconds[message.operation] = (
-                orb.sim.obs.metrics.histogram(
-                    "orb_dispatch_seconds",
-                    operation=message.operation,
-                    host=orb.host.name,
-                )
+            histogram = dispatch.seconds = orb.sim.obs.metrics.histogram(
+                "orb_dispatch_seconds",
+                operation=message.operation,
+                host=orb.host.name,
             )
         histogram.observe(orb.sim.now - self.started)
         if not message.response_expected:

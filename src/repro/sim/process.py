@@ -261,7 +261,8 @@ class Activity(Waiter):
     __slots__ = ("host",)
 
     def __init__(self, host: Any, name: str, label: str = "") -> None:
-        name = f"{host.name}/{name}"
+        # ``name`` is whole (``<host>/<what>``): its maker builds it once
+        # and every activity of the kind shares the string.
         super().__init__(host.sim, name, label or name)
         self.host = host
         host.adopt(self)

@@ -147,7 +147,7 @@ class Sleeper(Activity):
     __slots__ = ("seen", "released", "fail_with")
 
     def __init__(self, host, fail_with=None):
-        super().__init__(host, "sleeper")
+        super().__init__(host, f"{host.name}/sleeper")
         self.seen = []
         self.released = []
         self.fail_with = fail_with

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import critical_path as cp
-from repro.obs.trace import Span, TraceContext, Tracer
+from repro.obs.trace import Span, Tracer
 from repro.sim import Simulator
 
 #: pinned bench_recovery golden: recovery time with one injected failure
@@ -12,10 +12,7 @@ RECOVERY_GOLDEN = 0.016166990000000325
 
 
 def _span(name, span_id, parent, start, end, attrs=None, host="", trace_id="t1"):
-    span = Span(
-        None, name, TraceContext(trace_id, span_id), parent, start,
-        host=host, attrs=attrs,
-    )
+    span = Span(None, name, trace_id, span_id, parent, start, host=host, attrs=attrs)
     span.end = end
     return span
 
