@@ -10,11 +10,15 @@ interpreter the root starts, child processes included, and records each
 code object of ``src/repro`` a frame runs.  A function is keyed by
 ``module:qualname``, never by line, so an edit above it moves nothing.
 
-Writes ``benchmarks/results/reach.json`` and exits 1 when a never-entered
-function is not on :data:`ALLOWLIST`, or when an entry there names a
-function that is gone or that some root now enters.  A root that exits
-non-zero is reported but does not fail the census: the functions it did
-enter still count, and whatever it did not reach shows up as unlisted.
+Writes ``benchmarks/results/reach.json``, with every command's exit
+code, and exits 1 when a never-entered function is not on
+:data:`ALLOWLIST`, when an entry there names a function that is gone or
+that some root now enters, or when a command dies: killed by a signal,
+or ended by an exception nobody caught (a traceback on its stderr).  A
+root that dies early enters less than it should without any other sign.
+A command that exits non-zero with a verdict of its own (a check that
+finds a regression, a self-test's failure count) is reported but does
+not fail the census: the functions it entered still count.
 """
 
 from __future__ import annotations
@@ -175,11 +179,11 @@ ALLOWLIST: dict[str, str] = {
     "repro.obs.slo:MetricDelta.to_dict": "cli",
     "repro.obs.trace:Span.__repr__": "dunder",
     "repro.obs.trace:Span.is_open": "failure",
+    "repro.obs.trace:TraceContext.__eq__": "dunder",
     "repro.obs.trace:TraceContext.__hash__": "dunder",
     "repro.obs.trace:TraceContext.__repr__": "dunder",
     "repro.obs.trace:Tracer.__iter__": "dunder",
     "repro.obs.trace:Tracer.__len__": "dunder",
-    "repro.obs.trace:Tracer.clear": "failure",
     "repro.opt.decomposition:DecomposedRosenbrock.__repr__": "dunder",
     "repro.opt.decomposition:DecomposedRosenbrock.extended_vector": "oracle",
     "repro.opt.decomposition:DecomposedRosenbrock.worker_objective": "oracle",
@@ -334,6 +338,9 @@ ALLOWLIST: dict[str, str] = {
     "repro.winner.system_manager:SystemManager.stop": "failure",
 }
 
+#: What an exception nobody caught leaves on an interpreter's stderr.
+TRACEBACK = b"Traceback (most recent call last):"
+
 #: Written into each export's ``src/`` after two lines that set
 #: ``_prefix`` (the export's ``src/repro/``) and ``_out`` (where to dump);
 #: runs first in every interpreter the root starts and records the code
@@ -432,8 +439,23 @@ def export(target: Path) -> None:
             shutil.copy2(source, destination)
 
 
-def run_root(name: str, commands: list[list[str]]) -> tuple[set[tuple[str, int, str]], list[int]]:
-    """Run one root; returns what it entered and each command's exit code."""
+def run_command(command: list[str], cwd: Path, environment: dict) -> tuple[int, bool]:
+    """Run one interpreter; its exit code, and whether it died (killed by
+    a signal, or a traceback on its stderr) rather than exiting with a
+    verdict."""
+    completed = subprocess.run(
+        [sys.executable, *command], cwd=cwd, env=environment,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    code = completed.returncode
+    return code, code < 0 or TRACEBACK in completed.stderr
+
+
+def run_root(
+    name: str, commands: list[list[str]]
+) -> tuple[set[tuple[str, int, str]], list[tuple[int, bool]]]:
+    """Run one root; returns what it entered and, per command, its exit
+    code and whether it died."""
     with tempfile.TemporaryDirectory(prefix=f"reach-{name}-") as scratch:
         tree, out = Path(scratch) / "tree", Path(scratch) / "out"
         export(tree)
@@ -444,24 +466,18 @@ def run_root(name: str, commands: list[list[str]]) -> tuple[set[tuple[str, int, 
             encoding="utf-8",
         )
         environment = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
-        codes = [
-            subprocess.run(
-                [sys.executable, *command], cwd=tree, env=environment,
-                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            ).returncode
-            for command in commands
-        ]
+        outcomes = [run_command(command, tree, environment) for command in commands]
         entered = set()
         for dump in out.glob("*.tsv"):
             for row in filter(None, dump.read_text(encoding="utf-8").split("\n")):
                 filename, line, function = row.split("\t")
                 relative = Path(filename).relative_to(package).as_posix()
                 entered.add((relative, int(line), function))
-    return entered, codes
+    return entered, outcomes
 
 
-def census() -> tuple[dict, dict[str, list[int]]]:
-    """The report written to ``reach.json``, and each root's exit codes."""
+def census() -> dict:
+    """The report written to ``reach.json``."""
     universe = functions()
     keys = {key for key, _ in universe.values()}
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
@@ -491,15 +507,24 @@ def census() -> tuple[dict, dict[str, list[int]]]:
             key for key in ALLOWLIST if key not in keys or key in entered
         ),
         "allowlisted": {key: ALLOWLIST[key] for key in never if key in ALLOWLIST},
+        "exit_codes": {
+            name: [code for code, _ in outcomes] for name, (_, outcomes) in runs.items()
+        },
+        "died": [
+            f"{name}: python {' '.join(command)}"
+            for name, (_, outcomes) in runs.items()
+            for command, (_, died) in zip(ROOTS[name], outcomes)
+            if died
+        ],
     }
-    return report, {name: codes for name, (_, codes) in runs.items()}
+    return report
 
 
 def main() -> int:
-    report, exit_codes = census()
+    report = census()
     RESULT.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     for name, entered in report["roots"].items():
-        codes = exit_codes[name]
+        codes = report["exit_codes"][name]
         note = f"  (exit codes {codes})" if any(codes) else ""
         print(f"{name:40s} {entered:5d} entered{note}")
     print(
@@ -510,7 +535,9 @@ def main() -> int:
         print(f"never entered and not on the allowlist: {key}")
     for key in report["stale"]:
         print(f"allowlisted but gone or entered: {key}")
-    return 1 if report["unlisted"] or report["stale"] else 0
+    for command in report["died"]:
+        print(f"died: {command}")
+    return 1 if report["unlisted"] or report["stale"] or report["died"] else 0
 
 
 if __name__ == "__main__":
