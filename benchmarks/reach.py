@@ -43,7 +43,8 @@ JOBS = 2
 #: Each root is a list of commands run in order in one export; each
 #: command is the argument list of one ``python`` interpreter.
 ROOTS: dict[str, list[list[str]]] = {
-    # CI: the static-analysis gate cold, then from its cache, then one family.
+    # CI: the static-analysis gate cold, then from its cache, then one
+    # family; and the checker catalog.
     "analysis": [
         ["-m", "repro.analysis", "--strict"],
         ["-m", "repro.analysis", "--strict", "--cache", ".analysis-cache",
@@ -51,6 +52,7 @@ ROOTS: dict[str, list[list[str]]] = {
         ["-m", "repro.analysis", "--strict", "--cache", ".analysis-cache",
          "--json", "analysis-report.json"],
         ["-m", "repro.analysis", "--strict", "--select", "RACE,ATM,CFG"],
+        ["-m", "repro.analysis", "--list-checkers"],
     ],
     # CI: the five chaos invocations.
     "chaos": [["-m", "repro.chaos", "--fast", "--seeds", "11,12,13"]],
@@ -89,7 +91,7 @@ ROOTS: dict[str, list[list[str]]] = {
         # trips the wall-clock lane does not change what is entered
         ["-m", "repro.obs", "check", "--baseline", "baseline-scale.json",
          "--current", "benchmarks/results/BENCH_scale.json",
-         "--wall-tolerance", "0.75", "--verbose"],
+         "--wall-tolerance", "0.75", "--verbose", "--json", "scale-check.json"],
     ],
     # CI: obs-smoke.
     "obs": [
@@ -106,7 +108,8 @@ ROOTS: dict[str, list[list[str]]] = {
         ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--benchmark-disable",
          "benchmarks"],
     ],
-    # The CLI subcommands.
+    # The CLI subcommands, and the IDL compiler README documents, run on
+    # the checkpoint store's IDL written out to a file.
     "cli": [
         ["-m", "repro", "demo"],
         ["-m", "repro", "fig3", "--configs", "30/3", "--bg", "0", "2"],
@@ -114,6 +117,9 @@ ROOTS: dict[str, list[list[str]]] = {
         ["-m", "repro", "recovery"],
         ["-m", "repro", "migration"],
         ["-m", "repro", "wan"],
+        ["-c", "from repro.services.checkpoint import CHECKPOINT_IDL;"
+         " open('checkpoint.idl', 'w').write(CHECKPOINT_IDL)"],
+        ["-m", "repro.orb.idl", "checkpoint.idl"],
     ],
     # The examples.
     **{
@@ -124,13 +130,12 @@ ROOTS: dict[str, list[list[str]]] = {
 
 #: Why a never-entered function stays.  Every allowlist entry names one.
 REASONS = {
-    "idl": "an operation declared in a paper service's IDL "
-    "(CosNaming, Winner SystemManager, checkpoint store)",
-    "dii": "the DII request API that Fig. 2 mirrors",
+    "idl": "an IDL operation no root invokes: the checkpoint contracts "
+    "(CheckpointStore, Checkpointable), the load-distributing naming "
+    "extension, a servant's _this",
     "failure": "a failure or hostile-input path",
     "oracle": "a reference oracle",
     "dunder": "a debugging dunder",
-    "cli": "a CLI that is not in CI",
 }
 
 #: The functions no root enters that stay on purpose, ``module:qualname``
@@ -139,8 +144,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.analysis.callgraph:FunctionInfo.chain": "failure",
     "repro.analysis.checkers.determinism:DeterminismChecker._check_set_iteration.<locals>.flag": "failure",
     "repro.analysis.checkers.races:RaceChecker._disjoint_pair": "failure",
-    "repro.analysis.framework:checker_catalog": "cli",
-    "repro.analysis.report:render_catalog": "cli",
     "repro.bench.ftbench:PayloadAccumulatorImpl.restore_from": "idl",
     "repro.bench.reporting:_jsonable": "failure",
     "repro.cluster.cluster:Cluster.__len__": "dunder",
@@ -157,11 +160,8 @@ ALLOWLIST: dict[str, str] = {
     "repro.ft.breaker:CircuitBreaker.__repr__": "dunder",
     "repro.ft.breaker:HostBreakerRegistry.__iter__": "dunder",
     "repro.ft.detector:FailureDetector.stop": "failure",
-    "repro.ft.factory:ObjectFactoryServant.host_name": "idl",
-    "repro.ft.factory:ObjectFactoryServant.supported_types": "idl",
     "repro.ft.proxies:_FtProxyBase._note_persist_failure": "failure",
     "repro.ft.replicated_store:ReplicatedCheckpointStore.latest_version": "idl",
-    "repro.ft.replicated_store:ReplicatedCheckpointStore.replica_count": "idl",
     "repro.ft.replicated_store:ReplicatedCheckpointStore.store_delta": "idl",
     "repro.ft.replication:ActiveGroup._resync": "failure",
     "repro.ft.replication:ReplicaGroup._handle_dead_lead": "failure",
@@ -170,13 +170,8 @@ ALLOWLIST: dict[str, str] = {
     "repro.ft.replication:ReplicatedServant.snapshot": "failure",
     "repro.ft.replication:WarmPassiveGroup._handle_dead_lead": "failure",
     "repro.ft.request_proxy:FtRequest.__repr__": "dunder",
-    "repro.ft.request_proxy:FtRequest.invoke": "dii",
-    "repro.ft.request_proxy:FtRequest.poll_response": "dii",
-    "repro.ft.request_proxy:FtRequest.return_value": "dii",
-    "repro.ft.request_proxy:FtRequest.sent": "dii",
     "repro.obs.metrics:Gauge.inc": "failure",
     "repro.obs.metrics:Instrument.value_repr": "failure",
-    "repro.obs.slo:MetricDelta.to_dict": "cli",
     "repro.obs.trace:Span.__repr__": "dunder",
     "repro.obs.trace:Span.is_open": "failure",
     "repro.obs.trace:TraceContext.__eq__": "dunder",
@@ -185,27 +180,13 @@ ALLOWLIST: dict[str, str] = {
     "repro.obs.trace:Tracer.__iter__": "dunder",
     "repro.obs.trace:Tracer.__len__": "dunder",
     "repro.opt.decomposition:DecomposedRosenbrock.__repr__": "dunder",
-    "repro.opt.decomposition:DecomposedRosenbrock.extended_vector": "oracle",
-    "repro.opt.decomposition:DecomposedRosenbrock.worker_objective": "oracle",
-    "repro.opt.worker:RosenbrockWorkerServant.evaluations": "idl",
-    "repro.opt.worker:RosenbrockWorkerServant.host_name": "idl",
     "repro.orb.cdr:AnyImage.__repr__": "dunder",
-    "repro.orb.cdr:CdrInputStream._read_enum": "idl",
     "repro.orb.cdr:CdrInputStream._read_parameterized_typecode": "failure",
-    "repro.orb.cdr:CdrInputStream._read_sequence": "oracle",
-    "repro.orb.cdr:CdrInputStream._read_struct": "oracle",
-    "repro.orb.cdr:CdrInputStream._read_value_slow": "oracle",
     "repro.orb.cdr:CdrInputStream.read_boolean": "failure",
-    "repro.orb.cdr:CdrInputStream.read_primitive": "oracle",
     "repro.orb.cdr:CdrInputStream.read_typecode": "failure",
     "repro.orb.cdr:CdrOutputStream.__len__": "dunder",
     "repro.orb.cdr:CdrOutputStream._check_int": "failure",
-    "repro.orb.cdr:CdrOutputStream._write_enum": "idl",
-    "repro.orb.cdr:CdrOutputStream._write_sequence": "oracle",
-    "repro.orb.cdr:CdrOutputStream._write_struct": "oracle",
-    "repro.orb.cdr:CdrOutputStream._write_value_slow": "oracle",
     "repro.orb.cdr:CdrOutputStream.write_boolean": "failure",
-    "repro.orb.cdr:CdrOutputStream.write_primitive": "oracle",
     "repro.orb.cdr:GenericStruct.__eq__": "dunder",
     "repro.orb.cdr:GenericStruct.__init__": "failure",
     "repro.orb.cdr:GenericStruct.__repr__": "dunder",
@@ -214,10 +195,8 @@ ALLOWLIST: dict[str, str] = {
     "repro.orb.cdr:_postprocess_any": "failure",
     "repro.orb.cdr:_read_any_bool": "failure",
     "repro.orb.cdr:_read_any_null": "failure",
-    "repro.orb.cdr:_read_any_octets": "failure",
     "repro.orb.cdr:_underrun": "failure",
     "repro.orb.cdr:_write_any_bool": "failure",
-    "repro.orb.cdr:_write_any_bytes": "failure",
     "repro.orb.cdr:_write_any_none": "failure",
     "repro.orb.cdr:_zero_width_steps": "failure",
     "repro.orb.cdr:clear_plan_cache": "failure",
@@ -230,22 +209,10 @@ ALLOWLIST: dict[str, str] = {
     "repro.orb.core:_Call._fall_back": "failure",
     "repro.orb.core:_Call._release": "failure",
     "repro.orb.dii:Request.__repr__": "dunder",
-    "repro.orb.dii:Request.arguments": "dii",
-    "repro.orb.dii:Request.exception": "dii",
-    "repro.orb.dii:Request.invoke": "dii",
-    "repro.orb.dii:Request.operation": "dii",
-    "repro.orb.dii:Request.poll_response": "dii",
-    "repro.orb.dii:Request.return_value": "dii",
-    "repro.orb.dii:Request.send_oneway": "dii",
-    "repro.orb.dii:Request.sent": "dii",
-    "repro.orb.dii:Request.target": "dii",
-    "repro.orb.forwarding:ForwardingAgent.replica_count": "failure",
     "repro.orb.giop:_Message.__eq__": "dunder",
     "repro.orb.giop:_Message.__hash__": "dunder",
     "repro.orb.giop:_Message.__repr__": "dunder",
     "repro.orb.giop:_Message._values": "failure",
-    "repro.orb.idl.__main__:main": "cli",
-    "repro.orb.idl.codegen:generate_source": "cli",
     "repro.orb.idl.idlast:ScopedName.__str__": "dunder",
     "repro.orb.idl.lexer:Token.__repr__": "dunder",
     "repro.orb.idl.parser:_Parser._error": "failure",
@@ -261,33 +228,8 @@ ALLOWLIST: dict[str, str] = {
     "repro.orb.transport:ConnectionCache.discard": "failure",
     "repro.orb.transport:ConnectionCache.invalidate_endpoint": "failure",
     "repro.orb.typecodes:TypeCode.__repr__": "dunder",
-    "repro.services.checkpoint:CheckpointStoreServant.bytes_stored": "idl",
-    "repro.services.checkpoint:CheckpointStoreServant.discard": "idl",
-    "repro.services.checkpoint:CheckpointStoreServant.keys": "idl",
     "repro.services.checkpoint:CheckpointStoreServant.latest_version": "idl",
-    "repro.services.checkpoint:MemoryBackend.bytes_stored": "idl",
-    "repro.services.checkpoint:MemoryBackend.discard": "idl",
-    "repro.services.checkpoint:MemoryBackend.keys": "idl",
-    "repro.services.checkpoint:MemoryBackend.write": "idl",
-    "repro.services.naming.context:NamingContextServant._lookup": "idl",
-    "repro.services.naming.context:NamingContextServant._orb": "idl",
-    "repro.services.naming.context:NamingContextServant._store": "idl",
-    "repro.services.naming.context:NamingContextServant._subcontext_stub": "idl",
-    "repro.services.naming.context:NamingContextServant.bind": "idl",
-    "repro.services.naming.context:NamingContextServant.bind_context": "idl",
-    "repro.services.naming.context:NamingContextServant.bind_new_context": "idl",
-    "repro.services.naming.context:NamingContextServant.destroy": "idl",
-    "repro.services.naming.context:NamingContextServant.list_bindings": "idl",
-    "repro.services.naming.context:NamingContextServant.new_context": "idl",
-    "repro.services.naming.context:NamingContextServant.rebind": "idl",
-    "repro.services.naming.context:NamingContextServant.resolve": "idl",
-    "repro.services.naming.context:NamingContextServant.unbind": "idl",
-    "repro.services.naming.load_aware:LoadDistributingContextServant.bind": "idl",
-    "repro.services.naming.load_aware:LoadDistributingContextServant.destroy": "idl",
-    "repro.services.naming.load_aware:LoadDistributingContextServant.list_bindings": "idl",
-    "repro.services.naming.load_aware:LoadDistributingContextServant.rebind": "idl",
     "repro.services.naming.load_aware:LoadDistributingContextServant.replica_count": "idl",
-    "repro.services.naming.load_aware:LoadDistributingContextServant.unbind": "idl",
     "repro.services.naming.names:NameComponent.__eq__": "dunder",
     "repro.services.naming.names:NameComponent.__hash__": "dunder",
     "repro.services.naming.sharded:ShardedServiceDirectory.__repr__": "dunder",
@@ -295,9 +237,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.services.naming.strategies:ResolveCache._miss": "failure",
     "repro.services.naming.strategies:SelectionStrategy.__repr__": "dunder",
     "repro.services.naming.strategies:SelectionStrategy.choose": "failure",
-    "repro.services.naming.strategies:WinnerStrategy._choose_remote": "failure",
-    "repro.services.naming.strategies:WinnerStrategy._pick": "failure",
-    "repro.services.trader:TraderServant.withdraw": "idl",
     "repro.sim.channels:Channel.__len__": "dunder",
     "repro.sim.channels:Channel.__repr__": "dunder",
     "repro.sim.channels:Channel.close": "failure",
@@ -319,7 +258,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.winner.hierarchy:RegionNode.best_host": "failure",
     "repro.winner.hierarchy:SiteLoadManager.__len__": "dunder",
     "repro.winner.hierarchy:SiteLoadManager.__repr__": "dunder",
-    "repro.winner.hierarchy:SiteLoadManager.best_score": "oracle",
     "repro.winner.metrics:Ewma.__repr__": "dunder",
     "repro.winner.metrics:VectorLoadBoard.__len__": "dunder",
     "repro.winner.metrics:VectorLoadBoard.__repr__": "dunder",
@@ -331,10 +269,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.winner.metrics:VectorLoadBoard.up": "oracle",
     "repro.winner.metrics:VectorLoadBoard.utilization": "oracle",
     "repro.winner.node_manager:NodeManager.stop": "failure",
-    "repro.winner.service:SystemManagerServant.alive_hosts": "idl",
-    "repro.winner.service:SystemManagerServant.best_host": "idl",
-    "repro.winner.service:SystemManagerServant.note_placement": "idl",
-    "repro.winner.service:SystemManagerServant.snapshot": "idl",
     "repro.winner.system_manager:SystemManager.stop": "failure",
 }
 

@@ -87,8 +87,6 @@ class Runtime:
         #: heals) — the chaos no-stale-primary invariant audits these.
         self._replica_members: list = []
         self.system_manager: Optional[SystemManager] = None
-        self.winner_servant = None
-        self.winner_ior: Optional[IOR] = None
         self.naming_root: Optional[LoadDistributingContextServant] = None
         self.naming_ior: Optional[IOR] = None
         self.store_servant: Optional[CheckpointStoreServant] = None
@@ -117,14 +115,6 @@ class Runtime:
         self.system_manager = SystemManager(service_host, self.network)
         for host in self.cluster:
             self._start_node_manager(host)
-        # The CORBA face of Winner (Fig. 1): remote components query load
-        # through the ORB; local ones (the naming strategy) short-circuit.
-        from repro.winner.service import SystemManagerServant
-
-        self.winner_servant = SystemManagerServant(self.system_manager)
-        self.winner_ior = self.orb(service_host.name).poa.activate(
-            self.winner_servant
-        )
 
         self.naming_root = LoadDistributingContextServant(
             self._make_strategy(),

@@ -30,8 +30,6 @@ module FT {
             raises (UnknownType);
         // Deactivate an object previously created by this factory.
         void destroy_object(in Object reference);
-        sequence<string> supported_types();
-        string host_name();
     };
 };
 """
@@ -89,9 +87,3 @@ class ObjectFactoryServant(ObjectFactorySkeleton):
             self._poa.deactivate(reference.object_key)  # type: ignore[union-attr]
         except OBJ_ADAPTER:
             pass  # already gone; destroy is idempotent
-
-    def supported_types(self):
-        return sorted(self._types)
-
-    def host_name(self):
-        return self._host().name

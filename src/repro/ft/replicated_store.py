@@ -47,10 +47,6 @@ class ReplicatedCheckpointStore:
         self.degraded_writes = 0
         self.failover_reads = 0
 
-    @property
-    def replica_count(self) -> int:
-        return len(self._stubs)
-
     # -- the CheckpointStore call surface -------------------------------------
 
     def store(self, key: str, version: int, state) -> "SimFuture":

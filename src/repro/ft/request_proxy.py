@@ -4,16 +4,15 @@
 like the object proxies." (§3, Fig. 2)
 
 An :class:`FtRequest` mirrors the :class:`~repro.orb.dii.Request` API
-(``send_deferred`` / ``poll_response`` / ``get_response`` /
-``return_value``) and runs the object proxy's own call loop with one
-difference: every attempt is a fresh DII Request at the proxy's current
-target.  Replica-group dispatch, recovery, retry and the checkpoint step
-are therefore the object proxy's, not a second copy.
+(``send_deferred`` / ``get_response``) and runs the object proxy's own
+call loop with one difference: every attempt is a fresh DII Request at
+the proxy's current target.  Replica-group dispatch, recovery, retry and
+the checkpoint step are therefore the object proxy's, not a second copy.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.errors import BAD_OPERATION
 from repro.orb.dii import Request
@@ -47,10 +46,6 @@ class FtRequest:
     def operation(self) -> str:
         return self._info.name
 
-    @property
-    def sent(self) -> bool:
-        return self._outer is not None
-
     def send_deferred(self) -> "FtRequest":
         if self._outer is not None:
             raise BAD_OPERATION(f"request {self.operation!r} was already sent")
@@ -75,30 +70,12 @@ class FtRequest:
         )
         return request.send_deferred().get_response()
 
-    def invoke(self) -> "SimFuture":
-        """Synchronous flavour: send and return the response future."""
-        return self.send_deferred().get_response()
-
-    def poll_response(self) -> bool:
-        self._ensure_sent()
-        assert self._outer is not None
-        return self._outer.is_done
-
     def get_response(self) -> "SimFuture":
-        self._ensure_sent()
-        assert self._outer is not None
-        return self._outer
-
-    def return_value(self) -> Any:
-        self._ensure_sent()
-        assert self._outer is not None
-        return self._outer.value
-
-    def _ensure_sent(self) -> None:
         if self._outer is None:
             raise BAD_OPERATION(
                 f"request {self.operation!r} has not been sent yet"
             )
+        return self._outer
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (

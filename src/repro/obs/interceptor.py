@@ -11,8 +11,8 @@ portable-interceptor hooks, without touching application code:
   request, opens a ``serve:<op>`` span under it and installs it as the
   dispatch's current context, so servant-issued nested calls (the naming
   service walking a federation, a factory creating an object) stay
-  causally linked; the span ends at the reply, or with an error when the
-  dispatch dies without one;
+  causally linked; the span ends at the reply (a oneway request's when
+  its dispatch ends), or with an error when the dispatch dies without one;
 * **metrics** — per-operation counters of the requests sent and served,
   in the simulation's metrics registry.  Each is looked up once, at the
   operation's first request through this ORB, and kept with the span

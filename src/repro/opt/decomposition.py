@@ -116,23 +116,6 @@ class DecomposedRosenbrock:
             return []
         return [float(coupling[self.coupling_indices.index(index)])]
 
-    def extended_vector(
-        self, worker_id: int, block: np.ndarray, coupling: np.ndarray
-    ) -> np.ndarray:
-        """Assemble (left coupling?, block, right coupling?) for a worker."""
-        problem = self.workers[worker_id]
-        return np.array(
-            self._coupling_values(problem.left_coupling, coupling)
-            + np.asarray(block, dtype=np.float64).tolist()
-            + self._coupling_values(problem.right_coupling, coupling)
-        )
-
-    def worker_objective(
-        self, worker_id: int, block: np.ndarray, coupling: np.ndarray
-    ) -> float:
-        """Worker ``i``'s share of the Rosenbrock sum."""
-        return rosenbrock(self.extended_vector(worker_id, block, coupling))
-
     def solve_worker(
         self,
         worker_id: int,

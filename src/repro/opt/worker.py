@@ -37,9 +37,6 @@ module Opt {
                      in long long seed) raises (BadSubproblem);
         // Block variables of the best solution of a subproblem so far.
         sequence<double> best_block(in long worker_id) raises (BadSubproblem);
-        // Total simulated evaluations performed by this instance.
-        long long evaluations();
-        string host_name();
     };
 };
 """
@@ -129,12 +126,6 @@ class RosenbrockWorkerServant(RosenbrockWorkerSkeleton):
         if best is None:
             raise BadSubproblem(why=f"subproblem {worker_id} never solved here")
         return np.asarray(best["block"], dtype=np.float64)
-
-    def evaluations(self):
-        return self._evaluations
-
-    def host_name(self):
-        return self._host().name
 
     # -- Checkpointable -----------------------------------------------------------------
 

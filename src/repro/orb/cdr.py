@@ -31,17 +31,19 @@ exactly the bytes of the per-element kind-dispatch they replace:
   parameterless kind, and the reserved structs/sequences
   ``infer_typecode`` produces — so a plan look-up hits on identity;
 * **lanes for ``any``** — ``write_any`` dispatches once on the value's
-  exact type (``float``, ``int``, ``str``, ``bool``, ``None``,
-  ``bytes``, ``dict``, ``list``/``tuple``, ``ndarray``) and ``read_any``
-  once on the kind octet; a lane writes or reads typecode and value in
-  one frame, matching the ``__dict__``/``__ndarray__`` typecode bytes,
-  precomputed per start offset, with one ``startswith``.  A list that is
+  exact type (``float``, ``int``, ``str``, ``bool``, ``None``, ``dict``,
+  ``list``/``tuple``, ``ndarray``) and ``read_any`` once on the kind
+  octet; a lane writes or reads typecode and value in one frame,
+  matching the ``__dict__``/``__ndarray__`` typecode bytes, precomputed
+  per start offset, with one ``startswith``.  A list that is
   all ``float`` or all ``int`` — a ``sequence<any>`` whose elements after
   the first are identical 16-byte records — is written and read as one
   NumPy structured array (:func:`_write_any_seq` / :func:`_read_any_seq`).
-  Whatever a lane does not handle (an int beyond longlong, a malformed or
-  truncated buffer, an unhashable key) restarts the generic path
-  (``infer_typecode`` → ``write_typecode`` → plan) at the same offset;
+  Whatever has no lane (``bytes``, an ``IOR``, a NumPy scalar) takes the
+  generic path (``infer_typecode`` → ``write_typecode`` → plan), which
+  writes the same bytes, and whatever a lane does not handle (an int
+  beyond longlong, a malformed or truncated buffer, an unhashable key)
+  restarts it at the same offset;
 * **images** — an :class:`AnyImage` keeps a decoded ``any`` beside the
   bytes it came from.  A call whose result typecode is
   :data:`TC_ANY_IMAGE` returns one when the value ran to the end of the
@@ -52,10 +54,9 @@ exactly the bytes of the per-element kind-dispatch they replace:
 
 ``write_value`` / ``read_value`` always run the plans and the streams
 always take the lanes; the uncompiled kind-dispatch and the lane-free
-``any`` (``_write_value_slow`` / ``_read_value_slow``) stay as the oracle
-the parity tests reach through :class:`ReferenceOutputStream` /
-:class:`ReferenceInputStream`.  :func:`values_equal` is equality of the
-``any`` bytes.
+``any`` they replace are the reference streams of
+``tests/orb/cdr_oracle.py``, which the parity tests hold them to.
+:func:`values_equal` is equality of the ``any`` bytes.
 
 Bytes off the wire are not trusted: element counts are checked against
 what is left of the buffer (zero-width elements against a small cap),
@@ -164,7 +165,7 @@ def _primitive_reader(kind: TCKind) -> Callable[["CdrInputStream"], Any]:
 
 
 #: the one coder per primitive kind: the streams' ``write_*``/``read_*``
-#: methods, ``write_primitive``/``read_primitive`` and the plans all use it.
+#: methods and the plans both use it.
 _WRITERS = {kind: _primitive_writer(kind) for kind in _PRIMITIVE_FORMATS}
 _READERS = {kind: _primitive_reader(kind) for kind in _PRIMITIVE_FORMATS}
 
@@ -224,9 +225,6 @@ class CdrOutputStream:
     def write_raw(self, data: bytes) -> None:
         self._buffer.extend(data)
 
-    def write_primitive(self, kind: TCKind, value: Any) -> None:
-        _WRITERS[kind](self, value)
-
     def write_boolean(self, value: bool) -> None:
         self._buffer.append(1 if value else 0)  # an octet: no alignment
 
@@ -272,86 +270,12 @@ class CdrOutputStream:
     def write_value(self, tc: TypeCode, value: Any) -> None:
         encoder_plan(tc)(self, value)
 
-    def _write_value_slow(self, tc: TypeCode, value: Any) -> None:
-        kind = tc.kind
-        if kind in (TCKind.NULL, TCKind.VOID):
-            if value is not None:
-                raise CdrError(f"{kind.name} carries no value, got {value!r}")
-            return
-        if kind is TCKind.BOOLEAN:
-            self.write_boolean(bool(value))
-            return
-        if kind in _PRIMITIVE_FORMATS:
-            if tc.is_integer:
-                self._check_int(tc, value)
-            self.write_primitive(kind, value)
-            return
-        if kind is TCKind.STRING:
-            self.write_string(value)
-            return
-        if kind is TCKind.OCTETS:
-            self.write_octets(value)
-            return
-        if kind is TCKind.SEQUENCE:
-            self._write_sequence(tc, value)
-            return
-        if kind in (TCKind.STRUCT, TCKind.EXCEPTION):
-            self._write_struct(tc, value)
-            return
-        if kind is TCKind.ENUM:
-            self._write_enum(tc, value)
-            return
-        if kind is TCKind.OBJREF:
-            self.write_ior(value)
-            return
-        if kind is TCKind.ANY:
-            self.write_any(value)
-            return
-        raise CdrError(f"cannot encode TypeCode kind {kind.name}")
-
     def _check_int(self, tc: TypeCode, value: Any) -> None:
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise CdrError(f"expected integer for {tc!r}, got {value!r}")
         lo, hi = tc.integer_bounds()
         if not lo <= int(value) <= hi:
             raise CdrError(f"{value} out of range for {tc!r} [{lo}, {hi}]")
-
-    def _write_sequence(self, tc: TypeCode, value: Any) -> None:
-        assert tc.content is not None
-        dtype = _NUMPY_SEQ_DTYPES.get(tc.content.kind)
-        if dtype is not None:
-            arr = np.asarray(value)
-            if arr.ndim != 1:
-                raise CdrError(
-                    f"sequence<{tc.content!r}> expects a 1-D value, got shape {arr.shape}"
-                )
-            self.write_ulong(arr.shape[0])
-            _, size = _PRIMITIVE_FORMATS[tc.content.kind]
-            self.align(size)
-            try:
-                self._buffer.extend(arr.astype(dtype, copy=False).tobytes())
-            except (TypeError, ValueError) as exc:
-                raise CdrError(f"bad element in sequence: {exc}") from exc
-            return
-        items = list(value)
-        self.write_ulong(len(items))
-        for item in items:
-            self.write_value(tc.content, item)
-
-    def _write_struct(self, tc: TypeCode, value: Any) -> None:
-        for name, field_tc in tc.fields:
-            if isinstance(value, dict):
-                if name not in value:
-                    raise CdrError(f"struct {tc.name} value missing field {name!r}")
-                field_value = value[name]
-            else:
-                try:
-                    field_value = getattr(value, name)
-                except AttributeError:
-                    raise CdrError(
-                        f"struct {tc.name} value {value!r} missing field {name!r}"
-                    ) from None
-            self.write_value(field_tc, field_value)
 
     def _write_enum(self, tc: TypeCode, value: Any) -> None:
         if isinstance(value, str):
@@ -441,9 +365,6 @@ class CdrInputStream:
         self._pos = end
         return self._data[pos:end]
 
-    def read_primitive(self, kind: TCKind) -> Any:
-        return _READERS[kind](self)
-
     def read_boolean(self) -> bool:
         data = self._data
         pos = self._pos
@@ -500,50 +421,6 @@ class CdrInputStream:
 
     def read_value(self, tc: TypeCode) -> Any:
         return decoder_plan(tc)(self)
-
-    def _read_value_slow(self, tc: TypeCode) -> Any:
-        kind = tc.kind
-        if kind in (TCKind.NULL, TCKind.VOID):
-            return None
-        if kind is TCKind.BOOLEAN:
-            return self.read_boolean()
-        if kind in _PRIMITIVE_FORMATS:
-            return self.read_primitive(kind)
-        if kind is TCKind.STRING:
-            return self.read_string()
-        if kind is TCKind.OCTETS:
-            return self.read_octets()
-        if kind is TCKind.SEQUENCE:
-            return self._read_sequence(tc)
-        if kind in (TCKind.STRUCT, TCKind.EXCEPTION):
-            return self._read_struct(tc)
-        if kind is TCKind.ENUM:
-            return self._read_enum(tc)
-        if kind is TCKind.OBJREF:
-            return self.read_ior()
-        if kind is TCKind.ANY:
-            return self.read_any()
-        raise CdrError(f"cannot decode TypeCode kind {kind.name}")
-
-    def _read_sequence(self, tc: TypeCode) -> Any:
-        assert tc.content is not None
-        length = self.read_ulong()
-        dtype = _NUMPY_SEQ_DTYPES.get(tc.content.kind)
-        if dtype is not None:
-            _, size = _PRIMITIVE_FORMATS[tc.content.kind]
-            self.align(size)
-            raw = self.read_raw(length * size)
-            # Native byte order for downstream numerics.
-            return np.frombuffer(raw, dtype=dtype).astype(dtype[1:], copy=True)
-        _count_checker(tc.content)(self, length)
-        return [self.read_value(tc.content) for _ in range(length)]
-
-    def _read_struct(self, tc: TypeCode) -> Any:
-        fields = {name: self.read_value(ftc) for name, ftc in tc.fields}
-        cls = _STRUCT_REGISTRY.get(tc.name)
-        if cls is not None:
-            return cls(**fields)
-        return GenericStruct(tc.name, **fields)
 
     def _read_enum(self, tc: TypeCode) -> Any:
         index = self.read_ulong()
@@ -628,25 +505,6 @@ class CdrInputStream:
             return _postprocess_any(tc, self.read_value(tc))
         finally:
             self._any_depth = depth
-
-
-class ReferenceOutputStream(CdrOutputStream):
-    """The per-element reference encoder: ``write_value`` *is* the
-    uncompiled kind-dispatch and ``write_any`` has no lanes, so nested
-    values, sequence elements and ``any`` payloads recurse through the
-    generic path (``infer_typecode`` → ``write_typecode`` → kind-dispatch)
-    and no plan, lane or image splice ever runs.  Parity tests compare its
-    bytes with :class:`CdrOutputStream`'s."""
-
-    write_value = CdrOutputStream._write_value_slow
-    _any_lanes: dict = {}
-
-
-class ReferenceInputStream(CdrInputStream):
-    """The per-element reference decoder (see :class:`ReferenceOutputStream`)."""
-
-    read_value = CdrInputStream._read_value_slow
-    _any_lanes: dict = {}
 
 
 # -- dynamic typing for any -------------------------------------------------------
@@ -1259,11 +1117,6 @@ def _write_any_none(stream: CdrOutputStream, value: None) -> None:
     stream._buffer.append(TCKind.NULL)
 
 
-def _write_any_bytes(stream: CdrOutputStream, value: bytes) -> None:
-    stream._buffer.append(TCKind.OCTETS)
-    stream.write_octets(value)
-
-
 def _write_any_list(stream: CdrOutputStream, value) -> None:
     stream._buffer += _ANY_SEQ_HEAD
     _write_any_seq(stream, value)
@@ -1341,11 +1194,6 @@ def _read_any_null(stream: CdrInputStream, data, pos: int) -> None:
     stream._pos = pos + 1
 
 
-def _read_any_octets(stream: CdrInputStream, data, pos: int) -> bytes:
-    stream._pos = pos + 1
-    return stream.read_octets()
-
-
 def _read_any_sequence(stream: CdrInputStream, data, pos: int):
     pos += 1
     if pos >= len(data) or data[pos] != TCKind.ANY:
@@ -1396,7 +1244,6 @@ CdrOutputStream._any_lanes = {
     str: _write_any_str,
     bool: _write_any_bool,
     type(None): _write_any_none,
-    bytes: _write_any_bytes,
     dict: _write_any_dict,
     list: _write_any_list,
     tuple: _write_any_list,
@@ -1409,7 +1256,6 @@ CdrInputStream._any_lanes = {
     TCKind.STRING: _read_any_string,
     TCKind.BOOLEAN: _read_any_bool,
     TCKind.NULL: _read_any_null,
-    TCKind.OCTETS: _read_any_octets,
     TCKind.SEQUENCE: _read_any_sequence,
     TCKind.STRUCT: _read_any_struct,
 }

@@ -994,8 +994,11 @@ class _Call(Activity):
 
 class _Dispatch:
     """What the dispatches of one operation on one ORB share: their
-    activity name, bound at the first request, and the dispatch-time
-    histogram, bound at the first reply."""
+    activity name and the dispatch-time histogram.  Both are bound at the
+    first reply of an operation the target declares; a name no servant
+    declares gets a record of its own per request and keeps nothing, so a
+    peer cannot grow the ORB's tables or the metrics registry by naming
+    operations."""
 
     __slots__ = ("process_name", "seconds")
 
@@ -1029,9 +1032,7 @@ class _Serve(Activity):
         operation = message.operation
         dispatch = orb._dispatches.get(operation)
         if dispatch is None:
-            dispatch = orb._dispatches[operation] = _Dispatch(
-                f"{orb.host.name}/{orb.name}:serve:{operation}"
-            )
+            dispatch = _Dispatch(f"{orb.host.name}/{orb.name}:serve:{operation}")
         super().__init__(orb.host, dispatch.process_name)
         self.orb = orb
         self.message = message
@@ -1070,6 +1071,7 @@ class _Serve(Activity):
                 f"{message.operation!r}",
                 completed=CompletionStatus.COMPLETED_NO,
             )
+        self.info = info
         try:
             args = orb._decode_args(info, message.body)
         except CdrError as exc:
@@ -1096,7 +1098,6 @@ class _Serve(Activity):
                 f"{type(servant).__name__}.{message.operation} not implemented",
                 completed=CompletionStatus.COMPLETED_NO,
             )
-        self.info = info
         # Valid only for the synchronous prefix of the call: nothing runs
         # between here and the method's first statement, so a replicated
         # servant can capture its request-id context before any other
@@ -1172,14 +1173,28 @@ class _Serve(Activity):
         message = self.message
         dispatch = self.dispatch
         histogram = dispatch.seconds
-        if histogram is None:
+        if histogram is None and self.info is not None:
             histogram = dispatch.seconds = orb.sim.obs.metrics.histogram(
                 "orb_dispatch_seconds",
                 operation=message.operation,
                 host=orb.host.name,
             )
-        histogram.observe(orb.sim.now - self.started)
+            orb._dispatches[message.operation] = dispatch
+        if histogram is not None:
+            histogram.observe(orb.sim.now - self.started)
         if not message.response_expected:
+            if self.span_open:
+                # no reply goes out: the server span ends here
+                self.span_open = False
+                orb._intercept(
+                    "send_reply",
+                    RequestInfo(
+                        operation=message.operation,
+                        request_id=message.request_id,
+                        object_key=message.object_key,
+                        body_size=0,
+                    ),
+                )
             orb._inflight_serves.pop(self.key, None)
             self.message = None
             self.try_succeed(None)

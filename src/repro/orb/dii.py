@@ -7,14 +7,16 @@ so-called request objects instead.  These request objects offer methods to
 asynchronously initiate methods of the server object and fetch the
 corresponding results at a later time." (§3)
 
-The manager/worker optimizer uses ``send_deferred`` to run all worker
+A :class:`Request` is exactly that deferred-synchronous pair:
+``send_deferred`` starts the call and ``get_response`` is the future of its
+result.  The manager/worker optimizer uses it to run all worker
 subproblems concurrently; :mod:`repro.ft.request_proxy` wraps these Request
 objects with the paper's *request proxies* for fault tolerance.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.errors import BAD_OPERATION
 from repro.orb.ior import IOR
@@ -28,14 +30,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class Request:
     """A dynamic invocation of one operation on one target object.
 
-    Lifecycle: construct (directly or via ``stub._create_request``), then
-    either
-
-    * :meth:`invoke` — synchronous: returns the result future directly;
-    * :meth:`send_deferred` then :meth:`get_response` — deferred
-      synchronous: start now, collect later; :meth:`poll_response` checks
-      completion without blocking;
-    * :meth:`send_oneway` — fire and forget (operation must be oneway-safe).
+    Construct it (directly or via ``stub._create_request``), start it with
+    :meth:`send_deferred`, and yield :meth:`get_response` to collect the
+    result.
     """
 
     def __init__(
@@ -55,99 +52,25 @@ class Request:
         #: LOCATION_FORWARD cache), if any.
         self._reference = reference
 
-    # -- introspection ----------------------------------------------------------
-
-    @property
-    def operation(self) -> str:
-        return self._info.name
-
-    @property
-    def target(self) -> IOR:
-        return self._target
-
-    @property
-    def arguments(self) -> tuple:
-        return self._args
-
-    @property
-    def sent(self) -> bool:
-        return self._future is not None
-
-    # -- invocation ---------------------------------------------------------------
-
-    def invoke(self) -> "SimFuture":
-        """Synchronous invocation; yield the returned future."""
-        self._ensure_unsent()
-        self._future = self._orb.invoke(
-            self._target, self._info, self._args, reference=self._reference
-        )
-        return self._future
-
     def send_deferred(self) -> "Request":
         """Start the invocation without waiting; returns self for chaining."""
-        self._ensure_unsent()
+        if self._future is not None:
+            raise BAD_OPERATION(f"request {self._info.name!r} was already sent")
         self._future = self._orb.invoke(
             self._target, self._info, self._args, reference=self._reference
         )
         return self
-
-    def send_oneway(self) -> "Request":
-        """Send with no response expected."""
-        self._ensure_unsent()
-        info = OpInfo(
-            name=self._info.name,
-            params=self._info.params,
-            result=self._info.result,
-            raises=self._info.raises,
-            oneway=True,
-        )
-        self._future = self._orb.invoke(
-            self._target, info, self._args, reference=self._reference
-        )
-        return self
-
-    def poll_response(self) -> bool:
-        """True once the response (or failure) has arrived."""
-        self._ensure_sent()
-        assert self._future is not None
-        return self._future.is_done
 
     def get_response(self) -> "SimFuture":
         """The response future; yield it to wait for completion."""
-        self._ensure_sent()
-        assert self._future is not None
-        return self._future
-
-    def return_value(self) -> Any:
-        """The result after completion (raises the failure if it failed)."""
-        self._ensure_sent()
-        assert self._future is not None
-        return self._future.value
-
-    @property
-    def exception(self) -> Optional[BaseException]:
-        if self._future is None or not self._future.is_done:
-            return None
-        return self._future.exception
-
-    # -- retry support (used by request proxies) ------------------------------------
-
-    # -- internals ---------------------------------------------------------------------
-
-    def _ensure_unsent(self) -> None:
-        if self._future is not None:
-            raise BAD_OPERATION(
-                f"request {self.operation!r} was already sent"
-            )
-
-    def _ensure_sent(self) -> None:
         if self._future is None:
             raise BAD_OPERATION(
-                f"request {self.operation!r} has not been sent yet"
+                f"request {self._info.name!r} has not been sent yet"
             )
+        return self._future
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "unsent" if self._future is None else (
             "done" if self._future.is_done else "in-flight"
         )
-        return f"<Request {self.operation} -> {self._target.host} [{state}]>"
+        return f"<Request {self._info.name} -> {self._target.host} [{state}]>"

@@ -62,10 +62,6 @@ class ForwardingAgent:
         if ior not in self._replicas:
             self._replicas.append(ior)
 
-    @property
-    def replica_count(self) -> int:
-        return len(self._replicas)
-
     def select(self) -> IOR:
         if not self._replicas:
             raise TRANSIENT("forwarding agent has no replicas registered")

@@ -45,9 +45,6 @@ module Checkpointing {
         // Latest checkpoint for a key (deltas replayed server-side).
         any load(in string key) raises (NoCheckpoint);
         long latest_version(in string key) raises (NoCheckpoint);
-        void discard(in string key);
-        sequence<string> keys();
-        long long bytes_stored();
     };
 };
 """
@@ -185,11 +182,6 @@ class MemoryBackend:
                 last_full = index
         del history[: min(excess, last_full)]
 
-    def write(self, key: str, version: int, data: bytes):
-        """Legacy full-write path: delay, then commit."""
-        yield from self.delay(data)
-        self.commit(key, version, data)
-
     def read_latest(self, key: str) -> Optional[CheckpointRecord]:
         history = self._data.get(key)
         return history[-1] if history else None
@@ -211,19 +203,6 @@ class MemoryBackend:
         if chain and chain[0].full:
             return len(chain[0].data)
         return 0
-
-    def discard(self, key: str) -> None:
-        self._data.pop(key, None)
-
-    def keys(self) -> list[str]:
-        return sorted(self._data)
-
-    def bytes_stored(self) -> int:
-        return sum(
-            len(record.data)
-            for history in self._data.values()
-            for record in history
-        )
 
 
 class DiskBackend(MemoryBackend):
@@ -357,12 +336,3 @@ class CheckpointStoreServant(CheckpointStoreSkeleton):
         if latest is None:
             raise NoCheckpoint(key=key)
         return latest.version
-
-    def discard(self, key):
-        self.backend.discard(key)
-
-    def keys(self):
-        return self.backend.keys()
-
-    def bytes_stored(self):
-        return self.backend.bytes_stored()

@@ -14,7 +14,6 @@ trader and ORB-locator alternatives.
 
 from __future__ import annotations
 
-import inspect
 from typing import Optional
 
 from repro.orb.ior import IOR
@@ -136,8 +135,6 @@ class LoadDistributingContextServant(
                         self.resolve_scoring_work * len(candidates)
                     )
                 outcome = self.strategy.choose(group_label, candidates)
-                if inspect.isgenerator(outcome):
-                    outcome = yield from outcome
                 if self.resolve_cache is not None and isinstance(outcome, IOR):
                     self.resolve_cache.store(group_label, candidates, outcome)
                 return outcome

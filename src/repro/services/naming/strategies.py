@@ -1,8 +1,7 @@
 """Replica-selection strategies for the load-distributing naming context.
 
-``choose`` may be a plain method returning an IOR, or a generator that
-yields simulation futures (e.g. a CORBA call to the Winner system manager)
-and returns an IOR — the servant runs either transparently.
+``choose`` returns one of the candidate IORs; it runs inside the naming
+servant's dispatch and takes no simulated time of its own.
 
 * :class:`FirstBoundStrategy` — always the first registered replica; the
   degenerate "static assignment" baseline.
@@ -101,8 +100,6 @@ class BreakerAwareStrategy(SelectionStrategy):
         if not allowed:
             allowed = list(candidates)
         self.filtered += len(candidates) - len(allowed)
-        # The inner strategy may return a plain IOR or a generator; the
-        # naming servant runs either, so pass the outcome through as-is.
         return self._inner.choose(group_name, allowed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -110,49 +107,27 @@ class BreakerAwareStrategy(SelectionStrategy):
 
 
 class WinnerStrategy(SelectionStrategy):
-    """Selection backed by the Winner system manager (Fig. 1).
+    """Selection backed by the Winner system manager (Fig. 1), co-located
+    with the naming service as in the deployment the paper describes.
 
-    :param system_manager: either a local
-        :class:`~repro.winner.system_manager.SystemManager` (naming service
-        co-located with Winner, the deployment the paper describes) or a
-        ``SystemManagerStub`` (remote system manager, queried via CORBA).
+    :param system_manager: the local
+        :class:`~repro.winner.system_manager.SystemManager`.
     """
 
     name = "winner"
 
-    def __init__(self, system_manager) -> None:
+    def __init__(self, system_manager: "SystemManager") -> None:
         self._manager = system_manager
         self.queries = 0
         self.fallbacks = 0
 
-    def choose(self, group_name: str, candidates: Sequence[IOR]):
+    def choose(self, group_name: str, candidates: Sequence[IOR]) -> IOR:
         self.queries += 1
-        if hasattr(self._manager, "_invoke"):
-            return self._choose_remote(candidates)
         chosen = self._manager.place(candidates)
         if chosen is None:
             self.fallbacks += 1
             return candidates[0]
         return chosen
-
-    def _choose_remote(self, candidates: Sequence[IOR]):
-        hosts = sorted({ior.host for ior in candidates})
-        best = yield self._manager.best_host(hosts, [])
-        chosen = self._pick(candidates, best)
-        if best and chosen is not None:
-            yield self._manager.note_placement(best)
-            return chosen
-        self.fallbacks += 1
-        return candidates[0]
-
-    @staticmethod
-    def _pick(candidates: Sequence[IOR], best: Optional[str]) -> Optional[IOR]:
-        if not best:
-            return None
-        for ior in candidates:
-            if ior.host == best:
-                return ior
-        return None
 
 
 # -- the resolve fast path ------------------------------------------------------

@@ -28,7 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
 TRADER_IDL = """
 module Trading {
     exception NoOffers { string service_type; };
-    exception UnknownServiceType { string service_type; };
 
     struct Offer {
         Object reference;
@@ -39,8 +38,6 @@ module Trading {
 
     interface Trader {
         void export_offer(in string service_type, in Object reference);
-        void withdraw(in string service_type, in Object reference)
-            raises (UnknownServiceType);
         // Centralized strategy: the trader consults Winner and picks.
         Object lookup_one(in string service_type) raises (NoOffers);
         // Decentralized strategy: all offers plus load scores; the client
@@ -53,7 +50,6 @@ module Trading {
 ns = compile_idl(TRADER_IDL, name="trading")
 
 NoOffers = ns.NoOffers
-UnknownServiceType = ns.UnknownServiceType
 Offer = ns.Offer
 TraderStub = ns.TraderStub
 TraderSkeleton = ns.TraderSkeleton
@@ -70,12 +66,6 @@ class TraderServant(TraderSkeleton):
         offers = self._offers.setdefault(service_type, [])
         if reference not in offers:
             offers.append(reference)
-
-    def withdraw(self, service_type, reference):
-        offers = self._offers.get(service_type)
-        if not offers or reference not in offers:
-            raise UnknownServiceType(service_type=service_type)
-        offers.remove(reference)
 
     def lookup_one(self, service_type):
         offers = self._offers.get(service_type)

@@ -20,9 +20,8 @@ This package reproduces exactly that pipeline on the simulated NOW:
 * :mod:`repro.winner.node_manager` — the per-host measuring daemon;
 * :mod:`repro.winner.system_manager` — the central collector and ranker,
   whose ``place()`` is the one placement call (best live candidate host,
-  charged so burst resolutions spread across hosts);
-* :mod:`repro.winner.service` — the CORBA servant wrapping the system
-  manager for the naming service's use (the integration of Fig. 1);
+  charged so burst resolutions spread across hosts); the naming service
+  it shares a host with calls it directly (the integration of Fig. 1);
 * :mod:`repro.winner.hierarchy` and :mod:`repro.winner.federation` — the
   site → region tree of the scale harness and the WAN meta manager.
 """

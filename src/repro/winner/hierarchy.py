@@ -87,12 +87,6 @@ class SiteLoadManager:
         self.placements += 1
         return self.hosts[index].name
 
-    def best_score(self) -> float:
-        best = self.board.best_index()
-        if best is None:
-            return float("-inf")
-        return float(self.board.scores()[best])
-
     def summary(self) -> SiteSummary:
         return self.board.summary(self.site)
 

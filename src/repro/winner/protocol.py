@@ -2,9 +2,8 @@
 
 Node managers push :class:`LoadReport` datagrams to the system manager over
 the plain network (Winner predates the CORBA integration — it is a Unix
-daemon speaking its own lightweight protocol; the CORBA face is added by
-:mod:`repro.winner.service`).  Reports are CDR-encoded so their wire size is
-charged realistically.
+daemon speaking its own lightweight protocol).  Reports are CDR-encoded so
+their wire size is charged realistically.
 
 Both decoders accept only what a node manager can send — finite ``time``,
 ``cpu_utilization`` and ``speed``, ``speed > 0``, ``cores >= 1`` — and

@@ -11,7 +11,6 @@ from repro.core import Runtime, RuntimeConfig
 from repro.errors import ConfigurationError
 from repro.orb import OrbConfig, compile_idl
 from repro.services.naming.names import to_name
-from repro.winner.service import SystemManagerStub
 
 ping_ns = compile_idl("interface Ping { string where(); };", name="runtime-ping")
 
@@ -163,22 +162,6 @@ def test_auto_heal_rejoins_restarted_host():
 
     hosts = runtime.run(factories())
     assert hosts.count("ws02") >= 1
-
-
-def test_winner_corba_face_available():
-    runtime = Runtime(RuntimeConfig(num_hosts=3, winner_interval=0.5)).start()
-    runtime.settle(3.0)
-
-    def client():
-        # a remote host queries the system manager through the ORB
-        stub = runtime.orb(2).stub(runtime.winner_ior, SystemManagerStub)
-        alive = yield stub.alive_hosts()
-        best = yield stub.best_host([], [])
-        return alive, best
-
-    alive, best = runtime.run(client())
-    assert alive == ["ws00", "ws01", "ws02"]
-    assert best in alive
 
 
 def test_naming_strategies_constructed():

@@ -5,6 +5,7 @@ and recovery."""
 from repro.errors import COMM_FAILURE
 from repro.ft import FtPolicy
 from repro.ft.policy import CHECKPOINT_FULL_INTERVAL
+from repro.services.checkpoint import MemoryBackend
 
 from tests.ft.conftest import CounterImpl, counter_ns
 
@@ -286,9 +287,9 @@ def test_lost_base_falls_back_to_full_store(ft_world):
     def client():
         yield proxy.increment(1)
         yield proxy.increment(1)
-        # The store forgets the key (e.g. it restarted): the next delta's
+        # The store forgets the key (it restarted empty): the next delta's
         # base is gone and the proxy must fall back to a full snapshot.
-        ft_world.runtime.store_servant.backend.discard("padded-1")
+        ft_world.runtime.store_servant.backend = MemoryBackend()
         yield proxy.increment(1)
         return (yield proxy.value())
 

@@ -181,7 +181,8 @@ def test_ignore_mode_swallows_checkpoint_failure_on_both_paths(ft_world, path):
         if path == "static":
             result = yield proxy.increment(7)
         else:
-            result = yield FtRequest(proxy, "increment", (7,)).invoke()
+            request = FtRequest(proxy, "increment", (7,))
+            result = yield request.send_deferred().get_response()
         return result
 
     assert world.run(client()) == 7
@@ -205,7 +206,8 @@ def test_raise_mode_propagates_checkpoint_failure_on_both_paths(
             if path == "static":
                 yield proxy.increment(7)
             else:
-                yield FtRequest(proxy, "increment", (7,)).invoke()
+                request = FtRequest(proxy, "increment", (7,))
+                yield request.send_deferred().get_response()
 
     world.run(client())
 

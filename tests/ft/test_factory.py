@@ -41,17 +41,6 @@ def test_unknown_type_raises(world):
     assert world.run(client()) == "Nope"
 
 
-def test_supported_types_sorted(world):
-    factory, stub = setup_factory(world)
-    factory.register_type("Zeta", CounterImpl)
-    factory.register_type("Alpha", CounterImpl)
-
-    def client():
-        return (yield stub.supported_types())
-
-    assert world.run(client()) == ["Alpha", "Counter", "Zeta"]
-
-
 def test_destroy_object_deactivates(world):
     _, stub = setup_factory(world)
 
@@ -77,15 +66,6 @@ def test_destroy_object_idempotent(world):
         return "ok"
 
     assert world.run(client()) == "ok"
-
-
-def test_host_name_op(world):
-    _, stub = setup_factory(world)
-
-    def client():
-        return (yield stub.host_name())
-
-    assert world.run(client()) == "ws01"
 
 
 def test_each_create_gets_distinct_object(world):

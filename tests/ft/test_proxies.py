@@ -52,7 +52,7 @@ def test_proxy_checkpoints_after_each_call(ft_world):
     assert proxy._ft.calls == 4
     store = ft_world.runtime.store_servant
     assert store.stores == 4
-    assert "counter-1" in store.backend.keys()
+    assert store.backend.read_latest("counter-1").version == 4
 
 
 def test_checkpoint_interval_reduces_checkpoints(ft_world):

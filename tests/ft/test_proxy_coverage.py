@@ -25,7 +25,6 @@ IDL_MODULES = (
     "repro.services.checkpoint",
     "repro.services.naming.idl",
     "repro.services.trader",
-    "repro.winner.service",
 )
 
 
@@ -70,7 +69,6 @@ def test_every_ft_proxy_intercepts_every_operation():
         "NamingContextStub",
         "ObjectFactoryStub",
         "RosenbrockWorkerStub",
-        "SystemManagerStub",
         "TraderStub",
     }
     missing = {

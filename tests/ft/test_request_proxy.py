@@ -27,11 +27,13 @@ def test_deferred_request_returns_result(ft_world):
 
 
 def test_synchronous_invoke_flavour(ft_world):
+    """Synchronous use of a request proxy: send, then wait at once."""
     ior = ft_world.deploy_counter(host=1)
     proxy = ft_world.proxy(ior)
 
     def client():
-        return (yield FtRequest(proxy, "increment", (3,)).invoke())
+        request = FtRequest(proxy, "increment", (3,))
+        return (yield request.send_deferred().get_response())
 
     assert ft_world.run(client()) == 3
 
@@ -120,15 +122,19 @@ def test_concurrent_recovery_coalesced_across_proxies(ft_world):
 
 
 def test_poll_response_and_return_value(ft_world):
+    """The response future is polled without blocking and holds the
+    return value once done."""
     ior = ft_world.deploy_counter(host=1)
     proxy = ft_world.proxy(ior)
 
     def client():
-        request = FtRequest(proxy, "slow_increment", (1, 2.0)).send_deferred()
-        early = request.poll_response()
+        response = (
+            FtRequest(proxy, "slow_increment", (1, 2.0)).send_deferred().get_response()
+        )
+        early = response.is_done
         yield ft_world.sim.timeout(10.0)
-        late = request.poll_response()
-        return early, late, request.return_value()
+        late = response.is_done
+        return early, late, response.value
 
     assert ft_world.run(client()) == (False, True, 1)
 
@@ -198,10 +204,11 @@ def test_request_on_replica_group_keeps_state_across_lead_crash(
         value = world.run(client())
         return value, group.snapshot(), runtime_report(world.runtime)["replication"]
 
+    def dii_increment(proxy):
+        return FtRequest(proxy, "increment", (1,)).send_deferred().get_response()
+
     stub_value, stub_snap, stub_report = run(lambda proxy: proxy.increment(1))
-    value, snap, report = run(
-        lambda proxy: FtRequest(proxy, "increment", (1,)).invoke()
-    )
+    value, snap, report = run(dii_increment)
     assert value == stub_value == 6
     assert snap["calls"] == 6
     if mode == "warm-passive":
@@ -223,7 +230,7 @@ def test_request_surfaces_parked_pipeline_error(make_ft_world):
     world.settle()
 
     def call():
-        return FtRequest(proxy, "increment", (1,)).invoke()
+        return FtRequest(proxy, "increment", (1,)).send_deferred().get_response()
 
     def client():
         yield call()

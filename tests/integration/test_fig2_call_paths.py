@@ -60,8 +60,8 @@ def test_request_proxy_wraps_request_objects(world):
     ior = world.deploy_counter(host=1)
     proxy = world.proxy(ior)
     request_proxy = FtRequest(proxy, "increment", (2,))
-    # Mirrors the DII Request API.
-    for method in ("send_deferred", "poll_response", "get_response", "return_value"):
+    # Mirrors the DII Request API: the deferred-synchronous pair.
+    for method in ("send_deferred", "get_response"):
         assert hasattr(Request, method)
         assert hasattr(request_proxy, method)
 

@@ -5,7 +5,8 @@ floats and as few NumPy calls as the same IEEE operations allow.  These
 are the array forms they were derived from, kept verbatim here, outside
 the product code, so ``tests/opt/test_numpy_parity.py`` can hold every
 yielded point, every objective value and every result to them bit for
-bit.
+bit.  :func:`extended_vector` is the array a worker's share of the sum
+is taken over, as ``DecomposedRosenbrock.solve_worker`` assembles it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Callable, Generator, Optional
 import numpy as np
 
 from repro.opt.complex_box import ComplexBoxResult
+from repro.opt.decomposition import DecomposedRosenbrock
 
 
 def rosenbrock(x: np.ndarray) -> float:
@@ -163,3 +165,18 @@ def complex_box(
             point = engine.send(func(point))
     except StopIteration as stop:
         return stop.value
+
+
+def extended_vector(
+    problem: DecomposedRosenbrock,
+    worker_id: int,
+    block: np.ndarray,
+    coupling: np.ndarray,
+) -> np.ndarray:
+    """Assemble (left coupling?, block, right coupling?) for a worker."""
+    worker = problem.workers[worker_id]
+    return np.array(
+        problem._coupling_values(worker.left_coupling, coupling)
+        + np.asarray(block, dtype=np.float64).tolist()
+        + problem._coupling_values(worker.right_coupling, coupling)
+    )

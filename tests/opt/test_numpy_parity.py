@@ -118,7 +118,7 @@ def test_worker_solves_match_numpy_oracle(layout):
 
             def oracle_objective(block):
                 return numpy_oracle.rosenbrock(
-                    problem.extended_vector(worker, block, coupling)
+                    numpy_oracle.extended_vector(problem, worker, block, coupling)
                 )
 
             x0 = None

@@ -43,15 +43,14 @@ def test_worker_solves_subproblem_remotely():
     def client():
         fun = yield stub.solve(0, [1.0], 100, 42)
         block = yield stub.best_block(0)
-        evals = yield stub.evaluations()
-        host = yield stub.host_name()
-        return fun, block, evals, host
+        state = yield stub.get_checkpoint()
+        return fun, block, state["evaluations"]
 
-    fun, block, evals, host = runtime.run(client())
+    fun, block, evals = runtime.run(client())
     assert np.isfinite(fun)
     assert len(block) == 5
     assert evals > 0
-    assert host == "ws01"
+    assert iors[0].host == "ws01"
 
 
 def test_worker_solve_time_scales_with_iterations():
@@ -112,8 +111,8 @@ def test_worker_checkpoint_roundtrip_preserves_state():
         yield stub_b.restore_from(state)
         block_a = yield stub_a.best_block(0)
         block_b = yield stub_b.best_block(0)
-        evals_a = yield stub_a.evaluations()
-        evals_b = yield stub_b.evaluations()
+        evals_a = (yield stub_a.get_checkpoint())["evaluations"]
+        evals_b = (yield stub_b.get_checkpoint())["evaluations"]
         return block_a, block_b, evals_a, evals_b
 
     block_a, block_b, evals_a, evals_b = runtime.run(client())

@@ -14,13 +14,14 @@ from repro.orb.cdr import (
     CdrInputStream,
     CdrOutputStream,
     GenericStruct,
-    ReferenceInputStream,
     decode_any,
     encode_any,
     infer_typecode,
 )
 from repro.orb.ior import IOR
 from repro.orb.stubs import OpInfo
+
+from tests.orb.cdr_oracle import ReferenceInputStream
 
 
 def roundtrip(typecode, value):

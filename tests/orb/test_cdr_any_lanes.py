@@ -25,12 +25,11 @@ from repro.orb.cdr import (
     AnyImage,
     CdrInputStream,
     CdrOutputStream,
-    ReferenceInputStream,
-    ReferenceOutputStream,
     decoder_plan,
     encode_any,
 )
 
+from tests.orb.cdr_oracle import ReferenceInputStream, ReferenceOutputStream
 from tests.orb.test_wire_golden import ACCUMULATOR_STATE, member_envelope
 
 PLAN = (CdrOutputStream, CdrInputStream)

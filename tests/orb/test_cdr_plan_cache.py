@@ -24,8 +24,6 @@ from repro.orb import typecodes as tc
 from repro.orb.cdr import (
     CdrInputStream,
     CdrOutputStream,
-    ReferenceInputStream,
-    ReferenceOutputStream,
     clear_plan_cache,
     decode_any,
     encode_any,
@@ -34,6 +32,8 @@ from repro.orb.cdr import (
 )
 from repro.orb.idl import compile_idl
 from repro.orb.ior import IOR
+
+from tests.orb.cdr_oracle import ReferenceInputStream, ReferenceOutputStream
 
 #: (output stream, input stream) of the two sides of every parity check
 PLAN = (CdrOutputStream, CdrInputStream)
@@ -215,7 +215,7 @@ def test_any_roundtrip_cache_parity(seed):
 #
 # The plan for sequence<any> writes/reads an all-float or all-int list as
 # one structured array.  The per-element reference is the same call on
-# the reference streams (``_write_value_slow`` / ``_read_value_slow``).
+# the reference streams of ``tests/orb/cdr_oracle.py``.
 
 _RUN_MIN = cdr._ANY_RUN_MIN
 
@@ -418,11 +418,10 @@ def test_every_live_idl_type_plan_matches_reference(seed):
     from repro.opt import worker
     from repro.services import checkpoint, trader
     from repro.services.naming import idl as naming_idl
-    from repro.winner import service
 
     typecodes = declared_typecodes(
         naming_idl.ns, checkpoint.ns, trader.ns,
-        checkpointable.ns, factory.ns, service.idl, worker.worker_idl, NS,
+        checkpointable.ns, factory.ns, worker.worker_idl, NS,
     )
     names = {typecode.name for typecode in typecodes}
     assert "Checkpointing::BadDeltaBase" in names, names
@@ -461,7 +460,8 @@ def _run_cg_service(use_dii: bool) -> dict:
 
     def client():
         if use_dii:
-            echoed = yield stub._create_request("roundtrip", (outer,)).invoke()
+            request = stub._create_request("roundtrip", (outer,))
+            echoed = yield request.send_deferred().get_response()
         else:
             echoed = yield stub.roundtrip(outer)
         try:

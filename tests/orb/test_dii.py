@@ -1,4 +1,5 @@
-"""Tests for the Dynamic Invocation Interface (Request objects)."""
+"""Tests for the Dynamic Invocation Interface: Request objects and their
+deferred-synchronous pair, ``send_deferred`` / ``get_response``."""
 
 import pytest
 
@@ -17,15 +18,11 @@ ns = compile_idl(
 
 
 class JobImpl(ns.JobSkeleton):
-    def __init__(self):
-        self.oneway_hits = 0
-
     def run(self, seconds):
         yield self._host().execute(seconds)
         return seconds
 
     def quick(self, x):
-        self.oneway_hits += 1
         return x * 10
 
 
@@ -38,11 +35,12 @@ def setup(world):
 
 
 def test_synchronous_invoke(world):
+    """A synchronous call through the DII: send, then wait at once."""
     _, stub = setup(world)
 
     def client():
         request = stub._create_request("quick", (4,))
-        return (yield request.invoke())
+        return (yield request.send_deferred().get_response())
 
     assert world.run(client()) == 40
 
@@ -65,14 +63,15 @@ def test_deferred_requests_run_concurrently(world):
 
 
 def test_poll_response_transitions(world):
+    """The response future is polled without blocking."""
     _, stub = setup(world)
 
     def client():
-        request = stub._create_request("run", (1.0,)).send_deferred()
-        immediately = request.poll_response()
+        response = stub._create_request("run", (1.0,)).send_deferred().get_response()
+        immediately = response.is_done
         yield world.sim.timeout(5.0)
-        later = request.poll_response()
-        return (immediately, later, request.return_value())
+        later = response.is_done
+        return (immediately, later, response.value)
 
     assert world.run(client()) == (False, True, 1.0)
 
@@ -82,8 +81,6 @@ def test_get_response_before_send_rejected(world):
     request = stub._create_request("quick", (1,))
     with pytest.raises(BAD_OPERATION):
         request.get_response()
-    with pytest.raises(BAD_OPERATION):
-        request.poll_response()
 
 
 def test_double_send_rejected(world):
@@ -91,19 +88,6 @@ def test_double_send_rejected(world):
     request = stub._create_request("quick", (1,)).send_deferred()
     with pytest.raises(BAD_OPERATION):
         request.send_deferred()
-    with pytest.raises(BAD_OPERATION):
-        request.invoke()
-
-
-def test_send_oneway_does_not_wait(world):
-    impl, stub = setup(world)
-
-    def client():
-        stub._create_request("quick", (1,)).send_oneway()
-        yield world.sim.timeout(1.0)
-        return impl.oneway_hits
-
-    assert world.run(client()) == 1
 
 
 def test_request_failure_surfaces_in_response(world):
@@ -115,7 +99,7 @@ def test_request_failure_surfaces_in_response(world):
         try:
             yield request.get_response()
         except COMM_FAILURE:
-            return request.exception is not None
+            return request.get_response().exception is not None
 
     assert world.run(client()) is True
 

@@ -164,7 +164,7 @@ def test_forwarding_agent_replica_management(world):
     ior = world.orb(1).poa.activate(ServiceImpl())
     agent.add_replica(ior)
     agent.add_replica(ior)  # duplicate ignored
-    assert agent.replica_count == 1
+    assert agent._replicas == [ior]
 
 
 def test_forward_does_not_leak_to_user_exception_registry(world):

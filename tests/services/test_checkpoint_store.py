@@ -66,32 +66,6 @@ def test_missing_key_raises_no_checkpoint(world):
     assert world.run(client()) == "ghost"
 
 
-def test_discard_removes_key(world):
-    _, stub = setup_store(world)
-
-    def client():
-        yield stub.store("k", 1, "data")
-        yield stub.discard("k")
-        keys = yield stub.keys()
-        try:
-            yield stub.load("k")
-        except NoCheckpoint:
-            return keys
-
-    assert world.run(client()) == []
-
-
-def test_keys_sorted(world):
-    _, stub = setup_store(world)
-
-    def client():
-        for key in ("zeta", "alpha", "mid"):
-            yield stub.store(key, 1, key)
-        return (yield stub.keys())
-
-    assert world.run(client()) == ["alpha", "mid", "zeta"]
-
-
 def test_history_limit_bounds_memory(world):
     backend = MemoryBackend(history_limit=2)
     servant, stub = setup_store(world, backend=backend)
@@ -146,17 +120,6 @@ def test_disk_backend_slower_than_memory(world):
 
     disk_elapsed = world.run(disk_client())
     assert disk_elapsed > mem_elapsed + 0.01
-
-
-def test_bytes_stored_accounting(world):
-    servant, stub = setup_store(world)
-
-    def client():
-        yield stub.store("k", 1, b"\x00" * 1000)
-        return (yield stub.bytes_stored())
-
-    stored = world.run(client())
-    assert stored >= 1000
 
 
 def test_per_key_isolation(world):

@@ -191,25 +191,6 @@ def test_winner_strategy_spreads_burst_via_placement_feedback(world):
     assert sorted(hosts) == ["ws00", "ws01", "ws02"]
 
 
-def test_winner_strategy_via_corba_stub(world):
-    """Fig. 1 end-to-end: client -> naming -> (CORBA) -> Winner manager."""
-    from repro.winner.service import SystemManagerServant, SystemManagerStub
-
-    manager = start_winner(world)
-    servant = SystemManagerServant(manager)
-    sm_ior = world.orb(0).poa.activate(servant)
-    sm_stub = world.orb(0).stub(sm_ior, SystemManagerStub)
-    _, stub, _ = setup_group(world, WinnerStrategy(sm_stub))
-    BackgroundLoad(world.host(2), chunk=0.25).start()
-
-    def wait():
-        yield world.sim.timeout(4.0)
-
-    world.run(wait())
-    chosen = {resolve_once(world, stub) for _ in range(2)}
-    assert "ws02" not in chosen
-
-
 def test_winner_strategy_falls_back_without_reports(world):
     manager = SystemManager(world.host(0), world.network)  # no node managers
     strategy = WinnerStrategy(manager)

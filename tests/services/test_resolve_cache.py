@@ -241,7 +241,8 @@ def test_resolve_under_churn_reresolves_once(world):
         retry = yield naming.resolve(name_from_string("w.service"))
         stub = client_orb.stub(retry, work_ns.WStub)
         static = yield stub.where()
-        dynamic = yield stub._create_request("where", ()).invoke()
+        request = stub._create_request("where", ())
+        dynamic = yield request.send_deferred().get_response()
         return retry.host, static, dynamic
 
     host, static, dynamic = world.run(reresolve_and_invoke())

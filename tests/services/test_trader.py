@@ -6,7 +6,6 @@ from repro.services.trader import (
     NoOffers,
     TraderServant,
     TraderStub,
-    UnknownServiceType,
     select_least_loaded,
 )
 from repro.winner import NodeManager, SystemManager
@@ -90,20 +89,6 @@ def test_no_offers_raises(world):
             return exc.service_type
 
     assert world.run(client()) == "nonexistent"
-
-
-def test_withdraw_removes_offer(world):
-    _, stub, offers = setup_trader(world)
-
-    def client():
-        yield stub.withdraw("solver", offers[0])
-        remaining = yield stub.lookup_all("solver")
-        try:
-            yield stub.withdraw("solver", offers[0])
-        except UnknownServiceType:
-            return [offer.host for offer in remaining]
-
-    assert world.run(client()) == ["ws01", "ws02"]
 
 
 def test_duplicate_export_ignored(world):

@@ -11,11 +11,18 @@ A call or event budget lives in its test function as ``assert ... <= N``.
 A doc quotes one as the backticked test name (``test_x`` or
 ``path::test_x``) followed, within the sentence and before another
 backticked test name, by ``≤ N``; the quoted N must be that literal.
+
+A name the docs point at must exist: every backticked fully-qualified
+``repro.…`` name (``module.symbol``, ``module:qualname``, with or without
+``()``) is imported and looked up, and every backticked repository path
+under ``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` must exist,
+down to the ``:line`` or the ``::test_x`` it names.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -196,3 +203,94 @@ def test_a_planted_stale_budget_is_caught():
     )
     wrong = stale_budget_quotes({"docs/ARCHITECTURE.md": stale})
     assert len(wrong) == 1 and "test_null_call_events" in wrong[0]
+
+
+#: ``repro.orb.cdr.encode_any``, ``repro.core.report:runtime_report`` or
+#: ``repro.obs`` (a module), optionally called: the whole code span is the name.
+DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)*)(?::([\w.]+))?(?:\(\))?`")
+#: ``src/repro/orb/cdr.py``, ``tests/x.py::test_y``, ``src/repro/orb/core.py:42``
+#: or a directory; a glob (``bench_*.py``) is not a path and is skipped.
+REPO_PATH = re.compile(
+    r"`((?:src|tests|benchmarks|examples)/[\w/.-]*)(?:::([\w:]+)|:(\d+))?`"
+)
+
+
+def _resolves(module_path: str, attributes: list[str]) -> bool:
+    parts = module_path.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for attribute in parts[split:] + attributes:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def _path_resolves(path: str, names: str | None, line: str | None) -> bool:
+    target = REPO_ROOT / path
+    if not target.exists():
+        return False
+    if line is not None:
+        return target.is_file() and int(line) <= len(
+            target.read_text(encoding="utf-8").splitlines()
+        )
+    if names is not None:
+        source = target.read_text(encoding="utf-8")
+        return all(
+            re.search(rf"^\s*(?:def|class) {re.escape(name)}\b", source, re.M)
+            for name in names.split("::")
+        )
+    return True
+
+
+def dangling_references(texts: dict[str, str]) -> list[str]:
+    """``doc:line: reference`` for each backticked name or path in
+    ``texts`` (doc -> text) that does not resolve in this tree."""
+    wrong = []
+    for doc, text in texts.items():
+        for match in DOTTED_NAME.finditer(text):
+            qualname = match.group(2)
+            if not _resolves(match.group(1), qualname.split(".") if qualname else []):
+                line = text.count("\n", 0, match.start()) + 1
+                wrong.append(f"{doc}:{line}: {match.group(0)}")
+        for match in REPO_PATH.finditer(text):
+            if not _path_resolves(*match.groups()):
+                line = text.count("\n", 0, match.start()) + 1
+                wrong.append(f"{doc}:{line}: {match.group(0)}")
+    return wrong
+
+
+def test_backticked_names_and_paths_resolve():
+    texts = doc_texts()
+    assert dangling_references(texts) == []
+    checked = sum(
+        len(pattern.findall(text))
+        for text in texts.values()
+        for pattern in (DOTTED_NAME, REPO_PATH)
+    )
+    assert checked >= 150
+
+
+def test_a_planted_dangling_name_is_caught():
+    architecture = doc_texts()["docs/ARCHITECTURE.md"]
+    planted = (
+        architecture
+        + "\nThe remote face is `repro.winner.service.SystemManagerServant`"
+        " (`src/repro/winner/service.py`), called as"
+        " `repro.orb.dii:Request.invoke()`; see `src/repro/orb/dii.py:100000`"
+        " and `tests/orb/test_dii.py::test_send_oneway_does_not_wait`.\n"
+    )
+    before = set(dangling_references({"docs/ARCHITECTURE.md": architecture}))
+    wrong = dangling_references({"docs/ARCHITECTURE.md": planted})
+    assert [entry.split(": ", 1)[1] for entry in wrong if entry not in before] == [
+        "`repro.winner.service.SystemManagerServant`",
+        "`repro.orb.dii:Request.invoke()`",
+        "`src/repro/winner/service.py`",
+        "`src/repro/orb/dii.py:100000`",
+        "`tests/orb/test_dii.py::test_send_oneway_does_not_wait`",
+    ]
+

@@ -279,32 +279,3 @@ def test_loss_rate_validation():
     with pytest.raises(SimulationError):
         cluster.network.set_loss_rate(1.5)
     cluster.network.set_loss_rate(0.0)  # reset allowed
-
-
-def test_winner_corba_service_face(world):
-    """The SystemManager servant exposes Winner through the ORB (Fig. 1)."""
-    from repro.winner.service import SystemManagerServant, SystemManagerStub
-
-    manager = SystemManager(world.host(0), world.network)
-    for index in range(3):
-        NodeManager(
-            world.host(index), world.network, manager_host="ws00", interval=0.5
-        ).start()
-    servant = SystemManagerServant(manager)
-    ior = world.orb(0).poa.activate(servant)
-    stub = world.orb(1).stub(ior, SystemManagerStub)
-
-    def client():
-        yield world.sim.timeout(3.0)  # let reports accumulate
-        best = yield stub.best_host([], [])
-        rows = yield stub.snapshot()
-        alive = yield stub.alive_hosts()
-        yield stub.note_placement(best)
-        best2 = yield stub.best_host([], [])
-        return best, rows, alive, best2
-
-    best, rows, alive, best2 = world.run(client())
-    assert best in ("ws00", "ws01", "ws02")
-    assert {row.host for row in rows} == {"ws00", "ws01", "ws02"}
-    assert alive == ["ws00", "ws01", "ws02"]
-    assert best2 != best  # placement feedback observable through CORBA
