@@ -114,9 +114,6 @@ ROOTS: dict[str, list[list[str]]] = {
         ["-m", "repro", "demo"],
         ["-m", "repro", "fig3", "--configs", "30/3", "--bg", "0", "2"],
         ["-m", "repro", "table1", "--iterations", "10000"],
-        ["-m", "repro", "recovery"],
-        ["-m", "repro", "migration"],
-        ["-m", "repro", "wan"],
         ["-c", "from repro.services.checkpoint import CHECKPOINT_IDL;"
          " open('checkpoint.idl', 'w').write(CHECKPOINT_IDL)"],
         ["-m", "repro.orb.idl", "checkpoint.idl"],
@@ -154,7 +151,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.cluster.loadgen:BackgroundLoad.stop": "failure",
     "repro.cluster.loadgen:OpenLoopPopulation.__repr__": "dunder",
     "repro.cluster.network:Network.is_bound": "failure",
-    "repro.core.report:format_runtime_report": "failure",
     "repro.errors:IdlSyntaxError.__init__": "failure",
     "repro.errors:SystemException.__repr__": "dunder",
     "repro.ft.breaker:CircuitBreaker.__repr__": "dunder",

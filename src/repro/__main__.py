@@ -4,14 +4,15 @@ Runs the paper's experiments without writing any code:
 
 * ``fig3`` — the Fig. 3 load-distribution sweep (table + ASCII plot);
 * ``table1`` — the Table 1 fault-tolerance overhead sweep;
-* ``recovery`` / ``migration`` — the fault-tolerance ablations;
 * ``demo`` — a one-minute tour (quickstart scenario with narration).
 
 Examples::
 
     python -m repro fig3 --configs 30/3 --bg 0 2 4
     python -m repro table1 --iterations 10000 50000
-    python -m repro recovery
+
+The fault-tolerance and wide-area benches run under pytest instead, e.g.
+``pytest benchmarks/bench_recovery.py``.
 """
 
 from __future__ import annotations
@@ -82,71 +83,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_recovery(args: argparse.Namespace) -> int:
-    from repro.bench import format_table
-    from repro.bench.ftbench import recovery_bench
-
-    rows = recovery_bench()
-    print(
-        format_table(
-            ["failures", "runtime [s]", "recoveries", "state correct"],
-            [
-                [
-                    row.extra["failures"],
-                    f"{row.runtime:.3f}",
-                    row.extra["recoveries"],
-                    row.extra["state_correct"],
-                ]
-                for row in rows
-            ],
-            title="Checkpoint/restart recovery under failure injection",
-        )
-    )
-    return 0
-
-
-def _cmd_migration(args: argparse.Namespace) -> int:
-    from repro.bench import format_table
-    from repro.bench.ftbench import migration_bench
-
-    rows = migration_bench()
-    print(
-        format_table(
-            ["policy", "runtime [s]", "migrations"],
-            [
-                [row.label, f"{row.runtime:.3f}", row.extra["migrations"]]
-                for row in rows
-            ],
-            title="Load-triggered migration under a mid-run load shift",
-        )
-    )
-    return 0
-
-
-def _cmd_wan(args: argparse.Namespace) -> int:
-    from repro.bench import format_table
-    from repro.bench.wanbench import wan_compare
-
-    rows = wan_compare(seed=args.seed)
-    print(
-        format_table(
-            ["policy", "jobs", "job size [s]", "completion [s]", "remote jobs"],
-            [
-                [
-                    row.policy,
-                    row.jobs,
-                    f"{row.job_seconds:.2f}",
-                    f"{row.completion_time:.3f}",
-                    row.remote_jobs,
-                ]
-                for row in rows
-            ],
-            title="Wide-area metacomputing (two sites, 40 ms WAN)",
-        )
-    )
-    return 0
-
-
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.core import Scenario
     from repro.opt import WorkerSettings
@@ -203,15 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[10_000, 20_000, 30_000, 40_000, 50_000],
     )
     table1.set_defaults(func=_cmd_table1)
-
-    recovery = subparsers.add_parser("recovery", help="failure-injection bench")
-    recovery.set_defaults(func=_cmd_recovery)
-
-    migration = subparsers.add_parser("migration", help="migration bench")
-    migration.set_defaults(func=_cmd_migration)
-
-    wan = subparsers.add_parser("wan", help="wide-area federation bench")
-    wan.set_defaults(func=_cmd_wan)
 
     demo = subparsers.add_parser("demo", help="one-minute tour")
     demo.set_defaults(func=_cmd_demo)

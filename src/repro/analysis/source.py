@@ -114,15 +114,6 @@ class SourceFile:
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
         )
 
-    @cached_property
-    def string_constants(self) -> frozenset[str]:
-        """Every string literal in the module."""
-        return frozenset(
-            node.value
-            for node in self.nodes
-            if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        )
-
     def resolve_call_name(self, node: ast.expr) -> str:
         """Best-effort dotted name of a call target, import-resolved.
 

@@ -68,9 +68,5 @@ class Observability:
         return {
             "metrics": len(self.metrics),
             "spans_finished": len(self.tracer.spans),
-            "spans_open": len(self.tracer._open),
             "spans_dropped": self.tracer.dropped,
-            "span_capacity": self.tracer.capacity,
-            "span_ring_utilization": self.tracer.utilization,
-            "traces": len(self.tracer.trace_ids()),
         }

@@ -288,20 +288,6 @@ class Tracer:
             self.set_current(previous)
             span.finish()
 
-    # -- ring introspection ------------------------------------------------------
-
-    @property
-    def capacity(self) -> int:
-        """Maximum finished spans the ring retains."""
-        return self.spans.maxlen or 0
-
-    @property
-    def utilization(self) -> float:
-        """Fill fraction of the ring (1.0 = the next span evicts one)."""
-        if not self.spans.maxlen:
-            return 0.0
-        return len(self.spans) / self.spans.maxlen
-
     # -- queries -----------------------------------------------------------------
 
     def trace(self, trace_id: str) -> list[Span]:

@@ -1,10 +1,10 @@
-"""Deliberate config-flag / report-shape (CFG) violations.  Parsed only.
+"""Deliberate config-flag (CFG) violations.  Parsed only.
 
-The checker finds ``RuntimeConfig`` and ``runtime_report`` structurally,
-so this fixture exercises it without replicating the repo layout.  Note
-that in a single-file project *every* field is "never consulted outside
-the config module" — the consultation negative case lives in
-``test_confflags.py`` as a two-file project.
+The checker finds ``RuntimeConfig`` structurally, so this fixture
+exercises it without replicating the repo layout.  Note that in a
+single-file project *every* field is "never consulted outside the config
+module" — the consultation negative case lives in ``test_confflags.py``
+as a two-file project.
 """
 
 
@@ -15,24 +15,3 @@ class RuntimeConfig:
     delta_shipping: bool = False  # MARK:ok-flag
     # a knob nothing anywhere reads.
     dead_knob: int = 3  # MARK:CFG002
-
-
-def runtime_report(proxies):
-    cache = {
-        "hits": proxies.hits,
-        "stalls": proxies.stalls,  # MARK:CFG003-orphan
-    }
-    return {
-        "cache": cache,
-        "proxies": {"calls": proxies.calls},
-    }
-
-
-def format_report(report):
-    cache = report["cache"]
-    proxies = report.get("proxies")
-    return (
-        f"cache: {cache['hits']} hits, "
-        f"{cache['misses']} misses; "  # MARK:CFG003-missing
-        f"{proxies['calls']} calls"
-    )

@@ -1,10 +1,10 @@
-"""Config-flag hygiene and runtime_report shape drift."""
+"""Config-flag hygiene (CFG001, CFG002)."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis import Severity, analyze_source, run_checkers
+from repro.analysis import analyze_source, run_checkers
 from repro.analysis.checkers import ConfigFlagChecker
 from repro.analysis.source import Project, SourceFile
 
@@ -63,41 +63,3 @@ def test_consulted_field_is_clean_across_files():
         {"config.py": CONFIG_TEXT, "shipping.py": CONSUMER_TEXT}
     )
     assert not [f for f in findings if f.code == "CFG002"]
-
-
-def test_consumed_but_never_produced_key_is_a_cfg003_error():
-    text = load_fixture("cfg_violations.py")
-    line = line_of(text, "MARK:CFG003-missing")
-    hits = [
-        f
-        for f in analyze_source(text).findings
-        if f.code == "CFG003" and f.line == line
-    ]
-    assert hits and hits[0].severity is Severity.ERROR
-    assert "misses" in hits[0].message
-
-
-def test_orphan_counter_is_a_cfg003_warning():
-    text = load_fixture("cfg_violations.py")
-    line = line_of(text, "MARK:CFG003-orphan")
-    hits = [
-        f
-        for f in analyze_source(text).findings
-        if f.code == "CFG003" and f.line == line
-    ]
-    assert hits and hits[0].severity is Severity.WARNING
-    assert "stalls" in hits[0].message
-
-
-def test_counter_referenced_in_another_module_is_not_an_orphan():
-    """A counter key mentioned anywhere else in the project (an assertion,
-    an exporter) counts as observed."""
-    report_text = (
-        "def runtime_report(stats):\n"
-        "    return {'cache': {'hits': stats.hits}}\n"
-    )
-    probe_text = "EXPECTED_KEYS = ('hits',)\n"
-    findings = _project_findings(
-        {"report.py": report_text, "probe.py": probe_text}
-    )
-    assert not [f for f in findings if f.code == "CFG003"]

@@ -1,7 +1,10 @@
 """Tests for the runtime report."""
 
+import ast
+from pathlib import Path
+
 from repro.core import Runtime, RuntimeConfig
-from repro.core.report import format_runtime_report, runtime_report
+from repro.core.report import runtime_report
 from repro.orb import compile_idl
 
 ns = compile_idl("interface R { double spin(in double s); };", name="report-test")
@@ -97,15 +100,6 @@ def test_scenario_result_report_accessor():
     assert report["simulated_time"] > result.runtime_seconds
 
 
-def test_format_runtime_report_renders_all_sections():
-    runtime = build_busy_runtime()
-    text = format_runtime_report(runtime_report(runtime))
-    assert "Hosts after" in text
-    assert "Network:" in text
-    assert "spin" in text
-    assert "Fault tolerance:" in text
-
-
 def test_plan_cache_section_counts_this_runtime_only():
     """The plan cache is process-wide; the report is per runtime."""
     from repro.orb import cdr
@@ -121,3 +115,75 @@ def test_plan_cache_section_counts_this_runtime_only():
     plans = runtime_report(fresh)["cdr_plan_cache"]
     assert set(plans) == set(after)
     assert all(count == 0 for count in plans.values())
+
+
+#: the directories whose code reads the report: the tests and the benchmarks.
+READER_ROOTS = ("tests", "benchmarks")
+#: this module's own reader check, which names every section and a planted
+#: key, so it cannot count as a reader.
+_NOT_READERS = {
+    "_orphan_counters",
+    "test_every_report_counter_has_a_reader",
+    "test_a_planted_orphan_counter_is_caught",
+}
+
+
+def _reader_strings() -> set[str]:
+    """Every string constant in a ``.py`` file under :data:`READER_ROOTS`."""
+    repo = Path(__file__).resolve().parents[2]
+    here = Path(__file__).resolve()
+    strings: set[str] = set()
+    for root in READER_ROOTS:
+        for path in sorted((repo / root).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if path.resolve() == here:
+                tree.body = [
+                    node
+                    for node in tree.body
+                    if getattr(node, "name", None) not in _NOT_READERS
+                ]
+            strings.update(
+                node.value
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            )
+    return strings
+
+
+def _orphan_counters(report: dict, read: set[str]) -> list[str]:
+    """``section.key`` of every statically keyed counter nothing reads."""
+    rows = {
+        section: report[section]
+        for section in (
+            "network",
+            "fault_tolerance",
+            "ft_proxies",
+            "replication",
+            "winner_reports",
+            "cdr_plan_cache",
+            "observability",
+        )
+    }
+    rows["hosts"] = report["hosts"][0]
+    return sorted(
+        f"{section}.{key}"
+        for section, row in rows.items()
+        for key in row
+        if key not in read
+    )
+
+
+def test_every_report_counter_has_a_reader():
+    """A counter no test or benchmark names is observability nothing uses."""
+    report = runtime_report(build_busy_runtime())
+    assert _orphan_counters(report, _reader_strings()) == []
+
+
+def test_a_planted_orphan_counter_is_caught():
+    report = runtime_report(build_busy_runtime())
+    report["winner_reports"]["reports_never_read"] = 0
+    report["hosts"][0]["cycles_never_read"] = 0
+    assert _orphan_counters(report, _reader_strings()) == [
+        "hosts.cycles_never_read",
+        "winner_reports.reports_never_read",
+    ]

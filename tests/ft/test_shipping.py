@@ -3,7 +3,7 @@ bench runs: warm-passive replication over the pipelined window."""
 
 import pytest
 
-from repro.core.report import format_runtime_report, runtime_report
+from repro.core.report import runtime_report
 from repro.ft import FtPolicy
 from repro.ft import shipping
 from repro.ft.shipping import StateShipper
@@ -274,7 +274,6 @@ def test_warm_passive_pipelined_ships_in_capture_order(ft_world, depth):
         assert 1 <= group.shipper.peak_depth <= 4
     report = runtime_report(ft_world.runtime)
     assert report["replication"]["ship_stalls"] == group.shipper.stalls
-    assert f"{group.shipper.stalls} stalls" in format_runtime_report(report)
 
 
 @pytest.mark.parametrize("depth", [1, 4])

@@ -17,14 +17,22 @@ A name the docs point at must exist: every backticked fully-qualified
 ``()``) is imported and looked up, and every backticked repository path
 under ``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` must exist,
 down to the ``:line`` or the ``::test_x`` it names.
+
+A command the docs tell the reader to run must exist: every
+``python -m repro <command>`` (or ``python -m repro {a,b}``) in those docs
+and in ``docs/TUTORIAL.md`` names a subcommand of
+:func:`repro.__main__.build_parser`.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 import re
 from pathlib import Path
+
+from repro.__main__ import build_parser
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DOCS = (
@@ -170,8 +178,8 @@ def stale_budget_quotes(texts: dict[str, str]) -> list[str]:
     return wrong
 
 
-def doc_texts() -> dict[str, str]:
-    return {doc: (REPO_ROOT / doc).read_text(encoding="utf-8") for doc in DOCS}
+def doc_texts(docs: tuple[str, ...] = DOCS) -> dict[str, str]:
+    return {doc: (REPO_ROOT / doc).read_text(encoding="utf-8") for doc in docs}
 
 
 def test_quoted_budgets_match_their_test_functions():
@@ -294,3 +302,58 @@ def test_a_planted_dangling_name_is_caught():
         "`tests/orb/test_dii.py::test_send_oneway_does_not_wait`",
     ]
 
+
+#: the docs a command is checked in: the ones above and the tutorial.
+COMMAND_DOCS = DOCS + ("docs/TUTORIAL.md",)
+#: ``python -m repro fig3`` or ``python -m repro {demo,fig3}``; ``repro.obs``
+#: and the other packages with their own ``__main__`` do not match.
+REPRO_COMMAND = re.compile(r"python3?\s+-m\s+repro\s+(\{[\w,-]+\}|[a-z][\w-]*)")
+
+
+def cli_commands() -> set[str]:
+    parser = build_parser()
+    return {
+        command
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for command in action.choices
+    }
+
+
+def quoted_commands(texts: dict[str, str]) -> list[tuple[str, int, str]]:
+    """``(doc, line, command)`` for each ``python -m repro <command>`` in
+    ``texts`` (doc -> text)."""
+    return [
+        (doc, text.count("\n", 0, match.start()) + 1, command)
+        for doc, text in texts.items()
+        for match in REPRO_COMMAND.finditer(text)
+        for command in match.group(1).strip("{}").split(",")
+    ]
+
+
+def stale_commands(texts: dict[str, str]) -> list[str]:
+    """``doc:line: command`` for each quoted command the parser does not offer."""
+    commands = cli_commands()
+    return [
+        f"{doc}:{line}: {command}"
+        for doc, line, command in quoted_commands(texts)
+        if command not in commands
+    ]
+
+
+def test_quoted_commands_exist():
+    texts = doc_texts(COMMAND_DOCS)
+    assert stale_commands(texts) == []
+    quoted = {command for _, _, command in quoted_commands(texts)}
+    assert {"fig3", "table1", "demo"} <= quoted
+
+
+def test_a_planted_stale_command_is_caught():
+    readme = doc_texts()["README.md"]
+    planted = readme + "\n    python -m repro recovery\n    python -m repro {demo,wan}\n"
+    before = set(stale_commands({"README.md": readme}))
+    wrong = stale_commands({"README.md": planted})
+    assert [entry.split(": ", 1)[1] for entry in wrong if entry not in before] == [
+        "recovery",
+        "wan",
+    ]
