@@ -87,11 +87,13 @@ ROOTS: dict[str, list[list[str]]] = {
         ["-c", "import shutil; shutil.copy('benchmarks/results/BENCH_scale.json',"
          " 'baseline-scale.json')"],
         ["benchmarks/bench_scale.py", "--quick"],
-        # --verbose prints every row, so whether a traced (slower) run
-        # trips the wall-clock lane does not change what is entered
+        # Under the census tracer wall time is not a measurement, so the
+        # wall-clock lane never fails (its exit code would record host
+        # load); --verbose renders every row either way, so what is
+        # entered does not move.
         ["-m", "repro.obs", "check", "--baseline", "baseline-scale.json",
          "--current", "benchmarks/results/BENCH_scale.json",
-         "--wall-tolerance", "0.75", "--verbose", "--json", "scale-check.json"],
+         "--wall-tolerance", "inf", "--verbose", "--json", "scale-check.json"],
     ],
     # CI: obs-smoke.
     "obs": [

@@ -348,16 +348,19 @@ def from_tracer(
             "Tracer capacity or analyze a shorter run"
         )
     if trace_id is None:
-        ids = tracer.trace_ids()
-        if not ids:
+        # One pass over the log: each trace id in first-seen order, and
+        # whether the trace holds a ``root`` span.
+        rooted: dict[str, bool] = {}
+        for span in tracer.spans:
+            if span.name == root:
+                rooted[span.trace_id] = True
+            else:
+                rooted.setdefault(span.trace_id, root is None)
+        if not rooted:
             raise CriticalPathError("tracer holds no finished spans")
-        if root is not None:
-            ids = [
-                t for t in ids
-                if any(s.name == root and s.trace_id == t for s in tracer.spans)
-            ]
-            if not ids:
-                raise CriticalPathError(f"no trace contains a {root!r} span")
+        ids = [t for t, has_root in rooted.items() if has_root]
+        if not ids:
+            raise CriticalPathError(f"no trace contains a {root!r} span")
         trace_id = ids[-1]
     return analyze(tracer.trace(trace_id), root=root)
 

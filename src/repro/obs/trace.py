@@ -15,16 +15,18 @@ Context propagation is two-layered:
   encodes the context into a GIOP service-context entry on each request and
   restores it in the server's dispatch activity.
 
-Finished spans accumulate in a bounded ring (oldest dropped, counted) and
-are rendered by :mod:`repro.obs.exporters`.
+Finished spans are packed into a bounded log (:class:`SpanLog`: oldest
+dropped, counted) and rendered by :mod:`repro.obs.exporters`.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
 import re
 from collections import deque
 from contextlib import contextmanager
+from operator import itemgetter
 from typing import Any, Iterator, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,6 +38,17 @@ TRACE_CONTEXT_SERVICE_ID = 0x54524358
 #: The only wire form :meth:`TraceContext.decode` accepts: the tracer's
 #: own, two non-empty lower-case hex ids of at most 32 digits.
 _WIRE_FORM = re.compile(r"([0-9a-f]{1,32}):([0-9a-f]{1,32})")
+
+#: Finished spans packed into one ``marshal`` segment of a :class:`SpanLog`.
+#: A segment writes each string its spans share (span names, hosts, attr
+#: keys, the trace id of a client and its server span) once and a
+#: back-reference after that: ≈ 112 bytes an ORB span, ≈ 113 at 64 rows,
+#: ≈ 183 for a row packed alone (and a ``bytes`` object of its own).
+SEGMENT_ROWS = 256
+
+#: The attr value types a segment stores as themselves; ``marshal`` would
+#: write any other buffer-protocol object (a NumPy scalar) as ``bytes``.
+_PLAIN_ATTR_TYPES = frozenset({str, int, float, bool, type(None)})
 
 
 class TraceContext:
@@ -79,12 +92,14 @@ class TraceContext:
 class Span:
     """One timed operation within a trace.
 
-    A finished span is what the ring retains, so it holds each fact once:
-    its two ids as strings of its own (a parent open in the same tracer
-    lends its strings to the child), a name and a process name its makers
-    bound once, and the attrs dict :meth:`Tracer.start_span` handed it.
-    It keeps no :class:`TraceContext`; one is built only where a context
-    is propagated.
+    A span holds each fact once: its two ids as strings of its own (a
+    parent open in the same tracer lends its strings to the child), a
+    name and a process name its makers bound once, and the attrs dict
+    :meth:`Tracer.start_span` handed it.  It keeps no
+    :class:`TraceContext`; one is built only where a context is
+    propagated.  Once it finishes, the tracer's :class:`SpanLog` keeps its
+    fields as a row (the attrs dict itself until the row is packed), and
+    the span object is free to go.
     """
 
     __slots__ = (
@@ -133,6 +148,10 @@ class Span:
     # -- mutation ----------------------------------------------------------
 
     def set_attr(self, key: str, value: Any) -> None:
+        if self.end is not None:
+            # The log may still hold this dict in its unpacked tail; a
+            # late attr goes to a copy, so the log keeps what finished.
+            self.attrs = dict(self.attrs)
         self.attrs[key] = value
 
     def mark_error(self, error: BaseException | str) -> None:
@@ -142,7 +161,7 @@ class Span:
         )
 
     def finish(self) -> None:
-        """Close the span (idempotent) and hand it to the tracer's ring."""
+        """Close the span (idempotent) and hand it to the tracer's log."""
         if self.end is None:
             self.tracer._finish(self)
 
@@ -167,17 +186,122 @@ class Span:
         return f"<Span {self.name} trace={self.trace_id} [{state}]>"
 
 
+class SpanLog:
+    """The finished spans of one :class:`Tracer`, oldest first: a read-only
+    ring with the semantics of ``deque(maxlen=maxlen)``.
+
+    A finished span is kept as a row, the tuple of its fields, and no
+    :class:`Span` object.  :meth:`Tracer._finish` appends rows to a short
+    tail (in line: it runs twice a call); every :data:`SEGMENT_ROWS` rows
+    are packed into one ``bytes`` segment by ``marshal``, which writes a
+    float as its eight raw bytes and each shared string once.  A full log
+    drops its oldest row; dropped rows are the first ``_skip`` rows of the
+    oldest segment, which goes when all of its rows have.  Reading decodes
+    each segment once and yields new spans equal, field for field and bit
+    for bit, to the spans that finished.
+    """
+
+    def __init__(self, tracer: "Tracer", maxlen: int) -> None:
+        self.maxlen = maxlen
+        self._tracer = tracer
+        self._segments: deque[bytes] = deque()
+        #: rows of the oldest segment already dropped
+        self._skip = 0
+        self._tail: list[tuple] = []
+        #: rows the tail takes before it is packed
+        self._room = SEGMENT_ROWS
+        #: rows held, dropped ones not counted
+        self._kept = 0
+
+    def __len__(self) -> int:
+        return self._kept
+
+    def __iter__(self) -> Iterator[Span]:
+        # What the log holds when reading starts: spans that finish while
+        # a reader is paused are not seen.
+        revive = self._revive
+        skip = self._skip
+        tail = self._tail[:]
+        for segment in tuple(self._segments):
+            rows = marshal.loads(segment)
+            del rows[:skip]
+            skip = 0
+            for row in rows:
+                yield revive(row)
+        for row in tail:
+            yield revive(row)
+
+    def __reversed__(self) -> Iterator[Span]:
+        revive = self._revive
+        segments = tuple(self._segments)
+        skip = self._skip
+        for row in reversed(self._tail[:]):
+            yield revive(row)
+        for index in range(len(segments) - 1, -1, -1):
+            rows = marshal.loads(segments[index])
+            if index == 0:
+                del rows[:skip]
+            for row in reversed(rows):
+                yield revive(row)
+
+    def _revive(self, row: tuple) -> Span:
+        (name, trace_id, span_id, parent_id, start, end,
+         host, process, status, error, attrs) = row
+        # A copy: a tail row still holds the finished span's own dict,
+        # and a reader's edits must not reach the log.
+        span = Span(
+            self._tracer, name, trace_id, span_id, parent_id, start,
+            host, process, dict(attrs),
+        )
+        span.end = end
+        span.status = status
+        span.error = error
+        return span
+
+    def _pack(self) -> None:
+        """Pack the full tail into one segment.  A row with an attr value
+        a segment would not store as itself is refused: it leaves the log,
+        counts as dropped, and a ``TypeError`` names it."""
+        tail = self._tail
+        values = itertools.chain.from_iterable(
+            map(dict.values, map(itemgetter(-1), tail))
+        )
+        if not _PLAIN_ATTR_TYPES.issuperset(map(type, values)):
+            kept: list[tuple] = []
+            refused: list[tuple] = []
+            for row in tail:
+                plain = _PLAIN_ATTR_TYPES.issuperset(map(type, row[-1].values()))
+                (kept if plain else refused).append(row)
+            self._tail = kept
+            self._room = SEGMENT_ROWS - len(kept)
+            self._kept -= len(refused)
+            self._tracer.dropped += len(refused)
+            name, trace_id, span_id = refused[0][:3]
+            key, value = next(
+                (key, value) for key, value in refused[0][-1].items()
+                if type(value) not in _PLAIN_ATTR_TYPES
+            )
+            raise TypeError(
+                f"span {name!r} ({trace_id}:{span_id}) attr {key!r} "
+                f"holds a {type(value).__qualname__}; a span attr is a str, "
+                "int, float, bool or None"
+            )
+        self._segments.append(marshal.dumps(tail))
+        self._tail = []
+        self._room = SEGMENT_ROWS
+
+
 class Tracer:
     """Creates, links and retains spans for one simulation.
 
-    :param capacity: maximum finished spans retained (ring buffer; the
-        oldest are dropped and counted in :attr:`dropped`).
+    :param capacity: maximum finished spans retained in :attr:`spans`
+        (a ring; the oldest are dropped and counted in :attr:`dropped`).
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 65536) -> None:
         self.sim = sim
         self.enabled = True
-        self.spans: deque[Span] = deque(maxlen=capacity)
+        self.spans = SpanLog(self, capacity)
         self.dropped = 0
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
@@ -249,13 +373,34 @@ class Tracer:
         return span
 
     def _finish(self, span: Span) -> None:
-        span.end = self.sim.now
+        span.end = end = self.sim.now
         if not self.enabled:
             return
         self._open.pop((span.trace_id, span.span_id), None)
-        if len(self.spans) == self.spans.maxlen:
+        log = self.spans
+        if log._kept == log.maxlen:
+            # A full log drops its oldest row, as a deque(maxlen) would.
             self.dropped += 1
-        self.spans.append(span)
+            if log._segments:
+                log._skip += 1
+                if log._skip == SEGMENT_ROWS:
+                    log._segments.popleft()
+                    log._skip = 0
+            elif log._tail:
+                del log._tail[0]
+                log._room += 1
+            else:  # a log of capacity 0 keeps nothing
+                return
+        else:
+            log._kept += 1
+        log._tail.append((
+            span.name, span.trace_id, span.span_id, span.parent_id,
+            span.start, end, span.host, span.process, span.status,
+            span.error, span.attrs,
+        ))
+        log._room -= 1
+        if not log._room:
+            log._pack()
 
     def open_span(self, context: Optional[TraceContext]) -> Optional[Span]:
         """The still-open span with ``context``'s ids, if any."""

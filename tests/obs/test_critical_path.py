@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import critical_path as cp
-from repro.obs.trace import Span, Tracer
+from repro.obs.trace import Span, SpanLog, Tracer
 from repro.sim import Simulator
 
 #: pinned bench_recovery golden: recovery time with one injected failure
@@ -168,6 +168,40 @@ def test_evicted_ring_refused():
         cp.recovery_path(tracer)
     with pytest.raises(cp.EvictedSpansError):
         cp.request_path(tracer, operation="load")
+
+
+def test_from_tracer_reads_the_log_at_most_twice(monkeypatch):
+    """Finding the last trace that holds a ``root`` span is one pass over
+    the log, not one per trace: 2 000 one-span traces, two of them
+    rooted at ``ft:recover``."""
+    sim = Simulator(seed=1)
+    tracer = Tracer(sim)
+    for index in range(2_000):
+        sim.now = float(index)
+        span = tracer.start_span(
+            "ft:recover" if index in (5, 1_998) else "call:load", parent=None
+        )
+        sim.now += 0.5
+        span.finish()
+    passes = []
+    read = SpanLog.__iter__
+
+    def counted(log):
+        passes.append(log)
+        return read(log)
+
+    monkeypatch.setattr(SpanLog, "__iter__", counted)
+    path = cp.from_tracer(tracer, root="ft:recover")
+    assert (path.root.name, path.root.start) == ("ft:recover", 1_998.0)
+    assert len(passes) <= 2
+    passes.clear()
+    path = cp.from_tracer(tracer)
+    assert (path.root.name, path.root.start) == ("call:load", 1_999.0)
+    assert len(passes) <= 2
+    passes.clear()
+    with pytest.raises(cp.CriticalPathError, match="no trace contains"):
+        cp.from_tracer(tracer, root="ft:nope")
+    assert len(passes) == 1
 
 
 def test_format_renders_timeline_and_breakdown():

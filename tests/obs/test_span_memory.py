@@ -1,12 +1,13 @@
 """What the tracer's ring retains per finished span.
 
-A span ring of 65 536 entries is most of a long ORB run's live heap, so
+A span log of 65 536 spans was most of a long ORB run's live heap, so
 each finished span is held to a byte budget: 1 000 warm back-to-back
 ``total()`` reads between two ORBs (two spans each, a client and a
 server span), measured with ``tracemalloc`` from before the first read
 to after the last, divided by the spans they added.  Everything a read
-leaves behind is in that figure: the span, its ids, its attrs dict and
-the floats and ints in it.
+leaves behind is in that figure: the packed segments, and the rows of
+the tail not yet packed with their ids, attrs dicts and the floats and
+ints in them.
 """
 
 import gc
@@ -32,5 +33,8 @@ def test_a_finished_orb_span_costs_at_most_its_budget():
     assert (added, tracer.dropped) == (2_000, 0)
     # 780.7 bytes a span while each span kept its own TraceContext, the
     # decoded copies of its parent's ids, its own name and process-name
-    # strings and a copy of its attrs; 553.4 without them (bound: +5 %)
-    assert retained / added <= 581
+    # strings and a copy of its attrs; 553.4 without them; 212.7–213.3
+    # with the log keeping rows and packing them 256 to a marshal segment
+    # (seven segments at ≈ 112 bytes a span, 254 rows in the unpacked
+    # tail; bound: +5 %)
+    assert retained / added <= 223

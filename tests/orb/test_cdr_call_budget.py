@@ -125,8 +125,10 @@ def test_null_call_budget(count_calls):
     # bound once per ORB and operation; 336.96 with spans that hold their
     # ids in slots and no TraceContext, span and activity names bound
     # once per ORB and operation, and a server span under the open client
-    # span's own id strings
-    assert calls <= 337
+    # span's own id strings; 334.96 with finished spans appended to the
+    # span log as rows (packing 256 rows into a segment is 5 more calls,
+    # +0.04 a read, and falls outside these 50 reads)
+    assert calls <= 336
 
 
 def record_lookups(monkeypatch) -> list:
