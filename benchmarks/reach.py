@@ -214,12 +214,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.orb.idl.idlast:ScopedName.__str__": "dunder",
     "repro.orb.idl.lexer:Token.__repr__": "dunder",
     "repro.orb.idl.parser:_Parser._error": "failure",
-    "repro.orb.interceptors:RequestInterceptor.abort_reply": "failure",
-    "repro.orb.interceptors:RequestInterceptor.receive_exception": "failure",
-    "repro.orb.interceptors:RequestInterceptor.receive_reply": "failure",
-    "repro.orb.interceptors:RequestInterceptor.receive_request": "failure",
-    "repro.orb.interceptors:RequestInterceptor.send_reply": "failure",
-    "repro.orb.interceptors:RequestInterceptor.send_request": "failure",
     "repro.orb.stubs:ObjectStub.__repr__": "dunder",
     "repro.orb.transport:ConnectionCache.__len__": "dunder",
     "repro.orb.transport:ConnectionCache.clear": "failure",

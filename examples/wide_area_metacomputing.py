@@ -52,7 +52,7 @@ for port_offset, (site, indices) in enumerate(SITES.items()):
             interval=0.5,
         ).start()
     managers[site] = manager
-meta = MetaManager(hosts[0], network, wan_penalty=1.5)
+meta = MetaManager(network, wan_penalty=1.5)
 for site, manager in managers.items():
     meta.register_site(site, manager)
 

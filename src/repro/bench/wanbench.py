@@ -91,7 +91,7 @@ def _run_cell(
 
     orbs = [Orb(host, network) for host in hosts]
     if policy == "federated":
-        meta = MetaManager(hosts[0], network, wan_penalty=1.5)
+        meta = MetaManager(network, wan_penalty=1.5)
         for site, manager in managers.items():
             meta.register_site(site, manager)
         strategy = MetaStrategy(meta, home_site="eu")

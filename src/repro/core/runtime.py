@@ -16,7 +16,6 @@ from repro.ft import (
     make_ft_proxy,
 )
 from repro.ft.recovery import FACTORY_GROUP
-from repro.obs.interceptor import ObservabilityInterceptor
 from repro.orb import Orb, cdr
 from repro.orb.ior import IOR
 from repro.services.checkpoint import (
@@ -139,9 +138,7 @@ class Runtime:
         return self
 
     def _make_orb(self, host) -> Orb:
-        orb = Orb(host, self.network, config=self.config.orb)
-        orb.add_request_interceptor(ObservabilityInterceptor(orb))
-        return orb
+        return Orb(host, self.network, config=self.config.orb, traced=True)
 
     def _make_strategy(self):
         name = self.config.naming_strategy

@@ -11,9 +11,11 @@ Context propagation is two-layered:
   :class:`~repro.sim.process.Activity`; each inherits its creator's
   context, so an FT proxy's root span automatically covers every ORB
   invocation it issues;
-* **across the wire**: :class:`repro.obs.interceptor.ObservabilityInterceptor`
-  encodes the context into a GIOP service-context entry on each request and
-  restores it in the server's dispatch activity.
+* **across the wire**: a traced :class:`~repro.orb.core.Orb` writes its own
+  spans — a ``call:<op>`` span per request sent, whose context it encodes
+  into a GIOP service-context entry, and a ``serve:<op>`` span per request
+  dispatched, opened under the decoded context and made the dispatch
+  activity's own.
 
 Finished spans are packed into a bounded log (:class:`SpanLog`: oldest
 dropped, counted) and rendered by :mod:`repro.obs.exporters`.
@@ -401,12 +403,6 @@ class Tracer:
         log._room -= 1
         if not log._room:
             log._pack()
-
-    def open_span(self, context: Optional[TraceContext]) -> Optional[Span]:
-        """The still-open span with ``context``'s ids, if any."""
-        if context is None:
-            return None
-        return self._open.get((context.trace_id, context.span_id))
 
     @contextmanager
     def span(

@@ -31,7 +31,6 @@ from repro.orb.core import Orb, OrbConfig, POA, Servant
 from repro.orb.dii import Request
 from repro.orb.stubs import ObjectStub
 from repro.orb.idl import compile_idl
-from repro.orb.interceptors import RequestInfo, RequestInterceptor
 from repro.orb.forwarding import ForwardingAgent, LocationForward, make_forwarding_servant
 
 __all__ = [
@@ -45,8 +44,6 @@ __all__ = [
     "ObjectStub",
     "POA",
     "Request",
-    "RequestInfo",
-    "RequestInterceptor",
     "Servant",
     "compile_idl",
     "decode_any",

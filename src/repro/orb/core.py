@@ -52,10 +52,10 @@ from repro.errors import (
     UNKNOWN,
     UserException,
 )
+from repro.obs.trace import TRACE_CONTEXT_SERVICE_ID, TraceContext
 from repro.orb import giop
 from repro.orb.cdr import CdrInputStream, CdrOutputStream
 from repro.orb.forwarding import LocationForward as _LocationForward, MAX_FORWARDS
-from repro.orb.interceptors import RequestInfo
 from repro.orb.ior import IOR
 from repro.orb.stubs import ObjectStub, OpInfo, USER_EXCEPTION_REGISTRY
 from repro.orb.transport import ConnectionCache, install_reset_synthesis
@@ -65,7 +65,9 @@ from repro.sim.process import Activity, Process
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.host import Host
     from repro.cluster.network import Network
+    from repro.obs import Observability
     from repro.obs.metrics import Counter, Histogram
+    from repro.obs.trace import Span
 
 
 #: CPU work (seconds on a speed-1 host) per marshal/unmarshal step.
@@ -196,13 +198,15 @@ class _Endpoint:
 
 class CallStats:
     """Aggregated client-side statistics of one operation of one ORB, the
-    two instruments its calls feed — the call-latency histogram, bound at
-    the first recorded call, and the failures counter, bound at the first
-    failure — and the name its call activities share."""
+    instruments its calls feed — the call-latency histogram, bound at the
+    first recorded call, the failures counter, bound at the first failure,
+    and on a traced ORB the requests-sent counter, bound at the first
+    send — and the names its call activities and spans share."""
 
     __slots__ = (
         "operation",
         "process_name",
+        "span_name",
         "calls",
         "failures",
         "total_latency",
@@ -210,11 +214,13 @@ class CallStats:
         "_orb",
         "_latency_seconds",
         "_failures_total",
+        "requests_sent",
     )
 
     def __init__(self, operation: str, orb: "Orb") -> None:
         self.operation = operation
         self.process_name = f"{orb.host.name}/call:{operation}"
+        self.span_name = f"call:{operation}"
         self.calls = 0
         self.failures = 0
         self.total_latency = 0.0
@@ -222,6 +228,7 @@ class CallStats:
         self._orb = orb
         self._latency_seconds: Optional[Histogram] = None
         self._failures_total: Optional[Counter] = None
+        self.requests_sent: Optional[Counter] = None
 
     def record(self, latency: float, failed: bool) -> None:
         self.calls += 1
@@ -259,7 +266,14 @@ class CallStats:
 
 
 class Orb:
-    """One ORB instance (client and/or server role) on a host."""
+    """One ORB instance (client and/or server role) on a host.
+
+    A *traced* ORB (the runtime's) writes a span per call and per
+    dispatch, ships the call's trace context to the server as a GIOP
+    service context, and counts the requests it sends and serves, per
+    operation; a bare one does none of it, so its requests carry no
+    context bytes.
+    """
 
     def __init__(
         self,
@@ -268,12 +282,15 @@ class Orb:
         port: Optional[int] = None,
         config: Optional[OrbConfig] = None,
         name: str = "",
+        traced: bool = False,
     ) -> None:
         self.host = host
         self.network = network
         self.config = config or OrbConfig()
         self.sim = host.sim
         self.name = name or f"orb@{host.name}"
+        #: the simulation's observability hub when this ORB traces
+        self._obs: Optional[Observability] = host.sim.obs if traced else None
         install_reset_synthesis(network)
         counter = getattr(network, "_orb_id_counter", None)
         if counter is None:
@@ -291,13 +308,10 @@ class Orb:
         #: counters for reports
         self.requests_sent = 0
         self.requests_served = 0
-        #: per-operation client-side statistics (the instrumentation an
-        #: ORB's interceptors would provide): operation -> CallStats.
+        #: per-operation client-side statistics: operation -> CallStats.
         self.call_stats: dict[str, CallStats] = {}
         #: per-operation server-side records: operation -> _Dispatch.
         self._dispatches: dict[str, _Dispatch] = {}
-        #: portable-interceptor-style request interceptors.
-        self.interceptors: list = []
         #: in-flight server dispatches by (client host, client port,
         #: request id), so CancelRequest can abort them.
         self._inflight_serves: dict[tuple[str, int, int], "_Serve"] = {}
@@ -318,14 +332,6 @@ class Orb:
         #: know the encoding of an argument it was handed can hash this
         #: instead of marshalling the argument again
         self.current_request_body: Optional[bytes] = None
-
-    def add_request_interceptor(self, interceptor) -> None:
-        """Register a :class:`repro.orb.interceptors.RequestInterceptor`."""
-        self.interceptors.append(interceptor)
-
-    def _intercept(self, hook: str, info) -> None:
-        for interceptor in self.interceptors:
-            getattr(interceptor, hook)(info)
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -394,8 +400,8 @@ class Orb:
         ``reference`` is the client-side object reference (stub/proxy), if
         any — it carries the per-reference LOCATION_FORWARD cache.
         ``service_contexts`` are extra GIOP service contexts shipped with
-        the request (beyond those interceptors attach) — the replication
-        layer uses them to carry logical request ids for duplicate
+        the request (beyond the trace context a traced ORB adds) — the
+        replication layer uses them to carry logical request ids for duplicate
         suppression.
         """
         if len(args) != len(info.params):
@@ -428,25 +434,6 @@ class Orb:
     def _decode_args(self, info: OpInfo, body: bytes) -> list:
         stream = CdrInputStream(body)
         return [stream.read_value(tc) for _, tc in info.params]
-
-    def _intercept_outcome(
-        self,
-        operation: str,
-        request_id: int,
-        exception: Optional[BaseException],
-        attrs: Optional[dict] = None,
-    ) -> None:
-        if not self.interceptors:
-            return
-        info = RequestInfo(
-            operation=operation,
-            request_id=request_id,
-            exception=exception,
-            attrs=attrs or {},
-        )
-        self._intercept(
-            "receive_reply" if exception is None else "receive_exception", info
-        )
 
     # -- connection setup --------------------------------------------------------
 
@@ -691,11 +678,12 @@ class _Call(Activity):
     """One invocation, and the future its caller waits on.
 
     Steps: the request-marshal charge, started inside :meth:`Orb.invoke`;
-    the send (interceptors, GIOP, an unknown host, the handshake, oneway,
-    the reply wait or the ``request_timeout`` race with its CancelRequest);
+    the send (the span, GIOP, an unknown host, the handshake, oneway, the
+    reply wait or the ``request_timeout`` race with its CancelRequest);
     the unmarshal charge; delivery.  A LOCATION_FORWARD, or a cached
     forward whose target is dead, sends again — at most ``MAX_FORWARDS``
-    sends after the first.
+    sends after the first.  On a traced ORB each send is a ``call:<op>``
+    span, ended by that send's outcome: a reply, a forward, an error.
     """
 
     __slots__ = (
@@ -713,7 +701,7 @@ class _Call(Activity):
         "sends",
         "request_id",
         "raw",
-        "outcome_due",
+        "span",
         "reply",
         "reply_work",
     )
@@ -742,8 +730,8 @@ class _Call(Activity):
         self.sends = 0
         #: the current send's GIOP request id (ids start at 1)
         self.request_id = 0
-        #: an interceptor saw this request go and has not seen its outcome
-        self.outcome_due = False
+        #: the current send's span, until its outcome ends it
+        self.span: Optional[Span] = None
         # The outcome is recorded before anyone waiting on the call hears it.
         self._callbacks = [self._record]
         self._next = self._marshal
@@ -786,21 +774,31 @@ class _Call(Activity):
         self.request_id = request_id = next(orb._request_ids)
         body = self.body
         service_contexts: tuple = tuple(self.extra_contexts)
-        if orb.interceptors:
-            # send_request runs before the message is built so that
-            # interceptors can attach service contexts to the wire (e.g.
-            # the observability layer's trace context).
-            send_info = RequestInfo(
-                operation=info.name,
+        obs = orb._obs
+        if obs is not None:
+            stats = self.stats
+            sent = stats.requests_sent
+            if sent is None:
+                sent = stats.requests_sent = obs.metrics.counter(
+                    "orb_requests_sent_total",
+                    host=orb.host.name,
+                    operation=info.name,
+                )
+            span = obs.tracer.start_span(
+                stats.span_name,
+                host=orb.host.name,
+                kind="client",
                 request_id=request_id,
-                target=target,
-                body_size=len(body),
-                response_expected=not info.oneway,
-                attrs={"request_marshal_work": self.request_work},
+                target=target.host,
+                request_marshal_work=self.request_work,
             )
-            orb._intercept("send_request", send_info)
-            self.outcome_due = not info.oneway
-            service_contexts = service_contexts + tuple(send_info.service_contexts)
+            service_contexts += ((TRACE_CONTEXT_SERVICE_ID, span.encode_context()),)
+            sent.inc()
+            if info.oneway:
+                span.set_attr("oneway", True)
+                span.finish()
+            else:
+                self.span = span
         message = giop.RequestMessage(
             request_id=request_id,
             response_expected=not info.oneway,
@@ -817,8 +815,8 @@ class _Call(Activity):
 
         try:
             orb.network.host(target.host)
-        except Exception:
-            self.try_fail(INV_OBJREF(f"IOR names unknown host {target.host!r}"))
+        except SimulationError:
+            self._refuse(INV_OBJREF(f"IOR names unknown host {target.host!r}"))
             return
 
         if orb.config.connection_handshake_rtts > 0:
@@ -907,8 +905,8 @@ class _Call(Activity):
                 return
         if status is giop.ReplyStatus.LOCATION_FORWARD:
             # Transparent retry at the forwarded reference; cache it on the
-            # object reference (GIOP client behaviour).  The hop's
-            # interceptor round is closed as a received reply.
+            # object reference (GIOP client behaviour).  The hop's span
+            # ends as a received reply.
             self._outcome(None)
             try:
                 target = CdrInputStream(reply.body).read_ior()
@@ -932,11 +930,12 @@ class _Call(Activity):
             except CdrError as exc:
                 self._refuse(MARSHAL(f"bad reply body for {info.name}: {exc}"))
                 return
-            if self.outcome_due:
+            if self.span is not None:
                 # The reply-unmarshal charge, paid just before, lands
                 # *inside* the client span; tag it so the critical-path
                 # analyzer can split marshalling out of transport.
-                self._outcome(None, {"unmarshal_work": self.reply_work})
+                self.span.set_attr("unmarshal_work", self.reply_work)
+                self._outcome(None)
             self.try_succeed(result)
         elif status is giop.ReplyStatus.USER_EXCEPTION:
             stream = CdrInputStream(reply.body)
@@ -977,34 +976,39 @@ class _Call(Activity):
         self._outcome(exc)
         self.try_fail(exc)
 
-    def _outcome(
-        self, exc: Optional[BaseException], attrs: Optional[dict] = None
-    ) -> None:
-        """Close this send's interceptor round."""
-        self.outcome_due = False
-        self.orb._intercept_outcome(self.info.name, self.request_id, exc, attrs)
+    def _outcome(self, exc: Optional[BaseException]) -> None:
+        """End this send's span, an error if ``exc`` is one."""
+        span = self.span
+        if span is not None:
+            self.span = None
+            if exc is not None:
+                span.mark_error(exc)
+            span.finish()
 
     def _release(self, exc: BaseException) -> None:
         # Killed with its host, or a step raised: the reply will never be
         # read, and the client span ends with the error.
         self.orb._pending.pop(self.request_id, None)
-        if self.outcome_due:
-            self._outcome(exc)
+        self._outcome(exc)
 
 
 class _Dispatch:
     """What the dispatches of one operation on one ORB share: their
-    activity name and the dispatch-time histogram.  Both are bound at the
-    first reply of an operation the target declares; a name no servant
-    declares gets a record of its own per request and keeps nothing, so a
-    peer cannot grow the ORB's tables or the metrics registry by naming
+    activity name, the dispatch-time histogram, bound at the first reply,
+    and on a traced ORB their span name and requests-served counter, bound
+    at the first dispatch that finds the operation on its servant.  The
+    record is kept from its first reply on; a name no servant declares
+    gets a record of its own per request and binds nothing, so a peer
+    cannot grow the ORB's tables or the metrics registry by naming
     operations."""
 
-    __slots__ = ("process_name", "seconds")
+    __slots__ = ("process_name", "seconds", "span_name", "served")
 
     def __init__(self, process_name: str) -> None:
         self.process_name = process_name
         self.seconds: Optional[Histogram] = None
+        self.span_name = ""
+        self.served: Optional[Counter] = None
 
 
 class _Serve(Activity):
@@ -1012,7 +1016,9 @@ class _Serve(Activity):
     charge and the send.  A servant that returns a generator runs as a
     process started inside the upcall step, so its first step — where a
     replicated servant reads ``current_service_contexts`` — runs before
-    any other dispatch."""
+    any other dispatch.  On a traced ORB the dispatch is a ``serve:<op>``
+    span under the caller's, from the upcall to the reply (a oneway
+    request's: to the dispatch's end), or to the dispatch's death."""
 
     __slots__ = (
         "orb",
@@ -1022,7 +1028,7 @@ class _Serve(Activity):
         "started",
         "info",
         "servant",
-        "span_open",
+        "span",
         "status",
         "body",
         "reply_work",
@@ -1040,8 +1046,8 @@ class _Serve(Activity):
         self.started = orb.sim.now
         self.info: Optional[OpInfo] = None
         self.servant: Optional[Process] = None
-        #: receive_request ran and send_reply has not
-        self.span_open = False
+        #: this dispatch's span, from the upcall until the reply ends it
+        self.span: Optional[Span] = None
         # by (client host, client port, request id), so CancelRequest can
         # abort the dispatch
         self.key = key = (message.reply_host, message.reply_port, message.request_id)
@@ -1079,19 +1085,8 @@ class _Serve(Activity):
                 f"cannot unmarshal request for {info.name}: {exc}",
                 completed=CompletionStatus.COMPLETED_NO,
             ) from exc
-        if orb.interceptors:
-            orb._intercept(
-                "receive_request",
-                RequestInfo(
-                    operation=message.operation,
-                    request_id=message.request_id,
-                    object_key=message.object_key,
-                    body_size=len(message.body),
-                    response_expected=message.response_expected,
-                    service_contexts=list(message.service_contexts),
-                ),
-            )
-            self.span_open = True
+        if orb._obs is not None:
+            self._open_span(orb._obs)
         method = getattr(servant, message.operation, None)
         if method is None or not callable(method):
             raise NO_IMPLEMENT(
@@ -1117,6 +1112,34 @@ class _Serve(Activity):
                 return None
             result = process.value
         return self._result_body(result)
+
+    def _open_span(self, obs: "Observability") -> None:
+        """Open this dispatch's span under the caller's propagated context
+        and make it the dispatch's own, so the servant's nested calls (the
+        naming service walking a federation, a factory creating an object)
+        stay causally linked."""
+        orb = self.orb
+        message = self.message
+        dispatch = self.dispatch
+        served = dispatch.served
+        if served is None:
+            dispatch.span_name = f"serve:{message.operation}"
+            served = dispatch.served = obs.metrics.counter(
+                "orb_requests_served_total",
+                host=orb.host.name,
+                operation=message.operation,
+            )
+        parent = None
+        for context_id, data in message.service_contexts:
+            if context_id == TRACE_CONTEXT_SERVICE_ID:
+                parent = TraceContext.decode(bytes(data))
+                break
+        self.span = span = obs.tracer.start_span(
+            dispatch.span_name, parent=parent, host=orb.host.name, kind="server"
+        )
+        # The upcall runs as this activity: it is the current process.
+        self.trace_context = span.context
+        served.inc()
 
     def _result_body(self, result: Any) -> bytes:
         info = self.info
@@ -1183,18 +1206,12 @@ class _Serve(Activity):
         if histogram is not None:
             histogram.observe(orb.sim.now - self.started)
         if not message.response_expected:
-            if self.span_open:
+            span = self.span
+            if span is not None:
                 # no reply goes out: the server span ends here
-                self.span_open = False
-                orb._intercept(
-                    "send_reply",
-                    RequestInfo(
-                        operation=message.operation,
-                        request_id=message.request_id,
-                        object_key=message.object_key,
-                        body_size=0,
-                    ),
-                )
+                self.span = self.trace_context = None
+                span.set_attr("reply_bytes", 0)
+                span.finish()
             orb._inflight_serves.pop(self.key, None)
             self.message = None
             self.try_succeed(None)
@@ -1208,18 +1225,12 @@ class _Serve(Activity):
         orb = self.orb
         message = self.message
         body = self.body
-        if orb.interceptors:
-            orb._intercept(
-                "send_reply",
-                RequestInfo(
-                    operation=message.operation,
-                    request_id=message.request_id,
-                    object_key=message.object_key,
-                    body_size=len(body),
-                    attrs={"reply_marshal_work": self.reply_work},
-                ),
-            )
-            self.span_open = False
+        span = self.span
+        if span is not None:
+            self.span = self.trace_context = None
+            span.set_attr("reply_bytes", len(body))
+            span.set_attr("reply_marshal_work", self.reply_work)
+            span.finish()
         reply = giop.ReplyMessage(message.request_id, self.status, body)
         raw = giop.encode_message(reply)
         orb.network.send(
@@ -1238,16 +1249,9 @@ class _Serve(Activity):
         orb._inflight_serves.pop(self.key, None)
         if self.servant is not None:
             self.servant.kill()
-        if self.span_open:
-            self.span_open = False
-            message = self.message
-            orb._intercept(
-                "abort_reply",
-                RequestInfo(
-                    operation=message.operation,
-                    request_id=message.request_id,
-                    object_key=message.object_key,
-                    exception=exc,
-                ),
-            )
+        span = self.span
+        if span is not None:
+            self.span = self.trace_context = None
+            span.mark_error(exc)
+            span.finish()
         self.message = self.body = None

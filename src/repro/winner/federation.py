@@ -22,7 +22,6 @@ from repro.services.naming.strategies import SelectionStrategy
 from repro.winner.metrics import best_of
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.host import Host
     from repro.cluster.wan import WideAreaNetwork
     from repro.winner.system_manager import SystemManager
 
@@ -33,13 +32,11 @@ class MetaManager:
 
     def __init__(
         self,
-        host: "Host",
         network: "WideAreaNetwork",
         wan_penalty: float = 1.5,
     ) -> None:
         if wan_penalty < 1.0:
             raise ConfigurationError("wan_penalty must be >= 1.0")
-        self.host = host
         self.network = network
         #: a remote site must beat the local one by this factor to win.
         self.wan_penalty = wan_penalty

@@ -1,15 +1,14 @@
 """A call or dispatch that dies with its host still ends its span.
 
-The client span of a call whose host crashes, and the server span of a
-dispatch whose host crashes or whose client cancels it, are finished with
-an error status: none stays in the tracer's open table (or the
-interceptor's client table) for the rest of the run.
+The client span of a call whose host crashes or whose IOR names no known
+host, and the server span of a dispatch whose host crashes or whose
+client cancels it, are finished with an error status: none stays in the
+tracer's open table for the rest of the run.
 """
 
 from repro.core import Runtime, RuntimeConfig
-from repro.errors import ProcessKilled, TIMEOUT
-from repro.obs.interceptor import ObservabilityInterceptor
-from repro.orb import Orb, OrbConfig, compile_idl
+from repro.errors import INV_OBJREF, ProcessKilled, TIMEOUT
+from repro.orb import IOR, Orb, OrbConfig, compile_idl
 
 ns = compile_idl(
     "interface Slow { double grind(in double s); };",
@@ -38,13 +37,6 @@ def finished(runtime, name):
     return [span for span in runtime.obs.tracer.spans if span.name == name]
 
 
-def client_interceptor(orb):
-    (interceptor,) = [
-        i for i in orb.interceptors if isinstance(i, ObservabilityInterceptor)
-    ]
-    return interceptor
-
-
 def test_client_crash_mid_call_ends_the_call_span_with_an_error():
     runtime, ior = world()
     client = runtime.orb(2)
@@ -63,8 +55,7 @@ def test_client_crash_mid_call_ends_the_call_span_with_an_error():
     runtime.sim.run(until=started + 3.0)
 
     assert outcome == [started + 0.5]
-    assert "call:grind" not in open_names(runtime)
-    assert client_interceptor(client)._client_spans == {}
+    assert open_names(runtime) == []
     (span,) = finished(runtime, "call:grind")
     assert span.status == "error"
     assert span.error == "ProcessKilled"
@@ -96,8 +87,12 @@ def test_server_crash_mid_servant_ends_the_serve_span_with_an_error():
 def test_cancelled_dispatch_ends_the_serve_span_with_an_error():
     runtime, ior = world()
     host = runtime.cluster.host(2)
-    client = Orb(host, runtime.cluster.network, config=OrbConfig(request_timeout=0.2))
-    client.add_request_interceptor(ObservabilityInterceptor(client))
+    client = Orb(
+        host,
+        runtime.cluster.network,
+        config=OrbConfig(request_timeout=0.2),
+        traced=True,
+    )
     stub = client.stub(ior, ns.SlowStub)
     outcome = []
 
@@ -119,3 +114,27 @@ def test_cancelled_dispatch_ends_the_serve_span_with_an_error():
     assert span.error == "ProcessKilled"
     (call,) = finished(runtime, "call:grind")
     assert call.error == "TIMEOUT"
+
+
+def test_a_call_to_an_unknown_host_ends_the_call_span_with_an_error():
+    runtime, ior = world()
+    nowhere = IOR(ior.type_id, "nowhere", ior.port, ior.object_key, ior.incarnation)
+    stub = runtime.orb(2).stub(nowhere, ns.SlowStub)
+    outcome = []
+
+    def reader():
+        try:
+            yield stub.grind(1.0)
+        except INV_OBJREF:
+            outcome.append(runtime.sim.now)
+
+    runtime.run(reader())
+
+    assert open_names(runtime) == []
+    (span,) = finished(runtime, "call:grind")
+    assert (span.status, span.error, span.attrs["target"]) == (
+        "error",
+        "INV_OBJREF",
+        "nowhere",
+    )
+    assert span.end == outcome[0]

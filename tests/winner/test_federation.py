@@ -36,7 +36,7 @@ def build_wan(num_per_site=3, sites=("eu", "us"), seed=5):
                 interval=0.5,
             ).start()
         managers[site] = manager
-    meta = MetaManager(hosts[0], network)
+    meta = MetaManager(network)
     for site, manager in managers.items():
         meta.register_site(site, manager)
     return sim, network, hosts, managers, meta
@@ -173,7 +173,7 @@ def test_best_of_table(scores, prefer, penalty, expected):
 def test_wan_penalty_validation():
     sim, network, hosts, _, _ = build_wan()
     with pytest.raises(ConfigurationError):
-        MetaManager(hosts[0], network, wan_penalty=0.5)
+        MetaManager(network, wan_penalty=0.5)
 
 
 # -- meta strategy -----------------------------------------------------------------

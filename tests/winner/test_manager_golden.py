@@ -130,7 +130,7 @@ class World:
             "eu": SystemManager(self.hosts[0], self.network),
             "us": SystemManager(self.hosts[4], self.network),
         }
-        self.meta = MetaManager(self.hosts[0], self.network)
+        self.meta = MetaManager(self.network)
         for site, manager in self.managers.items():
             self.meta.register_site(site, manager)
         eu = self.managers["eu"]
