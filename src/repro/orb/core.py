@@ -1137,7 +1137,8 @@ class _Serve(Activity):
         self.span = span = obs.tracer.start_span(
             dispatch.span_name, parent=parent, host=orb.host.name, kind="server"
         )
-        # The upcall runs as this activity: it is the current process.
+        # The upcall runs as this activity, so the servant and the
+        # processes it starts inherit this context; the span's end clears it.
         self.trace_context = span.context
         served.inc()
 

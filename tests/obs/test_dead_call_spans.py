@@ -1,4 +1,4 @@
-"""A call or dispatch that dies with its host still ends its span.
+"""A call or dispatch that ends without a reply still ends its span.
 
 The client span of a call whose host crashes or whose IOR names no known
 host, and the server span of a dispatch whose host crashes or whose
