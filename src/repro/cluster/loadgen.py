@@ -204,7 +204,9 @@ class OpenLoopPopulation:
             return self
         self.running = True
         self.started_at = self.sim.now
-        self._schedule_arrival()
+        self._next_arrival = self.sim.schedule(
+            self._rng.exponential(1.0 / self.arrival_rate), self._arrive
+        )
         return self
 
     def stop(self) -> None:
@@ -219,16 +221,14 @@ class OpenLoopPopulation:
 
     # -- the arrival loop -----------------------------------------------------
 
-    def _schedule_arrival(self) -> None:
-        delay = float(self._rng.exponential(1.0 / self.arrival_rate))
-        self._next_arrival = self.sim.schedule(delay, self._arrive)
-
     def _arrive(self) -> None:
         self._next_arrival = None
         if not self.running:
             return
-        self._schedule_arrival()
-        client = int(self._rng.integers(self.num_clients))
+        self._next_arrival = self.sim.schedule(
+            self._rng.exponential(1.0 / self.arrival_rate), self._arrive
+        )
+        client = self._rng.integers(self.num_clients)
         self.arrivals += 1
         host = self.place(client)
         if host is None:

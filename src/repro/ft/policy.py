@@ -158,8 +158,9 @@ class FtPolicy:
         """Next retry pause given the ``previous`` one.
 
         Pass ``previous <= 0`` for the first retry.  ``rng`` (a seeded
-        numpy Generator) is only consulted in decorrelated-jitter mode, so
-        fixed-backoff schedules never perturb the random stream.
+        :class:`~repro.sim.randomness.RandomStream`) is only consulted in
+        decorrelated-jitter mode, so fixed-backoff schedules never perturb
+        the random stream.
         """
         if self.backoff == "fixed":
             return self.retry_backoff

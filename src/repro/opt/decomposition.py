@@ -30,6 +30,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.opt.complex_box import ComplexBoxResult, complex_box
 from repro.opt.problems import ROSENBROCK_LOWER, ROSENBROCK_UPPER, rosenbrock
+from repro.sim.randomness import RandomStream
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ class DecomposedRosenbrock:
         self,
         worker_id: int,
         coupling: np.ndarray,
-        rng: np.random.Generator,
+        rng: RandomStream,
         max_iterations: int,
         x0: Optional[np.ndarray] = None,
     ) -> ComplexBoxResult:

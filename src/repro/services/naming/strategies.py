@@ -29,9 +29,8 @@ from typing import Optional, Sequence, TYPE_CHECKING
 from repro.orb.ior import IOR
 
 if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
     from repro.sim import Simulator
+    from repro.sim.randomness import RandomStream
     from repro.winner.system_manager import SystemManager
 
 
@@ -69,7 +68,7 @@ class RoundRobinStrategy(SelectionStrategy):
 class RandomStrategy(SelectionStrategy):
     name = "random"
 
-    def __init__(self, rng: "np.random.Generator") -> None:
+    def __init__(self, rng: "RandomStream") -> None:
         self._rng = rng
 
     def choose(self, group_name: str, candidates: Sequence[IOR]) -> IOR:

@@ -27,12 +27,10 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Iterable, Optional
 
-import numpy as np
-
 from repro.errors import SimulationError
 from repro.sim.events import _PENDING, SimFuture, all_of, any_of
 from repro.sim.process import Process
-from repro.sim.randomness import rng_stream
+from repro.sim.randomness import RandomStream, rng_stream
 
 #: compaction threshold: rebuild the heap once at least this many entries
 #: are cancelled *and* they make up at least half of the heap.
@@ -98,7 +96,7 @@ class Simulator:
         #: ``pending_event_count`` is ``len(_heap)`` minus this, so the
         #: hot dispatch loop never maintains a live-event counter.
         self._cancelled_in_heap = 0
-        self._rngs: dict[tuple[str, ...], np.random.Generator] = {}
+        self._rngs: dict[tuple[str, ...], RandomStream] = {}
         #: live processes; finished ones are compacted out periodically so
         #: long request streams do not accumulate dead Process objects.
         self.processes: list[Any] = []
@@ -288,18 +286,18 @@ class Simulator:
 
     # -- randomness -----------------------------------------------------------
 
-    def rng(self, *names: str) -> np.random.Generator:
+    def rng(self, *names: str) -> RandomStream:
         """A named, reproducible random stream derived from the master seed.
 
-        Repeated calls with the same names return the same generator object,
+        Repeated calls with the same names return the same stream object,
         so consumption order within a stream is well-defined.
         """
         key = tuple(names)
-        generator = self._rngs.get(key)
-        if generator is None:
-            generator = rng_stream(self.seed, *names)
-            self._rngs[key] = generator
-        return generator
+        stream = self._rngs.get(key)
+        if stream is None:
+            stream = rng_stream(self.seed, *names)
+            self._rngs[key] = stream
+        return stream
 
     def check_unhandled(self) -> None:
         """Raise the first unhandled process failure, if any.

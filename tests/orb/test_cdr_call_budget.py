@@ -190,8 +190,9 @@ def test_worker_solve_call_budget(count_calls):
     assert solve().evaluations == 214
     # 5 583 with the NumPy engine and objective (np.sum / np.clip /
     # np.argmax wrappers per step); 5 470 with the plain-float objective,
-    # whose list appends are C calls too
-    assert count_calls(solve) <= 5525
+    # whose list appends are C calls too; 5 469 with the starting complex
+    # drawn in one call from the in-repo stream
+    assert count_calls(solve) <= 5520
 
 
 # -- how often one FT call marshals its state ----------------------------------------
