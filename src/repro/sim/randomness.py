@@ -273,7 +273,8 @@ def _jump_tables(size: int) -> tuple[int, int]:
     """The packed jump-ahead multipliers of ``size`` LCG steps: ``A_k =
     MULT**k`` and ``G_k = 1 + MULT + ... + MULT**(k-1)``, mod ``2**128``."""
     a, g = 1, 0
-    powers, sums = [], []
+    powers: list[bytes] = []
+    sums: list[bytes] = []
     for _ in range(size):
         a = a * _MULT & _MASK128
         g = (g * _MULT + 1) & _MASK128
