@@ -170,5 +170,5 @@ class FtPolicy:
         prev = max(base, previous)
         return min(
             self.backoff_cap,
-            float(rng.uniform(base, prev * BACKOFF_MULTIPLIER)),
+            rng.uniform(base, prev * BACKOFF_MULTIPLIER),
         )

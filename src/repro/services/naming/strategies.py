@@ -72,7 +72,7 @@ class RandomStrategy(SelectionStrategy):
         self._rng = rng
 
     def choose(self, group_name: str, candidates: Sequence[IOR]) -> IOR:
-        return candidates[int(self._rng.integers(len(candidates)))]
+        return candidates[self._rng.integers(len(candidates))]
 
 
 class BreakerAwareStrategy(SelectionStrategy):

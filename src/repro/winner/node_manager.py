@@ -221,13 +221,13 @@ class NodeManager:
         sim = self.host.sim
         rng = sim.rng("winner-nm", self.host.name)
         # Desynchronize daemons so reports do not arrive in lockstep.
-        yield sim.timeout(float(rng.uniform(0.0, self.interval)))
+        yield sim.timeout(rng.uniform(0.0, self.interval))
         try:
             while True:
                 self.send_report()
                 delay = self.interval
                 if self.jitter:
-                    delay *= 1.0 + float(rng.uniform(-self.jitter, self.jitter))
+                    delay *= 1.0 + rng.uniform(-self.jitter, self.jitter)
                 yield sim.timeout(delay)
         except ProcessKilled:
             raise
